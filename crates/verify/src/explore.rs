@@ -10,10 +10,11 @@
 //! exact state cap like `emc_petri::analysis::reachable_markings`).
 //!
 //! States are bit-packed (one `u64` word per 64 nets, two per 64 gates
-//! for the pending events) and hash-consed into an arena during
-//! exploration, so the BFS frontier and visited set are `u32` indices
-//! instead of owned heap states — the difference between hashing a few
-//! machine words and hashing two `Vec`s per successor.
+//! for the pending events) and stored once each, in discovery order, in
+//! one flat `u64` arena behind an open-addressed index table
+//! ([`WordTable`]). The visited set is that table and the BFS frontier is
+//! the range of arena indices not yet expanded, so no state is ever boxed
+//! on its own.
 //!
 //! Two families of rules are decided on the fly:
 //!
@@ -30,14 +31,13 @@
 //!   to spacer before the pair changes again.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::HashSet;
 
+use emc_analyze::{discover_rail_pairs, RailPair};
 use emc_netlist::{Diagnostic, GateId, GateKind, NetId, Netlist, Severity};
 use emc_obs::metrics::pow2_bounds;
 use emc_obs::{CounterId, GaugeId, HistogramId, Telemetry};
 
-use crate::rails::{discover_rail_pairs, RailPair};
 use crate::reduce::{EnvFootprint, ReduceScratch, ReductionEngine};
 
 /// One global state of the closed circuit–environment system,
@@ -55,7 +55,7 @@ pub struct State {
 }
 
 impl State {
-    fn empty(nets: usize, gates: usize, env: u8) -> Self {
+    pub(crate) fn empty(nets: usize, gates: usize, env: u8) -> Self {
         let value_words = nets.div_ceil(64);
         let pending_words = gates.div_ceil(64);
         State {
@@ -66,22 +66,43 @@ impl State {
         }
     }
 
+    /// Bit `i` of the packed words.
+    #[inline]
+    pub(crate) fn bit(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Sets bit `i` of the packed words to `v`.
+    #[inline]
+    pub(crate) fn set_bit(&mut self, i: usize, v: bool) {
+        let w = &mut self.words[i / 64];
+        *w = *w & !(1 << (i % 64)) | u64::from(v) << (i % 64);
+    }
+
+    /// The positions of `gate`'s pending-present and pending-target bits.
+    #[inline]
+    fn pending_bits(&self, gate: GateId) -> (usize, usize) {
+        let present = 64 * self.value_words as usize + gate.index();
+        (present, present + 64 * self.pending_words as usize)
+    }
+
+    /// The positions, for [`State::bit`] and [`State::set_bit`], of
+    /// `net`'s value bit and of `gate`'s pending-present and
+    /// pending-target bits.
+    pub(crate) fn slot_bits(&self, net: NetId, gate: GateId) -> [usize; 3] {
+        let (present, target) = self.pending_bits(gate);
+        [net.index(), present, target]
+    }
+
     /// The current value of `net`.
     #[inline]
     pub fn value(&self, net: NetId) -> bool {
-        let i = net.index();
-        self.words[i / 64] >> (i % 64) & 1 != 0
+        self.bit(net.index())
     }
 
     #[inline]
     pub(crate) fn set_value(&mut self, net: NetId, v: bool) {
-        let i = net.index();
-        let mask = 1u64 << (i % 64);
-        if v {
-            self.words[i / 64] |= mask;
-        } else {
-            self.words[i / 64] &= !mask;
-        }
+        self.set_bit(net.index(), v);
     }
 
     /// The pending event of an edge-triggered `gate`: `Some(target)` when
@@ -89,37 +110,17 @@ impl State {
     /// level gates).
     #[inline]
     pub fn pending(&self, gate: GateId) -> Option<bool> {
-        let i = gate.index();
-        let present = self.value_words as usize + i / 64;
-        if self.words[present] >> (i % 64) & 1 == 0 {
-            return None;
-        }
-        let target = present + self.pending_words as usize;
-        Some(self.words[target] >> (i % 64) & 1 != 0)
+        let (present, target) = self.pending_bits(gate);
+        self.bit(present).then(|| self.bit(target))
     }
 
     #[inline]
     pub(crate) fn set_pending(&mut self, gate: GateId, p: Option<bool>) {
-        let i = gate.index();
-        let present = self.value_words as usize + i / 64;
-        let target = present + self.pending_words as usize;
-        let mask = 1u64 << (i % 64);
-        match p {
-            // Keep the target plane canonical (zero when absent) so
-            // equal states are bit-identical for `Eq`/`Hash`.
-            None => {
-                self.words[present] &= !mask;
-                self.words[target] &= !mask;
-            }
-            Some(t) => {
-                self.words[present] |= mask;
-                if t {
-                    self.words[target] |= mask;
-                } else {
-                    self.words[target] &= !mask;
-                }
-            }
-        }
+        let (present, target) = self.pending_bits(gate);
+        // Keep the target bit canonical (zero when absent) so equal
+        // states are bit-identical for `Eq`/`Hash`.
+        self.set_bit(present, p.is_some());
+        self.set_bit(target, p == Some(true));
     }
 
     /// Overwrites `self` with `other` without reallocating (the layouts
@@ -236,52 +237,139 @@ impl Sink {
     }
 }
 
-/// Hash-consing arena for explored states: every distinct state is stored
-/// once, and the visited set / BFS frontier are `u32` indices into it.
-/// Buckets are keyed by the state's hash; collisions fall back to full
-/// equality against the arena entry.
-struct Interner {
-    arena: Vec<State>,
-    buckets: HashMap<u64, Vec<u32>>,
+/// Marks a free slot of a [`WordTable`].
+const EMPTY: u32 = u32::MAX;
+
+/// Fixed-width `u64` keys stored once each in one flat arena: key `i`
+/// occupies `arena[i * stride..(i + 1) * stride]`, so indices are dense
+/// in insertion order. Lookups go through an open-addressed table of
+/// those indices (linear probing, power-of-two capacity, load ≤ ½),
+/// rebuilt from the arena when it grows.
+pub(crate) struct WordTable {
+    stride: usize,
+    arena: Vec<u64>,
+    slots: Vec<u32>,
 }
 
-impl Interner {
-    fn new() -> Self {
+impl WordTable {
+    /// An empty table of `stride`-word keys.
+    pub(crate) fn new(stride: usize) -> Self {
+        assert!(stride > 0, "keys span at least one word");
         Self {
+            stride,
             arena: Vec::new(),
-            buckets: HashMap::new(),
+            slots: vec![EMPTY; 16],
         }
     }
 
-    fn hash_of(s: &State) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        s.hash(&mut h);
-        h.finish()
+    /// Number of stored keys.
+    fn len(&self) -> usize {
+        self.arena.len() / self.stride
+    }
+
+    /// The key stored at `index`.
+    fn key(&self, index: usize) -> &[u64] {
+        &self.arena[index * self.stride..(index + 1) * self.stride]
+    }
+
+    /// Looks `key` up: `Ok(index)` when stored, otherwise `Err(slot)`,
+    /// the free slot for [`WordTable::insert_at`].
+    pub(crate) fn find(&self, key: &[u64]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = mix(key) as usize & mask;
+        loop {
+            match self.slots[at] {
+                EMPTY => return Err(at),
+                i if self.key(i as usize) == key => return Ok(i as usize),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Stores the absent `key` at the `slot` that [`WordTable::find`]
+    /// just returned for it, and returns its index.
+    pub(crate) fn insert_at(&mut self, slot: usize, key: &[u64]) -> usize {
+        assert_eq!(key.len(), self.stride, "key width");
+        assert_eq!(self.slots[slot], EMPTY, "insert_at needs a free slot");
+        let index = self.len();
+        self.slots[slot] = u32::try_from(index)
+            .ok()
+            .filter(|&i| i != EMPTY)
+            .expect("table index fits in u32");
+        self.arena.extend_from_slice(key);
+        if 2 * self.len() > self.slots.len() {
+            let mut slots = vec![EMPTY; 2 * self.slots.len()];
+            let mask = slots.len() - 1;
+            for (i, key) in (0u32..).zip(self.arena.chunks_exact(self.stride)) {
+                let mut at = mix(key) as usize & mask;
+                while slots[at] != EMPTY {
+                    at = (at + 1) & mask;
+                }
+                slots[at] = i;
+            }
+            self.slots = slots;
+        }
+        index
+    }
+}
+
+/// [`WordTable`]'s hash: a folded 64×64→128-bit multiply per word. It
+/// is a fixed function with no random seed, so a run probes the same
+/// slots every time.
+fn mix(key: &[u64]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    key.iter().fold(K, |h, &w| {
+        let p = u128::from(h ^ w) * u128::from(K);
+        p as u64 ^ (p >> 64) as u64
+    })
+}
+
+/// The explorer's visited states in a [`WordTable`], each keyed by its
+/// words followed by its env byte.
+struct StateStore {
+    table: WordTable,
+    /// Scratch: the key of the state being looked up or inserted.
+    key: Vec<u64>,
+}
+
+impl StateStore {
+    /// An empty store for states of `words` words.
+    fn new(words: usize) -> Self {
+        Self {
+            table: WordTable::new(words + 1),
+            key: vec![0; words + 1],
+        }
     }
 
     fn len(&self) -> usize {
-        self.arena.len()
+        self.table.len()
     }
 
-    fn get(&self, index: u32) -> &State {
-        &self.arena[index as usize]
+    fn fill_key(&mut self, s: &State) {
+        let (words, env) = self.key.split_at_mut(s.words.len());
+        words.copy_from_slice(&s.words);
+        env[0] = u64::from(s.env);
     }
 
-    fn contains(&self, s: &State) -> bool {
-        self.buckets
-            .get(&Self::hash_of(s))
-            .is_some_and(|b| b.iter().any(|&i| self.arena[i as usize] == *s))
+    /// Looks `s` up: `Ok(index)` when stored, otherwise `Err(slot)` for
+    /// [`StateStore::insert_at`].
+    fn find(&mut self, s: &State) -> Result<usize, usize> {
+        self.fill_key(s);
+        self.table.find(&self.key)
     }
 
-    /// Inserts a (known-absent) state, cloning it into the arena.
-    fn insert(&mut self, s: &State) -> u32 {
-        let index = u32::try_from(self.arena.len()).expect("state arena fits in u32");
-        self.arena.push(s.clone());
-        self.buckets
-            .entry(Self::hash_of(s))
-            .or_default()
-            .push(index);
-        index
+    /// Stores the absent `s` at the `slot` that [`StateStore::find`] just
+    /// returned for it, and returns its index.
+    fn insert_at(&mut self, slot: usize, s: &State) -> usize {
+        self.fill_key(s);
+        self.table.insert_at(slot, &self.key)
+    }
+
+    /// Overwrites `s` with the state stored at `index`.
+    fn load(&self, index: usize, s: &mut State) {
+        let (words, env) = self.table.key(index).split_at(s.words.len());
+        s.words.copy_from_slice(words);
+        s.env = env[0] as u8;
     }
 }
 
@@ -381,12 +469,17 @@ impl<'a> Explorer<'a> {
     /// edge-triggered gates, in gate order (deterministic).
     pub fn internal_enabled(&self, s: &State) -> Vec<Transition> {
         let mut out = Vec::new();
-        self.internal_enabled_into(s, &mut out);
+        let mut level = vec![0; self.netlist.gate_count().div_ceil(64)];
+        self.internal_enabled_into(s, &mut out, &mut level);
         out
     }
 
-    fn internal_enabled_into(&self, s: &State, out: &mut Vec<Transition>) {
+    /// [`Explorer::internal_enabled`] into `out`, also setting bit `g` of
+    /// `level` for each excited *level* gate `g`: the only gates whose
+    /// output persistence another firing can violate.
+    fn internal_enabled_into(&self, s: &State, out: &mut Vec<Transition>, level: &mut [u64]) {
         out.clear();
+        level.fill(0);
         for (gid, g) in self.netlist.iter_gates() {
             if g.kind().is_source() {
                 continue;
@@ -404,6 +497,7 @@ impl<'a> Explorer<'a> {
                 let cur = s.value(g.output());
                 let target = g.kind().eval_map(g.inputs(), |n| s.value(n), cur);
                 if target != cur {
+                    level[gid.index() / 64] |= 1 << (gid.index() % 64);
                     out.push(Transition {
                         gate: Some(gid),
                         net: g.output(),
@@ -545,13 +639,11 @@ impl<'a> Explorer<'a> {
 
         let mut sink = Sink::new();
         let mut initial = self.initial_state();
-        let mut interner = Interner::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
+        let mut store = StateStore::new(initial.words.len());
         let mut capped = self.state_cap == 0;
 
         // Reduction machinery: the engine (if enabled and accepted),
-        // its scratch, a second successor buffer holding the canonical
-        // representative, and local counters flushed to telemetry once.
+        // its scratch, and local counters flushed to telemetry once.
         let engine = self.reduction.as_ref();
         let mut rsc: Option<ReduceScratch> = engine.map(|e| e.scratch());
         let mut reduced_states = 0u64;
@@ -563,41 +655,37 @@ impl<'a> Explorer<'a> {
                 e.canonicalize(sc, &mut initial);
             }
             self.check_pair_invariants(None, &initial, &mut sink);
-            queue.push_back(interner.insert(&initial));
+            let slot = store.find(&initial).expect_err("the store starts empty");
+            store.insert_at(slot, &initial);
         }
 
         // Scratch buffers reused across the whole search: the popped
-        // state (copied out of the arena so successors can be interned
-        // while it is read), the successor, and the transition lists.
+        // state (copied out of the arena so successors can be stored
+        // while it is read), the successor, the transition lists, the
+        // excited level gates and the gates a firing may disable.
         let mut current = initial.clone();
-        let mut next = initial.clone();
-        let mut canon = initial.clone();
+        let mut next = initial;
         let mut internal: Vec<Transition> = Vec::new();
         let mut env: Vec<Transition> = Vec::new();
         let mut overruns: Vec<GateId> = Vec::new();
+        let mut level = vec![0u64; self.netlist.gate_count().div_ceil(64)];
+        let mut touched: Vec<GateId> = Vec::new();
 
-        'bfs: while let Some(si) = queue.pop_front() {
+        // States are stored in discovery order, so the BFS frontier is
+        // the index range `popped..store.len()`.
+        let mut popped = 0usize;
+        'bfs: while popped < store.len() {
+            store.load(popped, &mut current);
+            popped += 1;
             if let Some(o) = obs.as_mut() {
                 o.t.metrics.inc(o.pops, 1);
-                let depth = queue.len() as f64;
+                let depth = (store.len() - popped) as f64;
                 o.t.metrics.observe(o.frontier, depth);
                 o.t.metrics.raise_gauge(o.frontier_high, depth);
             }
-            current.copy_from(interner.get(si));
             let s = &current;
-            self.internal_enabled_into(s, &mut internal);
+            self.internal_enabled_into(s, &mut internal, &mut level);
             self.env_enabled_into(s, internal.is_empty(), &mut env);
-
-            // Persistence candidates: excited *level* gates. Pending
-            // edge-triggered events survive anything but their own fire
-            // (overruns are flagged separately), so they are exempt.
-            let is_level = |t: &Transition| {
-                let g = t.gate.expect("internal transitions carry a gate");
-                !matches!(
-                    self.netlist.gate_ref(g).kind(),
-                    GateKind::Toggle | GateKind::Dff
-                )
-            };
 
             // Choose the transitions to fire: a stubborn subset when the
             // engine finds one, everything otherwise.
@@ -643,15 +731,29 @@ impl<'a> Explorer<'a> {
                             .at_net(out),
                         );
                     }
-                    // Checked against *all* enabled gates — also the
-                    // deferred ones, so a reduced run still sees every
-                    // disabling the chosen transitions can cause.
-                    for p in internal.iter().filter(|t| is_level(t)) {
-                        let g = p.gate.expect("internal transitions carry a gate");
-                        if t.gate == Some(g) {
-                            continue;
-                        }
-                        if self.eval_gate(g, &next) != p.value {
+                    // Persistence: the firing changes only `t.net`'s
+                    // value (pending bits are not read by level gates),
+                    // so only an excited level gate reading `t.net` can
+                    // lose its excitation. (An excited gate's target
+                    // does not depend on its own output, so a second
+                    // driver of that output cannot disable it either.)
+                    // Pending edge-triggered events
+                    // survive anything but their own fire (overruns are
+                    // flagged above). Every such gate is checked, also a
+                    // deferred one, so a reduced run still sees every
+                    // disabling the chosen transitions can cause. Sorted,
+                    // they come in `internal`'s gate order, which fixes
+                    // the order diagnostics are found in.
+                    touched.clear();
+                    touched.extend(self.netlist.fanout(t.net).iter().filter(|&&h| {
+                        t.gate != Some(h) && level[h.index() / 64] >> (h.index() % 64) & 1 == 1
+                    }));
+                    touched.sort_unstable();
+                    touched.dedup();
+                    for &g in &touched {
+                        let out = self.netlist.gate_ref(g).output();
+                        let target = !s.value(out);
+                        if self.eval_gate(g, &next) != target {
                             sink.push(
                                 g.index(),
                                 Diagnostic::new(
@@ -660,8 +762,8 @@ impl<'a> Explorer<'a> {
                                     format!(
                                         "gate {g} ('{}') excited to {} was disabled by {} \
                                          ('{}') firing — output persistence violated (hazard)",
-                                        self.netlist.net_name(p.net),
-                                        u8::from(p.value),
+                                        self.netlist.net_name(out),
+                                        u8::from(target),
                                         t.gate
                                             .map(|x| x.to_string())
                                             .unwrap_or_else(|| "the environment".to_owned()),
@@ -669,27 +771,22 @@ impl<'a> Explorer<'a> {
                                     ),
                                 )
                                 .at_gate(g)
-                                .at_net(p.net),
+                                .at_net(out),
                             );
                         }
                     }
                     self.check_pair_invariants(Some((s, t.net)), &next, &mut sink);
-                    // All checks ran on the raw successor; intern its
+                    // All checks ran on the raw successor; store its
                     // canonical representative.
-                    let cand: &State = match (engine, rsc.as_mut()) {
-                        (Some(e), Some(sc)) if e.has_symmetry() => {
-                            canon.copy_from(&next);
-                            e.canonicalize(sc, &mut canon);
-                            &canon
-                        }
-                        _ => &next,
-                    };
-                    if !interner.contains(cand) {
-                        if interner.len() >= self.state_cap {
+                    if let (Some(e), Some(sc)) = (engine, rsc.as_mut()) {
+                        e.canonicalize(sc, &mut next);
+                    }
+                    if let Err(slot) = store.find(&next) {
+                        if store.len() >= self.state_cap {
                             capped = true;
                             break 'bfs;
                         }
-                        queue.push_back(interner.insert(cand));
+                        store.insert_at(slot, &next);
                         fresh = true;
                     }
                 }
@@ -718,21 +815,25 @@ impl<'a> Explorer<'a> {
         }
         if let Some(o) = obs.as_mut() {
             let arena = o.t.metrics.gauge("verify.arena.states");
-            o.t.metrics.set_gauge(arena, interner.len() as f64);
+            o.t.metrics.set_gauge(arena, store.len() as f64);
             let diags = o.t.metrics.counter("verify.diagnostics");
             o.t.metrics.inc(diags, sink.diags.len() as u64);
-            if engine.is_some() {
+            if let Some(sc) = &rsc {
                 let c = o.t.metrics.counter("verify.reduce.reduced_states");
                 o.t.metrics.inc(c, reduced_states);
                 let c = o.t.metrics.counter("verify.reduce.proviso_expansions");
                 o.t.metrics.inc(c, proviso_expansions);
                 let c = o.t.metrics.counter("verify.reduce.skipped_transitions");
                 o.t.metrics.inc(c, skipped_transitions);
+                let c = o.t.metrics.counter("verify.reduce.select_cache_hits");
+                o.t.metrics.inc(c, sc.cache_hits);
+                let c = o.t.metrics.counter("verify.reduce.select_cache_misses");
+                o.t.metrics.inc(c, sc.cache_misses);
             }
         }
         ExploreOutcome {
             diagnostics: sink.diags,
-            states: interner.len(),
+            states: store.len(),
             exhaustive: !capped,
         }
     }
@@ -985,6 +1086,67 @@ mod tests {
         let out = ex.explore();
         assert!(out.exhaustive);
         assert_eq!(out.diagnostics, Vec::new());
+    }
+
+    #[test]
+    fn state_store_agrees_with_a_hash_set() {
+        // 70 nets / 70 gates: the value plane and both pending planes
+        // each span two words.
+        let mut nl = Netlist::new();
+        let nets: Vec<NetId> = (0..70).map(|i| nl.input(&format!("n{i}"))).collect();
+        let env = Environment::inert();
+        let ex = Explorer::new(&nl, &env, &[], 10);
+        // State `k`'s bits come from an xorshift seeded by `k / 3`, its
+        // env byte from `k % 3`, so some states differ only in env.
+        let state_of = |k: u64| {
+            let mut x = (k / 3).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut bit = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x & 1 == 1
+            };
+            let mut s = ex.initial_state();
+            for &n in &nets {
+                s.set_value(n, bit());
+            }
+            for i in 0..70 {
+                let p = if bit() { Some(bit()) } else { None };
+                s.set_pending(nl.gate_id(i), p);
+            }
+            s.env = (k % 3) as u8;
+            s
+        };
+
+        let mut store = StateStore::new(ex.initial_state().words.len());
+        let mut seen: HashSet<State> = HashSet::new();
+        let mut order: Vec<State> = Vec::new();
+        // Draws repeat, so both lookup outcomes are exercised.
+        for draw in 0..6_000u64 {
+            let s = state_of(draw * 7_919 % 3_001);
+            match store.find(&s) {
+                Ok(i) => {
+                    assert!(seen.contains(&s), "draw {draw}: found an absent state");
+                    assert_eq!(order[i], s, "draw {draw}: found at the wrong index");
+                }
+                Err(slot) => {
+                    assert!(seen.insert(s.clone()), "draw {draw}: missed a stored state");
+                    assert_eq!(store.insert_at(slot, &s), order.len(), "indices are dense");
+                    order.push(s);
+                }
+            }
+            assert_eq!(store.len(), order.len());
+        }
+        assert!(order.len() > 2_000, "{} distinct states", order.len());
+        assert!(
+            store.table.slots.len() >= 16 << 3,
+            "at least three table growths"
+        );
+        let mut loaded = ex.initial_state();
+        for (i, s) in order.iter().enumerate() {
+            store.load(i, &mut loaded);
+            assert_eq!(&loaded, s, "index {i}");
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //!
 //! The `NET*` rules are structural ([`Netlist::validate`]); `CD001` and
 //! `TA001` are structural over discovered rail pairs and primitives
-//! ([`rails`]); `SI001`/`DR001`/`DR002` are decided on the reachable
+//! ([`check_completion_coverage`], [`check_timing_assumptions`], shared
+//! with `emc-analyze`); `SI001`/`DR001`/`DR002` are decided on the reachable
 //! state graph ([`explore`]); `STG001` is a product construction against
 //! the specification ([`conformance`]); the `PC*` rules check recorded
 //! power-clock evaluation traces against the adiabatic phase discipline
@@ -67,7 +68,6 @@ pub mod builtin;
 pub mod conformance;
 pub mod explore;
 pub mod powerclock;
-pub mod rails;
 pub mod reduce;
 
 use std::sync::Mutex;
@@ -77,12 +77,12 @@ use emc_petri::{SignalId, Stg};
 use emc_sim::{run_campaign, CampaignConfig, CampaignReport, RunReport};
 
 pub use conformance::check_conformance;
-pub use explore::{EnvAction, EnvView, Environment, ExploreOutcome, Explorer, State, Transition};
-pub use powerclock::{check_power_clock, PhaseEvent};
-pub use rails::{
+pub use emc_analyze::{
     check_completion_coverage, check_timing_assumptions, discover_rail_pairs, RailPair,
 };
-pub use reduce::{orbit_commutation_check, EnvFootprint, EnvPart};
+pub use explore::{EnvAction, EnvView, Environment, ExploreOutcome, Explorer, State, Transition};
+pub use powerclock::{check_power_clock, PhaseEvent};
+pub use reduce::{orbit_commutation_check, select_cache_check, EnvFootprint, EnvPart};
 
 /// A circuit closed by its environment, ready for verification.
 pub struct Circuit<'a> {

@@ -18,7 +18,9 @@
 //!
 //! Only `enabled ∩ T` is fired. Every enabled seed is tried and the
 //! smallest result wins (deterministically — seeds ascend by agent
-//! index). The explorer's BFS ignoring-proviso re-expands the deferred
+//! index). The closure reads nothing of the state but the set of enabled
+//! agents, so each exploration memoizes the chosen `T` per enabled set.
+//! The explorer's BFS ignoring-proviso re-expands the deferred
 //! transitions whenever the chosen set reaches no new state, so no
 //! transition is postponed forever.
 //!
@@ -43,13 +45,12 @@
 //! [`orbit_commutation_check`] independently validates the permutation
 //! argument on the unreduced graph.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use emc_analyze::{detect_orbits, may_interfere_matrix, Interference, Orbits};
+use emc_analyze::{detect_orbits, discover_rail_pairs, may_interfere_matrix, Interference, Orbits};
 use emc_netlist::{GateId, NetId, Netlist};
 
-use crate::explore::{Explorer, State, Transition};
-use crate::rails::discover_rail_pairs;
+use crate::explore::{Explorer, State, Transition, WordTable};
 
 /// One independent piece of an environment's behaviour, as declared by
 /// the circuit author: the nets whose values its actions depend on, the
@@ -121,6 +122,10 @@ fn bit_set(words: &mut [u64], i: usize) -> bool {
 /// representative.
 pub(crate) struct ValidGroup {
     pub(crate) members: Vec<Vec<(NetId, GateId)>>,
+    /// Member `m`'s canonicalization key, as state bit positions: slot
+    /// `k`'s value, pending-present and pending-target bits at
+    /// `bits[3 * (m * slots + k)..][..3]`.
+    bits: Vec<usize>,
 }
 
 /// Per-exploration scratch for [`ReductionEngine`] queries, so the BFS
@@ -129,13 +134,22 @@ pub(crate) struct ReduceScratch {
     t_set: Vec<u64>,
     best: Vec<u64>,
     enabled: Vec<u64>,
-    enabled_list: Vec<usize>,
     work: Vec<usize>,
     env_parts: Vec<usize>,
     /// Filled by [`ReductionEngine::select`]: one flag per transition
     /// in `internal ++ env`, `true` = fire in the reduced pass.
     pub(crate) mask: Vec<bool>,
-    keys: Vec<Vec<u64>>,
+    /// The enabled-agent sets [`ReductionEngine::select`] has answered.
+    cache: WordTable,
+    /// Per `cache` entry, the chosen T-set (as wide as the key), all
+    /// zero for "no useful reduction".
+    answers: Vec<u64>,
+    /// Selections answered from `cache`.
+    pub(crate) cache_hits: u64,
+    /// Selections computed and added to `cache`.
+    pub(crate) cache_misses: u64,
+    /// [`ReductionEngine::canonicalize`]'s member keys, side by side.
+    keys: Vec<u64>,
     order: Vec<usize>,
 }
 
@@ -181,7 +195,8 @@ impl ReductionEngine {
         }
         let inter = may_interfere_matrix(netlist, &pairs);
         let orbits = detect_orbits(netlist, &pairs);
-        let groups = validate_groups(&orbits, initial, &footprint.parts);
+        let layout = State::empty(nets, gates, 0);
+        let groups = validate_groups(&orbits, initial, &footprint.parts, &layout);
 
         let parts = footprint.parts.clone();
         let npart = parts.len();
@@ -287,11 +302,6 @@ impl ReductionEngine {
         })
     }
 
-    /// `true` when at least one validated symmetry group survives.
-    pub(crate) fn has_symmetry(&self) -> bool {
-        !self.groups.is_empty()
-    }
-
     pub(crate) fn scratch(&self) -> ReduceScratch {
         let agents = self.gates + self.parts.len();
         let words = agents.div_ceil(WORD);
@@ -299,10 +309,13 @@ impl ReductionEngine {
             t_set: vec![0; words],
             best: vec![0; words],
             enabled: vec![0; words],
-            enabled_list: Vec::new(),
             work: Vec::new(),
             env_parts: Vec::new(),
             mask: Vec::new(),
+            cache: WordTable::new(words),
+            answers: Vec::new(),
+            cache_hits: 0,
+            cache_misses: 0,
             keys: Vec::new(),
             order: Vec::new(),
         }
@@ -336,52 +349,76 @@ impl ReductionEngine {
         }
 
         sc.enabled.fill(0);
-        sc.enabled_list.clear();
         for t in internal {
-            let a = t.gate.expect("internal transitions carry a gate").index();
-            if bit_set(&mut sc.enabled, a) {
-                sc.enabled_list.push(a);
-            }
+            bit_set(
+                &mut sc.enabled,
+                t.gate.expect("internal transitions carry a gate").index(),
+            );
         }
         for &p in &sc.env_parts {
-            let a = self.gates + p;
-            if bit_set(&mut sc.enabled, a) {
-                sc.enabled_list.push(a);
-            }
-        }
-        let enabled_count = sc.enabled_list.len();
-        if enabled_count <= 1 {
-            return false;
+            bit_set(&mut sc.enabled, self.gates + p);
         }
 
-        // Try every enabled seed (ascending, deterministic); keep the
-        // smallest |enabled ∩ T|.
-        sc.enabled_list.sort_unstable();
-        let mut best_score = usize::MAX;
-        for i in 0..sc.enabled_list.len() {
-            let seed = sc.enabled_list[i];
-            let score = self.closure(netlist, sc, seed);
-            if score < best_score {
-                best_score = score;
-                sc.best.copy_from_slice(&sc.t_set);
-                if score == 1 {
-                    break;
-                }
+        // Past the guards the answer depends on the enabled set alone.
+        let entry = match sc.cache.find(&sc.enabled) {
+            Ok(entry) => {
+                sc.cache_hits += 1;
+                entry
             }
-        }
-        if best_score >= enabled_count {
+            Err(slot) => {
+                sc.cache_misses += 1;
+                self.choose(netlist, sc);
+                sc.answers.extend_from_slice(&sc.best);
+                sc.cache.insert_at(slot, &sc.enabled)
+            }
+        };
+        let words = sc.best.len();
+        let best = &sc.answers[entry * words..(entry + 1) * words];
+        if best.iter().all(|&w| w == 0) {
             return false;
         }
 
         sc.mask.clear();
         for t in internal {
             let a = t.gate.expect("internal transitions carry a gate").index();
-            sc.mask.push(bit_get(&sc.best, a));
+            sc.mask.push(bit_get(best, a));
         }
         for &p in &sc.env_parts {
-            sc.mask.push(bit_get(&sc.best, self.gates + p));
+            sc.mask.push(bit_get(best, self.gates + p));
         }
         true
+    }
+
+    /// Fills `sc.best` with the smallest stubborn set over the agents
+    /// enabled in `sc.enabled`, or with zeros when none fires fewer
+    /// than all of them.
+    fn choose(&self, netlist: &Netlist, sc: &mut ReduceScratch) {
+        sc.best.fill(0);
+        let enabled_count: usize = sc.enabled.iter().map(|w| w.count_ones() as usize).sum();
+        if enabled_count <= 1 {
+            return;
+        }
+        // Try every enabled seed (ascending, deterministic); keep the
+        // smallest |enabled ∩ T|.
+        let mut best_score = usize::MAX;
+        'seeds: for w in 0..sc.enabled.len() {
+            let mut bits = sc.enabled[w];
+            while bits != 0 {
+                let seed = w * WORD + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let score = self.closure(netlist, sc, seed);
+                if score < best_score {
+                    best_score = score;
+                    sc.best.copy_from_slice(&sc.t_set);
+                    if score == 1 {
+                        break 'seeds;
+                    }
+                }
+            }
+        }
+        if best_score >= enabled_count {
+            sc.best.fill(0);
+        }
     }
 
     /// Stubborn closure from `seed` into `sc.t_set`; returns
@@ -521,50 +558,35 @@ impl ReductionEngine {
         let mut moved = false;
         for group in &self.groups {
             let m = group.members.len();
-            let k = group.members[0].len();
-            let key_words = (3 * k).div_ceil(WORD);
-            sc.keys.resize_with(m, Vec::new);
-            for (mi, slots) in group.members.iter().enumerate() {
-                let key = &mut sc.keys[mi];
-                key.clear();
-                key.resize(key_words, 0);
-                let mut cursor = 0usize;
-                let push = |key: &mut Vec<u64>, cursor: &mut usize, b: bool| {
-                    if b {
-                        key[*cursor / WORD] |= 1 << (*cursor % WORD);
-                    }
-                    *cursor += 1;
-                };
-                for &(net, gate) in slots {
-                    push(key, &mut cursor, s.value(net));
-                    let p = s.pending(gate);
-                    push(key, &mut cursor, p.is_some());
-                    push(key, &mut cursor, p == Some(true));
+            let per = group.bits.len() / m;
+            let kw = per.div_ceil(WORD);
+            sc.keys.resize(m * kw, 0);
+            for (key, bits) in sc
+                .keys
+                .chunks_exact_mut(kw)
+                .zip(group.bits.chunks_exact(per))
+            {
+                for (word, bits) in key.iter_mut().zip(bits.chunks(WORD)) {
+                    *word = (0..)
+                        .zip(bits)
+                        .fold(0, |w, (i, &b)| w | u64::from(s.bit(b)) << i);
                 }
             }
-            sc.order.clear();
-            sc.order.extend(0..m);
-            sc.order.sort_by(|&a, &b| sc.keys[a].cmp(&sc.keys[b]));
-            if sc.order.iter().enumerate().all(|(i, &o)| i == o) {
+            let key = |i: usize| &sc.keys[i * kw..(i + 1) * kw];
+            if (1..m).all(|i| key(i - 1) <= key(i)) {
                 continue;
             }
             moved = true;
+            sc.order.clear();
+            sc.order.extend(0..m);
+            sc.order.sort_by(|&a, &b| key(a).cmp(key(b)));
             // Member j takes the key of the j-th smallest member.
             for (j, &src) in sc.order.iter().enumerate() {
-                let slots = &group.members[j];
-                let key = &sc.keys[src];
-                let mut cursor = 0usize;
-                let pull = |cursor: &mut usize| {
-                    let b = key[*cursor / WORD] >> (*cursor % WORD) & 1 == 1;
-                    *cursor += 1;
-                    b
-                };
-                for &(net, gate) in slots {
-                    let v = pull(&mut cursor);
-                    let present = pull(&mut cursor);
-                    let target = pull(&mut cursor);
-                    s.set_value(net, v);
-                    s.set_pending(gate, if present { Some(target) } else { None });
+                if src != j {
+                    let key = key(src);
+                    for (i, &b) in group.bits[j * per..(j + 1) * per].iter().enumerate() {
+                        s.set_bit(b, bit_get(key, i));
+                    }
                 }
             }
         }
@@ -578,6 +600,7 @@ fn validate_groups(
     orbits: &Orbits,
     initial: &[(NetId, bool)],
     parts: &[EnvPart],
+    layout: &State,
 ) -> Vec<ValidGroup> {
     let mut init: HashMap<NetId, bool> = HashMap::new();
     for &(n, v) in initial {
@@ -665,21 +688,56 @@ fn validate_groups(
                 }
             }
         }
-        out.push(ValidGroup {
-            members: group
-                .members
-                .iter()
-                .map(|m| {
-                    m.nets
-                        .iter()
-                        .copied()
-                        .zip(m.gates.iter().copied())
-                        .collect()
-                })
-                .collect(),
-        });
+        let members: Vec<Vec<(NetId, GateId)>> = group
+            .members
+            .iter()
+            .map(|m| {
+                m.nets
+                    .iter()
+                    .copied()
+                    .zip(m.gates.iter().copied())
+                    .collect()
+            })
+            .collect();
+        let bits = members
+            .iter()
+            .flatten()
+            .flat_map(|&(net, gate)| layout.slot_bits(net, gate))
+            .collect();
+        out.push(ValidGroup { members, bits });
     }
     out
+}
+
+/// Breadth-first walk of `ex`'s **unreduced** reachable graph (up to
+/// `cap` states), calling `visit` with every state and its enabled
+/// internal and environment transitions. Returns the number of states
+/// visited, or `visit`'s first error.
+fn walk_unreduced(
+    ex: &Explorer<'_>,
+    cap: usize,
+    mut visit: impl FnMut(&State, &[Transition], &[Transition]) -> Result<(), String>,
+) -> Result<usize, String> {
+    let mut seen: HashSet<State> = HashSet::new();
+    let mut queue: VecDeque<State> = VecDeque::new();
+    let initial = ex.initial_state();
+    seen.insert(initial.clone());
+    queue.push_back(initial);
+    let mut visited = 0usize;
+    while let Some(s) = queue.pop_front() {
+        visited += 1;
+        let internal = ex.internal_enabled(&s);
+        let env = ex.env_enabled(&s, internal.is_empty());
+        visit(&s, &internal, &env)?;
+        for t in internal.iter().chain(env.iter()) {
+            let (next, _) = ex.apply(&s, t);
+            if !seen.contains(&next) && seen.len() < cap {
+                seen.insert(next.clone());
+                queue.push_back(next);
+            }
+        }
+    }
+    Ok(visited)
 }
 
 /// Walks the **unreduced** reachable graph of `circuit` (up to `cap`
@@ -700,32 +758,45 @@ pub fn orbit_commutation_check(circuit: &crate::Circuit<'_>, cap: usize) -> Resu
         return Ok(0);
     }
     let ex = Explorer::new(&circuit.netlist, &circuit.env, &circuit.initial, cap);
-
-    use std::collections::VecDeque;
-    let mut seen: std::collections::HashSet<State> = std::collections::HashSet::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    let initial = ex.initial_state();
-    seen.insert(initial.clone());
-    queue.push_back(initial);
-    let mut checked = 0usize;
-    while let Some(s) = queue.pop_front() {
-        checked += 1;
-        let internal = ex.internal_enabled(&s);
-        let env = ex.env_enabled(&s, internal.is_empty());
+    walk_unreduced(&ex, cap, |s, internal, env| {
         for group in &engine.groups {
             for other in 1..group.members.len() {
-                check_swap(&ex, group, other, &s, &internal, &env)?;
+                check_swap(&ex, group, other, s, internal, env)?;
             }
         }
-        for t in internal.iter().chain(env.iter()) {
-            let (next, _) = ex.apply(&s, t);
-            if !seen.contains(&next) && seen.len() < cap {
-                seen.insert(next.clone());
-                queue.push_back(next);
-            }
+        Ok(())
+    })
+}
+
+/// Walks the **unreduced** reachable graph of `circuit` (up to `cap`
+/// states) and checks that the stubborn-set selection an exploration
+/// answers from its per-run cache — one scratch kept across the whole
+/// walk — equals a fresh computation at every state: the same verdict
+/// and, when it reduces, the same chosen transitions. Returns the
+/// number of states checked (0 when the circuit declares no footprint
+/// or reduction declines it).
+pub fn select_cache_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<usize, String> {
+    let Some(footprint) = &circuit.footprint else {
+        return Ok(0);
+    };
+    let Some(engine) = ReductionEngine::build(&circuit.netlist, &circuit.initial, footprint) else {
+        return Ok(0);
+    };
+    let ex = Explorer::new(&circuit.netlist, &circuit.env, &circuit.initial, cap);
+    let mut cached = engine.scratch();
+    walk_unreduced(&ex, cap, |s, internal, env| {
+        let mut fresh = engine.scratch();
+        let want = engine.select(ex.netlist(), &mut fresh, s, internal, env);
+        let got = engine.select(ex.netlist(), &mut cached, s, internal, env);
+        if got != want || (want && cached.mask != fresh.mask) {
+            return Err(format!(
+                "cached selection (reduces: {got}, mask {:?}) differs from a fresh one \
+                 (reduces: {want}, mask {:?})",
+                cached.mask, fresh.mask
+            ));
         }
-    }
-    Ok(checked)
+        Ok(())
+    })
 }
 
 /// Checks one transposition (member 0 ↔ member `other`) at one state.
@@ -889,7 +960,7 @@ mod tests {
         let c = twin_chains();
         let fp = c.footprint.clone().unwrap();
         let engine = ReductionEngine::build(&c.netlist, &c.initial, &fp).unwrap();
-        assert!(engine.has_symmetry());
+        assert!(!engine.groups.is_empty());
         assert_eq!(engine.groups.len(), 1);
         assert_eq!(engine.groups[0].members.len(), 2);
         assert_eq!(engine.parts.len(), 2);
@@ -908,7 +979,7 @@ mod tests {
         c.initial.push((b0, true));
         let fp = c.footprint.clone().unwrap();
         let engine = ReductionEngine::build(&c.netlist, &c.initial, &fp).unwrap();
-        assert!(!engine.has_symmetry(), "override breaks the orbit");
+        assert!(engine.groups.is_empty(), "override breaks the orbit");
         // Still sound: POR alone must agree with the full run.
         let (rules_f, clean_f, exh_f, states_f) = verdict(&c, false);
         let (rules_r, clean_r, exh_r, states_r) = verdict(&c, true);
@@ -963,6 +1034,71 @@ mod tests {
         let (rules_r, ..) = verdict(&c, true);
         assert!(rules_r.contains(&"SI001"), "{rules_r:?}");
         assert_eq!(rules_f, rules_r);
+    }
+
+    #[test]
+    fn cached_selection_matches_fresh_on_builtins() {
+        // The built-ins' tight handshakes never reduce; the twin chains
+        // do, so cached answers that reduce are compared too.
+        for c in crate::builtin::builtin_suite(false)
+            .into_iter()
+            .chain([twin_chains()])
+        {
+            assert!(c.footprint.is_some(), "{} declares a footprint", c.name);
+            match select_cache_check(&c, 50_000) {
+                Ok(checked) => assert!(checked > 0, "{}: no state checked", c.name),
+                Err(e) => panic!("{}: {e}", c.name),
+            }
+        }
+    }
+
+    #[test]
+    fn select_cache_counters_cover_every_selection_past_the_guards() {
+        let counters = |c: &Circuit<'_>, reduce: bool| {
+            let mut ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10_000);
+            if reduce {
+                ex = ex.with_reduction(c.footprint.as_ref().expect("footprint"));
+            }
+            let (_, t) = ex.explore_with_telemetry();
+            let get = |id: &str| t.metrics.counter_value(id);
+            (
+                get("verify.reduce.select_cache_hits"),
+                get("verify.reduce.select_cache_misses"),
+                get("verify.states_popped").expect("always recorded"),
+            )
+        };
+        // An accurate footprint never trips a guard: every state's
+        // selection reaches the cache.
+        let c = twin_chains();
+        let (hits, misses, popped) = counters(&c, true);
+        let (hits, misses) = (hits.expect("recorded"), misses.expect("recorded"));
+        assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
+        assert_eq!(hits + misses, popped);
+        // Unreduced telemetry does not carry the counters.
+        assert_eq!(counters(&c, false).0, None);
+
+        // With chain 1's part undeclared, a state offering its action
+        // trips the guard before the cache. Reduction then visits the
+        // full graph (see `undeclared_env_net_forces_full_expansion`),
+        // so the selections reaching the cache are that graph's states
+        // whose every action belongs to the declared part.
+        let mut c = twin_chains();
+        let fp = c.footprint.take().expect("footprint");
+        let declared = fp.parts[0].clone();
+        let c = c.with_footprint(EnvFootprint::new(vec![declared.clone()]));
+        let ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10_000);
+        let mut guarded = 0u64;
+        let all = walk_unreduced(&ex, 10_000, |_, _, env| {
+            if env.iter().all(|t| declared.drives.contains(&t.net)) {
+                guarded += 1;
+            }
+            Ok(())
+        })
+        .expect("the walk has no check");
+        let (hits, misses, popped) = counters(&c, true);
+        assert_eq!(popped, all as u64);
+        assert!(guarded < popped, "some state must trip the guard");
+        assert_eq!(hits.expect("recorded") + misses.expect("recorded"), guarded);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Soundness and equivalence gates for the static-analysis engine
 //! (`emc-analyze`) and the reductions it powers in the verifier.
 //!
-//! Three properties are pinned here, over the built-in suite and the
+//! Four properties are pinned here, over the built-in suite and the
 //! generator's pinned corpus seeds:
 //!
 //! 1. **Independence soundness** — the static may-interfere relation is
@@ -16,13 +16,16 @@
 //!    exhaustiveness) as the unreduced explorer, never explores more
 //!    states, and explores at least 2x fewer on the pipelined-array
 //!    workload whose rows are independent and symmetric.
+//! 4. **Selection caching** — the stubborn set an exploration answers
+//!    from its per-run cache equals a fresh computation at every state
+//!    ([`emc_verify::select_cache_check`]).
 
 use std::collections::{HashSet, VecDeque};
 
 use emc_analyze::{discover_rail_pairs, may_interfere_matrix};
 use emc_gen::{GenBounds, Plan};
 use emc_verify::builtin::builtin_suite;
-use emc_verify::{orbit_commutation_check, Circuit, Explorer, Verifier};
+use emc_verify::{orbit_commutation_check, select_cache_check, Circuit, Explorer, Verifier};
 
 /// The exemplar corpus seeds pinned in `crates/gen/tests/fixtures/`
 /// (one per generator family).
@@ -218,4 +221,18 @@ fn pipelined_array_reduces_at_least_two_fold() {
         reduced * 2 <= full,
         "expected >=2x state reduction on the pipelined array, got {full} -> {reduced}"
     );
+}
+
+#[test]
+fn cached_selection_matches_fresh_on_array_and_corpus() {
+    // The array is where selection reduces and its cache hits most;
+    // the WCHB datapath adds a corpus circuit of another family.
+    let array = emc_gen::pipelined_array(2, 2, "sa-array").verify_circuit();
+    let wchb = corpus_circuits().swap_remove(3);
+    for c in [array, wchb] {
+        match select_cache_check(&c, 50_000) {
+            Ok(checked) => assert!(checked > 0, "{}: no state checked", c.name),
+            Err(e) => panic!("{}: cached selection diverged: {e}", c.name),
+        }
+    }
 }
