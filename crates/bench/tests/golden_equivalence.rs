@@ -12,12 +12,13 @@
 use std::process::Command;
 
 use emc_async::{DualRailAdder, SelfTimedOscillator, ToggleRippleCounter};
+use emc_bench::{drive_array, pdes_array, pdes_parallel, pdes_sequential, PdesArray};
 use emc_device::DeviceModel;
-use emc_netlist::{GateKind, Netlist};
+use emc_netlist::{GateKind, NetId, Netlist};
 use emc_power::chain::ac_supply;
 use emc_prng::{Rng, StdRng};
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
-use emc_sim::{Simulator, SupplyKind};
+use emc_sim::{Simulator, SupplyKind, Trace};
 use emc_units::{Hertz, Seconds, Volts, Waveform};
 
 /// Fig. 4 rig (2-bit self-timed counter, AC 200 mV ± 100 mV at 1 MHz),
@@ -39,6 +40,14 @@ const SEEDED_RING_DIGESTS: [u64; 3] = [
     0xd841_d98e_9882_9341,
     0xd34e_1b7e_db61_923c,
 ];
+
+/// Deep-queue rig: a sequential drive of the 64×64-stage
+/// `emc_bench::pdes_array` (8 Vdd domains, 3 driver ticks) with every
+/// gate output watched. Its event queue peaks at rows × cols − 1 =
+/// 4,095 pending events, so its recording-order trace digest pins the
+/// pop order of a deep queue.
+const DEEP_QUEUE_FIRED: u64 = 41_216;
+const DEEP_QUEUE_DIGEST: u64 = 0xfb46_38dc_80c7_4d6d;
 
 /// FNV-1a of `emc-lint --json --smoke` stdout bytes.
 const LINT_JSON_DIGEST: u64 = 0x4b94_c385_f659_1c4e;
@@ -113,6 +122,33 @@ fn fig07_varying_vdd_digest() -> u64 {
     sim.run_until(Seconds(8.0 * freq.period().0));
     assert!(!sim.trace().is_empty(), "fig07 rig must run");
     sim.trace().digest()
+}
+
+fn deep_queue_rig() -> PdesArray {
+    pdes_array(64, 64, 8)
+}
+
+/// Every gate output of the rig, so the trace also records the
+/// start-up burst that fills the queue.
+fn gate_outputs(rig: &PdesArray) -> Vec<NetId> {
+    rig.netlist.iter_gates().map(|(_, g)| g.output()).collect()
+}
+
+/// Drives the deep-queue rig sequentially with observability on and
+/// returns `(fired, trace, queue high-water mark)`.
+fn deep_queue_run(rig: &PdesArray) -> (u64, Trace, f64) {
+    let mut sim = pdes_sequential(rig);
+    sim.enable_obs();
+    for net in gate_outputs(rig) {
+        sim.watch(net);
+    }
+    let fired = drive_array(&mut sim, rig, 3);
+    let high_water = sim
+        .telemetry()
+        .metrics
+        .gauge_value("sim.queue.high_water")
+        .expect("observed run records its queue high-water mark");
+    (fired, sim.trace().clone(), high_water)
 }
 
 /// The seed-consuming campaign worker: a ring oscillator perturbed by a
@@ -210,6 +246,34 @@ fn seeded_ring_digests_pinned_across_seeds_and_thread_counts() {
     }
 }
 
+#[test]
+fn deep_queue_rig_pinned_sequentially_and_under_pdes() {
+    let rig = deep_queue_rig();
+    let (fired, trace, high_water) = deep_queue_run(&rig);
+    assert!(
+        high_water > 2048.0,
+        "the rig must exercise a deep queue: high water {high_water}"
+    );
+    let digest = trace.digest();
+    assert_eq!(
+        (fired, digest),
+        (DEEP_QUEUE_FIRED, DEEP_QUEUE_DIGEST),
+        "deep-queue rig moved: got fired {fired}, digest {digest:#018x}"
+    );
+    for threads in [1, 2] {
+        let mut par = pdes_parallel(&rig, threads, false);
+        for net in gate_outputs(&rig) {
+            par.watch(net);
+        }
+        assert_eq!(drive_array(&mut par, &rig, 3), fired);
+        assert_eq!(
+            par.trace().canonical_digest(),
+            trace.canonical_digest(),
+            "PDES at {threads} thread(s) diverged from the sequential run"
+        );
+    }
+}
+
 fn lint_json_bytes(threads: usize) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_emc-lint"))
         .args(["--json", "--smoke", "--threads", &threads.to_string()])
@@ -269,5 +333,8 @@ fn print_golden_constants() {
     for (i, run) in report.runs.iter().enumerate() {
         println!("SEEDED_RING_DIGESTS[{i}]: {:#018x}", run.trace_digest);
     }
+    let (fired, trace, _) = deep_queue_run(&deep_queue_rig());
+    println!("DEEP_QUEUE_FIRED: {fired}");
+    println!("DEEP_QUEUE_DIGEST: {:#018x}", trace.digest());
     println!("LINT_JSON_DIGEST: {:#018x}", fnv64(&lint_json_bytes(1)));
 }

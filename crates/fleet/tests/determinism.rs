@@ -12,19 +12,32 @@ fn smoke_config(nodes: u32, epochs: u64, seed: u64) -> FleetConfig {
     }
 }
 
+/// Reference digest of the 600-node, 5-epoch, seed-2011 smoke fleet on
+/// each topology. A change to event pop order, routing or the ledger
+/// moves these.
+const FLEET_DIGESTS: [(TopologyKind, u64); 3] = [
+    (TopologyKind::Ring, 0x9c61_f07b_cfb1_abac),
+    (TopologyKind::Grid, 0x13a6_de80_1077_dc02),
+    (TopologyKind::Clustered, 0x833f_b79f_4691_109a),
+];
+
 /// The tentpole invariant: digests, JSON bytes, merged counters and the
-/// merged femtojoule ledger must not depend on the worker thread count.
+/// merged femtojoule ledger must not depend on the worker thread count,
+/// and the digest itself is pinned.
 #[test]
 fn fleet_is_bit_identical_at_1_2_8_threads() {
-    for topology in [
-        TopologyKind::Ring,
-        TopologyKind::Grid,
-        TopologyKind::Clustered,
-    ] {
+    for (topology, pinned) in FLEET_DIGESTS {
         let mut config = smoke_config(600, 5, 2011);
         config.topology = topology;
         let reference = run_fleet(&config, 1);
         assert!(reference.summary.completed > 0, "fleet did no work");
+        assert_eq!(
+            reference.digest,
+            pinned,
+            "{} fleet digest moved: got {:#018x}",
+            topology.name(),
+            reference.digest
+        );
         for threads in [2usize, 8] {
             let report = run_fleet(&config, threads);
             assert_eq!(
