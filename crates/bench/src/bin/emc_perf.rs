@@ -32,12 +32,11 @@
 use std::time::Instant;
 
 use emc_async::{MullerPipeline, SelfTimedOscillator, ToggleRippleCounter};
-use emc_bench::{
-    drive_array, json_number, json_string, pdes_array, pdes_parallel, pdes_sequential,
-};
+use emc_bench::{drive_array, pdes_array, pdes_parallel, pdes_sequential};
 use emc_device::DeviceModel;
 use emc_fleet::{CalibDepth, FleetConfig};
 use emc_netlist::{GateKind, Netlist};
+use emc_obs::export::{json_number, json_string};
 use emc_prng::{Rng, StdRng};
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
 use emc_sim::{Simulator, SupplyKind};

@@ -11,6 +11,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use emc_sim::Fnv64;
+
 /// FNV-1a of `target/figures/fig_altlogic_energy.json` after a
 /// `--smoke` run.
 const FIG_ENERGY_DIGEST: u64 = 0x3b64_435e_d32c_df85;
@@ -28,12 +30,9 @@ const ABLATION_REPLAY_DIGEST: u64 = 0xa396_c30f_5f1b_ddc6;
 const ABLATION_DVS_DIGEST: u64 = 0x5937_deb8_b28a_c333;
 
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 fn figures_dir() -> PathBuf {

@@ -18,7 +18,7 @@ use emc_netlist::{GateKind, NetId, Netlist};
 use emc_power::chain::ac_supply;
 use emc_prng::{Rng, StdRng};
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
-use emc_sim::{Simulator, SupplyKind, Trace};
+use emc_sim::{Fnv64, Simulator, SupplyKind, Trace};
 use emc_units::{Hertz, Seconds, Volts, Waveform};
 
 /// Fig. 4 rig (2-bit self-timed counter, AC 200 mV ± 100 mV at 1 MHz),
@@ -55,12 +55,9 @@ const LINT_JSON_DIGEST: u64 = 0x4b94_c385_f659_1c4e;
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 fn fig04_digest() -> u64 {

@@ -11,12 +11,10 @@
 //!   shard's queue directly; they go to an outbox and are routed by the
 //!   single-threaded epoch barrier (see [`crate::engine`]).
 //!
-//! Storage is the shared [`CalendarQueue`] from `emc-sim` (amortized
-//! O(1) hold operations on the heavily-recurring wake timers) rather
-//! than a binary heap; ordering is identical because the calendar
-//! always falls back to the event's full `Ord`.
+//! Storage is a plain binary min-heap, as in the exemplar.
 
-use emc_sim::{CalendarEntry, CalendarQueue};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Fleet simulation time in integer nanoseconds. Integer time makes
 /// event ordering exact — no float-comparison ties to break.
@@ -76,18 +74,10 @@ fn order_rank(kind: &EventKind) -> u32 {
     }
 }
 
-impl CalendarEntry for FleetEvent {
-    fn sort_time(&self) -> f64 {
-        // u64 → f64 loses low bits past 2^53 but stays monotone, which
-        // is all bucketing needs — exact order still comes from `Ord`.
-        self.time as f64
-    }
-}
-
 /// A min-queue of [`FleetEvent`]s with deterministic pop order.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    queue: CalendarQueue<FleetEvent>,
+    queue: BinaryHeap<Reverse<FleetEvent>>,
     next_seq: u64,
 }
 
@@ -104,12 +94,12 @@ impl EventQueue {
     pub fn push(&mut self, time: Nanos, node: u32, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(FleetEvent {
+        self.queue.push(Reverse(FleetEvent {
             time,
             node,
             seq,
             kind,
-        });
+        }));
     }
 
     /// Pops the next event strictly before `horizon`, or `None` when the
@@ -117,7 +107,7 @@ impl EventQueue {
     /// horizon stay queued for a later epoch.
     pub fn pop_before(&mut self, horizon: Nanos) -> Option<FleetEvent> {
         match self.queue.peek() {
-            Some(ev) if ev.time < horizon => self.queue.pop(),
+            Some(Reverse(ev)) if ev.time < horizon => self.queue.pop().map(|Reverse(ev)| ev),
             _ => None,
         }
     }
@@ -133,7 +123,7 @@ impl EventQueue {
     pub fn pending_deliveries(&self) -> u64 {
         self.queue
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::Deliver { .. }))
+            .filter(|Reverse(e)| matches!(e.kind, EventKind::Deliver { .. }))
             .count() as u64
     }
 

@@ -16,6 +16,7 @@
 
 use emc_power::{DcDcConverter, PowerChain, SolarCell, StorageCap, VibrationHarvester};
 use emc_prng::{Rng, SplitMix64, StdRng};
+use emc_sim::Fnv64;
 use emc_units::{Farads, Hertz, Joules, Seconds, Volts, Watts, Waveform};
 
 use crate::event::Nanos;
@@ -127,7 +128,7 @@ impl NodeLedger {
     }
 
     /// Fold the ledger into an FNV-1a accumulator (digest building).
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
+    pub fn fold_digest(&self, h: &mut Fnv64) {
         for v in [
             self.harvested_fj,
             self.spilled_fj,
@@ -139,23 +140,10 @@ impl NodeLedger {
             self.deficit_fj,
             self.stored_fj,
         ] {
-            h = fnv_fold(h, v);
+            h.write_u64(v);
         }
-        h
     }
 }
-
-/// One FNV-1a step over a `u64` (the repo-wide digest primitive).
-pub fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The FNV-1a offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// QoS class of a node — its duty period, workload and radio appetite.
 /// Nodes are assigned round-robin (`node_id % 3`).
@@ -277,7 +265,7 @@ impl NodeSummary {
     }
 
     /// Fold the counters into an FNV-1a accumulator.
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
+    pub fn fold_digest(&self, h: &mut Fnv64) {
         for v in [
             self.expected,
             self.completed,
@@ -288,9 +276,8 @@ impl NodeSummary {
             self.dropped,
             self.wakes,
         ] {
-            h = fnv_fold(h, v);
+            h.write_u64(v);
         }
-        h
     }
 }
 
@@ -322,7 +309,7 @@ pub struct NodeState {
     /// Accumulated energy ledger (integer femtojoules).
     pub ledger: NodeLedger,
     /// Checksum of sensed codes (folds sensing into the digest).
-    pub sense_digest: u64,
+    pub sense_digest: Fnv64,
 }
 
 impl NodeState {
@@ -378,7 +365,7 @@ impl NodeState {
             sense_phase,
             summary: NodeSummary::default(),
             ledger: NodeLedger::default(),
-            sense_digest: FNV_OFFSET,
+            sense_digest: Fnv64::new(),
         }
     }
 
@@ -453,7 +440,7 @@ impl NodeState {
         self.ledger.radio_fj += to_femtojoules(e_radio);
         self.summary.completed += 1;
         self.summary.ops += ops;
-        self.sense_digest = fnv_fold(self.sense_digest, code);
+        self.sense_digest.write_u64(code);
         if will_send {
             let link = links[self.rng.gen_range(0..links.len())];
             let seq = self.msg_seq;
@@ -473,7 +460,8 @@ impl NodeState {
     /// same all-or-nothing discipline; refusal drops the message.
     pub fn receive(&mut self, src: u32, msg_seq: u32) {
         // Fold the arrival into the digest so routing bugs change it.
-        self.sense_digest = fnv_fold(self.sense_digest, u64::from(src) << 32 | u64::from(msg_seq));
+        self.sense_digest
+            .write_u64(u64::from(src) << 32 | u64::from(msg_seq));
         if self.chain.draw_quantum(Joules(RX_J), Seconds(1e-6)) {
             self.ledger.radio_fj += to_femtojoules(RX_J);
             self.summary.received += 1;
@@ -525,9 +513,11 @@ impl NodeState {
     /// energy) and returns the node's digest contribution.
     pub fn finish(&mut self) -> u64 {
         self.ledger.stored_fj = to_femtojoules(self.chain.storage().stored_energy().0);
-        let mut h = self.summary.fold_digest(FNV_OFFSET);
-        h = self.ledger.fold_digest(h);
-        fnv_fold(h, self.sense_digest)
+        let mut h = Fnv64::new();
+        self.summary.fold_digest(&mut h);
+        self.ledger.fold_digest(&mut h);
+        h.write_u64(self.sense_digest.finish());
+        h.finish()
     }
 }
 

@@ -27,23 +27,12 @@ use std::sync::Arc;
 use emc_device::DeviceModel;
 use emc_netlist::{NetId, Netlist};
 use emc_prng::{Rng, StdRng};
-use emc_sim::{Simulator, SupplyKind};
+use emc_sim::{Fnv64, Simulator, SupplyKind};
 use emc_units::{Hertz, Seconds, Waveform};
 use emc_verify::{Explorer, State, Verifier};
 
 use crate::env::{to_environment, SimView};
 use crate::GeneratedCircuit;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-fn fnv1a_u64(mut hash: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Packs per-net boolean values into words, one bit per net index —
 /// the common projection of verifier states and simulator snapshots.
@@ -230,7 +219,7 @@ pub fn run_differential(
 
     let budget = 10_000 + 64 * gc.netlist.net_count() as u64;
     let mut fired = 0u64;
-    let mut digest = FNV_OFFSET;
+    let mut digest = Fnv64::new();
     let mut violation = settle(&mut sim, reachable, &mut fired, budget);
     let mut env_state = gc.env.initial();
     let mut rng = StdRng::seed_from_u64(driver_seed);
@@ -239,7 +228,7 @@ pub fn run_differential(
     while violation.is_none() && applied < rounds {
         // Fold the quiescent state the circuit settled to.
         for w in project(sim.netlist(), |n| sim.value(n)).iter() {
-            digest = fnv1a_u64(digest, *w);
+            digest.write_u64(*w);
         }
         let mut acts = gc.env.step(env_state, &SimView(&sim));
         acts.retain(|a| sim.value(a.net) != a.value);
@@ -247,8 +236,8 @@ pub fn run_differential(
             break;
         }
         let a = acts[rng.gen_range(0..acts.len())].clone();
-        digest = fnv1a_u64(digest, a.net.index() as u64);
-        digest = fnv1a_u64(digest, u64::from(a.value));
+        digest.write_u64(a.net.index() as u64);
+        digest.write_u64(u64::from(a.value));
         sim.schedule_input(a.net, sim.now(), a.value);
         env_state = a.next;
         applied += 1;
@@ -256,14 +245,14 @@ pub fn run_differential(
     }
     // Fold the final quiescent state.
     for w in project(sim.netlist(), |n| sim.value(n)).iter() {
-        digest = fnv1a_u64(digest, *w);
+        digest.write_u64(*w);
     }
 
     DiffReport {
         schedule,
         rounds: applied,
         fired,
-        digest,
+        digest: digest.finish(),
         hazards: sim.hazards().len(),
         violation,
     }
@@ -382,7 +371,7 @@ pub fn check_generated(
         None
     };
 
-    let mut digest = FNV_OFFSET;
+    let mut digest = Fnv64::new();
     let mut fired_total = 0u64;
     let mut nominal_digest = 0u64;
     for schedule in Schedule::ALL {
@@ -410,7 +399,7 @@ pub fn check_generated(
                 ),
             );
         }
-        digest = fnv1a_u64(digest, diff.digest);
+        digest.write_u64(diff.digest);
     }
 
     let text = emc_netlist::to_text(&gc.netlist);
@@ -451,7 +440,7 @@ pub fn check_generated(
         nets: gc.netlist.net_count(),
         verify_states: report.states,
         verify_exhaustive: report.exhaustive,
-        digest,
+        digest: digest.finish(),
         fired_total,
         failure: None,
     }

@@ -3,8 +3,9 @@
 //! All three render a [`Telemetry`] bundle deterministically: the
 //! output is a pure function of the bundle's contents and order, with
 //! no timestamps, hostnames or process ids. Numbers use the shortest
-//! round-trip `f64` formatting (same convention as emc-bench figures),
-//! so equal values always print as equal bytes.
+//! round-trip `f64` formatting, so equal values always print as equal
+//! bytes. [`json_string`] and [`json_number`] are public so that every
+//! hand-written JSON writer in the workspace shares one escaper.
 
 use crate::energy::LedgerEntry;
 use crate::metrics::{Counter, Gauge, Histogram};
@@ -13,7 +14,7 @@ use crate::Telemetry;
 use std::fmt::Write as _;
 
 /// Escapes `s` as a JSON string literal, including the quotes.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -35,7 +36,7 @@ fn json_string(s: &str) -> String {
 
 /// Shortest round-trip JSON number; integral values keep a `.0` so the
 /// value parses back as a float, non-finite values become `null`.
-fn json_number(v: f64) -> String {
+pub fn json_number(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();
     }

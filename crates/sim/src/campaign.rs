@@ -92,6 +92,7 @@ use emc_prng::SplitMix64;
 use emc_units::{Joules, Seconds};
 
 use crate::domain::SupplyKind;
+use crate::fnv::Fnv64;
 use crate::simulator::{RunStats, Simulator};
 
 /// Campaign-wide knobs: the seed every run's seed is derived from, and
@@ -215,31 +216,16 @@ impl RunReport {
         self
     }
 
-    fn fold_into(&self, h: &mut Fnv) {
-        h.eat(&(self.index as u64).to_le_bytes());
-        h.eat(&self.seed.to_le_bytes());
-        h.eat(&self.stats.fired.to_le_bytes());
-        h.eat(&self.stats.hazards.to_le_bytes());
-        h.eat(&self.energy.0.to_bits().to_le_bytes());
-        h.eat(&self.hazards.to_le_bytes());
-        h.eat(&self.trace_digest.to_le_bytes());
+    fn fold_into(&self, h: &mut Fnv64) {
+        h.write_u64(self.index as u64);
+        h.write_u64(self.seed);
+        h.write_u64(self.stats.fired);
+        h.write_u64(self.stats.hazards);
+        h.write_u64(self.energy.0.to_bits());
+        h.write_u64(self.hazards);
+        h.write_u64(self.trace_digest);
         for v in &self.values {
-            h.eat(&v.to_bits().to_le_bytes());
-        }
-    }
-}
-
-/// 64-bit FNV-1a, shared by the report digests.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            h.write_u64(v.to_bits());
         }
     }
 }
@@ -268,13 +254,13 @@ impl CampaignReport {
     /// Digest of the deterministic content: seed and every run report,
     /// in order. Equal digests ⇒ byte-identical figure data.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.eat(&self.seed.to_le_bytes());
-        h.eat(&(self.runs.len() as u64).to_le_bytes());
+        let mut h = Fnv64::new();
+        h.write_u64(self.seed);
+        h.write_u64(self.runs.len() as u64);
         for r in &self.runs {
             r.fold_into(&mut h);
         }
-        h.0
+        h.finish()
     }
 
     /// Sum of events fired across runs.
@@ -578,10 +564,10 @@ mod tests {
         });
         assert!(report.runs.is_empty());
         assert_eq!(report.digest(), {
-            let mut h = Fnv::new();
-            h.eat(&5u64.to_le_bytes());
-            h.eat(&0u64.to_le_bytes());
-            h.0
+            let mut h = Fnv64::new();
+            h.write_u64(5);
+            h.write_u64(0);
+            h.finish()
         });
     }
 }

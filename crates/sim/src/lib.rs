@@ -59,10 +59,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod campaign;
 pub mod delay;
 pub mod domain;
+pub mod fnv;
 mod obs;
 pub mod pdes;
 pub mod simulator;
@@ -70,12 +70,12 @@ pub mod sta;
 pub mod trace;
 pub mod vcd;
 
-pub use calendar::{CalendarEntry, CalendarQueue};
 pub use campaign::{
     run_campaign, CampaignConfig, CampaignReport, RunContext, RunReport, SimCampaign, SimJob,
     StopCondition,
 };
 pub use domain::{DomainId, PowerDomain, SupplyKind};
+pub use fnv::Fnv64;
 pub use pdes::{round_robin_assignment, PdesPartitionSpec, PdesSimulator, PdesStats};
 pub use simulator::{ActivityRecord, FiredEvent, Hazard, PdesEmission, RunStats, Simulator};
 pub use sta::{longest_path, StaReport};

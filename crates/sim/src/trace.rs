@@ -3,6 +3,8 @@
 use emc_netlist::NetId;
 use emc_units::Seconds;
 
+use crate::Fnv64;
+
 /// One recorded transition on a watched net.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEntry {
@@ -99,21 +101,11 @@ impl Trace {
     /// order, so a digest pins a run's behaviour for golden-trace and
     /// campaign-determinism tests without storing the trace itself.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for e in &self.entries {
-            eat(&e.time.0.to_bits().to_le_bytes());
-            eat(&(e.net.index() as u64).to_le_bytes());
-            eat(&[e.value as u8]);
-        }
-        h
+        digest_keys(
+            self.entries
+                .iter()
+                .map(|e| (e.time.0.to_bits(), e.net.index(), e.value)),
+        )
     }
 
     /// Like [`Trace::digest`], but over the entries in canonical
@@ -131,22 +123,19 @@ impl Trace {
             .map(|e| (e.time.0.to_bits(), e.net.index(), e.value))
             .collect();
         keys.sort_unstable();
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for (t, n, v) in keys {
-            eat(&t.to_le_bytes());
-            eat(&(n as u64).to_le_bytes());
-            eat(&[v as u8]);
-        }
-        h
+        digest_keys(keys)
     }
+}
+
+/// FNV-1a over `(time bits, net index, value)` entry keys, in order.
+fn digest_keys(keys: impl IntoIterator<Item = (u64, usize, bool)>) -> u64 {
+    let mut h = Fnv64::new();
+    for (t, n, v) in keys {
+        h.write_u64(t);
+        h.write_u64(n as u64);
+        h.write(&[u8::from(v)]);
+    }
+    h.finish()
 }
 
 #[cfg(test)]
@@ -205,7 +194,7 @@ mod tests {
     #[test]
     fn digest_is_reproducible_and_order_sensitive() {
         let (a, b) = nets();
-        let mut build = |entries: &[(f64, NetId, bool)]| {
+        let build = |entries: &[(f64, NetId, bool)]| {
             let mut tr = Trace::new();
             for &(t, n, v) in entries {
                 tr.record(Seconds(t), n, v);

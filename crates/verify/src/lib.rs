@@ -73,6 +73,7 @@ pub mod reduce;
 use std::sync::Mutex;
 
 use emc_netlist::{Diagnostic, NetId, Netlist, Severity};
+use emc_obs::export::json_string;
 use emc_petri::{SignalId, Stg};
 use emc_sim::{run_campaign, CampaignConfig, CampaignReport, RunReport};
 
@@ -227,24 +228,6 @@ impl Report {
         out.push_str("]}");
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs the full rule set over circuits.
