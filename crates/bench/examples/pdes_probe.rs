@@ -6,6 +6,12 @@
 //! 512×500 was 156 s before the fix, ~1 s after, while the event
 //! kernel was healthy all along.)
 //!
+//! The drive line reports ns per event and the run's canonical trace
+//! digest, so a size sweep measures the event loop's cache residency on
+//! a checked run: `pdes_probe 8 500 8 12` (16k gates) against
+//! `pdes_probe 128 500 8 12` (256k gates) fires the same events per
+//! gate, and each digest must repeat from build to build.
+//!
 //! Usage: `pdes_probe [rows] [cols] [parts] [ticks]`
 
 use emc_bench::{drive_array, pdes_array, pdes_sequential};
@@ -36,7 +42,9 @@ fn main() {
     let fired = drive_array(&mut sim, &rig, ticks);
     let secs = t0.elapsed().as_secs_f64();
     println!(
-        "seq drive: {fired} events in {secs:.3} s ({:.0} ev/s)",
-        fired as f64 / secs
+        "seq drive: {fired} events in {secs:.3} s ({:.0} ev/s, {:.1} ns/event), digest {:#018x}",
+        fired as f64 / secs,
+        secs / fired as f64 * 1e9,
+        sim.trace().canonical_digest()
     );
 }

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::diag::{Diagnostic, Severity};
 use crate::gate::GateKind;
@@ -155,7 +156,10 @@ pub struct Netlist {
     /// with hundreds of thousands of declared outputs.
     output_set: HashSet<NetId>,
     /// First net created under each name (duplicates never overwrite).
-    name_index: HashMap<String, NetId>,
+    /// Built in net order by the first [`Netlist::find_net`], so
+    /// netlists nobody searches (slices, clones, simulator copies) never
+    /// pay for it; [`Netlist::new_net`] keeps a built index current.
+    name_index: OnceLock<HashMap<String, NetId>>,
     /// CSR snapshot of the fanout lists, built by [`Netlist::freeze`] and
     /// dropped by any structural mutation.
     frozen: Option<Frozen>,
@@ -184,7 +188,9 @@ impl Netlist {
         self.net_driver.push(None);
         self.fanout.push(Vec::new());
         // First-created-wins, matching the documented `find_net` contract.
-        self.name_index.entry(name.to_owned()).or_insert(id);
+        if let Some(index) = self.name_index.get_mut() {
+            index.entry(name.to_owned()).or_insert(id);
+        }
         id
     }
 
@@ -355,11 +361,20 @@ impl Netlist {
         &self.net_names[net.0]
     }
 
-    /// Looks a net up by its construction name, in O(1) via the name
-    /// index maintained at construction; if several nets share a name,
-    /// the first created wins.
+    /// Looks a net up by its construction name; if several nets share a
+    /// name, the first created wins. The first call builds a name index
+    /// in O(nets); later calls are O(1).
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.name_index.get(name).copied()
+        self.name_index
+            .get_or_init(|| {
+                let mut index = HashMap::with_capacity(self.net_names.len());
+                for (i, n) in self.net_names.iter().enumerate() {
+                    index.entry(n.clone()).or_insert(NetId(i));
+                }
+                index
+            })
+            .get(name)
+            .copied()
     }
 
     /// The gate driving `net`, if any (inputs and constants drive their own

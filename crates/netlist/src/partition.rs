@@ -27,8 +27,6 @@
 //! (`emcnet` text import uses the identical technique), so slices
 //! round-trip state-holding loops exactly.
 
-use std::collections::HashMap;
-
 use crate::gate::GateKind;
 use crate::graph::{GateId, NetId, Netlist};
 
@@ -122,10 +120,18 @@ impl Partitioned {
         }
 
         let mut slices: Vec<Netlist> = (0..parts).map(|_| Netlist::new()).collect();
-        // Per part: global net index → local net.
-        let mut lmap: Vec<HashMap<usize, NetId>> = (0..parts).map(|_| HashMap::new()).collect();
+        // Every slice net is recorded here as it is created, so a global
+        // net's local net in part `p` is its site there (a net has at
+        // most a few sites).
         let mut sites: Vec<Vec<(u32, NetId)>> = vec![Vec::new(); nets];
         let mut home: Vec<Option<(u32, NetId)>> = vec![None; nets];
+        let local = |sites: &[Vec<(u32, NetId)>], net: NetId, p: usize| -> NetId {
+            sites[net.index()]
+                .iter()
+                .find(|&&(q, _)| q as usize == p)
+                .map(|&(_, ln)| ln)
+                .expect("net has a site in every part that uses it")
+        };
 
         // The builder invariant "gate index == output net index" holds
         // for any builder-constructed netlist, so the driver of net n is
@@ -155,7 +161,6 @@ impl Partitioned {
                         GateKind::Const1 => slices[p].constant(true, name),
                         _ => slices[p].input(name),
                     };
-                    lmap[p].insert(out.index(), ln);
                     sites[out.index()].push((p as u32, ln));
                     if home[out.index()].is_none() {
                         home[out.index()] = Some((p as u32, ln));
@@ -166,10 +171,9 @@ impl Partitioned {
                 let split = split_at(g);
                 let prefix: Vec<NetId> = g.inputs()[..split]
                     .iter()
-                    .map(|n| lmap[p][&n.index()])
+                    .map(|&n| local(&sites, n, p))
                     .collect();
                 let ln = slices[p].gate_with_drive(kind, &prefix, g.drive(), name);
-                lmap[p].insert(out.index(), ln);
                 sites[out.index()].push((p as u32, ln));
                 home[out.index()] = Some((p as u32, ln));
                 let mut bits = consumers[out.index()] & !(1u64 << p);
@@ -177,7 +181,6 @@ impl Partitioned {
                     let q = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let iln = slices[q].input(name);
-                    lmap[q].insert(out.index(), iln);
                     sites[out.index()].push((q as u32, iln));
                 }
                 sites[out.index()].sort_unstable_by_key(|&(part, _)| part);
@@ -191,9 +194,9 @@ impl Partitioned {
             }
             let p = owner[gid.index()] as usize;
             let out = g.output();
-            for fb in &g.inputs()[split_at(g)..] {
-                let target = lmap[p][&out.index()];
-                let net = lmap[p][&fb.index()];
+            for &fb in &g.inputs()[split_at(g)..] {
+                let target = local(&sites, out, p);
+                let net = local(&sites, fb, p);
                 slices[p].connect_feedback(target, net);
             }
         }
@@ -214,7 +217,7 @@ impl Partitioned {
                 continue;
             }
             let p = o as usize;
-            let local_net = lmap[p][&out.index()];
+            let local_net = local(&sites, out, p);
             let local_gate = slices[p]
                 .driver_of(local_net)
                 .expect("slice net created by its gate");
@@ -223,7 +226,7 @@ impl Partitioned {
             while bits != 0 {
                 let q = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                dst.push((q as u32, lmap[q][&out.index()]));
+                dst.push((q as u32, local(&sites, out, q)));
             }
             export_of[p][local_gate.index()] =
                 u32::try_from(crossings[p].len()).expect("crossing table fits in u32");
@@ -243,15 +246,16 @@ impl Partitioned {
             }
         }
 
-        let mut globals: Vec<Vec<NetId>> = Vec::with_capacity(parts);
-        for (p, map) in lmap.iter().enumerate() {
-            // Every slice net is created through `lmap`, so the reverse
-            // map is total and the placeholder is always overwritten.
-            let mut rev = vec![netlist.net_id(0); slices[p].net_count()];
-            for (&gn, &ln) in map {
-                rev[ln.index()] = netlist.net_id(gn);
+        // Every slice net is one site, so the reverse maps are total and
+        // the placeholders are always overwritten.
+        let mut globals: Vec<Vec<NetId>> = slices
+            .iter()
+            .map(|s| vec![netlist.net_id(0); s.net_count()])
+            .collect();
+        for (gn, net_sites) in netlist.iter_nets().zip(&sites) {
+            for &(p, ln) in net_sites {
+                globals[p as usize][ln.index()] = gn;
             }
-            globals.push(rev);
         }
 
         Partitioned {

@@ -9,6 +9,10 @@
 //! sprinkled between mutations (including queries against the
 //! intermediate snapshots, forcing them to be built), once with a
 //! single final freeze — and then compares every observable.
+//!
+//! The same traces, with net names drawn from a small pool so that
+//! duplicates are common, check that `find_net`'s lazily built name
+//! index stays first-created-wins however and whenever it is built.
 
 use emc_netlist::{GateKind, NetId, Netlist};
 use emc_prng::{Rng, StdRng};
@@ -53,21 +57,22 @@ fn draw_ops(rng: &mut StdRng, count: usize) -> Vec<Op> {
     ops
 }
 
-/// Applies one op; indices are reduced modulo the current net count so
-/// every drawn sequence is valid for every prefix.
-fn apply(nl: &mut Netlist, op: &Op, gate_seq: usize) {
+/// Applies one op, naming the net it creates (if any) `name`; indices
+/// are reduced modulo the current net count so every drawn sequence is
+/// valid for every prefix.
+fn apply(nl: &mut Netlist, op: &Op, name: &str) {
     let nets = nl.net_count();
     let pick = |raw: usize| NetId::from_order(nl, raw % nets);
     match op {
         Op::Input => {
-            nl.input(&format!("in{}", gate_seq));
+            nl.input(name);
         }
         Op::Gate { kind, a, b } => {
             let ins: Vec<NetId> = match kind.arity().0 {
                 1 => vec![pick(*a)],
                 _ => vec![pick(*a), pick(*b)],
             };
-            nl.gate(*kind, &ins, &format!("g{}", gate_seq));
+            nl.gate(*kind, &ins, name);
         }
         Op::Feedback { target, net } => {
             // Only C-elements accept unbounded extra inputs; retarget
@@ -128,7 +133,7 @@ fn refreeze_after_random_mutations_equals_fresh_freeze() {
 
         let mut mutated = Netlist::new();
         for (i, op) in ops.iter().enumerate() {
-            apply(&mut mutated, op, i);
+            apply(&mut mutated, op, &format!("n{i}"));
             if freeze_after[i] {
                 mutated.freeze();
                 assert!(mutated.is_frozen(), "seed {seed}: freeze did not stick");
@@ -143,7 +148,7 @@ fn refreeze_after_random_mutations_equals_fresh_freeze() {
 
         let mut fresh = Netlist::new();
         for (i, op) in ops.iter().enumerate() {
-            apply(&mut fresh, op, i);
+            apply(&mut fresh, op, &format!("n{i}"));
         }
         fresh.freeze();
 
@@ -176,4 +181,56 @@ fn every_mutator_drops_the_snapshot() {
         nl.fanout(y).contains(&y_driver),
         "feedback edge missing from rebuilt CSR"
     );
+}
+
+/// Names drawn for duplicate-name traces: `dup0`..`dup{NAME_POOL - 1}`.
+const NAME_POOL: usize = 5;
+
+/// Asserts `find_net` agrees with a linear scan for the first net of
+/// every pool name, and finds nothing for a name never used.
+fn assert_first_created_wins(nl: &Netlist, context: &str) {
+    for k in 0..=NAME_POOL {
+        let name = format!("dup{k}");
+        let first = nl.iter_nets().find(|&n| nl.net_name(n) == name);
+        assert_eq!(nl.find_net(&name), first, "{context}: '{name}'");
+    }
+}
+
+#[test]
+fn find_net_is_first_created_wins_whenever_the_index_is_built() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ops = draw_ops(&mut rng, 40);
+        let names: Vec<String> = (0..ops.len())
+            .map(|_| format!("dup{}", rng.gen_range(0..NAME_POOL)))
+            .collect();
+        let first_lookup = rng.gen_range(1..ops.len());
+
+        // The first lookup comes mid-trace: every later net must enter
+        // the built index without displacing an earlier one, in the
+        // netlist and in a clone taken right after the lookup.
+        let mut early = Netlist::new();
+        let mut clone = None;
+        for (i, (op, name)) in ops.iter().zip(&names).enumerate() {
+            if i == first_lookup {
+                let _ = early.find_net(name);
+                clone = Some(early.clone());
+            }
+            apply(&mut early, op, name);
+            if let Some(c) = clone.as_mut() {
+                apply(c, op, name);
+            }
+        }
+        assert_first_created_wins(&early, &format!("seed {seed}, lookup mid-trace"));
+        let clone = clone.expect("first lookup lies inside the trace");
+        assert_first_created_wins(&clone, &format!("seed {seed}, clone of a built index"));
+
+        // The first lookup comes after the whole trace.
+        let mut late = Netlist::new();
+        for (op, name) in ops.iter().zip(&names) {
+            apply(&mut late, op, name);
+        }
+        assert_first_created_wins(&late, &format!("seed {seed}, lookup after the trace"));
+        assert_first_created_wins(&late.clone(), &format!("seed {seed}, clone after lookups"));
+    }
 }

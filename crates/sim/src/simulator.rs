@@ -119,6 +119,99 @@ struct Pending {
     stalled: bool,
 }
 
+/// [`GateState::domain`] of a gate not yet assigned to a power domain.
+const NO_DOMAIN: u16 = u16::MAX;
+
+// Bits of `GateState::flags`.
+const PENDING: u8 = 1;
+const PENDING_VALUE: u8 = 1 << 1;
+const PENDING_STALLED: u8 = 1 << 2;
+const STUCK: u8 = 1 << 3;
+const STUCK_VALUE: u8 = 1 << 4;
+
+/// Everything the event loop reads or writes about one gate, packed into
+/// one cache line, so popping an event and re-evaluating each fanout
+/// gate touches one record per gate.
+#[derive(Debug, Clone)]
+#[repr(align(64))]
+struct GateState {
+    /// `(voltage bits, delay seconds)` memo for
+    /// [`Simulator::delay_at_voltage`]: the device delay law runs `exp`
+    /// per evaluation, and on a constant rail every event re-asks the
+    /// same question. Keyed on exact `f64` bits so the memo can never
+    /// change a result; invalidated by the per-gate knobs
+    /// ([`Simulator::set_extra_load`] / [`Simulator::set_delay_scale`] /
+    /// [`Simulator::set_fanout_units_override`]).
+    delay_memo: Cell<(u64, f64)>,
+    /// Output load, [`Simulator::output_load`], recomputed whenever one
+    /// of its terms changes.
+    load: Farads,
+    /// Switching energy drawn by this gate's rising output edges.
+    energy: Joules,
+    /// Output transitions fired.
+    transitions: u64,
+    /// Bumped to invalidate the gate's queued events.
+    epoch: u64,
+    /// Output net index.
+    output: u32,
+    /// Input nets: `inputs[input_start..input_start + input_count]` of
+    /// the simulator's input arena.
+    input_start: u32,
+    input_count: u32,
+    /// Power domain index, or [`NO_DOMAIN`].
+    domain: u16,
+    kind: GateKind,
+    /// [`PENDING`] (with its value and stall bits) and [`STUCK`] (with
+    /// its value bit).
+    flags: u8,
+}
+
+// One record per cache line.
+const _: () = assert!(std::mem::size_of::<GateState>() == 64);
+
+impl GateState {
+    fn pending(&self) -> Option<Pending> {
+        (self.flags & PENDING != 0).then_some(Pending {
+            value: self.flags & PENDING_VALUE != 0,
+            stalled: self.flags & PENDING_STALLED != 0,
+        })
+    }
+
+    fn set_pending(&mut self, pending: Option<Pending>) {
+        self.flags &= !(PENDING | PENDING_VALUE | PENDING_STALLED);
+        if let Some(p) = pending {
+            self.flags |= PENDING;
+            if p.value {
+                self.flags |= PENDING_VALUE;
+            }
+            if p.stalled {
+                self.flags |= PENDING_STALLED;
+            }
+        }
+    }
+
+    fn stuck(&self) -> Option<bool> {
+        (self.flags & STUCK != 0).then_some(self.flags & STUCK_VALUE != 0)
+    }
+
+    fn set_stuck(&mut self, value: bool) {
+        self.flags &= !STUCK_VALUE;
+        self.flags |= STUCK;
+        if value {
+            self.flags |= STUCK_VALUE;
+        }
+    }
+
+    fn domain(&self) -> Option<DomainId> {
+        (self.domain != NO_DOMAIN).then_some(DomainId(usize::from(self.domain)))
+    }
+
+    fn inputs<'a>(&self, arena: &'a [NetId]) -> &'a [NetId] {
+        let start = self.input_start as usize;
+        &arena[start..start + self.input_count as usize]
+    }
+}
+
 /// A committed transition on an exported (partition-crossing) gate,
 /// queued for delivery to the consuming partitions by the PDES driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,10 +254,11 @@ pub struct Simulator {
     netlist: Netlist,
     device: DeviceModel,
     domains: Vec<PowerDomain>,
-    gate_domain: Vec<Option<DomainId>>,
+    /// Per-gate event-loop state, indexed by gate.
+    gates: Vec<GateState>,
+    /// Every gate's input nets, back to back, in gate order.
+    inputs: Vec<NetId>,
     values: Vec<bool>,
-    pending: Vec<Option<Pending>>,
-    epochs: Vec<u64>,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
     seq: u64,
     now: Seconds,
@@ -174,19 +268,9 @@ pub struct Simulator {
     delay_scale: Vec<f64>,
     watched: Vec<bool>,
     trace: Trace,
-    transitions: Vec<u64>,
-    gate_energy: Vec<Joules>,
-    stuck: Vec<Option<bool>>,
     /// Number of integration-resolution steps per stall-continuation
     /// window.
     window_steps: f64,
-    /// Per-gate `(voltage bits, delay seconds)` memo for
-    /// [`Simulator::delay_at_voltage`]: the device delay law runs `exp`
-    /// per evaluation, and on a constant rail every event re-asks the
-    /// same question. Keyed on exact `f64` bits so the memo can never
-    /// change a result; invalidated by the per-gate knobs
-    /// ([`Simulator::set_extra_load`] / [`Simulator::set_delay_scale`]).
-    delay_memo: Vec<Cell<(u64, f64)>>,
     /// `(voltage bits, watts)` memo for the device leakage law (also an
     /// `exp`), shared by all domains — the key is the voltage alone.
     leak_memo: Cell<(u64, f64)>,
@@ -221,19 +305,35 @@ impl Simulator {
         let gates = netlist.gate_count();
         let nets = netlist.net_count();
         let mut values = vec![false; nets];
+        let narrow = |n: usize| u32::try_from(n).expect("net and input indices fit in u32");
+        let mut states = Vec::with_capacity(gates);
+        let mut inputs = Vec::new();
         for (_, g) in netlist.iter_gates() {
             if g.kind() == GateKind::Const1 {
                 values[g.output().index()] = true;
             }
+            states.push(GateState {
+                delay_memo: Cell::new((MEMO_INVALID, 0.0)),
+                load: Farads(0.0),
+                energy: Joules(0.0),
+                transitions: 0,
+                epoch: 0,
+                output: narrow(g.output().index()),
+                input_start: narrow(inputs.len()),
+                input_count: narrow(g.inputs().len()),
+                domain: NO_DOMAIN,
+                kind: g.kind(),
+                flags: 0,
+            });
+            inputs.extend_from_slice(g.inputs());
         }
-        Self {
+        let mut sim = Self {
             netlist,
             device,
             domains: Vec::new(),
-            gate_domain: vec![None; gates],
+            gates: states,
+            inputs,
             values,
-            pending: vec![None; gates],
-            epochs: vec![0; gates],
             queue: BinaryHeap::new(),
             seq: 0,
             now: Seconds(0.0),
@@ -243,16 +343,16 @@ impl Simulator {
             delay_scale: vec![1.0; gates],
             watched: vec![false; nets],
             trace: Trace::new(),
-            transitions: vec![0; gates],
-            gate_energy: vec![Joules(0.0); gates],
-            stuck: vec![None; gates],
             window_steps: 4096.0,
-            delay_memo: vec![Cell::new((MEMO_INVALID, 0.0)); gates],
             leak_memo: Cell::new((MEMO_INVALID, 0.0)),
             fanout_units_override: vec![f64::NAN; gates],
             obs: None,
             pdes: None,
+        };
+        for g in 0..gates {
+            sim.gates[g].load = sim.output_load(g);
         }
+        sim
     }
 
     /// The netlist under simulation.
@@ -266,7 +366,15 @@ impl Simulator {
     }
 
     /// Registers a power domain and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 65,535 domains.
     pub fn add_domain(&mut self, name: &str, kind: SupplyKind) -> DomainId {
+        assert!(
+            self.domains.len() < usize::from(NO_DOMAIN),
+            "at most {NO_DOMAIN} power domains"
+        );
         let id = DomainId(self.domains.len());
         self.domains.push(PowerDomain::new(name, kind));
         id
@@ -280,12 +388,12 @@ impl Simulator {
     pub fn assign_domain(&mut self, gate: GateId, domain: DomainId) {
         assert!(!self.started, "cannot reassign domains after start");
         assert!(domain.0 < self.domains.len(), "unknown domain");
-        if let Some(old) = self.gate_domain[gate.index()] {
-            let units = self.netlist.gate_ref(gate).kind().input_load_factor();
+        let g = &mut self.gates[gate.index()];
+        let units = g.kind.input_load_factor();
+        if let Some(old) = g.domain() {
             self.domains[old.0].add_leak_units(-units);
         }
-        self.gate_domain[gate.index()] = Some(domain);
-        let units = self.netlist.gate_ref(gate).kind().input_load_factor();
+        g.domain = domain.0 as u16;
         self.domains[domain.0].add_leak_units(units);
     }
 
@@ -304,7 +412,7 @@ impl Simulator {
     pub fn set_extra_load(&mut self, gate: GateId, load: Farads) {
         assert!(load.0 >= 0.0, "negative extra load");
         self.extra_load[gate.index()] = load;
-        self.delay_memo[gate.index()].set((MEMO_INVALID, 0.0));
+        self.reload(gate.index());
     }
 
     /// Multiplies one gate's delay by `scale` — the hook used for process
@@ -320,7 +428,7 @@ impl Simulator {
             "delay scale must be positive"
         );
         self.delay_scale[gate.index()] = scale;
-        self.delay_memo[gate.index()].set((MEMO_INVALID, 0.0));
+        self.gates[gate.index()].delay_memo.set((MEMO_INVALID, 0.0));
     }
 
     /// The current delay scale of a gate (1.0 unless overridden) — lets
@@ -361,7 +469,7 @@ impl Simulator {
             seq,
             gate: gate.index(),
             value,
-            epoch: self.epochs[gate.index()],
+            epoch: self.gates[gate.index()].epoch,
             progress: 0.0,
             complete: true,
         });
@@ -375,23 +483,20 @@ impl Simulator {
     /// Panics if any gate lacks a power domain, or on a second call.
     pub fn start(&mut self) {
         assert!(!self.started, "start called twice");
-        for (i, d) in self.gate_domain.iter().enumerate() {
+        for (i, g) in self.gates.iter().enumerate() {
             assert!(
-                d.is_some()
-                    || self.netlist.gate_ref(self.netlist.gate_id(i)).kind() == GateKind::Input,
+                g.domain().is_some() || g.kind == GateKind::Input,
                 "gate {} has no power domain",
                 self.netlist.gate_id(i)
             );
         }
         self.started = true;
-        for idx in 0..self.netlist.gate_count() {
-            let gate = self.netlist.gate_id(idx);
-            let kind = self.netlist.gate_ref(gate).kind();
-            if kind.is_source() {
+        for gate in 0..self.gates.len() {
+            if self.gates[gate].kind.is_source() {
                 continue;
             }
             let target = self.eval_gate(gate);
-            if target != self.values[self.netlist.gate_ref(gate).output().index()] {
+            if target != self.values[self.gates[gate].output as usize] {
                 self.schedule_transition(gate, target, self.now);
             }
         }
@@ -450,17 +555,17 @@ impl Simulator {
 
     /// Transition count of one gate.
     pub fn transition_count(&self, gate: GateId) -> u64 {
-        self.transitions[gate.index()]
+        self.gates[gate.index()].transitions
     }
 
     /// Total transitions fired so far.
     pub fn total_transitions(&self) -> u64 {
-        self.transitions.iter().sum()
+        self.gates.iter().map(|g| g.transitions).sum()
     }
 
     /// Switching energy attributed to one gate's output so far.
     pub fn gate_energy(&self, gate: GateId) -> Joules {
-        self.gate_energy[gate.index()]
+        self.gates[gate.index()].energy
     }
 
     /// The switching-activity report: per-gate transition counts and
@@ -468,11 +573,14 @@ impl Simulator {
     /// "where do my joules go" view a power-conscious designer starts
     /// from.
     pub fn activity_report(&self) -> Vec<ActivityRecord> {
-        let mut rows: Vec<ActivityRecord> = (0..self.netlist.gate_count())
-            .map(|i| ActivityRecord {
+        let mut rows: Vec<ActivityRecord> = self
+            .gates
+            .iter()
+            .enumerate()
+            .map(|(i, g)| ActivityRecord {
                 gate: self.netlist.gate_id(i),
-                transitions: self.transitions[i],
-                energy: self.gate_energy[i],
+                transitions: g.transitions,
+                energy: g.energy,
             })
             .collect();
         rows.sort_by(|a, b| b.energy.0.total_cmp(&a.energy.0));
@@ -534,13 +642,14 @@ impl Simulator {
                 t.energy.add(account, EnergyKind::Stored, stored.0);
             }
         }
-        for i in 0..self.netlist.gate_count() {
-            let e = self.gate_energy[i].0;
+        for g in &self.gates {
+            let e = g.energy.0;
             if e <= 0.0 {
                 continue;
             }
-            let gate = self.netlist.gate_id(i);
-            let name = self.netlist.net_name(self.netlist.gate_ref(gate).output());
+            let name = self
+                .netlist
+                .net_name(self.netlist.net_id(g.output as usize));
             let prefix = name.split('.').next().unwrap_or(name);
             t.energy
                 .add(format!("group/{prefix}"), EnergyKind::Dissipated, e);
@@ -564,22 +673,22 @@ impl Simulator {
     /// Panics if called before [`Simulator::start`] or on a source gate.
     pub fn inject_stuck_at(&mut self, gate: GateId, value: bool) {
         assert!(self.started, "inject after start()");
-        let kind = self.netlist.gate_ref(gate).kind();
-        assert!(!kind.is_source(), "cannot stick a source gate");
-        self.stuck[gate.index()] = Some(value);
+        let g = &mut self.gates[gate.index()];
+        assert!(!g.kind.is_source(), "cannot stick a source gate");
+        g.set_stuck(value);
         // Cancel anything in flight.
-        self.epochs[gate.index()] += 1;
-        self.pending[gate.index()] = None;
-        let net = self.netlist.gate_ref(gate).output();
-        if self.values[net.index()] != value {
+        g.epoch += 1;
+        g.set_pending(None);
+        let out = g.output as usize;
+        if self.values[out] != value {
             let now = self.now;
-            let _ = self.commit(gate, net, value, now);
+            let _ = self.commit(gate.index(), out, value, now);
         }
     }
 
     /// The stuck-at value injected on `gate`, if any.
     pub fn stuck_at(&self, gate: GateId) -> Option<bool> {
-        self.stuck[gate.index()]
+        self.gates[gate.index()].stuck()
     }
 
     /// Restores a capacitor-backed domain to `v` and releases any gates
@@ -602,14 +711,15 @@ impl Simulator {
             }
         }
         self.domains[domain.0].recharge(v);
-        for idx in 0..self.netlist.gate_count() {
-            if self.gate_domain[idx] != Some(domain) {
+        for gate in 0..self.gates.len() {
+            let g = &mut self.gates[gate];
+            if g.domain() != Some(domain) {
                 continue;
             }
-            if let Some(p) = self.pending[idx] {
+            if let Some(p) = g.pending() {
                 if p.stalled {
-                    self.pending[idx] = None;
-                    self.schedule_transition(self.netlist.gate_id(idx), p.value, self.now);
+                    g.set_pending(None);
+                    self.schedule_transition(gate, p.value, self.now);
                 }
             }
         }
@@ -634,10 +744,10 @@ impl Simulator {
                     h.pending_seq[ev.gate] = 0;
                 }
             }
-            let gate = self.netlist.gate_id(ev.gate);
-            let kind = self.netlist.gate_ref(gate).kind();
+            let g = &mut self.gates[ev.gate];
+            let kind = g.kind;
             // Stale (cancelled or superseded) entries are dropped.
-            if kind != GateKind::Input && ev.epoch != self.epochs[ev.gate] {
+            if kind != GateKind::Input && ev.epoch != g.epoch {
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.telemetry.metrics.inc(obs.stale_drops, 1);
                 }
@@ -646,20 +756,20 @@ impl Simulator {
             self.now = Seconds(self.now.0.max(ev.time));
             if !ev.complete {
                 // Integration-window boundary: resume the work integral.
-                self.pending[ev.gate] = None;
-                self.schedule_transition_with_progress(gate, ev.value, self.now, ev.progress);
+                g.set_pending(None);
+                self.schedule_transition_with_progress(ev.gate, ev.value, self.now, ev.progress);
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.telemetry.metrics.inc(obs.windows, 1);
                 }
                 return StepOutcome::Progressed;
             }
-            let out_net = self.netlist.gate_ref(gate).output();
+            let out = g.output as usize;
             if kind == GateKind::Input {
-                if self.values[out_net.index()] == ev.value {
+                if self.values[out] == ev.value {
                     continue; // redundant input level
                 }
             } else {
-                self.pending[ev.gate] = None;
+                g.set_pending(None);
             }
             if self.obs.is_some() {
                 let depth = self.queue.len() as f64;
@@ -680,7 +790,7 @@ impl Simulator {
                     });
                 }
             }
-            return StepOutcome::Fired(self.commit(gate, out_net, ev.value, Seconds(ev.time)));
+            return StepOutcome::Fired(self.commit(ev.gate, out, ev.value, Seconds(ev.time)));
         }
     }
 
@@ -760,7 +870,7 @@ impl Simulator {
             "fanout override must be finite and non-negative"
         );
         self.fanout_units_override[gate.index()] = units;
-        self.delay_memo[gate.index()].set((MEMO_INVALID, 0.0));
+        self.reload(gate.index());
     }
 
     /// Installs the PDES hooks. `export_of[g]` names the export slot a
@@ -823,8 +933,7 @@ impl Simulator {
         let mut dmin = f64::INFINITY;
         let mut zero_lookahead = false;
         for &g in &hooks.export_gates {
-            let gate = self.netlist.gate_id(g);
-            let domain_id = self.gate_domain[g].expect("export gate without domain");
+            let domain_id = self.gates[g].domain().expect("export gate without domain");
             let domain = &self.domains[domain_id.0];
             let v = match domain.kind() {
                 SupplyKind::Capacitor { .. } => domain.voltage(self.now),
@@ -836,7 +945,7 @@ impl Simulator {
                     }
                 },
             };
-            let td = self.delay_at_voltage(gate, v);
+            let td = self.delay_at_voltage(g, v);
             if td.0.is_finite() {
                 dmin = dmin.min(td.0);
             }
@@ -887,12 +996,12 @@ impl Simulator {
         self.queue.push(Reverse(ev));
     }
 
-    fn eval_gate(&self, gate: GateId) -> bool {
-        let g = self.netlist.gate_ref(gate);
-        g.kind().eval_map(
-            g.inputs(),
+    fn eval_gate(&self, gate: usize) -> bool {
+        let g = &self.gates[gate];
+        g.kind.eval_map(
+            g.inputs(&self.inputs),
             |n| self.values[n.index()],
-            self.values[g.output().index()],
+            self.values[g.output as usize],
         )
     }
 
@@ -910,51 +1019,54 @@ impl Simulator {
 
     /// Output load of a gate: its own drain parasitic (scaled by drive),
     /// the gate capacitance of its fanout, and any extra (wire) load.
-    fn output_load(&self, gate: GateId) -> Farads {
-        let g = self.netlist.gate_ref(gate);
+    fn output_load(&self, gate: usize) -> Farads {
+        let g = self.netlist.gate_ref(self.netlist.gate_id(gate));
         let p = self.device.params();
-        let over = self.fanout_units_override[gate.index()];
+        let over = self.fanout_units_override[gate];
         let fanout_units = if over.is_nan() {
             self.netlist.fanout_load_units(g.output())
         } else {
             over
         };
-        Farads(
-            p.drain_cap.0 * g.drive()
-                + p.gate_cap.0 * fanout_units
-                + self.extra_load[gate.index()].0,
-        )
+        Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * fanout_units + self.extra_load[gate].0)
+    }
+
+    /// Refreshes a gate's cached output load after one of its terms
+    /// changed, and drops its delay memo.
+    fn reload(&mut self, gate: usize) {
+        self.gates[gate].load = self.output_load(gate);
+        self.gates[gate].delay_memo.set((MEMO_INVALID, 0.0));
     }
 
     /// Constant-supply delay of `gate` at rail voltage `v`, memoised on
-    /// the exact voltage bits (see the `delay_memo` field).
-    fn delay_at_voltage(&self, gate: GateId, v: Volts) -> Seconds {
+    /// the exact voltage bits (see [`GateState::delay_memo`]).
+    fn delay_at_voltage(&self, gate: usize, v: Volts) -> Seconds {
         let bits = v.0.to_bits();
-        let memo = &self.delay_memo[gate.index()];
-        let (key, delay) = memo.get();
+        let g = &self.gates[gate];
+        let (key, delay) = g.delay_memo.get();
         if key == bits {
             return Seconds(delay);
         }
-        let g = self.netlist.gate_ref(gate);
-        let base = self.device.gate_delay(v, self.output_load(gate), g.drive());
-        let td = base * g.kind().delay_factor() * self.delay_scale[gate.index()];
-        memo.set((bits, td.0));
+        let drive = self.netlist.gate_ref(self.netlist.gate_id(gate)).drive();
+        let base = self.device.gate_delay(v, g.load, drive);
+        let td = base * g.kind.delay_factor() * self.delay_scale[gate];
+        g.delay_memo.set((bits, td.0));
         td
     }
 
-    fn schedule_transition(&mut self, gate: GateId, value: bool, from: Seconds) {
+    fn schedule_transition(&mut self, gate: usize, value: bool, from: Seconds) {
         self.schedule_transition_with_progress(gate, value, from, 0.0);
     }
 
     fn schedule_transition_with_progress(
         &mut self,
-        gate: GateId,
+        gate: usize,
         value: bool,
         from: Seconds,
         progress: f64,
     ) {
-        debug_assert!(self.pending[gate.index()].is_none());
-        let domain_id = self.gate_domain[gate.index()].expect("gate without domain");
+        debug_assert!(self.gates[gate].pending().is_none());
+        let domain_id = self.gates[gate].domain().expect("gate without domain");
         let remaining = 1.0 - progress;
 
         /// What phase 1 decided, carried across the borrow boundary:
@@ -1029,19 +1141,19 @@ impl Simulator {
         };
 
         if let Plan::Stall = plan {
-            self.pending[gate.index()] = Some(Pending {
+            self.gates[gate].set_pending(Some(Pending {
                 value,
                 stalled: true,
-            });
+            }));
             if let Some(h) = self.pdes.as_deref_mut() {
-                h.pending_seq[gate.index()] = 0;
+                h.pending_seq[gate] = 0;
             }
             return;
         }
-        self.pending[gate.index()] = Some(Pending {
+        self.gates[gate].set_pending(Some(Pending {
             value,
             stalled: false,
-        });
+        }));
         let (time, progress, complete) = match plan {
             Plan::FireAt(t) => (t, 0.0, true),
             Plan::Park => (f64::MAX / 2.0, progress, false),
@@ -1051,65 +1163,64 @@ impl Simulator {
         let ev = QueuedEvent {
             time,
             seq: self.next_seq(),
-            gate: gate.index(),
+            gate,
             value,
-            epoch: self.epochs[gate.index()],
+            epoch: self.gates[gate].epoch,
             progress,
             complete,
         };
         if let Some(h) = self.pdes.as_deref_mut() {
-            h.pending_seq[gate.index()] = ev.seq;
-            if h.export_of[gate.index()] != u32::MAX {
+            h.pending_seq[gate] = ev.seq;
+            if h.export_of[gate] != u32::MAX {
                 h.export_heap
-                    .push(Reverse((ev.time.to_bits(), gate.index(), ev.seq)));
+                    .push(Reverse((ev.time.to_bits(), gate, ev.seq)));
             }
         }
         self.push_event(ev);
     }
 
-    fn commit(&mut self, gate: GateId, net: NetId, value: bool, time: Seconds) -> FiredEvent {
+    fn commit(&mut self, gate: usize, net: usize, value: bool, time: Seconds) -> FiredEvent {
+        let g = &mut self.gates[gate];
         // Leakage catch-up for the firing gate's domain (inputs are
         // domain-less and draw nothing).
-        if let Some(d) = self.gate_domain[gate.index()] {
+        if let Some(d) = g.domain() {
             let device = &self.device;
             let memo = &self.leak_memo;
-            self.domains[d.0].advance(time, |v| Self::leakage_memo(device, memo, v));
+            let domain = &mut self.domains[d.0];
+            domain.advance(time, |v| Self::leakage_memo(device, memo, v));
             if value {
-                let load = self.output_load(gate);
-                let before = self.domains[d.0].switching_energy();
-                self.domains[d.0].draw_switching(load, time);
-                self.gate_energy[gate.index()] += self.domains[d.0].switching_energy() - before;
+                let before = domain.switching_energy();
+                domain.draw_switching(g.load, time);
+                g.energy += domain.switching_energy() - before;
             }
         }
-        self.values[net.index()] = value;
-        self.transitions[gate.index()] += 1;
-        if self.watched[net.index()] {
-            self.trace.record(time, net, value);
+        g.transitions += 1;
+        let net_id = self.netlist.net_id(net);
+        self.values[net] = value;
+        if self.watched[net] {
+            self.trace.record(time, net_id, value);
         }
         // Propagate to fanout. Indexed loop: `fanout()` is a borrow of
         // the netlist (two array reads on the frozen CSR), and the loop
         // body needs `&mut self` to schedule.
-        for fi in 0..self.netlist.fanout(net).len() {
-            let f = self.netlist.fanout(net)[fi];
-            let fk = self.netlist.gate_ref(f).kind();
-            if fk.is_source() {
-                continue;
+        for fi in 0..self.netlist.fanout(net_id).len() {
+            let f = self.netlist.fanout(net_id)[fi].index();
+            let g = &self.gates[f];
+            if g.kind.is_source() || g.stuck().is_some() {
+                continue; // sources and stuck gates never react
             }
-            if self.stuck[f.index()].is_some() {
-                continue; // a stuck gate never reacts
-            }
-            let g = self.netlist.gate_ref(f);
-            let current = self.values[g.output().index()];
+            let current = self.values[g.output as usize];
             let target = {
-                let pos = g.inputs().iter().position(|&n| n == net);
-                fk.eval_map_with_edge(
-                    g.inputs(),
+                let inputs = g.inputs(&self.inputs);
+                let pos = inputs.iter().position(|&n| n == net_id);
+                g.kind.eval_map_with_edge(
+                    inputs,
                     |n| self.values[n.index()],
                     current,
                     pos.map(|p| (p, value)),
                 )
             };
-            match self.pending[f.index()] {
+            match g.pending() {
                 None => {
                     if target != current {
                         self.schedule_transition(f, target, time);
@@ -1121,10 +1232,11 @@ impl Simulator {
                     } else {
                         // target == current: the pending transition was
                         // disabled — a persistence violation.
-                        self.epochs[f.index()] += 1;
-                        self.pending[f.index()] = None;
+                        let g = &mut self.gates[f];
+                        g.epoch += 1;
+                        g.set_pending(None);
                         self.hazards.push(Hazard {
-                            gate: f,
+                            gate: self.netlist.gate_id(f),
                             time,
                             cancelled_value: p.value,
                         });
@@ -1134,8 +1246,8 @@ impl Simulator {
         }
         FiredEvent {
             time,
-            gate,
-            net,
+            gate: self.netlist.gate_id(gate),
+            net: net_id,
             value,
         }
     }

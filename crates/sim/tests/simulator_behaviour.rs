@@ -7,7 +7,7 @@ use emc_netlist::{GateId, GateKind, NetId, Netlist};
 use emc_prng::Rng;
 use emc_prng::StdRng;
 use emc_sim::{Simulator, SupplyKind};
-use emc_units::{Farads, Hertz, Seconds, Volts, Waveform};
+use emc_units::{Farads, Hertz, Joules, Seconds, Volts, Waveform};
 
 /// A chain of `n` inverters behind an input; returns (input, chain outputs).
 fn inverter_chain(n: usize) -> (Netlist, NetId, Vec<NetId>) {
@@ -355,4 +355,169 @@ fn activity_report_attributes_energy_where_it_is_spent() {
         }
     }
     let _ = outs;
+}
+
+/// Per-gate knob settings as the test last applied them.
+struct Knobs {
+    extra: Vec<Farads>,
+    scale: Vec<f64>,
+    fanout_units: Vec<Option<f64>>,
+}
+
+impl Knobs {
+    fn new(gates: usize) -> Self {
+        Self {
+            extra: vec![Farads(0.0); gates],
+            scale: vec![1.0; gates],
+            fanout_units: vec![None; gates],
+        }
+    }
+
+    fn extra_load(&mut self, sim: &mut Simulator, gate: GateId, load: f64) {
+        self.extra[gate.index()] = Farads(load);
+        sim.set_extra_load(gate, Farads(load));
+    }
+
+    fn delay_scale(&mut self, sim: &mut Simulator, gate: GateId, scale: f64) {
+        self.scale[gate.index()] = scale;
+        sim.set_delay_scale(gate, scale);
+    }
+
+    fn fanout_override(&mut self, sim: &mut Simulator, gate: GateId, units: f64) {
+        self.fanout_units[gate.index()] = Some(units);
+        sim.set_fanout_units_override(gate, units);
+    }
+
+    /// The gate's output load, evaluated from scratch.
+    fn load(&self, sim: &Simulator, gate: GateId) -> Farads {
+        let p = sim.device().params();
+        let g = sim.netlist().gate_ref(gate);
+        let units = self.fanout_units[gate.index()]
+            .unwrap_or_else(|| sim.netlist().fanout_load_units(g.output()));
+        Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * units + self.extra[gate.index()].0)
+    }
+
+    /// The gate's delay at `vdd`, evaluated from scratch.
+    fn delay(&self, sim: &Simulator, gate: GateId, vdd: Volts) -> Seconds {
+        let g = sim.netlist().gate_ref(gate);
+        let base = sim
+            .device()
+            .gate_delay(vdd, self.load(sim, gate), g.drive());
+        base * g.kind().delay_factor() * self.scale[gate.index()]
+    }
+}
+
+/// Drives one edge on `input` to quiescence and checks every firing
+/// bit-exactly against the knobs: a gate fires its delay after the edge
+/// on its (single distinct) input net, and a rising edge draws `C·V²`
+/// from the domain and books what the domain drew to the gate.
+fn check_wave(sim: &mut Simulator, knobs: &Knobs, input: NetId, value: bool, vdd: Volts) {
+    let domain = sim.domain_id(0);
+    let gates: Vec<GateId> = sim.netlist().iter_gates().map(|(id, _)| id).collect();
+    let mut edge = vec![f64::NAN; sim.netlist().net_count()];
+    sim.schedule_input(input, sim.now(), value);
+    loop {
+        let drawn_before = sim.domain(domain).switching_energy();
+        let booked_before: Vec<Joules> = gates.iter().map(|&g| sim.gate_energy(g)).collect();
+        let Some(e) = sim.step() else { break };
+        let g = sim.netlist().gate_ref(e.gate);
+        if g.kind() != GateKind::Input {
+            let expected = edge[g.inputs()[0].index()] + knobs.delay(sim, e.gate, vdd).0;
+            assert_eq!(
+                e.time.0.to_bits(),
+                expected.to_bits(),
+                "{} fired at {:e} s, expected {expected:e} s",
+                e.gate,
+                e.time.0
+            );
+        }
+        edge[e.net.index()] = e.time.0;
+        let drawn = sim.domain(domain).switching_energy();
+        if e.value {
+            let expected = drawn_before + vdd.cv2(knobs.load(sim, e.gate));
+            assert_eq!(drawn.0.to_bits(), expected.0.to_bits(), "{} draw", e.gate);
+        } else {
+            assert_eq!(drawn, drawn_before, "{} drew on a falling edge", e.gate);
+        }
+        let booked = booked_before[e.gate.index()] + (drawn - drawn_before);
+        assert_eq!(
+            sim.gate_energy(e.gate).0.to_bits(),
+            booked.0.to_bits(),
+            "{} booking",
+            e.gate
+        );
+    }
+}
+
+#[test]
+fn cached_gate_state_follows_knobs_changed_after_start() {
+    // A fanout tree behind one input, mixing kinds and drives, in which
+    // every gate reads one distinct net.
+    let mut nl = Netlist::new();
+    let a = nl.input("a");
+    let x1 = nl.gate_with_drive(GateKind::Inv, &[a], 2.0, "x1");
+    let x2 = nl.gate(GateKind::Buf, &[x1], "x2");
+    let x3 = nl.gate(GateKind::Nand, &[x1, x1], "x3");
+    let x4 = nl.gate(GateKind::CElement, &[x2, x2], "x4");
+    let x5 = nl.gate_with_drive(GateKind::Inv, &[x4], 0.5, "x5");
+    let x6 = nl.gate(GateKind::And, &[x3, x3], "x6");
+    nl.mark_output(x5);
+    nl.mark_output(x6);
+    let gate = |net: NetId| nl.driver_of(net).expect("driven");
+    let vdd = Volts(0.9);
+    let mut sim = Simulator::new(nl.clone(), DeviceModel::umc90());
+    let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd.0)));
+    sim.assign_all(d);
+    let mut knobs = Knobs::new(nl.gate_count());
+    sim.start();
+    sim.run_to_quiescence(100);
+    // Every gate has fired once, so its delay memo holds a value the
+    // knob changes below must invalidate.
+    check_wave(&mut sim, &knobs, a, true, vdd);
+
+    knobs.extra_load(&mut sim, gate(x1), 3e-15);
+    knobs.delay_scale(&mut sim, gate(x4), 1.7);
+    knobs.fanout_override(&mut sim, gate(x2), 4.0);
+    check_wave(&mut sim, &knobs, a, false, vdd);
+
+    knobs.extra_load(&mut sim, gate(x1), 0.0);
+    knobs.extra_load(&mut sim, gate(x5), 1e-15);
+    knobs.delay_scale(&mut sim, gate(x3), 0.6);
+    knobs.fanout_override(&mut sim, gate(x2), 0.5);
+    knobs.fanout_override(&mut sim, gate(x6), 2.5);
+    check_wave(&mut sim, &knobs, a, true, vdd);
+
+    sim.inject_stuck_at(gate(x4), false);
+    sim.run_to_quiescence(100);
+    assert_eq!(sim.stuck_at(gate(x4)), Some(false));
+    assert_eq!(sim.stuck_at(gate(x5)), None);
+    check_wave(&mut sim, &knobs, a, false, vdd);
+    assert!(!sim.value(x4), "a stuck gate never switches");
+
+    // Pinned at the commit before per-gate state moved into one record.
+    let gates: Vec<GateId> = nl.iter_gates().map(|(id, _)| id).collect();
+    let counts: Vec<u64> = gates.iter().map(|&g| sim.transition_count(g)).collect();
+    let energy: Vec<u64> = gates
+        .iter()
+        .map(|&g| sim.gate_energy(g).0.to_bits())
+        .collect();
+    let order: Vec<usize> = sim
+        .activity_report()
+        .iter()
+        .map(|r| r.gate.index())
+        .collect();
+    assert_eq!(counts, [4, 5, 5, 4, 4, 5, 4]);
+    assert_eq!(
+        energy,
+        [
+            0x3cf2_3d55_0417_072e,
+            0x3d16_293d_0ded_e623,
+            0x3d0b_a209_c25b_3516,
+            0x3d01_dff2_0920_ceb2,
+            0x3cf2_3d55_0417_072c,
+            0x3ce2_3d55_0417_0722,
+            0x3cf4_f9bb_5e4d_aea0,
+        ]
+    );
+    assert_eq!(order, [1, 2, 3, 6, 0, 4, 5]);
 }
