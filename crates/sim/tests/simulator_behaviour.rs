@@ -361,7 +361,6 @@ fn activity_report_attributes_energy_where_it_is_spent() {
 struct Knobs {
     extra: Vec<Farads>,
     scale: Vec<f64>,
-    fanout_units: Vec<Option<f64>>,
 }
 
 impl Knobs {
@@ -369,7 +368,6 @@ impl Knobs {
         Self {
             extra: vec![Farads(0.0); gates],
             scale: vec![1.0; gates],
-            fanout_units: vec![None; gates],
         }
     }
 
@@ -383,17 +381,11 @@ impl Knobs {
         sim.set_delay_scale(gate, scale);
     }
 
-    fn fanout_override(&mut self, sim: &mut Simulator, gate: GateId, units: f64) {
-        self.fanout_units[gate.index()] = Some(units);
-        sim.set_fanout_units_override(gate, units);
-    }
-
     /// The gate's output load, evaluated from scratch.
     fn load(&self, sim: &Simulator, gate: GateId) -> Farads {
         let p = sim.device().params();
         let g = sim.netlist().gate_ref(gate);
-        let units = self.fanout_units[gate.index()]
-            .unwrap_or_else(|| sim.netlist().fanout_load_units(g.output()));
+        let units = sim.netlist().fanout_load_units(g.output());
         Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * units + self.extra[gate.index()].0)
     }
 
@@ -477,14 +469,11 @@ fn cached_gate_state_follows_knobs_changed_after_start() {
 
     knobs.extra_load(&mut sim, gate(x1), 3e-15);
     knobs.delay_scale(&mut sim, gate(x4), 1.7);
-    knobs.fanout_override(&mut sim, gate(x2), 4.0);
     check_wave(&mut sim, &knobs, a, false, vdd);
 
     knobs.extra_load(&mut sim, gate(x1), 0.0);
     knobs.extra_load(&mut sim, gate(x5), 1e-15);
     knobs.delay_scale(&mut sim, gate(x3), 0.6);
-    knobs.fanout_override(&mut sim, gate(x2), 0.5);
-    knobs.fanout_override(&mut sim, gate(x6), 2.5);
     check_wave(&mut sim, &knobs, a, true, vdd);
 
     sim.inject_stuck_at(gate(x4), false);
@@ -494,7 +483,8 @@ fn cached_gate_state_follows_knobs_changed_after_start() {
     check_wave(&mut sim, &knobs, a, false, vdd);
     assert!(!sim.value(x4), "a stuck gate never switches");
 
-    // Pinned at the commit before per-gate state moved into one record.
+    // Pinned before the fanout-load override was deleted; the counts
+    // date from before per-gate state moved into one record.
     let gates: Vec<GateId> = nl.iter_gates().map(|(id, _)| id).collect();
     let counts: Vec<u64> = gates.iter().map(|&g| sim.transition_count(g)).collect();
     let energy: Vec<u64> = gates
@@ -511,13 +501,13 @@ fn cached_gate_state_follows_knobs_changed_after_start() {
         energy,
         [
             0x3cf2_3d55_0417_072e,
-            0x3d16_293d_0ded_e623,
-            0x3d0b_a209_c25b_3516,
+            0x3d16_293d_0ded_e625,
+            0x3d11_828f_0e2a_963d,
             0x3d01_dff2_0920_ceb2,
             0x3cf2_3d55_0417_072c,
             0x3ce2_3d55_0417_0722,
-            0x3cf4_f9bb_5e4d_aea0,
+            0x3cdd_2eee_6cf1_a500,
         ]
     );
-    assert_eq!(order, [1, 2, 3, 6, 0, 4, 5]);
+    assert_eq!(order, [1, 2, 3, 0, 4, 5, 6]);
 }
