@@ -19,9 +19,9 @@
 //! * `campaign` — a Vdd-sweep campaign with per-run bundles merged in
 //!   submission-index order;
 //! * `pdes` — the Vdd-domain-partitioned parallel simulator on the
-//!   shared pipeline-array rig, exporting the `sim.pdes.*` protocol
-//!   counters (partitions, crossing nets, sync rounds) merged with the
-//!   per-partition simulator bundles;
+//!   shared pipeline-array rig, exporting the `sim.pdes.*` counters
+//!   (partitions, sync rounds, and the crossing counters, always 0)
+//!   merged with the per-partition simulator bundles;
 //! * `altlogic` — the alternative logic families' ledgers: an adiabatic
 //!   cascade run and a charge-recovery session, with `recovered` energy
 //!   booked next to `dissipated` and `leaked`;
@@ -176,7 +176,7 @@ fn campaign_worker(vdd: &f64, ctx: &RunContext) -> RunReport {
 /// The Vdd-domain-partitioned parallel simulator on the shared
 /// pipeline-array rig, with per-partition observability enabled. The
 /// exported bundle — per-partition simulator metrics plus the
-/// `sim.pdes.*` protocol counters — is a pure function of the workload,
+/// `sim.pdes.*` counters — is a pure function of the workload,
 /// so it is byte-identical at any `--threads` count: the determinism
 /// demonstration in telemetry form.
 fn scenario_pdes(smoke: bool, threads: usize) -> Telemetry {

@@ -1,7 +1,7 @@
 //! The shared PDES benchmark workload: an R×C array of independent
-//! dual-rail WCHB pipeline rows, split into row-cyclic Vdd domains,
-//! plus the deterministic reactive driver that pumps tokens through
-//! every row at a fixed cadence.
+//! dual-rail WCHB pipeline rows, split into row-cyclic Vdd domains that
+//! share no net, plus the deterministic reactive driver that pumps
+//! tokens through every row at a fixed cadence.
 //!
 //! `emc-perf` times this rig three ways — sequentially on one
 //! [`Simulator`] and in parallel on a [`PdesSimulator`] at several
@@ -38,7 +38,8 @@ pub struct PdesArray {
     pub netlist: Netlist,
     /// Per-row pipeline handles (inputs, acknowledges, outputs).
     pub rows: Vec<DualRailPipeline>,
-    /// Per-gate partition assignment: row `r` → partition `r % parts`.
+    /// Per-gate partition assignment: row `r`, its inputs included, →
+    /// partition `r % parts`.
     pub assignment: Vec<u32>,
     /// Partition count (clamped to the row count).
     pub parts: usize,
@@ -122,13 +123,19 @@ pub fn pdes_sequential(rig: &PdesArray) -> Simulator {
 /// A started parallel simulator over the rig at `threads` worker
 /// threads. `obs` enables per-partition observability before start (for
 /// `emc-stats`; `emc-perf` measures with it off).
+///
+/// # Panics
+///
+/// Panics if `rig.assignment` leaves a net read outside the partition
+/// that drives it, which no [`pdes_array`] rig does.
 pub fn pdes_parallel(rig: &PdesArray, threads: usize, obs: bool) -> PdesSimulator {
     let mut sim = PdesSimulator::new(
         rig.netlist.clone(),
         DeviceModel::umc90(),
         &pdes_specs(rig.parts),
         &rig.assignment,
-    );
+    )
+    .expect("rows share no net");
     sim.set_threads(threads);
     if obs {
         sim.enable_obs();

@@ -188,9 +188,9 @@ pub fn pipelined_array(rows: usize, cols: usize, name: &str) -> GeneratedCircuit
 }
 
 /// [`pipelined_array`] with a suggested Vdd-domain decomposition: row
-/// `r` goes to domain `r % parts`. Rows are mutually independent, so
-/// the cut has **zero crossing nets** — the embarrassingly-parallel end
-/// of the PDES workload spectrum.
+/// `r`, its inputs included, goes to domain `r % parts`. Rows are
+/// mutually independent, so no net crosses the cut and
+/// `emc_sim::PdesSimulator` accepts it.
 ///
 /// # Panics
 ///
@@ -227,43 +227,6 @@ pub fn pipelined_array_domains(
         env: Arc::new(ComposedEnv { parts: envs }),
         domains,
     }
-}
-
-/// [`block_graph`] with a suggested Vdd-domain decomposition: block `k`
-/// goes to domain `k % parts`, while the input sources and the closing
-/// completion detector stay in domain 0. Consecutive blocks feed each
-/// other, so the cut is **crossing-heavy** — the synchronization-bound
-/// end of the PDES workload spectrum.
-///
-/// # Panics
-///
-/// Panics if `width == 0`, `width > 64`, or `parts == 0`.
-pub fn block_graph_domains(
-    width: usize,
-    blocks: &[BlockSpec],
-    parts: usize,
-    name: &str,
-) -> GeneratedCircuit {
-    assert!(parts >= 1, "at least one domain");
-    let parts = parts.min(blocks.len().max(1));
-    let mut gc = block_graph(width, blocks, name);
-    let mut domains = vec![Vec::new(); parts];
-    // block_graph appends gates in construction order: the dual-rail
-    // input sources first, then each block's DIMS cluster, then the
-    // completion detector. Recover the block boundaries by name prefix.
-    for i in 0..gc.netlist.gate_count() {
-        let gid = gc.netlist.gate_id(i);
-        let gname = gc.netlist.net_name(gc.netlist.gate_ref(gid).output());
-        let domain = gname
-            .strip_prefix(&format!("{name}.g"))
-            .and_then(|rest| rest.split('_').next())
-            .and_then(|k| k.parse::<usize>().ok())
-            .map_or(0, |k| k % parts);
-        domains[domain].push(gid);
-    }
-    gc.name = format!("{name}-graph{width}b{}d{}", blocks.len(), parts);
-    gc.domains = domains;
-    gc
 }
 
 /// A random SI-composable block graph: `width` dual-rail inputs, one
@@ -424,35 +387,12 @@ mod tests {
         );
         assert_eq!(gc.domain_assignment().len(), gc.netlist.gate_count());
         assert_clean(&gc);
-
-        let blocks = [
-            BlockSpec {
-                func: 0,
-                lhs: 0,
-                rhs: 1,
-            },
-            BlockSpec {
-                func: 2,
-                lhs: 3,
-                rhs: 2,
-            },
-        ];
-        let gc = block_graph_domains(3, &blocks, 2, "bg");
-        assert_eq!(gc.domains.len(), 2);
-        assert_eq!(
-            gc.domains.iter().map(Vec::len).sum::<usize>(),
-            gc.netlist.gate_count()
-        );
-        // Block 1 lands in domain 1; the detector and sources in 0.
-        assert!(!gc.domains[1].is_empty(), "second block in second domain");
-        assert_clean(&gc);
     }
 
     #[test]
     fn domain_variants_clamp_partition_count() {
-        // More requested domains than rows/blocks collapse to the max.
+        // More requested domains than rows collapse to the row count.
         assert_eq!(pipelined_array_domains(2, 1, 8, "ar").domains.len(), 2);
-        assert_eq!(block_graph_domains(2, &[], 4, "bg").domain_count(), 1);
     }
 
     #[test]

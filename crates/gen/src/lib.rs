@@ -49,7 +49,7 @@ pub use differential::{
 };
 pub use env::{to_environment, EnvModel, NetView, SimView};
 pub use families::{
-    block_graph, block_graph_domains, completion_tree, dims_adder, micropipeline, pipelined_array,
+    block_graph, completion_tree, dims_adder, micropipeline, pipelined_array,
     pipelined_array_domains, wchb_datapath, BlockSpec, BLOCK_FUNCTIONS,
 };
 pub use plan::{shrink, FamilyPlan, GenBounds, Plan};
@@ -70,18 +70,19 @@ pub struct GeneratedCircuit {
     /// The environment protocol machine closing the circuit.
     pub env: Arc<dyn EnvModel>,
     /// Suggested Vdd-domain decomposition: `domains[d]` lists the gates
-    /// of domain `d`. Empty for single-domain families; the `_domains`
-    /// family variants fill it, and [`GeneratedCircuit::domain_assignment`]
-    /// turns it into the per-gate table `emc_sim::PdesSimulator` takes.
+    /// of domain `d`, sources included. Empty for single-domain
+    /// families; [`pipelined_array_domains`] fills it, and
+    /// [`GeneratedCircuit::domain_assignment`] turns it into the
+    /// per-gate table `emc_sim::PdesSimulator` takes.
     pub domains: Vec<Vec<GateId>>,
 }
 
 impl GeneratedCircuit {
     /// Per-gate partition assignment derived from
-    /// [`GeneratedCircuit::domains`] (gates not listed — sources,
-    /// mostly — land in partition 0, where the PDES builder ignores
-    /// source entries anyway). Returns a single-partition table when no
-    /// decomposition was generated.
+    /// [`GeneratedCircuit::domains`]. Source entries count like any
+    /// other: an input belongs in the partition of the gates that read
+    /// it. Gates not listed land in partition 0, so with no
+    /// decomposition the table is a single partition.
     pub fn domain_assignment(&self) -> Vec<u32> {
         let mut table = vec![0u32; self.netlist.gate_count()];
         for (d, gates) in self.domains.iter().enumerate() {

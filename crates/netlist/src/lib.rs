@@ -47,5 +47,5 @@ pub use dualrail::{completion_detector, DualRail, DualRailValue};
 pub use export::{to_dot, to_verilog};
 pub use gate::{GateKind, ParseGateKindError};
 pub use graph::{Gate, GateId, NetId, Netlist, NetlistError};
-pub use partition::{Crossing, Partitioned, MAX_PARTS, UNOWNED};
+pub use partition::{CrossingNet, Partitioned};
 pub use textio::{from_text, to_text, TextFormatError, TEXT_HEADER};

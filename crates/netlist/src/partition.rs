@@ -1,25 +1,16 @@
 //! Vdd-domain partitioning: slicing a netlist into per-domain
-//! sub-netlists plus a crossing-net index, the freeze-time artifact a
-//! conservative parallel simulator runs on.
+//! sub-netlists that share no net, the freeze-time artifact a parallel
+//! simulator runs on.
 //!
-//! The partitioner assigns every *real* gate to exactly one part; the
-//! part's slice is a self-contained [`Netlist`] holding
-//!
-//! * the part's own gates, in the same relative order and with the same
-//!   kinds, drive strengths, input order and net names as the source
-//!   netlist;
-//! * a **mirror** of every source gate (input or constant) any of its
-//!   gates consume — sources are replicated, not owned, since they fire
-//!   identically everywhere;
-//! * an **import**: a fresh [`GateKind::Input`] gate standing in for
-//!   each foreign-owned net the part consumes. The parallel driver
-//!   replays the owning part's committed transitions into the import.
-//!
-//! Each part-crossing net is described by a [`Crossing`]: the owning
-//! slice's driver gate, the consuming parts with their import nets, and
-//! the net's *global* fanout load (the owner slice cannot see foreign
-//! consumers, so a simulator must present this figure to its delay and
-//! energy laws to stay bit-identical with a whole-netlist run).
+//! The partitioner places every gate — sources included — in exactly
+//! the part the assignment names. Each part's slice is a self-contained
+//! [`Netlist`] holding that part's gates, in the same relative order and
+//! with the same kinds, drive strengths, input order and net names as
+//! the source netlist. A net whose driver and one of its consumers sit
+//! in different parts would need its transitions carried across the cut,
+//! so [`Partitioned::build`] rejects such an assignment with a
+//! [`CrossingNet`]: every part is a union of connected components, and
+//! every net has exactly one site.
 //!
 //! Feedback arcs — input references at or above the gate's own output
 //! net index, which the builder API can only create via
@@ -27,118 +18,84 @@
 //! (`emcnet` text import uses the identical technique), so slices
 //! round-trip state-holding loops exactly.
 
-use crate::gate::GateKind;
-use crate::graph::{GateId, NetId, Netlist};
+use std::fmt;
 
-/// Owner value for source gates (inputs and constants), which are
-/// mirrored into every consuming part rather than owned by one.
-pub const UNOWNED: u32 = u32::MAX;
+use crate::graph::{Gate, NetId, Netlist};
 
-/// Maximum number of parts (consumer sets are tracked as a `u64`
-/// bitmask; real designs have a handful of Vdd domains).
-pub const MAX_PARTS: usize = 64;
-
-/// One partition-crossing net.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Crossing {
-    /// The driving gate, as a gate id **in the owner part's slice**.
-    pub local_gate: GateId,
-    /// The driven net in the source netlist.
-    pub global_net: NetId,
-    /// Fanout load of the net in the source netlist, in input-load
-    /// units — foreign consumers included.
-    pub global_fanout_units: f64,
-    /// Consuming foreign parts, ascending, each with the output net of
-    /// its import `Input` gate.
-    pub dst: Vec<(u32, NetId)>,
+/// A net read outside the part that drives it: the reason
+/// [`Partitioned::build`] refused an assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrossingNet {
+    /// The net, in the source netlist.
+    pub net: NetId,
+    /// The part of the net's driver.
+    pub from: u32,
+    /// The part of a gate reading the net.
+    pub to: u32,
 }
 
-/// A netlist sliced into per-part sub-netlists. Built once by
-/// [`Partitioned::build`]; the slices are handed out by value (they are
-/// independent netlists) while the index stays here.
+impl fmt::Display for CrossingNet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "net {} is driven in part {} but read in part {}",
+            self.net, self.from, self.to
+        )
+    }
+}
+
+impl std::error::Error for CrossingNet {}
+
+/// A netlist sliced into per-part sub-netlists that share no net. Built
+/// once by [`Partitioned::build`]; the slices are handed out by value
+/// (they are independent netlists) while the net maps stay here.
 #[derive(Debug, Clone)]
 pub struct Partitioned {
-    parts: usize,
     slices: Vec<Netlist>,
-    /// Per global gate: owning part, or [`UNOWNED`] for sources.
-    owner: Vec<u32>,
-    /// Per owner part, ascending by local gate id.
-    crossings: Vec<Vec<Crossing>>,
-    /// Per part: local gate index → index into `crossings[part]`, or
-    /// `u32::MAX` when the gate's output stays inside the part.
-    export_of: Vec<Vec<u32>>,
-    /// Per global net: every `(part, local net)` site — the owner's real
-    /// net, source mirrors, and imports — ascending by part.
-    sites: Vec<Vec<(u32, NetId)>>,
-    /// Per global net: the canonical site whose transitions equal the
-    /// whole-netlist simulation's (the owner part for gate-driven nets,
-    /// the first consuming part for sources). `None` for a source net
-    /// no part consumes.
-    home: Vec<Option<(u32, NetId)>>,
+    /// Per global net: its part and its net in that part's slice.
+    sites: Vec<(u32, NetId)>,
     /// Per part: local net → global net.
     globals: Vec<Vec<NetId>>,
 }
 
 impl Partitioned {
-    /// Slices `netlist` into `parts` sub-netlists. `assignment[g]`
-    /// names the part owning gate `g`; entries for source gates are
-    /// ignored (sources are mirrored into consuming parts).
+    /// Slices `netlist` into `parts` sub-netlists. `assignment[g]` names
+    /// the part of gate `g`, sources included.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`CrossingNet`], in gate and input order, when
+    /// a gate reads a net driven in another part.
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is 0 or exceeds [`MAX_PARTS`], `assignment` is
-    /// the wrong length, or a non-source gate is assigned out of range.
-    pub fn build(netlist: &Netlist, assignment: &[u32], parts: usize) -> Self {
-        assert!((1..=MAX_PARTS).contains(&parts), "1..={MAX_PARTS} parts");
+    /// Panics if `parts` is 0, `assignment` is the wrong length, or a
+    /// gate is assigned out of range.
+    pub fn build(netlist: &Netlist, assignment: &[u32], parts: usize) -> Result<Self, CrossingNet> {
+        assert!(parts >= 1, "at least one part");
         assert_eq!(assignment.len(), netlist.gate_count(), "assignment length");
-        let nets = netlist.net_count();
-
-        let mut owner = vec![UNOWNED; netlist.gate_count()];
-        for (gid, g) in netlist.iter_gates() {
-            if g.kind().is_source() {
-                continue;
-            }
-            let p = assignment[gid.index()];
+        for (gid, &p) in netlist.iter_gates().map(|(gid, _)| gid).zip(assignment) {
             assert!(
                 (p as usize) < parts,
                 "gate {gid} assigned to part {p}, but there are only {parts}"
             );
-            owner[gid.index()] = p;
         }
-
-        // Which parts consume each net (feedback arcs included: they
-        // are ordinary fanout entries).
-        let mut consumers = vec![0u64; nets];
-        for (gid, g) in netlist.iter_gates() {
-            let o = owner[gid.index()];
-            if o == UNOWNED {
-                continue;
-            }
-            for &inp in g.inputs() {
-                consumers[inp.index()] |= 1u64 << o;
-            }
-        }
-
-        let mut slices: Vec<Netlist> = (0..parts).map(|_| Netlist::new()).collect();
-        // Every slice net is recorded here as it is created, so a global
-        // net's local net in part `p` is its site there (a net has at
-        // most a few sites).
-        let mut sites: Vec<Vec<(u32, NetId)>> = vec![Vec::new(); nets];
-        let mut home: Vec<Option<(u32, NetId)>> = vec![None; nets];
-        let local = |sites: &[Vec<(u32, NetId)>], net: NetId, p: usize| -> NetId {
-            sites[net.index()]
-                .iter()
-                .find(|&&(q, _)| q as usize == p)
-                .map(|&(_, ln)| ln)
-                .expect("net has a site in every part that uses it")
-        };
 
         // The builder invariant "gate index == output net index" holds
         // for any builder-constructed netlist, so the driver of net n is
         // gate n and input references below a gate's own output index
         // were present at construction; the rest arrived later through
         // `connect_feedback` and are re-closed the same way in pass 2.
-        let split_at = |g: &crate::graph::Gate| {
+        for (gid, g) in netlist.iter_gates() {
+            let to = assignment[gid.index()];
+            for &net in g.inputs() {
+                let from = assignment[net.index()];
+                if from != to {
+                    return Err(CrossingNet { net, from, to });
+                }
+            }
+        }
+        let split_at = |g: &Gate| {
             let own = g.output().index();
             g.inputs()
                 .iter()
@@ -146,133 +103,49 @@ impl Partitioned {
                 .unwrap_or(g.inputs().len())
         };
 
-        // Pass 1: create gates, mirrors and imports in global order.
+        // Pass 1: create every gate in its part, in global order.
+        let mut slices: Vec<Netlist> = (0..parts).map(|_| Netlist::new()).collect();
+        let mut globals: Vec<Vec<NetId>> = vec![Vec::new(); parts];
+        let mut sites: Vec<(u32, NetId)> = Vec::with_capacity(netlist.net_count());
+        let mut prefix = Vec::new();
         for (gid, g) in netlist.iter_gates() {
+            let p = assignment[gid.index()];
+            prefix.clear();
+            prefix.extend(g.inputs()[..split_at(g)].iter().map(|n| sites[n.index()].1));
             let out = g.output();
-            let name = netlist.net_name(out);
-            let kind = g.kind();
-            if kind.is_source() {
-                let mut bits = consumers[out.index()];
-                while bits != 0 {
-                    let p = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let ln = match kind {
-                        GateKind::Const0 => slices[p].constant(false, name),
-                        GateKind::Const1 => slices[p].constant(true, name),
-                        _ => slices[p].input(name),
-                    };
-                    sites[out.index()].push((p as u32, ln));
-                    if home[out.index()].is_none() {
-                        home[out.index()] = Some((p as u32, ln));
-                    }
-                }
-            } else {
-                let p = owner[gid.index()] as usize;
-                let split = split_at(g);
-                let prefix: Vec<NetId> = g.inputs()[..split]
-                    .iter()
-                    .map(|&n| local(&sites, n, p))
-                    .collect();
-                let ln = slices[p].gate_with_drive(kind, &prefix, g.drive(), name);
-                sites[out.index()].push((p as u32, ln));
-                home[out.index()] = Some((p as u32, ln));
-                let mut bits = consumers[out.index()] & !(1u64 << p);
-                while bits != 0 {
-                    let q = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let iln = slices[q].input(name);
-                    sites[out.index()].push((q as u32, iln));
-                }
-                sites[out.index()].sort_unstable_by_key(|&(part, _)| part);
-            }
+            let ln = slices[p as usize].gate_with_drive(
+                g.kind(),
+                &prefix,
+                g.drive(),
+                netlist.net_name(out),
+            );
+            debug_assert_eq!(out.index(), sites.len(), "driver of net n is gate n");
+            sites.push((p, ln));
+            globals[p as usize].push(out);
         }
 
         // Pass 2: re-close feedback arcs, in global gate order.
         for (gid, g) in netlist.iter_gates() {
-            if g.kind().is_source() {
-                continue;
-            }
-            let p = owner[gid.index()] as usize;
-            let out = g.output();
+            let p = assignment[gid.index()] as usize;
             for &fb in &g.inputs()[split_at(g)..] {
-                let target = local(&sites, out, p);
-                let net = local(&sites, fb, p);
-                slices[p].connect_feedback(target, net);
+                slices[p].connect_feedback(sites[g.output().index()].1, sites[fb.index()].1);
             }
-        }
-
-        // Pass 3: crossing index, reverse net maps, output marks.
-        let mut crossings: Vec<Vec<Crossing>> = vec![Vec::new(); parts];
-        let mut export_of: Vec<Vec<u32>> = (0..parts)
-            .map(|p| vec![u32::MAX; slices[p].gate_count()])
-            .collect();
-        for (gid, g) in netlist.iter_gates() {
-            let o = owner[gid.index()];
-            if o == UNOWNED {
-                continue;
-            }
-            let out = g.output();
-            let foreign = consumers[out.index()] & !(1u64 << o);
-            if foreign == 0 {
-                continue;
-            }
-            let p = o as usize;
-            let local_net = local(&sites, out, p);
-            let local_gate = slices[p]
-                .driver_of(local_net)
-                .expect("slice net created by its gate");
-            let mut dst = Vec::new();
-            let mut bits = foreign;
-            while bits != 0 {
-                let q = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                dst.push((q as u32, local(&sites, out, q)));
-            }
-            export_of[p][local_gate.index()] =
-                u32::try_from(crossings[p].len()).expect("crossing table fits in u32");
-            crossings[p].push(Crossing {
-                local_gate,
-                global_net: out,
-                global_fanout_units: netlist.fanout_load_units(out),
-                dst,
-            });
-            // A crossing net may have no local fanout at all; mark it an
-            // output so the slice stays well-formed under validate().
-            slices[p].mark_output(local_net);
         }
         for &out in netlist.outputs() {
-            for &(p, ln) in &sites[out.index()] {
-                slices[p as usize].mark_output(ln);
-            }
+            let (p, ln) = sites[out.index()];
+            slices[p as usize].mark_output(ln);
         }
 
-        // Every slice net is one site, so the reverse maps are total and
-        // the placeholders are always overwritten.
-        let mut globals: Vec<Vec<NetId>> = slices
-            .iter()
-            .map(|s| vec![netlist.net_id(0); s.net_count()])
-            .collect();
-        for (gn, net_sites) in netlist.iter_nets().zip(&sites) {
-            for &(p, ln) in net_sites {
-                globals[p as usize][ln.index()] = gn;
-            }
-        }
-
-        Partitioned {
-            parts,
+        Ok(Partitioned {
             slices,
-            owner,
-            crossings,
-            export_of,
             sites,
-            home,
             globals,
-        }
+        })
     }
 
     /// Number of parts.
     pub fn parts(&self) -> usize {
-        self.parts
+        self.slices.len()
     }
 
     /// Borrow of part `p`'s slice netlist.
@@ -286,39 +159,10 @@ impl Partitioned {
         std::mem::take(&mut self.slices[p])
     }
 
-    /// The part owning `gate`, or [`UNOWNED`] for sources.
-    pub fn owner_of(&self, gate: GateId) -> u32 {
-        self.owner[gate.index()]
-    }
-
-    /// The crossings owned by part `p`, ascending by local gate id.
-    pub fn crossings(&self, p: usize) -> &[Crossing] {
-        &self.crossings[p]
-    }
-
-    /// Total number of part-crossing nets.
-    pub fn crossing_count(&self) -> usize {
-        self.crossings.iter().map(Vec::len).sum()
-    }
-
-    /// Per-local-gate export table for part `p`: the index into
-    /// [`Partitioned::crossings`]`(p)` of the gate's crossing, or
-    /// `u32::MAX`.
-    pub fn export_table(&self, p: usize) -> &[u32] {
-        &self.export_of[p]
-    }
-
-    /// Every `(part, local net)` site of a global net, ascending by
-    /// part: the owner's real net, source mirrors, and imports.
-    pub fn sites(&self, net: NetId) -> &[(u32, NetId)] {
-        &self.sites[net.index()]
-    }
-
-    /// The canonical site of a global net (owner part for gate-driven
-    /// nets, first consuming part for sources); `None` for a source net
-    /// nothing consumes.
-    pub fn home_site(&self, net: NetId) -> Option<(u32, NetId)> {
-        self.home[net.index()]
+    /// The only site of a global net: its part and its net there.
+    pub fn site(&self, net: NetId) -> (usize, NetId) {
+        let (p, ln) = self.sites[net.index()];
+        (p as usize, ln)
     }
 
     /// Maps a local net of part `p` back to its global net.
@@ -330,56 +174,53 @@ impl Partitioned {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::GateKind;
 
-    /// A two-stage handshake whose stages land in different parts, with
-    /// a feedback arc inside each stage and a source shared by both.
-    fn crossing_fixture() -> (Netlist, Vec<u32>) {
+    /// Two independent handshake stages, each with a feedback arc and
+    /// its own request input; the second also reads a constant. The
+    /// returned assignment places the first stage in part 0 and the
+    /// second, with the constant, in part 1.
+    fn two_stage_fixture() -> (Netlist, Vec<u32>) {
         let mut n = Netlist::new();
-        let req = n.input("req"); // consumed by both parts
-        let a = n.gate(GateKind::CElement, &[req, req], "a"); // part 0
-        let inv_a = n.gate(GateKind::Inv, &[a], "inv_a"); // part 0
+        let req_a = n.input("req_a");
+        let a = n.gate(GateKind::CElement, &[req_a, req_a], "a");
+        let inv_a = n.gate(GateKind::Inv, &[a], "inv_a");
         n.connect_feedback(a, inv_a);
-        let b = n.gate(GateKind::CElement, &[a, req], "b"); // part 1
-        let inv_b = n.gate(GateKind::Inv, &[b], "inv_b"); // part 1
+        let tie = n.constant(true, "tie");
+        let req_b = n.input("req_b");
+        let b = n.gate(GateKind::CElement, &[req_b, tie], "b");
+        let inv_b = n.gate(GateKind::Inv, &[b], "inv_b");
         n.connect_feedback(b, inv_b);
+        n.mark_output(inv_a);
         n.mark_output(inv_b);
         n.check().expect("fixture is well-formed");
-        let assignment = vec![0, 0, 0, 1, 1];
-        (n, assignment)
+        (n, vec![0, 0, 0, 1, 1, 1, 1])
     }
 
     #[test]
-    fn slices_preserve_structure_and_cross_net_is_indexed() {
-        let (n, assignment) = crossing_fixture();
-        let p = Partitioned::build(&n, &assignment, 2);
+    fn slices_hold_their_gates_and_map_nets_both_ways() {
+        let (n, assignment) = two_stage_fixture();
+        let p = Partitioned::build(&n, &assignment, 2).expect("no net crosses");
         assert_eq!(p.parts(), 2);
-        // Part 0: req mirror + a + inv_a. Part 1: req mirror + import
-        // of a + b + inv_b.
         assert_eq!(p.slice(0).gate_count(), 3);
         assert_eq!(p.slice(1).gate_count(), 4);
-        assert_eq!(p.crossing_count(), 1);
-        let c = &p.crossings(0)[0];
-        assert_eq!(n.net_name(c.global_net), "a");
-        assert_eq!(c.dst.len(), 1);
-        assert_eq!(c.dst[0].0, 1);
-        // The import in part 1 is an Input gate named like the net.
-        let (q, iln) = c.dst[0];
-        let imp = p.slice(q as usize).driver_of(iln).expect("import driver");
-        assert_eq!(p.slice(q as usize).gate_ref(imp).kind(), GateKind::Input);
-        assert_eq!(p.slice(q as usize).net_name(iln), "a");
-        // Global fanout of `a` counts both inv_a (part 0) and b
-        // (part 1): visible nowhere in part 0's slice alone.
-        assert!(
-            c.global_fanout_units
-                > p.slice(0)
-                    .fanout_load_units(p.slice(0).gate_ref(c.local_gate).output())
-        );
+        for net in n.iter_nets() {
+            let (part, ln) = p.site(net);
+            assert_eq!(part as u32, assignment[net.index()], "driver's part");
+            assert_eq!(p.global_net(part, ln), net);
+            assert_eq!(p.slice(part).net_name(ln), n.net_name(net));
+        }
+        let tie = p.site(n.find_net("tie").expect("tie"));
+        let tie_gate = p.slice(1).driver_of(tie.1).expect("driver");
+        assert_eq!(p.slice(1).gate_ref(tie_gate).kind(), GateKind::Const1);
+        assert_eq!(p.slice(0).outputs().len(), 1);
+        assert_eq!(p.slice(1).outputs().len(), 1);
     }
 
     #[test]
     fn feedback_arcs_are_reclosed_per_slice() {
-        let (n, assignment) = crossing_fixture();
-        let p = Partitioned::build(&n, &assignment, 2);
+        let (n, assignment) = two_stage_fixture();
+        let p = Partitioned::build(&n, &assignment, 2).expect("no net crosses");
         for part in 0..2 {
             let s = p.slice(part);
             let c_gate = s
@@ -392,34 +233,15 @@ mod tests {
                 3,
                 "2 forward inputs + 1 feedback arc"
             );
+            s.check().expect("each slice is well-formed");
         }
     }
 
     #[test]
-    fn sites_and_home_cover_sources_and_imports() {
-        let (n, assignment) = crossing_fixture();
-        let p = Partitioned::build(&n, &assignment, 2);
-        let req = n.find_net("req").expect("req");
-        let a = n.find_net("a").expect("a");
-        // req is mirrored into both parts; its home is the first.
-        assert_eq!(p.sites(req).len(), 2);
-        assert_eq!(p.home_site(req).expect("home").0, 0);
-        // a lives in part 0 and is imported into part 1.
-        assert_eq!(p.sites(a).len(), 2);
-        let (hp, hl) = p.home_site(a).expect("home");
-        assert_eq!(hp, 0);
-        assert_eq!(p.global_net(0, hl), a);
-        // Ownership: sources unowned, gates owned per the assignment.
-        assert_eq!(p.owner_of(n.driver_of(req).expect("driver")), UNOWNED);
-        assert_eq!(p.owner_of(n.driver_of(a).expect("driver")), 0);
-    }
-
-    #[test]
     fn single_part_build_reproduces_the_netlist() {
-        let (n, _) = crossing_fixture();
+        let (n, _) = two_stage_fixture();
         let assignment = vec![0; n.gate_count()];
-        let p = Partitioned::build(&n, &assignment, 1);
-        assert_eq!(p.crossing_count(), 0);
+        let p = Partitioned::build(&n, &assignment, 1).expect("one part");
         let s = p.slice(0);
         assert_eq!(s.gate_count(), n.gate_count());
         assert_eq!(s.net_count(), n.net_count());
@@ -432,10 +254,49 @@ mod tests {
     }
 
     #[test]
+    fn a_net_read_in_another_part_is_rejected() {
+        let (n, mut assignment) = two_stage_fixture();
+        // inv_a moves to part 1; `a` in part 0 reads it back first.
+        assignment[2] = 1;
+        let err = Partitioned::build(&n, &assignment, 2).expect_err("inv_a crosses");
+        assert_eq!(
+            err,
+            CrossingNet {
+                net: n.find_net("inv_a").expect("inv_a"),
+                from: 1,
+                to: 0,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("net {} is driven in part 1 but read in part 0", err.net)
+        );
+    }
+
+    #[test]
+    fn an_input_read_in_two_parts_is_rejected() {
+        let mut n = Netlist::new();
+        let req = n.input("req");
+        let a = n.gate(GateKind::Buf, &[req], "a");
+        let b = n.gate(GateKind::Inv, &[req], "b");
+        n.mark_output(a);
+        n.mark_output(b);
+        let err = Partitioned::build(&n, &[1, 1, 0], 2).expect_err("req is read in both");
+        assert_eq!(
+            err,
+            CrossingNet {
+                net: req,
+                from: 1,
+                to: 0
+            }
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "assigned to part")]
     fn out_of_range_assignment_rejected() {
-        let (n, mut assignment) = crossing_fixture();
-        assignment[2] = 7;
+        let (n, mut assignment) = two_stage_fixture();
+        assignment[3] = 7;
         let _ = Partitioned::build(&n, &assignment, 2);
     }
 }

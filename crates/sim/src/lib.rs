@@ -76,8 +76,8 @@ pub use campaign::{
 };
 pub use domain::{DomainId, PowerDomain, SupplyKind};
 pub use fnv::Fnv64;
-pub use pdes::{round_robin_assignment, PdesPartitionSpec, PdesSimulator, PdesStats};
-pub use simulator::{ActivityRecord, FiredEvent, Hazard, PdesEmission, RunStats, Simulator};
+pub use pdes::{PdesPartitionSpec, PdesSimulator, PdesStats};
+pub use simulator::{ActivityRecord, FiredEvent, Hazard, RunStats, Simulator};
 pub use sta::{longest_path, StaReport};
 pub use trace::{Trace, TraceEntry};
 pub use vcd::{to_vcd, to_vcd_with_analog, AnalogTrack};

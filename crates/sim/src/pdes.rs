@@ -1,64 +1,33 @@
-//! Conservative parallel discrete-event simulation over Vdd-domain
-//! partitions (Chandy–Misra–Bryant with lookahead).
+//! Parallel discrete-event simulation over Vdd-domain partitions that
+//! share no net.
 //!
-//! The paper's energy-modulated designs decompose into loosely-coupled
-//! power domains whose activity rates scale independently with Vdd —
-//! exactly the structure a conservative PDES exploits. Each partition
-//! is one [`Simulator`] over a [`Partitioned`] slice of the netlist;
-//! partitions step concurrently inside a synchronization *round* and
-//! exchange committed transitions on crossing nets between rounds.
+//! The paper's energy-modulated designs decompose into power domains
+//! whose activity rates scale independently with Vdd. Each partition is
+//! one [`Simulator`] over a [`Partitioned`] slice of the netlist, and
+//! [`Partitioned::build`] accepts only an assignment under which no net
+//! is driven in one partition and read in another: every partition is a
+//! union of connected components. Partitions therefore exchange no
+//! events and need no synchronization protocol.
+//! [`PdesSimulator::run_until`] hands each worker thread its stripe of
+//! partitions (`part % threads`) and runs every partition's own
+//! [`Simulator::run_until`] side by side.
 //!
-//! # The protocol
+//! # What equivalent means
 //!
-//! Every round has three barrier-separated phases, executed for each
-//! partition by the thread owning it (`part % threads`):
-//!
-//! 1. **Deliver + publish**: replay last round's cross-domain emissions
-//!    into the consuming partitions' import inputs (in `(source part,
-//!    emission order)` order — deterministic at any thread count), then
-//!    publish each partition's earliest queued event time.
-//! 2. **Floors**: every thread redundantly computes the global minimum
-//!    head `m` and the exit decision; each partition computes its
-//!    *export floor* `min(export head, m + dmin)`, where `dmin` is the
-//!    smallest delay any of its crossing gates can exhibit at the
-//!    highest rail voltage it may still see (the lookahead; ideal
-//!    constant rails are exact, capacitor rails only sag within a run).
-//! 3. **Step**: with `bound = min` of all floors, each partition pops
-//!    events with `t < bound`, plus `t == m` (the m-rule that
-//!    guarantees progress when every floor collapses onto the minimum),
-//!    and collects its emissions for the next round's phase 1.
-//!
-//! Any admitted export firing at time `τ` satisfies `τ ≥ export head ≥
-//! floor ≥ bound`, so it can only be admitted under the m-rule: `τ ==
-//! m`. In such a round `bound ≤ m`, so every other partition's clock is
-//! still `≤ m` and the delivery in the next phase 1 is never in any
-//! partition's past — the conservative correctness invariant.
-//!
-//! Because every per-partition operation and every merge is defined
-//! per-round rather than per-thread, traces, values, energies and the
-//! telemetry counters are **bit-identical at any thread count**; only
-//! wall-clock time changes. Same-timestamp firings in different
-//! partitions may interleave differently than a whole-netlist
-//! simulation orders them, which is why equivalence is pinned on
-//! [`Trace::canonical_digest`]-style `(time, net, value)`-sorted
-//! traces (sound for speed-independent circuits, whose equal-time
-//! enabled firings commute).
-//!
-//! # Caveats
-//!
-//! * Capacitor-backed domains sag per draw, so *cross-domain
-//!   equal-time* orderings can shift delays relative to a sequential
-//!   run; PDES-vs-PDES determinism still holds exactly, but
-//!   sequential-equivalence is only bit-exact on ideal constant rails.
-//! * Constant sources are mirrored into every consuming partition, so
-//!   their (tiny) leak contribution is counted once per consuming
-//!   partition rather than once globally.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+//! A partition holds its domain's gates in the same relative order as
+//! the whole netlist, and no event from outside reaches it, so it
+//! replays the history of the same domain in a sequential run with the
+//! same per-gate domain assignment. Fired counts and per-domain
+//! switching, leakage and total energy are bit-identical to that run on
+//! any supply kind — constant, time-varying or capacitor-backed. The
+//! merged trace is sorted by `(time, net, value)`, so its digest equals
+//! the sequential run's [`Trace::canonical_digest`]: equal-time firings
+//! in different partitions have no recording order to compare. Every
+//! result is bit-identical at any thread count; only wall-clock time
+//! changes.
 
 use emc_device::DeviceModel;
-use emc_netlist::{GateKind, NetId, Netlist, Partitioned};
+use emc_netlist::{CrossingNet, GateKind, NetId, Netlist, Partitioned};
 use emc_obs::Telemetry;
 use emc_units::{Joules, Seconds};
 
@@ -77,55 +46,45 @@ pub struct PdesPartitionSpec {
     pub supply: SupplyKind,
 }
 
-/// Lifetime counters of the synchronization protocol.
+/// Lifetime counters of a [`PdesSimulator`]. The two always-zero
+/// fields keep the shape of the reports that read them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PdesStats {
-    /// Synchronization rounds executed.
+    /// [`PdesSimulator::run_until`] calls in which some partition had
+    /// an event queued at or before the end time.
     pub sync_rounds: u64,
-    /// Cross-partition transitions delivered.
+    /// Always 0: partitions share no net, so no transition crosses.
     pub crossing_events: u64,
-    /// Partition-rounds that had eligible work queued but could not
-    /// admit any event under the conservative bound.
+    /// Always 0: no partition ever waits for another.
     pub stalled_epochs: u64,
 }
 
-/// A conservative parallel simulator: one [`Simulator`] per Vdd-domain
-/// partition, synchronized as described in the [module docs](self).
+/// A parallel simulator: one [`Simulator`] per Vdd-domain partition,
+/// run side by side as described in the [module docs](self).
 ///
 /// The public surface mirrors the sequential [`Simulator`] (initial
 /// values, input scheduling, watching, runs, value/energy queries) with
-/// global [`NetId`]s/[`GateId`]s; the mapping onto partition slices is
+/// global [`NetId`]s and gate ids; the mapping onto partition slices is
 /// internal.
 #[derive(Debug)]
 pub struct PdesSimulator {
     global: Netlist,
     index: Partitioned,
-    slices: Vec<Mutex<Simulator>>,
+    slices: Vec<Simulator>,
     threads: usize,
     started: bool,
-    /// Tracked value of every source net, mirroring the per-site skip
-    /// of redundant input levels; doubles as the live value for
-    /// sources no partition consumes.
-    shadow_value: Vec<bool>,
-    shadow_watched: Vec<bool>,
-    shadow_trace: Vec<TraceEntry>,
-    /// Per-net watermark: stimulus on one net must be scheduled in time
-    /// order (the broadcast-duplicate accounting depends on it).
-    sched_floor: Vec<f64>,
-    /// Scheduled source transitions that will fire at more than one
-    /// site: `(time, extra sites)`. Consumed as runs pass their times
-    /// to keep reported fired counts global.
-    pending_dups: Vec<(f64, u64)>,
-    /// Lifetime duplicate input-mirror firings already folded out.
-    consumed_dups: u64,
     stats: PdesStats,
 }
 
 impl PdesSimulator {
     /// Builds a parallel simulator over `netlist`. `specs[p]` names and
     /// powers partition `p`; `assignment[g]` is the partition of gate
-    /// `g` (entries for source gates are ignored — sources are mirrored
-    /// into consuming partitions).
+    /// `g`, sources included.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CrossingNet`] from [`Partitioned::build`] when a
+    /// gate reads a net driven in another partition.
     ///
     /// # Panics
     ///
@@ -136,55 +95,38 @@ impl PdesSimulator {
         device: DeviceModel,
         specs: &[PdesPartitionSpec],
         assignment: &[u32],
-    ) -> Self {
-        let parts = specs.len();
-        assert!(parts >= 1, "at least one partition");
+    ) -> Result<Self, CrossingNet> {
+        assert!(!specs.is_empty(), "at least one partition");
         for (i, a) in specs.iter().enumerate() {
             for b in &specs[..i] {
                 assert_ne!(a.name, b.name, "partition names must be distinct");
             }
         }
-        let mut index = Partitioned::build(&netlist, assignment, parts);
-        let mut slices = Vec::with_capacity(parts);
-        for (p, spec) in specs.iter().enumerate() {
-            let mut sim = Simulator::new(index.take_slice(p), device.clone());
-            let d = sim.add_domain(&spec.name, spec.supply.clone());
-            for i in 0..sim.netlist().gate_count() {
-                let gid = sim.netlist().gate_id(i);
-                if sim.netlist().gate_ref(gid).kind() == GateKind::Input {
-                    continue; // imports and input mirrors are domain-less
+        let mut index = Partitioned::build(&netlist, assignment, specs.len())?;
+        let slices = specs
+            .iter()
+            .enumerate()
+            .map(|(p, spec)| {
+                let mut sim = Simulator::new(index.take_slice(p), device.clone());
+                let d = sim.add_domain(&spec.name, spec.supply.clone());
+                for i in 0..sim.netlist().gate_count() {
+                    let gid = sim.netlist().gate_id(i);
+                    // Inputs are domain-less, as in a sequential run.
+                    if sim.netlist().gate_ref(gid).kind() != GateKind::Input {
+                        sim.assign_domain(gid, d);
+                    }
                 }
-                sim.assign_domain(gid, d);
-            }
-            for c in index.crossings(p) {
-                // The slice cannot see foreign consumers: present the
-                // global fanout load so delays and switching energy are
-                // bit-identical with a whole-netlist run.
-                sim.set_fanout_units_override(c.local_gate, c.global_fanout_units);
-            }
-            sim.pdes_set_exports(index.export_table(p).to_vec());
-            slices.push(Mutex::new(sim));
-        }
-        let mut shadow_value = vec![false; netlist.net_count()];
-        for (_, g) in netlist.iter_gates() {
-            if g.kind() == GateKind::Const1 {
-                shadow_value[g.output().index()] = true;
-            }
-        }
-        Self {
-            shadow_watched: vec![false; netlist.net_count()],
-            shadow_trace: Vec::new(),
-            sched_floor: vec![0.0; netlist.net_count()],
-            pending_dups: Vec::new(),
-            consumed_dups: 0,
+                sim
+            })
+            .collect();
+        Ok(Self {
             global: netlist,
             index,
             slices,
             threads: 1,
             started: false,
-            shadow_value,
             stats: PdesStats::default(),
-        }
+        })
     }
 
     /// Sets the worker thread count used by subsequent runs. Results
@@ -200,12 +142,7 @@ impl PdesSimulator {
         self.slices.len()
     }
 
-    /// Number of partition-crossing nets.
-    pub fn crossing_nets(&self) -> usize {
-        self.index.crossing_count()
-    }
-
-    /// The synchronization-protocol counters accumulated so far.
+    /// The counters accumulated so far.
     pub fn stats(&self) -> PdesStats {
         self.stats
     }
@@ -218,86 +155,40 @@ impl PdesSimulator {
     /// Enables live observability on every partition simulator.
     pub fn enable_obs(&mut self) {
         for s in &mut self.slices {
-            s.get_mut().expect("unpoisoned").enable_obs();
+            s.enable_obs();
         }
     }
 
-    /// Sets a global net's value before the simulation starts,
-    /// broadcast to every site (owner, mirrors, imports).
+    /// The simulator and local net of a global net.
+    fn site_mut(&mut self, net: NetId) -> (&mut Simulator, NetId) {
+        let (p, ln) = self.index.site(net);
+        (&mut self.slices[p], ln)
+    }
+
+    /// Sets a global net's value before the simulation starts.
     ///
     /// # Panics
     ///
     /// Panics after [`PdesSimulator::start`].
     pub fn set_initial(&mut self, net: NetId, value: bool) {
-        assert!(!self.started, "cannot set initial values after start");
-        for &(p, ln) in self.index.sites(net) {
-            self.slices[p as usize]
-                .get_mut()
-                .expect("unpoisoned")
-                .set_initial(ln, value);
-        }
-        self.shadow_value[net.index()] = value;
+        let (sim, ln) = self.site_mut(net);
+        sim.set_initial(ln, value);
     }
 
-    /// Schedules an external input transition on a global input net,
-    /// broadcast to every consuming partition's mirror.
+    /// Schedules an external input transition on a global input net.
     ///
     /// # Panics
     ///
-    /// Panics if `net` is not input-driven, `time` is in the past, or
-    /// `time` precedes a transition already scheduled on the same net
-    /// (per-net stimulus must arrive in time order — the usual driver
-    /// pattern; the duplicate-firing accounting depends on it).
+    /// Panics if `net` is not input-driven or `time` is in the past.
     pub fn schedule_input(&mut self, net: NetId, time: Seconds, value: bool) {
-        let driver = self.global.driver_of(net).expect("net has no driver");
-        assert_eq!(
-            self.global.gate_ref(driver).kind(),
-            GateKind::Input,
-            "schedule_input on a non-input net"
-        );
-        assert!(
-            time.0 >= self.sched_floor[net.index()],
-            "stimulus on one net must be scheduled in time order"
-        );
-        self.sched_floor[net.index()] = time.0;
-        // Every site skips a redundant level identically, so whether
-        // this event fires — and therefore how many duplicate mirror
-        // firings the broadcast produces — is decidable here.
-        let fires = self.shadow_value[net.index()] != value;
-        if fires {
-            self.shadow_value[net.index()] = value;
-        }
-        let sites = self.index.sites(net);
-        if sites.is_empty() {
-            // Unconsumed input: no partition will fire it, but the
-            // sequential engine does — reproduce the trace record
-            // directly.
-            if fires && self.shadow_watched[net.index()] {
-                self.shadow_trace.push(TraceEntry { time, net, value });
-            }
-            return;
-        }
-        if fires && sites.len() > 1 {
-            self.pending_dups.push((time.0, sites.len() as u64 - 1));
-        }
-        for &(p, ln) in sites {
-            self.slices[p as usize]
-                .get_mut()
-                .expect("unpoisoned")
-                .schedule_input(ln, time, value);
-        }
+        let (sim, ln) = self.site_mut(net);
+        sim.schedule_input(ln, time, value);
     }
 
-    /// Marks a global net for trace recording (at its home site, so the
-    /// merged trace holds exactly one record per transition).
+    /// Marks a global net for trace recording.
     pub fn watch(&mut self, net: NetId) {
-        match self.index.home_site(net) {
-            Some((p, ln)) => self.slices[p as usize]
-                .get_mut()
-                .expect("unpoisoned")
-                .watch(ln),
-            None => self.shadow_watched[net.index()] = true,
-        }
+        let (sim, ln) = self.site_mut(net);
+        sim.watch(ln);
     }
 
     /// Starts every partition simulator.
@@ -306,83 +197,60 @@ impl PdesSimulator {
     ///
     /// Panics on a second call.
     pub fn start(&mut self) {
-        assert!(!self.started, "start called twice");
-        self.started = true;
         for s in &mut self.slices {
-            s.get_mut().expect("unpoisoned").start();
+            s.start();
         }
+        self.started = true;
     }
 
     /// Current logic value of a global net.
     pub fn value(&self, net: NetId) -> bool {
-        match self.index.home_site(net) {
-            Some((p, ln)) => self.slices[p as usize]
-                .lock()
-                .expect("unpoisoned")
-                .value(ln),
-            None => self.shadow_value[net.index()],
-        }
+        let (p, ln) = self.index.site(net);
+        self.slices[p].value(ln)
     }
 
     /// Latest partition clock (after [`PdesSimulator::run_until`], every
     /// partition sits exactly at the bound).
     pub fn now(&self) -> Seconds {
-        let mut t = 0.0f64;
-        for s in &self.slices {
-            t = t.max(s.lock().expect("unpoisoned").now().0);
-        }
+        let t = self.slices.iter().map(|s| s.now().0).fold(0.0, f64::max);
         Seconds(t)
     }
 
     /// Total energy (switching + leakage) drawn by partition `p`.
+    /// Bit-identical to the same domain's account in a sequential run.
     pub fn energy_drawn(&self, p: usize) -> Joules {
-        let sim = self.slices[p].lock().expect("unpoisoned");
+        let sim = &self.slices[p];
         sim.energy_drawn(sim.domain_id(0))
     }
 
     /// Switching energy drawn by partition `p`. Bit-identical to the
-    /// same domain's account in a sequential run: crossing drivers see
-    /// the global fanout load via the override, and per-domain firings
-    /// happen at the same times in the same local order.
+    /// same domain's account in a sequential run.
     pub fn switching_energy(&self, p: usize) -> Joules {
-        let sim = self.slices[p].lock().expect("unpoisoned");
-        let d = sim.domain_id(0);
-        sim.domain(d).switching_energy()
+        let sim = &self.slices[p];
+        sim.domain(sim.domain_id(0)).switching_energy()
     }
 
-    /// Leakage energy drawn by partition `p`. Close to, but not
-    /// bit-identical with, a sequential run's account: constant-source
-    /// mirrors add their leak contribution per consuming partition, and
-    /// piecewise integration breakpoints differ.
+    /// Leakage energy drawn by partition `p`. Bit-identical to the same
+    /// domain's account in a sequential run.
     pub fn leakage_energy(&self, p: usize) -> Joules {
-        let sim = self.slices[p].lock().expect("unpoisoned");
-        let d = sim.domain_id(0);
-        sim.domain(d).leakage_energy()
+        let sim = &self.slices[p];
+        sim.domain(sim.domain_id(0)).leakage_energy()
     }
 
-    /// Total transitions fired, net of import-mirror replays: a
-    /// crossing transition is counted once (at its driving partition),
-    /// exactly as a whole-netlist simulation counts it.
+    /// Total transitions fired, as a whole-netlist simulation counts
+    /// them.
     pub fn total_transitions(&self) -> u64 {
-        let raw: u64 = self
-            .slices
-            .iter()
-            .map(|s| s.lock().expect("unpoisoned").total_transitions())
-            .sum();
-        raw - self.stats.crossing_events - self.consumed_dups
+        self.slices.iter().map(Simulator::total_transitions).sum()
     }
 
     /// All hazards recorded so far, with global gate ids, sorted by
     /// `(time, gate)`.
     pub fn hazards(&self) -> Vec<Hazard> {
         let mut out = Vec::new();
-        for (p, s) in self.slices.iter().enumerate() {
-            let sim = s.lock().expect("unpoisoned");
+        for (p, sim) in self.slices.iter().enumerate() {
             for h in sim.hazards() {
                 let local_out = sim.netlist().gate_ref(h.gate).output();
                 let global_net = self.index.global_net(p, local_out);
-                // Builder invariant: the driver of global net n is
-                // global gate n.
                 out.push(Hazard {
                     gate: self.global.driver_of(global_net).expect("driver"),
                     ..*h
@@ -403,16 +271,12 @@ impl PdesSimulator {
     /// comparable (and digest-equal) to a sequential run's
     /// [`Trace::canonical_digest`].
     pub fn trace(&self) -> Trace {
-        let mut all: Vec<TraceEntry> = self.shadow_trace.clone();
-        for (p, s) in self.slices.iter().enumerate() {
-            let sim = s.lock().expect("unpoisoned");
-            for e in sim.trace().entries() {
-                all.push(TraceEntry {
-                    time: e.time,
-                    net: self.index.global_net(p, e.net),
-                    value: e.value,
-                });
-            }
+        let mut all: Vec<TraceEntry> = Vec::new();
+        for (p, sim) in self.slices.iter().enumerate() {
+            all.extend(sim.trace().entries().iter().map(|e| TraceEntry {
+                net: self.index.global_net(p, e.net),
+                ..*e
+            }));
         }
         all.sort_by(|a, b| {
             a.time
@@ -429,350 +293,269 @@ impl PdesSimulator {
     }
 
     /// Merged telemetry: every partition's snapshot (domain energy
-    /// accounts, counters) plus the `sim.pdes.*` protocol counters.
+    /// accounts, counters) plus the `sim.pdes.*` counters.
     pub fn telemetry(&self) -> Telemetry {
         let mut t = Telemetry::new();
         for s in &self.slices {
-            t.merge_from(&s.lock().expect("unpoisoned").telemetry());
+            t.merge_from(&s.telemetry());
         }
-        let c = t.metrics.counter("sim.pdes.partitions");
-        t.metrics.inc(c, self.slices.len() as u64);
-        let c = t.metrics.counter("sim.pdes.crossing_nets");
-        t.metrics.inc(c, self.index.crossing_count() as u64);
-        let c = t.metrics.counter("sim.pdes.sync_rounds");
-        t.metrics.inc(c, self.stats.sync_rounds);
-        let c = t.metrics.counter("sim.pdes.crossing_events");
-        t.metrics.inc(c, self.stats.crossing_events);
-        let c = t.metrics.counter("sim.pdes.stalled_epochs");
-        t.metrics.inc(c, self.stats.stalled_epochs);
+        for (name, value) in [
+            ("sim.pdes.partitions", self.slices.len() as u64),
+            ("sim.pdes.crossing_nets", 0),
+            ("sim.pdes.sync_rounds", self.stats.sync_rounds),
+            ("sim.pdes.crossing_events", self.stats.crossing_events),
+            ("sim.pdes.stalled_epochs", self.stats.stalled_epochs),
+        ] {
+            let c = t.metrics.counter(name);
+            t.metrics.inc(c, value);
+        }
         t
     }
 
     /// Runs every partition until its queue holds nothing at or before
     /// `t_end`, then advances all partition clocks (and leakage) to
-    /// `t_end` — the parallel equivalent of [`Simulator::run_until`].
+    /// `t_end` — the parallel equivalent of [`Simulator::run_until`],
+    /// with the same fired and hazard counts.
     ///
-    /// `fired` counts global transitions: a crossing transition is
-    /// counted once at its driving partition, and the import-mirror
-    /// replay in the consumers is excluded, so the number matches a
-    /// sequential run of the same netlist.
+    /// # Panics
+    ///
+    /// Panics before [`PdesSimulator::start`].
     pub fn run_until(&mut self, t_end: Seconds) -> RunStats {
-        let hazards_before: usize = self
-            .slices
-            .iter_mut()
-            .map(|s| s.get_mut().expect("unpoisoned").hazards().len())
-            .sum();
-        let delivered_before = self.stats.crossing_events;
-        let fired = self.run_rounds(t_end.0, u64::MAX);
-        let mut stats = RunStats::default();
-        for s in &mut self.slices {
-            let sim = s.get_mut().expect("unpoisoned");
-            stats.fired += sim.run_until(t_end).fired;
-            stats.hazards += sim.hazards().len() as u64;
-        }
-        stats.fired += fired - (self.stats.crossing_events - delivered_before);
-        stats.fired -= self.consume_dups(t_end.0);
-        stats.hazards -= hazards_before as u64;
-        stats
-    }
-
-    /// Runs until global quiescence or until at least `max_events`
-    /// partition-level events fired (round-granular: the final round
-    /// completes). Returns the number of global transitions fired
-    /// (import-mirror replays excluded, as in
-    /// [`PdesSimulator::run_until`]).
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        let delivered_before = self.stats.crossing_events;
-        let fired = self.run_rounds(f64::INFINITY, max_events);
-        // Saturating: a budget exit can leave just-delivered imports or
-        // broadcast mirrors unfired, making the correction an
-        // overestimate.
-        fired
-            .saturating_sub(self.stats.crossing_events - delivered_before)
-            .saturating_sub(self.consume_dups(f64::INFINITY))
-    }
-
-    /// Folds out the duplicate input-mirror firings whose times a run
-    /// just passed, returning how many.
-    fn consume_dups(&mut self, t_end: f64) -> u64 {
-        let mut consumed = 0u64;
-        self.pending_dups.retain(|&(t, extra)| {
-            if t <= t_end {
-                consumed += extra;
-                false
-            } else {
-                true
-            }
-        });
-        self.consumed_dups += consumed;
-        consumed
-    }
-
-    /// The synchronization loop. Exits when the global minimum head
-    /// exceeds `t_end` (or everything is quiescent), or when the fired
-    /// or spin budget is exhausted.
-    fn run_rounds(&mut self, t_end: f64, max_events: u64) -> u64 {
         assert!(self.started, "run before start");
-        let parts = self.slices.len();
-        let threads = self.threads.min(parts).max(1);
-        let spin_cap = max_events.saturating_mul(1024);
-        let inf = f64::INFINITY.to_bits();
-
-        let heads: Vec<AtomicU64> = (0..parts).map(|_| AtomicU64::new(inf)).collect();
-        let floors: Vec<AtomicU64> = (0..parts).map(|_| AtomicU64::new(inf)).collect();
-        let outboxes: Vec<Mutex<Vec<crate::simulator::PdesEmission>>> =
-            (0..parts).map(|_| Mutex::new(Vec::new())).collect();
-        let fired_total = AtomicU64::new(0);
-        let spins_total = AtomicU64::new(0);
-        let rounds = AtomicU64::new(0);
-        let delivered_total = AtomicU64::new(0);
-        let stalled_total = AtomicU64::new(0);
-        let barrier = Barrier::new(threads);
-
-        let index = &self.index;
-        let slices = &self.slices;
+        if self
+            .slices
+            .iter()
+            .any(|s| s.next_event_time().is_some_and(|t| t <= t_end))
+        {
+            self.stats.sync_rounds += 1;
+        }
+        let threads = self.threads.min(self.slices.len());
+        let mut stripes: Vec<Vec<&mut Simulator>> = (0..threads).map(|_| Vec::new()).collect();
+        for (p, sim) in self.slices.iter_mut().enumerate() {
+            stripes[p % threads].push(sim);
+        }
+        let add = |a: RunStats, b: RunStats| RunStats {
+            fired: a.fired + b.fired,
+            hazards: a.hazards + b.hazards,
+        };
         std::thread::scope(|scope| {
-            for tid in 0..threads {
-                let (heads, floors, outboxes) = (&heads, &floors, &outboxes);
-                let (fired_total, spins_total) = (&fired_total, &spins_total);
-                let (rounds, delivered_total, stalled_total) =
-                    (&rounds, &delivered_total, &stalled_total);
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let owned: Vec<usize> = (tid..parts).step_by(threads).collect();
-                    loop {
-                        // Phase 1: deliver last round's emissions in
-                        // (source part, emission order) order, publish
-                        // head times.
-                        for &p in &owned {
-                            let mut sim = slices[p].lock().expect("unpoisoned");
-                            let mut delivered = 0u64;
-                            for (s, outbox) in outboxes.iter().enumerate() {
-                                if s == p {
-                                    continue; // emissions never route home
-                                }
-                                let ob = outbox.lock().expect("unpoisoned");
-                                for e in ob.iter() {
-                                    let c = &index.crossings(s)[e.export as usize];
-                                    if let Some(&(_, ln)) =
-                                        c.dst.iter().find(|&&(q, _)| q as usize == p)
-                                    {
-                                        sim.schedule_input(ln, e.time, e.value);
-                                        delivered += 1;
-                                    }
-                                }
-                            }
-                            if delivered > 0 {
-                                delivered_total.fetch_add(delivered, Ordering::Relaxed);
-                            }
-                            let head = sim.pdes_head_time().unwrap_or(f64::INFINITY);
-                            heads[p].store(head.to_bits(), Ordering::Relaxed);
-                        }
-                        barrier.wait(); // all deliveries done, heads stable
-
-                        // Phase 2: every thread redundantly computes the
-                        // same m and exit decision from data that is
-                        // stable between barriers.
-                        let m = (0..parts)
-                            .map(|p| f64::from_bits(heads[p].load(Ordering::Relaxed)))
-                            .fold(f64::INFINITY, f64::min);
-                        if m > t_end
-                            || m == f64::INFINITY
-                            || fired_total.load(Ordering::Relaxed) >= max_events
-                            || spins_total.load(Ordering::Relaxed) >= spin_cap
-                        {
-                            break; // unanimous: same inputs, same decision
-                        }
-                        if tid == 0 {
-                            rounds.fetch_add(1, Ordering::Relaxed);
-                        }
-                        for &p in &owned {
-                            let mut sim = slices[p].lock().expect("unpoisoned");
-                            let f = sim.pdes_export_floor(m);
-                            floors[p].store(f.to_bits(), Ordering::Relaxed);
-                        }
-                        barrier.wait(); // floors stable
-
-                        // Phase 3: step with the global bound, collect
-                        // emissions for the next round.
-                        let bound = (0..parts)
-                            .map(|p| f64::from_bits(floors[p].load(Ordering::Relaxed)))
-                            .fold(f64::INFINITY, f64::min);
-                        for &p in &owned {
-                            let mut sim = slices[p].lock().expect("unpoisoned");
-                            let eligible =
-                                f64::from_bits(heads[p].load(Ordering::Relaxed)) <= t_end;
-                            let (fired, spins) = sim.pdes_step_window(bound, m, t_end);
-                            if fired > 0 {
-                                fired_total.fetch_add(fired, Ordering::Relaxed);
-                            }
-                            if spins > 0 {
-                                spins_total.fetch_add(spins, Ordering::Relaxed);
-                            }
-                            if fired == 0 && spins == 0 && eligible {
-                                stalled_total.fetch_add(1, Ordering::Relaxed);
-                            }
-                            *outboxes[p].lock().expect("unpoisoned") = sim.pdes_take_outbox();
-                        }
-                        barrier.wait(); // outboxes stable for phase 1
-                    }
-                });
-            }
-        });
-
-        self.stats.sync_rounds += rounds.into_inner();
-        self.stats.crossing_events += delivered_total.into_inner();
-        self.stats.stalled_epochs += stalled_total.into_inner();
-        fired_total.into_inner()
+            let workers: Vec<_> = stripes
+                .into_iter()
+                .map(|stripe| {
+                    scope.spawn(move || {
+                        stripe
+                            .into_iter()
+                            .map(|sim| sim.run_until(t_end))
+                            .fold(RunStats::default(), add)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .fold(RunStats::default(), add)
+        })
     }
-}
-
-/// Round-robin Vdd-domain assignment helper: gate `g` goes to partition
-/// `g % parts` (sources ignored). Useful for tests that want maximal
-/// crossing stress rather than a structurally meaningful cut.
-pub fn round_robin_assignment(netlist: &Netlist, parts: usize) -> Vec<u32> {
-    (0..netlist.gate_count())
-        .map(|g| (g % parts) as u32)
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_device::DeviceModel;
     use emc_units::Waveform;
 
-    /// A gated ring oscillator (partition 0) whose output drives a
-    /// two-inverter chain (partition 1), so every ring revolution
-    /// crosses the cut.
-    fn two_stage_ring() -> (Netlist, Vec<u32>) {
+    const T_END: Seconds = Seconds(200e-9);
+
+    /// Two gated ring oscillators, each with its own enable, plus a
+    /// watched input no gate reads: ring `a` in partition 0, ring `b`
+    /// and the probe in partition 1.
+    fn two_rings() -> (Netlist, Vec<u32>) {
         let mut n = Netlist::new();
-        let en = n.input("en");
-        let g1 = n.gate(GateKind::Nand, &[en, en], "g1");
-        let g2 = n.gate(GateKind::Inv, &[g1], "g2");
-        let g3 = n.gate(GateKind::Inv, &[g2], "g3");
-        n.connect_feedback(g1, g3);
-        let b1 = n.gate(GateKind::Inv, &[g3], "b1");
-        let b2 = n.gate(GateKind::Inv, &[b1], "b2");
-        n.mark_output(b2);
+        let mut assignment = Vec::new();
+        for (p, tag) in ["a", "b"].into_iter().enumerate() {
+            let en = n.input(&format!("en_{tag}"));
+            let g1 = n.gate(GateKind::Nand, &[en, en], &format!("g1_{tag}"));
+            let g2 = n.gate(GateKind::Inv, &[g1], &format!("g2_{tag}"));
+            let g3 = n.gate(GateKind::Inv, &[g2], &format!("g3_{tag}"));
+            n.connect_feedback(g1, g3);
+            n.mark_output(g3);
+            assignment.resize(n.gate_count(), p as u32);
+        }
+        let probe = n.input("probe");
+        n.mark_output(probe);
+        assignment.push(1);
         // No check(): a gated ring is a deliberate combinational loop,
         // like the crate-level doc example.
-        (n, vec![0, 0, 0, 0, 1, 1])
+        (n, assignment)
     }
 
-    fn set_ring_initials(n: &Netlist, set: &mut dyn FnMut(NetId, bool)) {
-        // Quiescent while `en` is low (see the crate-level doc example),
-        // with the consumer chain consistent with g3 == 1.
-        set(n.find_net("g1").expect("g1"), true);
-        set(n.find_net("g3").expect("g3"), true);
-        set(n.find_net("b2").expect("b2"), true);
+    fn specs() -> Vec<PdesPartitionSpec> {
+        [("vdd0", 1.0), ("vdd1", 0.8)]
+            .map(|(name, v)| PdesPartitionSpec {
+                name: name.into(),
+                supply: SupplyKind::ideal(Waveform::constant(v)),
+            })
+            .to_vec()
     }
 
-    fn run_sequential(n: &Netlist, t_end: Seconds) -> (u64, Trace, u64) {
+    /// What both engines must agree on.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        fired: u64,
+        transitions: u64,
+        digest: u64,
+        energy: Vec<u64>,
+    }
+
+    /// Quiescent while the enables are low (see the crate-level doc
+    /// example); the stimulus then starts both rings and pulses the
+    /// probe.
+    fn drive(n: &Netlist, set: &mut dyn FnMut(NetId, bool), input: &mut dyn FnMut(NetId, f64)) {
+        let net = |name: &str| n.find_net(name).expect(name);
+        for name in ["g1_a", "g3_a", "g1_b", "g3_b"] {
+            set(net(name), true);
+        }
+        input(net("en_a"), 1e-9);
+        input(net("en_b"), 3e-9);
+        input(net("probe"), 5e-9);
+    }
+
+    fn run_sequential(n: &Netlist, assignment: &[u32]) -> (Outcome, Trace) {
         let mut sim = Simulator::new(n.clone(), DeviceModel::umc90());
-        let d0 = sim.add_domain("vdd0", SupplyKind::ideal(Waveform::constant(1.0)));
-        let d1 = sim.add_domain("vdd1", SupplyKind::ideal(Waveform::constant(0.8)));
+        let doms: Vec<_> = specs()
+            .iter()
+            .map(|s| sim.add_domain(&s.name, s.supply.clone()))
+            .collect();
         for (gid, g) in n.iter_gates() {
-            if g.kind() == GateKind::Input {
-                continue;
+            if g.kind() != GateKind::Input {
+                sim.assign_domain(gid, doms[assignment[gid.index()] as usize]);
             }
-            sim.assign_domain(gid, if gid.index() <= 3 { d0 } else { d1 });
         }
-        set_ring_initials(n, &mut |net, v| sim.set_initial(net, v));
         for net in n.iter_nets() {
             sim.watch(net);
         }
-        sim.schedule_input(n.find_net("en").expect("en"), Seconds(1e-9), true);
+        let mut inputs = Vec::new();
+        drive(n, &mut |net, v| sim.set_initial(net, v), &mut |net, t| {
+            inputs.push((net, t));
+        });
+        for (net, t) in inputs {
+            sim.schedule_input(net, Seconds(t), true);
+        }
         sim.start();
-        let stats = sim.run_until(t_end);
-        (stats.fired, sim.trace().clone(), stats.hazards)
+        let stats = sim.run_until(T_END);
+        assert_eq!(stats.hazards, 0, "SI rings stay hazard-free");
+        let outcome = Outcome {
+            fired: stats.fired,
+            transitions: sim.total_transitions(),
+            digest: sim.trace().canonical_digest(),
+            energy: doms
+                .iter()
+                .map(|&d| sim.energy_drawn(d).0.to_bits())
+                .collect(),
+        };
+        (outcome, sim.trace().clone())
     }
 
-    fn run_pdes(n: &Netlist, assignment: &[u32], threads: usize, t_end: Seconds) -> (u64, Trace) {
-        let specs = vec![
-            PdesPartitionSpec {
-                name: "vdd0".into(),
-                supply: SupplyKind::ideal(Waveform::constant(1.0)),
-            },
-            PdesPartitionSpec {
-                name: "vdd1".into(),
-                supply: SupplyKind::ideal(Waveform::constant(0.8)),
-            },
-        ];
-        let mut sim = PdesSimulator::new(n.clone(), DeviceModel::umc90(), &specs, assignment);
+    fn pdes(n: &Netlist, assignment: &[u32], threads: usize) -> PdesSimulator {
+        let mut sim = PdesSimulator::new(n.clone(), DeviceModel::umc90(), &specs(), assignment)
+            .expect("the rings share no net");
         sim.set_threads(threads);
-        set_ring_initials(n, &mut |net, v| sim.set_initial(net, v));
         for net in n.iter_nets() {
             sim.watch(net);
         }
-        sim.schedule_input(n.find_net("en").expect("en"), Seconds(1e-9), true);
+        let mut inputs = Vec::new();
+        drive(n, &mut |net, v| sim.set_initial(net, v), &mut |net, t| {
+            inputs.push((net, t));
+        });
+        for (net, t) in inputs {
+            sim.schedule_input(net, Seconds(t), true);
+        }
         sim.start();
-        let stats = sim.run_until(t_end);
-        assert_eq!(stats.hazards, 0, "SI ring must stay hazard-free");
-        (stats.fired, sim.trace())
+        sim
+    }
+
+    fn run_pdes(n: &Netlist, assignment: &[u32], threads: usize) -> (Outcome, Trace) {
+        let mut sim = pdes(n, assignment, threads);
+        let stats = sim.run_until(T_END);
+        assert_eq!(stats.hazards, 0, "SI rings stay hazard-free");
+        let trace = sim.trace();
+        let outcome = Outcome {
+            fired: stats.fired,
+            transitions: sim.total_transitions(),
+            digest: trace.digest(),
+            energy: (0..2).map(|p| sim.energy_drawn(p).0.to_bits()).collect(),
+        };
+        (outcome, trace)
     }
 
     #[test]
-    fn crossing_ring_matches_sequential_canonically() {
-        let (n, assignment) = two_stage_ring();
-        let t_end = Seconds(200e-9);
-        let (seq_fired, seq_trace, seq_hazards) = run_sequential(&n, t_end);
-        assert_eq!(seq_hazards, 0);
-        assert!(seq_fired > 20, "the ring actually oscillates");
-        let (pdes_fired, pdes_trace) = run_pdes(&n, &assignment, 1, t_end);
-        assert_eq!(seq_fired, pdes_fired);
+    fn independent_rings_match_sequential_at_any_thread_count() {
+        let (n, assignment) = two_rings();
+        let (seq, _) = run_sequential(&n, &assignment);
+        assert!(seq.fired > 40, "both rings oscillate");
+        for threads in [1, 2, 8] {
+            let (par, _) = run_pdes(&n, &assignment, threads);
+            assert_eq!(seq, par, "at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn unread_watched_input_fires_into_the_merged_trace() {
+        let (n, assignment) = two_rings();
+        let probe = n.find_net("probe").expect("probe");
+        let (_, seq) = run_sequential(&n, &assignment);
+        let (_, par) = run_pdes(&n, &assignment, 2);
+        assert_eq!(seq.for_net(probe), par.for_net(probe));
+        assert_eq!(par.rising_edges(probe), [Seconds(5e-9)]);
+    }
+
+    #[test]
+    fn crossing_cut_is_rejected() {
+        let (n, mut assignment) = two_rings();
+        // g2_a moves to partition 1: it reads g1_a across the cut.
+        assignment[2] = 1;
+        let err = PdesSimulator::new(n.clone(), DeviceModel::umc90(), &specs(), &assignment)
+            .expect_err("g1_a crosses");
         assert_eq!(
-            seq_trace.canonical_digest(),
-            pdes_trace.digest(),
-            "merged PDES trace is canonical by construction"
+            err,
+            CrossingNet {
+                net: n.find_net("g1_a").expect("g1_a"),
+                from: 0,
+                to: 1,
+            }
         );
     }
 
     #[test]
-    fn thread_count_never_changes_results() {
-        let (n, assignment) = two_stage_ring();
-        let t_end = Seconds(200e-9);
-        let (f1, t1) = run_pdes(&n, &assignment, 1, t_end);
-        let (f2, t2) = run_pdes(&n, &assignment, 2, t_end);
-        let (f8, t8) = run_pdes(&n, &assignment, 8, t_end);
-        assert_eq!(f1, f2);
-        assert_eq!(f1, f8);
-        assert_eq!(t1.digest(), t2.digest());
-        assert_eq!(t1.digest(), t8.digest());
-    }
-
-    #[test]
-    fn values_energy_and_stats_are_consistent() {
-        let (n, assignment) = two_stage_ring();
-        let specs = vec![
-            PdesPartitionSpec {
-                name: "vdd0".into(),
-                supply: SupplyKind::ideal(Waveform::constant(1.0)),
-            },
-            PdesPartitionSpec {
-                name: "vdd1".into(),
-                supply: SupplyKind::ideal(Waveform::constant(0.8)),
-            },
-        ];
-        let mut sim = PdesSimulator::new(n.clone(), DeviceModel::umc90(), &specs, &assignment);
-        set_ring_initials(&n, &mut |net, v| sim.set_initial(net, v));
-        sim.schedule_input(n.find_net("en").expect("en"), Seconds(1e-9), true);
-        sim.start();
+    fn values_clock_and_counters_are_consistent() {
+        let (n, assignment) = two_rings();
+        let mut sim = pdes(&n, &assignment, 2);
         sim.run_until(Seconds(100e-9));
+        sim.run_until(Seconds(150e-9));
         assert_eq!(sim.partitions(), 2);
-        assert_eq!(sim.crossing_nets(), 1);
-        let stats = sim.stats();
-        assert!(stats.sync_rounds > 0, "crossing design needs rounds");
-        assert!(stats.crossing_events > 0, "stage A drives stage B");
-        assert!(sim.energy_drawn(0).0 > 0.0);
-        assert!(sim.energy_drawn(1).0 > 0.0);
-        assert!(sim.total_transitions() > 0);
-        assert_eq!(sim.now(), Seconds(100e-9));
-        let t = sim.telemetry();
-        assert_eq!(t.metrics.counter_value("sim.pdes.partitions"), Some(2));
+        assert!(sim.value(n.find_net("probe").expect("probe")));
+        assert_eq!(sim.now(), Seconds(150e-9));
+        assert!(sim.energy_drawn(0).0 > 0.0 && sim.energy_drawn(1).0 > 0.0);
         assert_eq!(
-            t.metrics.counter_value("sim.pdes.crossing_events"),
-            Some(stats.crossing_events)
+            sim.energy_drawn(1),
+            sim.switching_energy(1) + sim.leakage_energy(1)
         );
+        assert_eq!(
+            sim.stats(),
+            PdesStats {
+                sync_rounds: 2,
+                crossing_events: 0,
+                stalled_epochs: 0,
+            }
+        );
+        let t = sim.telemetry();
+        for (name, value) in [
+            ("sim.pdes.partitions", 2),
+            ("sim.pdes.crossing_nets", 0),
+            ("sim.pdes.sync_rounds", 2),
+            ("sim.pdes.crossing_events", 0),
+            ("sim.pdes.stalled_epochs", 0),
+        ] {
+            assert_eq!(t.metrics.counter_value(name), Some(value), "{name}");
+        }
     }
 }

@@ -140,8 +140,7 @@ struct GateState {
     /// per evaluation, and on a constant rail every event re-asks the
     /// same question. Keyed on exact `f64` bits so the memo can never
     /// change a result; invalidated by the per-gate knobs
-    /// ([`Simulator::set_extra_load`] / [`Simulator::set_delay_scale`] /
-    /// [`Simulator::set_fanout_units_override`]).
+    /// ([`Simulator::set_extra_load`] / [`Simulator::set_delay_scale`]).
     delay_memo: Cell<(u64, f64)>,
     /// Output load, [`Simulator::output_load`], recomputed whenever one
     /// of its terms changes.
@@ -212,41 +211,6 @@ impl GateState {
     }
 }
 
-/// A committed transition on an exported (partition-crossing) gate,
-/// queued for delivery to the consuming partitions by the PDES driver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PdesEmission {
-    /// Index into the export table registered with
-    /// [`Simulator::pdes_set_exports`].
-    pub export: u32,
-    /// Absolute time of the transition.
-    pub time: Seconds,
-    /// The new output value.
-    pub value: bool,
-}
-
-/// Conservative-PDES support state, present only when this simulator is
-/// one partition of a [`crate::pdes::PdesSimulator`]. The sequential
-/// event loop pays one `Option` check per event when this is `None`.
-#[derive(Debug, Clone)]
-struct PdesHooks {
-    /// Per-gate export-table index; `u32::MAX` for non-exported gates.
-    export_of: Vec<u32>,
-    /// Dense list of exporting gate indices (for the lookahead scan).
-    export_gates: Vec<usize>,
-    /// Min-heap of `(time bits, gate, seq)` for queued events on
-    /// exporting gates. Entries are invalidated lazily: one is live iff
-    /// `pending_seq[gate]` still equals its seq.
-    export_heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
-    /// Seq of each gate's live queue entry (0 = none). Only consulted
-    /// for exporting gates, but maintained for all so the pop path
-    /// stays branch-cheap.
-    pending_seq: Vec<u64>,
-    /// Exported transitions committed since the last
-    /// [`Simulator::pdes_take_outbox`], in commit order.
-    outbox: Vec<PdesEmission>,
-}
-
 /// The discrete-event simulator. See the [crate documentation](crate) for
 /// the modelling rules.
 #[derive(Debug, Clone)]
@@ -274,17 +238,9 @@ pub struct Simulator {
     /// `(voltage bits, watts)` memo for the device leakage law (also an
     /// `exp`), shared by all domains — the key is the voltage alone.
     leak_memo: Cell<(u64, f64)>,
-    /// Per-gate fanout-load override in [`GateKind::input_load_factor`]
-    /// units; NaN = use the frozen CSR value. Set by the PDES driver on
-    /// exporting gates so a partition slice computes bit-identical
-    /// delays and switching energy to the whole-netlist simulation even
-    /// though foreign consumers are absent from the slice.
-    fanout_units_override: Vec<f64>,
     /// Live observability state; `None` (the default) keeps the event
     /// loop's only obs cost at one pointer-is-null branch per event.
     obs: Option<Box<SimObs>>,
-    /// Conservative-PDES partition hooks; `None` outside PDES runs.
-    pdes: Option<Box<PdesHooks>>,
 }
 
 /// Memo key that no rail voltage produces: a quiet-NaN bit pattern. A
@@ -345,9 +301,7 @@ impl Simulator {
             trace: Trace::new(),
             window_steps: 4096.0,
             leak_memo: Cell::new((MEMO_INVALID, 0.0)),
-            fanout_units_override: vec![f64::NAN; gates],
             obs: None,
-            pdes: None,
         };
         for g in 0..gates {
             sim.gates[g].load = sim.output_load(g);
@@ -411,8 +365,10 @@ impl Simulator {
     /// Panics if the load is negative.
     pub fn set_extra_load(&mut self, gate: GateId, load: Farads) {
         assert!(load.0 >= 0.0, "negative extra load");
-        self.extra_load[gate.index()] = load;
-        self.reload(gate.index());
+        let g = gate.index();
+        self.extra_load[g] = load;
+        self.gates[g].load = self.output_load(g);
+        self.gates[g].delay_memo.set((MEMO_INVALID, 0.0));
     }
 
     /// Multiplies one gate's delay by `scale` — the hook used for process
@@ -726,24 +682,14 @@ impl Simulator {
     }
 
     fn step_outcome(&mut self, bound: Option<f64>) -> StepOutcome {
-        self.step_outcome_admit(|t| bound.is_none_or(|b| t <= b))
-    }
-
-    fn step_outcome_admit(&mut self, admit: impl Fn(f64) -> bool) -> StepOutcome {
         loop {
             let Some(Reverse(head)) = self.queue.peek() else {
                 return StepOutcome::Exhausted;
             };
-            if !admit(head.time) {
+            if bound.is_some_and(|b| head.time > b) {
                 return StepOutcome::Exhausted;
             }
             let Reverse(ev) = self.queue.pop().expect("peeked entry vanished");
-            if let Some(h) = self.pdes.as_deref_mut() {
-                // The popped entry is no longer the gate's live event.
-                if h.pending_seq[ev.gate] == ev.seq {
-                    h.pending_seq[ev.gate] = 0;
-                }
-            }
             let g = &mut self.gates[ev.gate];
             let kind = g.kind;
             // Stale (cancelled or superseded) entries are dropped.
@@ -779,16 +725,6 @@ impl Simulator {
                 obs.telemetry
                     .metrics
                     .raise_gauge(obs.queue_high_water, depth);
-            }
-            if let Some(h) = self.pdes.as_deref_mut() {
-                let ex = h.export_of[ev.gate];
-                if ex != u32::MAX {
-                    h.outbox.push(PdesEmission {
-                        export: ex,
-                        time: Seconds(ev.time),
-                        value: ev.value,
-                    });
-                }
             }
             return StepOutcome::Fired(self.commit(ev.gate, out, ev.value, Seconds(ev.time)));
         }
@@ -847,142 +783,11 @@ impl Simulator {
         fired
     }
 
-    // ----- PDES driver hooks ----------------------------------------
-    //
-    // These methods exist for `crate::pdes::PdesSimulator`, which runs
-    // one `Simulator` per Vdd-domain slice and needs (a) conservative
-    // export-time floors for the synchronization protocol and (b) the
-    // cross-domain emissions each window produced. They are harmless
-    // (and cheap: one `Option` check) when unused.
-
-    /// Overrides the fanout load units used in [`Simulator::output_load`]
-    /// for one gate. The PDES driver sets this on domain-crossing
-    /// (exporting) gates so a partition slice — whose local CSR is
-    /// missing the foreign fanout — computes bit-identical delays and
-    /// switching energy to the global netlist.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `units` is finite and non-negative.
-    pub fn set_fanout_units_override(&mut self, gate: GateId, units: f64) {
-        assert!(
-            units.is_finite() && units >= 0.0,
-            "fanout override must be finite and non-negative"
-        );
-        self.fanout_units_override[gate.index()] = units;
-        self.reload(gate.index());
-    }
-
-    /// Installs the PDES hooks. `export_of[g]` names the export slot a
-    /// firing of gate `g` must be reported on (`u32::MAX` = not
-    /// exporting). Must be called before [`Simulator::start`] so every
-    /// queued event is tracked by the export heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics after `start`, or if `export_of` is the wrong length.
-    pub fn pdes_set_exports(&mut self, export_of: Vec<u32>) {
-        assert!(!self.started, "pdes_set_exports after start");
-        assert_eq!(export_of.len(), self.netlist.gate_count());
-        let export_gates: Vec<usize> = export_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| e != u32::MAX)
-            .map(|(i, _)| i)
-            .collect();
-        self.pdes = Some(Box::new(PdesHooks {
-            export_of,
-            export_gates,
-            export_heap: BinaryHeap::new(),
-            pending_seq: vec![0; self.netlist.gate_count()],
-            outbox: Vec::new(),
-        }));
-    }
-
-    /// Time of the earliest queued event, if any.
-    pub fn pdes_head_time(&self) -> Option<f64> {
-        self.queue.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Conservative lower bound on the time of this partition's next
-    /// *export* (domain-crossing) firing, given the global minimum head
-    /// time `m`: `min(export_head, m + dmin)` where `dmin` is the
-    /// smallest delay any exporting gate can exhibit at the highest rail
-    /// voltage it may still see (ideal-constant rails are exact;
-    /// capacitor rails only sag within a run, so "now" is the maximum).
-    /// A non-constant ideal waveform defeats lookahead, and the floor
-    /// degrades to `m` (lockstep — correct, just slow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Simulator::pdes_set_exports`] was never called.
-    pub fn pdes_export_floor(&mut self, m: f64) -> f64 {
-        let mut hooks = self.pdes.take().expect("pdes hooks not installed");
-        // Drop export-heap entries superseded by a reschedule or already
-        // popped (lazy deletion keyed on the live queue seq).
-        while let Some(&Reverse((_, g, s))) = hooks.export_heap.peek() {
-            if hooks.pending_seq[g] == s {
-                break;
-            }
-            hooks.export_heap.pop();
-        }
-        let export_head = hooks
-            .export_heap
-            .peek()
-            .map_or(f64::INFINITY, |&Reverse((t, _, _))| f64::from_bits(t));
-        let mut dmin = f64::INFINITY;
-        let mut zero_lookahead = false;
-        for &g in &hooks.export_gates {
-            let domain_id = self.gates[g].domain().expect("export gate without domain");
-            let domain = &self.domains[domain_id.0];
-            let v = match domain.kind() {
-                SupplyKind::Capacitor { .. } => domain.voltage(self.now),
-                SupplyKind::Ideal { waveform, .. } => match waveform.as_constant() {
-                    Some(v) => Volts(v),
-                    None => {
-                        zero_lookahead = true;
-                        break;
-                    }
-                },
-            };
-            let td = self.delay_at_voltage(g, v);
-            if td.0.is_finite() {
-                dmin = dmin.min(td.0);
-            }
-        }
-        self.pdes = Some(hooks);
-        if zero_lookahead {
-            return export_head.min(m);
-        }
-        export_head.min(m + dmin)
-    }
-
-    /// Takes the cross-domain emissions accumulated since the last call,
-    /// in firing order. Empty (not a panic) when hooks are not installed.
-    pub fn pdes_take_outbox(&mut self) -> Vec<PdesEmission> {
-        match self.pdes.as_deref_mut() {
-            Some(h) => std::mem::take(&mut h.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Runs one conservative PDES window: pops events while their time
-    /// is strictly below `bound` (and within `t_end`), or exactly equal
-    /// to the global minimum head `m` (the m-rule that guarantees
-    /// progress when every floor collapses onto the minimum). Returns
-    /// `(fired, spins)` where spins counts integration-window
-    /// progressions, so the driver can bound stalled supplies.
-    pub fn pdes_step_window(&mut self, bound: f64, m: f64, t_end: f64) -> (u64, u64) {
-        let mut fired = 0u64;
-        let mut spins = 0u64;
-        loop {
-            match self.step_outcome_admit(|t| (t < bound && t <= t_end) || t == m) {
-                StepOutcome::Fired(_) => fired += 1,
-                StepOutcome::Progressed => spins += 1,
-                StepOutcome::Exhausted => break,
-            }
-        }
-        (fired, spins)
+    /// Time of the earliest queued event, if any. A queued event may
+    /// turn out stale when popped, so this is a lower bound on the next
+    /// firing.
+    pub fn next_event_time(&self) -> Option<Seconds> {
+        self.queue.peek().map(|Reverse(e)| Seconds(e.time))
     }
 
     // ----- internals ------------------------------------------------
@@ -1022,20 +827,8 @@ impl Simulator {
     fn output_load(&self, gate: usize) -> Farads {
         let g = self.netlist.gate_ref(self.netlist.gate_id(gate));
         let p = self.device.params();
-        let over = self.fanout_units_override[gate];
-        let fanout_units = if over.is_nan() {
-            self.netlist.fanout_load_units(g.output())
-        } else {
-            over
-        };
+        let fanout_units = self.netlist.fanout_load_units(g.output());
         Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * fanout_units + self.extra_load[gate].0)
-    }
-
-    /// Refreshes a gate's cached output load after one of its terms
-    /// changed, and drops its delay memo.
-    fn reload(&mut self, gate: usize) {
-        self.gates[gate].load = self.output_load(gate);
-        self.gates[gate].delay_memo.set((MEMO_INVALID, 0.0));
     }
 
     /// Constant-supply delay of `gate` at rail voltage `v`, memoised on
@@ -1145,9 +938,6 @@ impl Simulator {
                 value,
                 stalled: true,
             }));
-            if let Some(h) = self.pdes.as_deref_mut() {
-                h.pending_seq[gate] = 0;
-            }
             return;
         }
         self.gates[gate].set_pending(Some(Pending {
@@ -1169,13 +959,6 @@ impl Simulator {
             progress,
             complete,
         };
-        if let Some(h) = self.pdes.as_deref_mut() {
-            h.pending_seq[gate] = ev.seq;
-            if h.export_of[gate] != u32::MAX {
-                h.export_heap
-                    .push(Reverse((ev.time.to_bits(), gate, ev.seq)));
-            }
-        }
         self.push_event(ev);
     }
 
