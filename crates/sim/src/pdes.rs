@@ -366,8 +366,10 @@ mod tests {
     const T_END: Seconds = Seconds(200e-9);
 
     /// Two gated ring oscillators, each with its own enable, plus a
-    /// watched input no gate reads: ring `a` in partition 0, ring `b`
-    /// and the probe in partition 1.
+    /// watched input no gate reads: ring `a` and the probe in partition
+    /// 0, ring `b` in partition 1. The probe is the highest net but
+    /// fires with `en_b`, so only a merge sorted by net puts `en_b`
+    /// first.
     fn two_rings() -> (Netlist, Vec<u32>) {
         let mut n = Netlist::new();
         let mut assignment = Vec::new();
@@ -382,7 +384,7 @@ mod tests {
         }
         let probe = n.input("probe");
         n.mark_output(probe);
-        assignment.push(1);
+        assignment.push(0);
         // No check(): a gated ring is a deliberate combinational loop,
         // like the crate-level doc example.
         (n, assignment)
@@ -407,7 +409,7 @@ mod tests {
     }
 
     /// Quiescent while the enables are low (see the crate-level doc
-    /// example); the stimulus then starts both rings and pulses the
+    /// example); the stimulus then starts both rings and raises the
     /// probe.
     fn drive(n: &Netlist, set: &mut dyn FnMut(NetId, bool), input: &mut dyn FnMut(NetId, f64)) {
         let net = |name: &str| n.find_net(name).expect(name);
@@ -416,7 +418,7 @@ mod tests {
         }
         input(net("en_a"), 1e-9);
         input(net("en_b"), 3e-9);
-        input(net("probe"), 5e-9);
+        input(net("probe"), 3e-9);
     }
 
     fn run_sequential(n: &Netlist, assignment: &[u32]) -> (Outcome, Trace) {
@@ -505,7 +507,7 @@ mod tests {
         let (_, seq) = run_sequential(&n, &assignment);
         let (_, par) = run_pdes(&n, &assignment, 2);
         assert_eq!(seq.for_net(probe), par.for_net(probe));
-        assert_eq!(par.rising_edges(probe), [Seconds(5e-9)]);
+        assert_eq!(par.rising_edges(probe), [Seconds(3e-9)]);
     }
 
     #[test]
