@@ -29,6 +29,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use emc_core::{PowerGame, TaskBid};
+use emc_obs::export::{json_number, json_string};
 use emc_obs::Telemetry;
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
 use emc_sim::Fnv64;
@@ -271,8 +272,9 @@ impl FleetReport {
 
     /// Renders the report as deterministic JSON: no wall-clock, no
     /// float formatting surprises (energies are printed as exact
-    /// femtojoule integers and rates as bit-exact shortest-round-trip
-    /// floats).
+    /// femtojoule integers, rates through [`json_number`] as bit-exact
+    /// shortest-round-trip floats, `null` if not finite, and names
+    /// through [`json_string`]).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"nodes\": {},\n", self.nodes));
@@ -280,7 +282,10 @@ impl FleetReport {
         s.push_str(&format!("  \"epoch_ns\": {},\n", self.epoch));
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!("  \"shards\": {},\n", self.shards));
-        s.push_str(&format!("  \"topology\": \"{}\",\n", self.topology));
+        s.push_str(&format!(
+            "  \"topology\": {},\n",
+            json_string(self.topology)
+        ));
         s.push_str(&format!("  \"wakes\": {},\n", self.wakes));
         s.push_str(&format!("  \"deliveries\": {},\n", self.deliveries));
         s.push_str(&format!("  \"inflight\": {},\n", self.inflight));
@@ -305,12 +310,12 @@ impl FleetReport {
         s.push_str("  \"classes\": [\n");
         for (i, c) in self.classes.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"nodes\": {}, \"expected\": {}, \"completed\": {}, \"qos\": {}}}{}\n",
-                c.name,
+                "    {{\"name\": {}, \"nodes\": {}, \"expected\": {}, \"completed\": {}, \"qos\": {}}}{}\n",
+                json_string(c.name),
                 c.nodes,
                 c.expected,
                 c.completed,
-                c.qos(),
+                json_number(c.qos()),
                 if i + 1 < self.classes.len() { "," } else { "" }
             ));
         }
@@ -320,7 +325,7 @@ impl FleetReport {
             s.push_str(&format!(
                 "    {{\"epoch\": {}, \"budget_w\": {}, \"quotas\": [{}, {}, {}]}}{}\n",
                 r.epoch,
-                r.budget_w,
+                json_number(r.budget_w),
                 r.quotas[0],
                 r.quotas[1],
                 r.quotas[2],
@@ -332,7 +337,10 @@ impl FleetReport {
             ));
         }
         s.push_str("  ],\n");
-        s.push_str(&format!("  \"digest\": \"{:016x}\"\n", self.digest));
+        s.push_str(&format!(
+            "  \"digest\": {}\n",
+            json_string(&format!("{:016x}", self.digest))
+        ));
         s.push_str("}\n");
         s
     }
@@ -673,5 +681,18 @@ mod tests {
         // Same config → byte-identical JSON.
         let again = run_fleet(&smoke_config(30), 1);
         assert_eq!(json, again.to_json());
+    }
+
+    #[test]
+    fn json_floats_stay_json_when_not_finite() {
+        let mut report = run_fleet(&smoke_config(30), 1);
+        report.epoch_rows[0].budget_w = f64::NAN;
+        report.epoch_rows[1].budget_w = f64::INFINITY;
+        let json = report.to_json();
+        assert!(!json.contains("NaN") && !json.contains(": inf"), "{json}");
+        assert!(json.contains("\"epoch\": 0, \"budget_w\": null,"), "{json}");
+        assert!(json.contains("\"epoch\": 1, \"budget_w\": null,"), "{json}");
+        // A QoS of exactly 1 prints as a float.
+        assert!(json.contains("\"qos\": 1.0}"), "{json}");
     }
 }

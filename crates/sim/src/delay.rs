@@ -44,7 +44,9 @@ pub enum Completion {
 ///
 /// # Panics
 ///
-/// Panics if `max_step` is not strictly positive or `horizon < t0`.
+/// Panics if `max_step` is not strictly positive or `horizon < t0`, and,
+/// in every build, if `td_at` returns NaN or a negative delay (the
+/// message names the sample time).
 pub fn completion_time(
     t0: Seconds,
     td_at: impl Fn(Seconds) -> Seconds,
@@ -57,10 +59,18 @@ pub fn completion_time(
     let mut work = 0.0_f64;
     while t < horizon.0 {
         let td = td_at(Seconds(t)).0;
-        if td.is_infinite() || td <= 0.0 && td.is_nan() {
-            // Stalled: skip forward one step without accumulating work.
-            t += max_step.0;
-            continue;
+        // One test keeps finite delays on the fast path: their bit
+        // patterns (sign clear) lie below +∞'s, and those of +∞, NaN and
+        // negative delays do not.
+        if td.to_bits() >= f64::INFINITY.to_bits() {
+            if td == f64::INFINITY {
+                // Stalled: skip forward one step without accumulating work.
+                t += max_step.0;
+                continue;
+            }
+            if td.is_nan() || td < 0.0 {
+                bad_delay(td, t);
+            }
         }
         debug_assert!(td > 0.0, "delay must be positive, got {td}");
         let remaining = (1.0 - work) * td;
@@ -79,6 +89,14 @@ pub fn completion_time(
     Completion::StalledUntilHorizon {
         progress: work.min(1.0 - f64::EPSILON),
     }
+}
+
+/// The panic for a NaN or negative delay sample, kept off the
+/// integration loop's path.
+#[cold]
+#[inline(never)]
+fn bad_delay(td: f64, t: f64) -> ! {
+    panic!("delay sample at t = {t} s is {td}: not a positive delay or +inf")
 }
 
 #[cfg(test)]
@@ -172,6 +190,21 @@ mod tests {
     #[should_panic(expected = "horizon precedes")]
     fn horizon_before_start_panics() {
         let _ = completion_time(S(1.0), |_| S(1.0), S(0.1), S(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "delay sample at t = 0.5 s is NaN")]
+    fn nan_delay_sample_panics_with_its_time() {
+        // A NaN sample must not integrate NaN work until the horizon,
+        // in release builds as in debug ones.
+        let td = |t: Seconds| if t.0 < 0.5 { S(1e3) } else { S(f64::NAN) };
+        let _ = completion_time(S(0.0), td, S(0.25), S(10.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "is -1: not a positive delay")]
+    fn negative_delay_sample_panics() {
+        let _ = completion_time(S(0.0), |_| S(-1.0), S(0.25), S(10.0));
     }
 
     #[test]

@@ -79,6 +79,30 @@ impl State {
         *w = *w & !(1 << (i % 64)) | u64::from(v) << (i % 64);
     }
 
+    /// The `len` bits from bit `i` up, bit `i` lowest. They must lie in
+    /// one word: `i % 64 + len <= 64`, `len >= 1`.
+    #[inline]
+    pub(crate) fn bits(&self, i: usize, len: usize) -> u64 {
+        debug_assert!(
+            len >= 1 && i % 64 + len <= 64,
+            "bits {i}+{len} cross a word"
+        );
+        self.words[i / 64] >> (i % 64) & u64::MAX >> (64 - len)
+    }
+
+    /// Sets the `len` bits from bit `i` up to the low bits of `v` (the
+    /// rest of `v` is ignored), within one word like [`State::bits`].
+    #[inline]
+    pub(crate) fn set_bits(&mut self, i: usize, len: usize, v: u64) {
+        debug_assert!(
+            len >= 1 && i % 64 + len <= 64,
+            "bits {i}+{len} cross a word"
+        );
+        let mask = u64::MAX >> (64 - len) << (i % 64);
+        let w = &mut self.words[i / 64];
+        *w = *w & !mask | v << (i % 64) & mask;
+    }
+
     /// The positions of `gate`'s pending-present and pending-target bits.
     #[inline]
     fn pending_bits(&self, gate: GateId) -> (usize, usize) {
@@ -649,6 +673,7 @@ impl<'a> Explorer<'a> {
         let mut reduced_states = 0u64;
         let mut proviso_expansions = 0u64;
         let mut skipped_transitions = 0u64;
+        let mut canonical_rewrites = 0u64;
 
         if !capped {
             if let (Some(e), Some(sc)) = (engine, rsc.as_mut()) {
@@ -779,7 +804,9 @@ impl<'a> Explorer<'a> {
                     // All checks ran on the raw successor; store its
                     // canonical representative.
                     if let (Some(e), Some(sc)) = (engine, rsc.as_mut()) {
-                        e.canonicalize(sc, &mut next);
+                        if e.canonicalize(sc, &mut next) {
+                            canonical_rewrites += 1;
+                        }
                     }
                     if let Err(slot) = store.find(&next) {
                         if store.len() >= self.state_cap {
@@ -829,6 +856,8 @@ impl<'a> Explorer<'a> {
                 o.t.metrics.inc(c, sc.cache_hits);
                 let c = o.t.metrics.counter("verify.reduce.select_cache_misses");
                 o.t.metrics.inc(c, sc.cache_misses);
+                let c = o.t.metrics.counter("verify.reduce.canonical_rewrites");
+                o.t.metrics.inc(c, canonical_rewrites);
             }
         }
         ExploreOutcome {

@@ -83,7 +83,9 @@ pub use emc_analyze::{
 };
 pub use explore::{EnvAction, EnvView, Environment, ExploreOutcome, Explorer, State, Transition};
 pub use powerclock::{check_power_clock, PhaseEvent};
-pub use reduce::{orbit_commutation_check, select_cache_check, EnvFootprint, EnvPart};
+pub use reduce::{
+    canonical_key_check, orbit_commutation_check, select_cache_check, EnvFootprint, EnvPart,
+};
 
 /// A circuit closed by its environment, ready for verification.
 pub struct Circuit<'a> {

@@ -48,7 +48,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use emc_analyze::{detect_orbits, discover_rail_pairs, may_interfere_matrix, Interference, Orbits};
-use emc_netlist::{GateId, NetId, Netlist};
+use emc_netlist::{GateId, GateKind, NetId, Netlist};
 
 use crate::explore::{Explorer, State, Transition, WordTable};
 
@@ -120,12 +120,103 @@ fn bit_set(words: &mut [u64], i: usize) -> bool {
 /// One validated orbit group: `members[m][k]` is the `(net, gate)` slot
 /// at aligned position `k` of member `m`; `members[0]` belongs to the
 /// representative.
+///
+/// Members are ordered by a key of `key_words` words, compared as a
+/// slice. Bit `i` of the full key is bit `i % 64` of word `i / 64`, and
+/// slot `k` holds bits `3k..3k + 3`: its net's value, then its gate's
+/// pending-present and pending-target bits. Only `Toggle` and `Dff`
+/// gates ever arm, so a level gate's pending bits are zero in every
+/// state; the compact key drops them and packs the rest down within
+/// their word, keeping their order. Two keys' first differing word and
+/// its most significant differing bit are then the same bit as in the
+/// full keys, so every comparison is the full key's.
 pub(crate) struct ValidGroup {
     pub(crate) members: Vec<Vec<(NetId, GateId)>>,
-    /// Member `m`'s canonicalization key, as state bit positions: slot
-    /// `k`'s value, pending-present and pending-target bits at
-    /// `bits[3 * (m * slots + k)..][..3]`.
-    bits: Vec<usize>,
+    key_words: usize,
+    /// Member `m`'s compact key as runs of consecutive state bits:
+    /// `runs[starts[m]..starts[m + 1]]`.
+    runs: Vec<KeyRun>,
+    starts: Vec<usize>,
+}
+
+/// `len` consecutive state bits from bit `src`, at bits `dst..dst + len`
+/// of key word `word`. A run never crosses a state word.
+#[derive(Debug, Clone, Copy)]
+struct KeyRun {
+    src: usize,
+    len: usize,
+    word: usize,
+    dst: usize,
+}
+
+impl ValidGroup {
+    /// Compiles the members' compact keys (see [`ValidGroup`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two members' gates differ in kind at some slot.
+    fn new(members: Vec<Vec<(NetId, GateId)>>, netlist: &Netlist, layout: &State) -> Self {
+        let kind = |g: GateId| netlist.gate_ref(g).kind();
+        let rep = &members[0];
+        for member in &members[1..] {
+            assert!(
+                member.len() == rep.len()
+                    && member
+                        .iter()
+                        .zip(rep)
+                        .all(|(&(_, g), &(_, r))| kind(g) == kind(r)),
+                "orbit members differ in gate kinds"
+            );
+        }
+        let key_words = (3 * rep.len()).div_ceil(WORD);
+        let mut runs: Vec<KeyRun> = Vec::new();
+        let mut starts = vec![0];
+        for member in &members {
+            let first = runs.len();
+            let mut fill = vec![0; key_words];
+            for (k, &(net, gate)) in member.iter().enumerate() {
+                let kept = if matches!(kind(rep[k].1), GateKind::Toggle | GateKind::Dff) {
+                    3
+                } else {
+                    1
+                };
+                for (j, src) in layout
+                    .slot_bits(net, gate)
+                    .into_iter()
+                    .enumerate()
+                    .take(kept)
+                {
+                    let word = (3 * k + j) / WORD;
+                    let dst = fill[word];
+                    fill[word] += 1;
+                    match runs[first..].last_mut() {
+                        Some(r) if r.word == word && r.src + r.len == src && src % WORD != 0 => {
+                            r.len += 1;
+                        }
+                        _ => runs.push(KeyRun {
+                            src,
+                            len: 1,
+                            word,
+                            dst,
+                        }),
+                    }
+                }
+            }
+            starts.push(runs.len());
+        }
+        Self {
+            members,
+            key_words,
+            runs,
+            starts,
+        }
+    }
+
+    /// Member `m`'s key runs.
+    #[inline]
+    fn runs(&self, m: usize) -> &[KeyRun] {
+        &self.runs[self.starts[m]..self.starts[m + 1]]
+    }
 }
 
 /// Per-exploration scratch for [`ReductionEngine`] queries, so the BFS
@@ -195,8 +286,7 @@ impl ReductionEngine {
         }
         let inter = may_interfere_matrix(netlist, &pairs);
         let orbits = detect_orbits(netlist, &pairs);
-        let layout = State::empty(nets, gates, 0);
-        let groups = validate_groups(&orbits, initial, &footprint.parts, &layout);
+        let groups = validate_groups(netlist, &orbits, initial, &footprint.parts);
 
         let parts = footprint.parts.clone();
         let npart = parts.len();
@@ -558,18 +648,12 @@ impl ReductionEngine {
         let mut moved = false;
         for group in &self.groups {
             let m = group.members.len();
-            let per = group.bits.len() / m;
-            let kw = per.div_ceil(WORD);
+            let kw = group.key_words;
+            sc.keys.clear();
             sc.keys.resize(m * kw, 0);
-            for (key, bits) in sc
-                .keys
-                .chunks_exact_mut(kw)
-                .zip(group.bits.chunks_exact(per))
-            {
-                for (word, bits) in key.iter_mut().zip(bits.chunks(WORD)) {
-                    *word = (0..)
-                        .zip(bits)
-                        .fold(0, |w, (i, &b)| w | u64::from(s.bit(b)) << i);
+            for (i, key) in sc.keys.chunks_exact_mut(kw).enumerate() {
+                for r in group.runs(i) {
+                    key[r.word] |= s.bits(r.src, r.len) << r.dst;
                 }
             }
             let key = |i: usize| &sc.keys[i * kw..(i + 1) * kw];
@@ -584,8 +668,8 @@ impl ReductionEngine {
             for (j, &src) in sc.order.iter().enumerate() {
                 if src != j {
                     let key = key(src);
-                    for (i, &b) in group.bits[j * per..(j + 1) * per].iter().enumerate() {
-                        s.set_bit(b, bit_get(key, i));
+                    for r in group.runs(j) {
+                        s.set_bits(r.src, r.len, key[r.word] >> r.dst);
                     }
                 }
             }
@@ -597,11 +681,12 @@ impl ReductionEngine {
 /// Validates orbit groups against the dynamic side (initial overrides
 /// and environment parts); only fully symmetric groups survive.
 fn validate_groups(
+    netlist: &Netlist,
     orbits: &Orbits,
     initial: &[(NetId, bool)],
     parts: &[EnvPart],
-    layout: &State,
 ) -> Vec<ValidGroup> {
+    let layout = State::empty(netlist.net_count(), netlist.gate_count(), 0);
     let mut init: HashMap<NetId, bool> = HashMap::new();
     for &(n, v) in initial {
         init.insert(n, v); // later overrides win, like the explorer
@@ -699,12 +784,7 @@ fn validate_groups(
                     .collect()
             })
             .collect();
-        let bits = members
-            .iter()
-            .flatten()
-            .flat_map(|&(net, gate)| layout.slot_bits(net, gate))
-            .collect();
-        out.push(ValidGroup { members, bits });
+        out.push(ValidGroup::new(members, netlist, &layout));
     }
     out
 }
@@ -797,6 +877,76 @@ pub fn select_cache_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<us
         }
         Ok(())
     })
+}
+
+/// Walks the **unreduced** reachable graph of `circuit` (up to `cap`
+/// states) and checks that canonicalizing each state through the
+/// compact orbit keys gives the same words, and the same "moved"
+/// answer, as a per-bit reference whose keys hold all three bits of
+/// every slot. Returns the number of states checked (0 when the circuit
+/// has no validated symmetry).
+pub fn canonical_key_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<usize, String> {
+    let footprint = circuit.footprint.clone().unwrap_or_default();
+    let Some(engine) = ReductionEngine::build(&circuit.netlist, &circuit.initial, &footprint)
+    else {
+        return Ok(0);
+    };
+    if engine.groups.is_empty() {
+        return Ok(0);
+    }
+    let ex = Explorer::new(&circuit.netlist, &circuit.env, &circuit.initial, cap);
+    let mut sc = engine.scratch();
+    walk_unreduced(&ex, cap, |s, _, _| {
+        let mut got = s.clone();
+        let got_moved = engine.canonicalize(&mut sc, &mut got);
+        let mut want = s.clone();
+        let want_moved = canonicalize_per_bit(&engine.groups, &mut want);
+        if got_moved != want_moved || got != want {
+            return Err(format!(
+                "compact keys canonicalize {s:?} to {got:?} (moved: {got_moved}), \
+                 the per-bit reference to {want:?} (moved: {want_moved})"
+            ));
+        }
+        Ok(())
+    })
+}
+
+/// The reference for [`canonical_key_check`]: sorts each group's members
+/// by the full key of [`ValidGroup`], gathered and written one bit at a
+/// time.
+fn canonicalize_per_bit(groups: &[ValidGroup], s: &mut State) -> bool {
+    let mut moved = false;
+    for group in groups {
+        let bits: Vec<Vec<usize>> = group
+            .members
+            .iter()
+            .map(|m| m.iter().flat_map(|&(n, g)| s.slot_bits(n, g)).collect())
+            .collect();
+        let keys: Vec<Vec<u64>> = bits
+            .iter()
+            .map(|b| {
+                b.chunks(WORD)
+                    .map(|c| {
+                        (0..)
+                            .zip(c)
+                            .fold(0, |w, (i, &b)| w | u64::from(s.bit(b)) << i)
+                    })
+                    .collect()
+            })
+            .collect();
+        if keys.is_sorted() {
+            continue;
+        }
+        moved = true;
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        for (j, &src) in order.iter().enumerate() {
+            for (i, &b) in bits[j].iter().enumerate() {
+                s.set_bit(b, bit_get(&keys[src], i));
+            }
+        }
+    }
+    moved
 }
 
 /// Checks one transposition (member 0 ↔ member `other`) at one state.
@@ -893,7 +1043,7 @@ mod tests {
     use super::*;
     use crate::explore::{EnvAction, Environment};
     use crate::{Circuit, Verifier};
-    use emc_netlist::{GateKind, Netlist};
+    use emc_netlist::{GateKind, NetId, Netlist};
 
     /// Two independent two-buffer chains, each closed by its own
     /// completion-aware part — symmetric, hazard-free, and reducible.
@@ -907,6 +1057,29 @@ mod tests {
             nl.mark_output(c);
             ends.push((a, c));
         }
+        close_chains("twin", nl, ends)
+    }
+
+    /// [`twin_chains`] with its nets created round-robin across the
+    /// chains, so no two nets of one chain are adjacent in the state.
+    fn twin_chains_interleaved() -> Circuit<'static> {
+        let mut nl = Netlist::new();
+        let a: Vec<NetId> = (0..2).map(|i| nl.input(&format!("r{i}.a"))).collect();
+        let b: Vec<NetId> = (0..2)
+            .map(|i| nl.gate(GateKind::Buf, &[a[i]], &format!("r{i}.b")))
+            .collect();
+        let c: Vec<NetId> = (0..2)
+            .map(|i| nl.gate(GateKind::Buf, &[b[i]], &format!("r{i}.c")))
+            .collect();
+        for &n in &c {
+            nl.mark_output(n);
+        }
+        close_chains("twin-interleaved", nl, a.into_iter().zip(c).collect())
+    }
+
+    /// Closes each `(input, end)` chain with a part that flips the input
+    /// once the end has caught up with it.
+    fn close_chains(name: &str, nl: Netlist, ends: Vec<(NetId, NetId)>) -> Circuit<'static> {
         let moved = ends.clone();
         let env = Environment {
             initial: 0,
@@ -934,7 +1107,62 @@ mod tests {
                 tag: 7,
             })
             .collect();
-        Circuit::new("twin", nl, env).with_footprint(EnvFootprint::new(parts))
+        Circuit::new(name, nl, env).with_footprint(EnvFootprint::new(parts))
+    }
+
+    /// Two independent toggle stages, so the orbit members carry pending
+    /// events. Stage `i` is `q = Toggle(a)` and `y = Xor(q, r)`; its part
+    /// sets `r` to the value `q` should toggle to, raises `a` to arm the
+    /// toggle, and lowers `a` once `q` has reached `r`, each only after
+    /// `y` has settled. No second edge can reach an armed toggle, so the
+    /// stages are hazard-free.
+    fn twin_toggles() -> Circuit<'static> {
+        let mut nl = Netlist::new();
+        let mut stages = Vec::new();
+        for i in 0..2 {
+            let a = nl.input(&format!("t{i}.a"));
+            let r = nl.input(&format!("t{i}.r"));
+            let q = nl.gate(GateKind::Toggle, &[a], &format!("t{i}.q"));
+            let y = nl.gate(GateKind::Xor, &[q, r], &format!("t{i}.y"));
+            nl.mark_output(y);
+            stages.push((a, r, q, y));
+        }
+        let moved = stages.clone();
+        let env = Environment {
+            initial: 0,
+            step: Box::new(move |_, v| {
+                let mut acts = Vec::new();
+                for &(a, r, q, y) in &moved {
+                    let done = v.value(q) == v.value(r);
+                    if v.value(y) == done {
+                        continue; // `y` has not settled yet
+                    }
+                    let (net, value) = match (v.value(a), done) {
+                        (false, true) => (r, !v.value(q)),
+                        (false, false) => (a, true),
+                        (true, true) => (a, false),
+                        (true, false) => continue, // armed, not fired yet
+                    };
+                    acts.push(EnvAction {
+                        net,
+                        value,
+                        next: 0,
+                    });
+                }
+                acts
+            }),
+        };
+        let parts = stages
+            .iter()
+            .map(|&(a, r, q, y)| EnvPart {
+                reads: vec![a, r, q, y],
+                drives: vec![a, r],
+                uses_quiescence: false,
+                stateful: false,
+                tag: 9,
+            })
+            .collect();
+        Circuit::new("twin-toggles", nl, env).with_footprint(EnvFootprint::new(parts))
     }
 
     fn verdict(c: &Circuit<'_>, reduce: bool) -> (Vec<&'static str>, bool, bool, usize) {
@@ -1127,5 +1355,91 @@ mod tests {
         let before = t.clone();
         assert!(!engine.canonicalize(&mut sc, &mut t));
         assert_eq!(before, t);
+    }
+
+    #[test]
+    fn compact_keys_match_the_per_bit_reference() {
+        // (circuit, runs per member key): a chain's three adjacent nets
+        // form one run, an interleaved chain's nets three, and a toggle
+        // stage keeps the toggle's two pending bits, so its key reads
+        // the nets of a, r and q, then the two pending bits, then y's.
+        for (c, runs) in [
+            (twin_chains(), 1),
+            (twin_chains_interleaved(), 3),
+            (twin_toggles(), 4),
+        ] {
+            let fp = c.footprint.clone().expect("footprint");
+            let engine = ReductionEngine::build(&c.netlist, &c.initial, &fp).expect("engine");
+            assert_eq!(engine.groups.len(), 1, "{}", c.name);
+            let group = &engine.groups[0];
+            for m in 0..group.members.len() {
+                assert_eq!(group.runs(m).len(), runs, "{} member {m}", c.name);
+            }
+            match canonical_key_check(&c, 10_000) {
+                Ok(checked) => assert!(checked > 0, "{}: no state checked", c.name),
+                Err(e) => panic!("{}: {e}", c.name),
+            }
+            let (rules_f, clean_f, exh_f, states_f) = verdict(&c, false);
+            let (rules_r, clean_r, exh_r, states_r) = verdict(&c, true);
+            assert_eq!(
+                (&rules_f, clean_f, exh_f),
+                (&rules_r, clean_r, exh_r),
+                "{}",
+                c.name
+            );
+            assert!(clean_f && exh_f, "{}: {rules_f:?}", c.name);
+            assert!(states_r < states_f, "{}: {states_r} vs {states_f}", c.name);
+        }
+    }
+
+    #[test]
+    fn toggle_keys_keep_the_pending_planes() {
+        let c = twin_toggles();
+        let fp = c.footprint.clone().expect("footprint");
+        let engine = ReductionEngine::build(&c.netlist, &c.initial, &fp).expect("engine");
+        let mut sc = engine.scratch();
+        let ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10);
+        let net = |n: &str| c.netlist.find_net(n).expect("net");
+        let gate = |n: &str| c.netlist.driver_of(net(n)).expect("driver");
+        // Both toggles armed, the stages' nets equal, the targets
+        // opposite: only the pending planes tell the members apart, and
+        // stage 0's higher target sorts it after stage 1.
+        let mut s = ex.initial_state();
+        for i in 0..2 {
+            for n in ["a", "r", "y"] {
+                s.set_value(net(&format!("t{i}.{n}")), true);
+            }
+        }
+        s.set_pending(gate("t0.q"), Some(true));
+        s.set_pending(gate("t1.q"), Some(false));
+        let mut t = s.clone();
+        let mut want = s.clone();
+        assert!(engine.canonicalize(&mut sc, &mut t));
+        assert!(canonicalize_per_bit(&engine.groups, &mut want));
+        assert_eq!(t, want);
+        assert_eq!(t.pending(gate("t0.q")), Some(false));
+        assert_eq!(t.pending(gate("t1.q")), Some(true));
+    }
+
+    #[test]
+    fn canonical_rewrites_count_the_moved_successors() {
+        let rewrites = |c: &Circuit<'_>, reduce: bool| {
+            let mut ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10_000);
+            if reduce {
+                ex = ex.with_reduction(c.footprint.as_ref().expect("footprint"));
+            }
+            let (_, t) = ex.explore_with_telemetry();
+            t.metrics.counter_value("verify.reduce.canonical_rewrites")
+        };
+        // The reduced walk of the twin chains stores 14 states. Three
+        // successors come out with chain 0 ahead of chain 1 and are
+        // swapped: chain 0's first input flip, and both firings from the
+        // state where each chain waits on its last buffer, chain 0's to
+        // rise and chain 1's to fall.
+        let c = twin_chains();
+        assert_eq!(verdict(&c, true).3, 14);
+        assert_eq!(rewrites(&c, true), Some(3));
+        // Unreduced telemetry does not carry the counter.
+        assert_eq!(rewrites(&c, false), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Soundness and equivalence gates for the static-analysis engine
 //! (`emc-analyze`) and the reductions it powers in the verifier.
 //!
-//! Four properties are pinned here, over the built-in suite and the
+//! Five properties are pinned here, over the built-in suite and the
 //! generator's pinned corpus seeds:
 //!
 //! 1. **Independence soundness** — the static may-interfere relation is
@@ -19,13 +19,18 @@
 //! 4. **Selection caching** — the stubborn set an exploration answers
 //!    from its per-run cache equals a fresh computation at every state
 //!    ([`emc_verify::select_cache_check`]).
+//! 5. **Compact orbit keys** — canonicalizing a state through the
+//!    compiled orbit keys gives the same state as keying every slot bit
+//!    by bit ([`emc_verify::canonical_key_check`]).
 
 use std::collections::{HashSet, VecDeque};
 
 use emc_analyze::{discover_rail_pairs, may_interfere_matrix};
 use emc_gen::{GenBounds, Plan};
 use emc_verify::builtin::builtin_suite;
-use emc_verify::{orbit_commutation_check, select_cache_check, Circuit, Explorer, Verifier};
+use emc_verify::{
+    canonical_key_check, orbit_commutation_check, select_cache_check, Circuit, Explorer, Verifier,
+};
 
 /// The exemplar corpus seeds pinned in `crates/gen/tests/fixtures/`
 /// (one per generator family).
@@ -235,4 +240,28 @@ fn cached_selection_matches_fresh_on_array_and_corpus() {
             Err(e) => panic!("{}: cached selection diverged: {e}", c.name),
         }
     }
+}
+
+#[test]
+fn compact_orbit_keys_match_the_per_bit_reference() {
+    // The arrays are where the keys matter: one group of 2, 3 or 6
+    // rows. In the 6x2 array the last row's nets 55-65 straddle the
+    // first state word, so its key is read in two runs.
+    let arrays = [(2, 2), (3, 2), (6, 2)]
+        .map(|(rows, cols)| emc_gen::pipelined_array(rows, cols, "sa").verify_circuit());
+    let mut symmetric = 0;
+    for c in builtin_suite(false)
+        .into_iter()
+        .chain(corpus_circuits())
+        .chain(arrays)
+    {
+        match canonical_key_check(&c, 50_000) {
+            Ok(checked) => symmetric += usize::from(checked > 0),
+            Err(e) => panic!("{}: compact keys diverged: {e}", c.name),
+        }
+    }
+    assert!(
+        symmetric >= 4,
+        "only {symmetric} circuits had a symmetry to check"
+    );
 }
