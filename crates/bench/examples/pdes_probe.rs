@@ -1,7 +1,7 @@
 //! Micro-probe for the PDES benchmark rig: builds an R×C WCHB array and
 //! times the build, the sequential-oracle setup, and the driven run in
 //! isolation, so build-path and event-kernel regressions can be told
-//! apart without a full `emc-perf` sweep. (This probe is how the
+//! apart without a full benchmark run. (This probe is how the
 //! quadratic `Netlist::mark_output` was isolated: build time at
 //! 512×500 was 156 s before the fix, ~1 s after, while the event
 //! kernel was healthy all along.)

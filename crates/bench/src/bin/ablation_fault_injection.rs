@@ -50,7 +50,11 @@ struct Injection {
     victim: usize,
 }
 
-fn build(bundled: bool) -> (Netlist, Box<dyn Fn(&mut Simulator) -> (Vec<u64>, bool)>) {
+/// Sends the fixed word sequence through a built design: the words
+/// received and whether the transfer completed.
+type Transfer = Box<dyn Fn(&mut Simulator) -> (Vec<u64>, bool)>;
+
+fn build(bundled: bool) -> (Netlist, Transfer) {
     let words = [2u64, 1, 3, 2, 0, 3];
     let mut nl = Netlist::new();
     if bundled {
@@ -75,7 +79,7 @@ fn build(bundled: bool) -> (Netlist, Box<dyn Fn(&mut Simulator) -> (Vec<u64>, bo
 }
 
 fn main() {
-    let args = CampaignArgs::parse(0xab1a_710);
+    let args = CampaignArgs::parse(0x0ab1_a710);
     let words = [2u64, 1, 3, 2, 0, 3];
 
     // Enumerate the injection matrix: every non-source gate of each

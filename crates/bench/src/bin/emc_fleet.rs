@@ -12,17 +12,22 @@
 //! once at a fixed worker count instead.
 //!
 //! Flags:
-//! * `--nodes N` (default 10000), `--epochs N` (default 50)
+//! * `--nodes N` (default 10000), `--epochs N` (default 50), each at
+//!   least 1
 //! * `--topology ring|grid|clustered` (default ring)
 //! * `--seed N` (default 2011), `--threads N` (0 = available)
 //! * `--drought FROM:UNTIL:FACTOR` — throttle every harvester to
-//!   FACTOR between those epochs (the EXPERIMENTS.md QoS sweep)
+//!   FACTOR, in `[0, 1]`, from epoch FROM until epoch UNTIL ≥ FROM (the
+//!   EXPERIMENTS.md QoS sweep)
 //! * `--smoke` — tiny fleet, sparse calibration (tier-1 gate)
 //! * `--json` — print the full deterministic report JSON
 //! * `--out PATH` — also write the JSON to a file
 //!
-//! Flag errors are panics, like the other campaign binaries.
+//! A bad command line exits 2 with a usage line, before any work.
 
+use std::num::{NonZeroU32, NonZeroU64};
+
+use emc_bench::cli::{Flags, UsageError};
 use emc_fleet::{run_fleet, CalibDepth, DroughtSpec, FleetConfig, FleetReport, TopologyKind};
 
 struct Args {
@@ -37,7 +42,11 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, UsageError> {
+    let mut flags = Flags::from_env(
+        "[--nodes N] [--epochs N] [--topology ring|grid|clustered] [--seed S] [--threads N] \
+         [--drought FROM:UNTIL:FACTOR] [--smoke] [--json] [--out PATH]",
+    )?;
     let mut args = Args {
         nodes: 10_000,
         epochs: 50,
@@ -49,50 +58,51 @@ fn parse_args() -> Args {
         json: false,
         out: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => {
-                let v = it.next().expect("--nodes needs a value");
-                args.nodes = v.parse().expect("--nodes must be a u32");
-            }
-            "--epochs" => {
-                let v = it.next().expect("--epochs needs a value");
-                args.epochs = v.parse().expect("--epochs must be a u64");
-            }
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--nodes" => args.nodes = flags.value::<NonZeroU32>(&flag)?.get(),
+            "--epochs" => args.epochs = flags.value::<NonZeroU64>(&flag)?.get(),
             "--topology" => {
-                let v = it.next().expect("--topology needs a value");
-                args.topology = TopologyKind::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown topology {v} (ring|grid|clustered)"));
+                let v: String = flags.value(&flag)?;
+                args.topology = TopologyKind::parse(&v).ok_or_else(|| {
+                    flags.error(format!(
+                        "--topology {v:?}: expected ring, grid or clustered"
+                    ))
+                })?;
             }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                args.seed = v.parse().expect("--seed must be a u64");
-            }
-            "--threads" => {
-                let v = it.next().expect("--threads needs a value");
-                args.threads = Some(v.parse().expect("--threads must be a usize"));
-            }
+            "--seed" => args.seed = flags.value(&flag)?,
+            "--threads" => args.threads = Some(flags.value(&flag)?),
             "--drought" => {
-                let v = it.next().expect("--drought needs FROM:UNTIL:FACTOR");
-                let parts: Vec<&str> = v.split(':').collect();
-                assert_eq!(parts.len(), 3, "--drought takes FROM:UNTIL:FACTOR");
-                args.drought = Some(DroughtSpec {
-                    from_epoch: parts[0].parse().expect("drought FROM must be a u64"),
-                    until_epoch: parts[1].parse().expect("drought UNTIL must be a u64"),
-                    factor: parts[2].parse().expect("drought FACTOR must be an f64"),
-                });
+                let v: String = flags.value(&flag)?;
+                args.drought = Some(parse_drought(&v).ok_or_else(|| {
+                    flags.error(format!(
+                        "--drought {v:?}: expected FROM:UNTIL:FACTOR with epochs \
+                         FROM <= UNTIL and FACTOR in [0, 1]"
+                    ))
+                })?);
             }
             "--smoke" => args.smoke = true,
             "--json" => args.json = true,
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            other => panic!(
-                "unknown flag {other} (try --nodes, --epochs, --topology, --seed, \
-                 --threads, --drought, --smoke, --json, --out)"
-            ),
+            "--out" => args.out = Some(flags.value(&flag)?),
+            _ => return Err(flags.unknown(&flag)),
         }
     }
-    args
+    Ok(args)
+}
+
+/// `FROM:UNTIL:FACTOR`, with `FROM <= UNTIL` and `FACTOR` in `[0, 1]`
+/// (the range [`DroughtSpec::factor`] documents).
+fn parse_drought(v: &str) -> Option<DroughtSpec> {
+    let mut parts = v.split(':');
+    let spec = DroughtSpec {
+        from_epoch: parts.next()?.parse().ok()?,
+        until_epoch: parts.next()?.parse().ok()?,
+        factor: parts.next()?.parse().ok()?,
+    };
+    let valid = parts.next().is_none()
+        && spec.from_epoch <= spec.until_epoch
+        && (0.0..=1.0).contains(&spec.factor);
+    valid.then_some(spec)
 }
 
 fn print_summary(report: &FleetReport) {
@@ -135,7 +145,7 @@ fn print_summary(report: &FleetReport) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| e.exit());
     let (nodes, epochs, calib) = if args.smoke {
         (400, 6, CalibDepth::Smoke)
     } else {

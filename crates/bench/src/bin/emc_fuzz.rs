@@ -33,11 +33,12 @@
 //! Flags: `--smoke` (small generation bounds and budgets, for the
 //! tier-1 gate), `--seeds N` (default 32), `--seed BASE` (default
 //! 2011), `--import DIR` (mutate an existing corpus instead of
-//! generating), `--out PATH` (also write the report to a file). Flag
-//! errors are panics, like the other campaign binaries.
+//! generating), `--out PATH` (also write the report to a file). A bad
+//! command line exits 2 with a usage line; a failed check exits 1.
 
 use std::sync::Mutex;
 
+use emc_bench::cli::{Flags, UsageError};
 use emc_gen::{check_generated, shrink, CheckOptions, GenBounds, Plan};
 use emc_prng::{Rng, SplitMix64, StdRng};
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
@@ -46,11 +47,14 @@ struct Args {
     smoke: bool,
     seeds: usize,
     seed: u64,
-    import: Option<String>,
+    /// `--import DIR`: the directory and its `.emcnet` files.
+    import: Option<(String, Vec<(String, String)>)>,
     out: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, UsageError> {
+    let mut flags =
+        Flags::from_env("[--smoke] [--seeds N] [--seed BASE] [--import DIR] [--out PATH]")?;
     let mut args = Args {
         smoke: false,
         seeds: 32,
@@ -58,26 +62,22 @@ fn parse_args() -> Args {
         import: None,
         out: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
             "--smoke" => args.smoke = true,
-            "--seeds" => {
-                let v = it.next().expect("--seeds needs a value");
-                args.seeds = v.parse().expect("--seeds must be a usize");
+            "--seeds" => args.seeds = flags.value(&flag)?,
+            "--seed" => args.seed = flags.value(&flag)?,
+            "--import" => {
+                let dir: String = flags.value(&flag)?;
+                let files =
+                    read_corpus(&dir).map_err(|e| flags.error(format!("--import {dir:?}: {e}")))?;
+                args.import = Some((dir, files));
             }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                args.seed = v.parse().expect("--seed must be a u64");
-            }
-            "--import" => args.import = Some(it.next().expect("--import needs a directory")),
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            other => {
-                panic!("unknown flag {other} (try --smoke, --seeds, --seed, --import, --out)")
-            }
+            "--out" => args.out = Some(flags.value(&flag)?),
+            _ => return Err(flags.unknown(&flag)),
         }
     }
-    args
+    Ok(args)
 }
 
 fn bounds_and_options(smoke: bool) -> (GenBounds, CheckOptions) {
@@ -262,26 +262,32 @@ fn import_oracle(text: &str) -> ImportOutcome {
     }
 }
 
-/// The `--import` entry point: corpus-mutation fuzzing over every
-/// `.emcnet` file in `dir`, thread-sweep asserted like the generative
-/// mode. Exits non-zero after writing the mutant on failure.
-fn run_import(args: &Args, dir: &str) {
-    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("cannot read --import dir {dir}: {e}"))
-        .filter_map(|entry| {
-            let path = entry.expect("readable directory entry").path();
-            let name = path.file_name()?.to_str()?.to_string();
-            if path.extension()? != "emcnet" {
-                return None;
-            }
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-            Some((name, text))
-        })
-        .collect();
+/// Every `.emcnet` file in `dir` as `(file name, text)`, sorted by
+/// name; an error if the directory or a file cannot be read, or if it
+/// holds no `.emcnet` file.
+fn read_corpus(dir: &str) -> Result<Vec<(String, String)>, String> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        if path.extension().is_some_and(|e| e == "emcnet") {
+            let text = std::fs::read_to_string(&path).map_err(|e| format!("{name}: {e}"))?;
+            files.push((name.to_string(), text));
+        }
+    }
+    if files.is_empty() {
+        return Err("no .emcnet files".to_string());
+    }
     files.sort();
-    assert!(!files.is_empty(), "no .emcnet files under {dir}");
+    Ok(files)
+}
 
+/// The `--import` entry point: corpus-mutation fuzzing over the
+/// `.emcnet` `files` read from `dir`, thread-sweep asserted like the
+/// generative mode. Exits non-zero after writing the mutant on failure.
+fn run_import(args: &Args, dir: &str, files: &[(String, String)]) {
     println!(
         "== emc-fuzz — corpus mutation ({} files from {dir}, {} seeds, base {}) ==",
         files.len(),
@@ -415,9 +421,9 @@ fn run_import(args: &Args, dir: &str) {
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some(dir) = args.import.clone() {
-        run_import(&args, &dir);
+    let args = parse_args().unwrap_or_else(|e| e.exit());
+    if let Some((dir, files)) = &args.import {
+        run_import(&args, dir, files);
         return;
     }
     let (bounds, opts) = bounds_and_options(args.smoke);

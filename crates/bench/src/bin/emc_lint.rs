@@ -16,11 +16,13 @@
 //! * `--json` emits one JSON object per circuit (a JSON array on
 //!   stdout) and nothing else, for tooling.
 //!
-//! Exit status is non-zero if any speed-independent built-in circuit
-//! reports an error (or an unexpected warning), or if a known-bad
-//! fixture fails to reproduce its golden rule set — so the binary is
-//! its own regression test in both tiers.
+//! Exit status is 1 if any speed-independent built-in circuit reports
+//! an error (or an unexpected warning), or if a known-bad fixture fails
+//! to reproduce its golden rule set — so the binary is its own
+//! regression test in both tiers. A bad command line exits 2 with a
+//! usage line.
 
+use emc_bench::cli::{Flags, UsageError};
 use emc_bench::print_campaign_summary;
 use emc_sim::campaign::CampaignConfig;
 use emc_verify::builtin::{broken_suite, builtin_suite};
@@ -34,7 +36,8 @@ struct Args {
     json: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, UsageError> {
+    let mut flags = Flags::from_env("[--smoke] [--static] [--threads N] [--seed S] [--json]")?;
     let mut out = Args {
         smoke: false,
         static_tier: false,
@@ -42,28 +45,17 @@ fn parse_args() -> Args {
         seed: 2011,
         json: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
             "--smoke" => out.smoke = true,
             "--static" => out.static_tier = true,
             "--json" => out.json = true,
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                out.threads = v.parse().expect("--threads takes an integer");
-            }
-            "--seed" => {
-                let v = args.next().expect("--seed needs a value");
-                out.seed = v.parse().expect("--seed takes a u64");
-            }
-            other => {
-                panic!(
-                    "unknown flag {other:?}; usage: [--smoke] [--static] [--threads N] [--seed S] [--json]"
-                )
-            }
+            "--threads" => out.threads = flags.value(&flag)?,
+            "--seed" => out.seed = flags.value(&flag)?,
+            _ => return Err(flags.unknown(&flag)),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Pinned static rule sets for the named circuits the `--static` tier
@@ -235,7 +227,7 @@ fn check(report: &Report, expect: &Expect) -> Result<(), String> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| e.exit());
     if args.static_tier {
         run_static(&args);
     }

@@ -1,8 +1,8 @@
 //! `emc-stats` — run an instrumented scenario and export its telemetry.
 //!
-//! The observability counterpart of `emc-perf`: where `emc-perf` times
-//! the hot kernels, `emc-stats` runs them with the [`emc_obs`] layer
-//! enabled and renders the resulting [`Telemetry`] bundle. Because
+//! Runs the workspace's kernels with the [`emc_obs`] layer enabled and
+//! renders the resulting [`Telemetry`] bundle (timing them is
+//! `perfbench`'s job). Because
 //! telemetry is a pure function of workload + seed, the exported bytes
 //! are **identical at any `--threads` count** — the integration test
 //! `stats_determinism` pins this by diffing `--threads 1/2/8` output.
@@ -30,11 +30,12 @@
 //! Output: a human summary by default, or exactly one of `--json`
 //! (JSONL), `--chrome-trace` (trace-event JSON) or `--prom` (Prometheus
 //! text). `--out PATH` writes the export to a file instead of stdout.
-//! `--smoke` shrinks every workload for the tier-1 gate. Flag errors
-//! panic, like the other campaign binaries.
+//! `--smoke` shrinks every workload for the tier-1 gate. A bad command
+//! line, an unknown scenario included, exits 2 with a usage line.
 
 use emc_altlogic::{AdiabaticPipeline, ChargeRecoveryMemory};
 use emc_async::{SelfTimedOscillator, ToggleRippleCounter};
+use emc_bench::cli::{Flags, UsageError};
 use emc_bench::{drive_array, pdes_array, pdes_parallel};
 use emc_device::{AdiabaticModel, DeviceModel};
 use emc_netlist::{GateKind, Netlist};
@@ -51,7 +52,9 @@ use emc_units::{Farads, Hertz, Seconds, Volts, Watts, Waveform};
 use emc_verify::builtin::builtin_suite;
 use emc_verify::Explorer;
 
-/// The self-timed counter rig of `emc-perf`, with observability on.
+/// The self-timed oscillator and 8-bit ripple counter (the circuit of
+/// `perfbench`'s `ac_counter`, here on a constant 1 V rail), with
+/// observability on.
 fn scenario_sim(smoke: bool) -> Telemetry {
     let mut nl = Netlist::new();
     let osc = SelfTimedOscillator::build(&mut nl, "osc");
@@ -142,8 +145,9 @@ fn scenario_chain(smoke: bool) -> Telemetry {
     chain.telemetry()
 }
 
-/// One campaign job: the ring-oscillator burst rig of `emc-perf`, with
-/// observability enabled so the run carries a telemetry bundle.
+/// One campaign job: a three-gate ring oscillator gated by a seeded
+/// burst of enable edges, with observability enabled so the run carries
+/// a telemetry bundle.
 fn campaign_worker(vdd: &f64, ctx: &RunContext) -> RunReport {
     let mut nl = Netlist::new();
     let en = nl.input("en");
@@ -222,6 +226,12 @@ fn scenario_altlogic(smoke: bool) -> Telemetry {
     t
 }
 
+/// The scenarios `--scenario` takes, besides `all`, in the order `all`
+/// merges them.
+const SCENARIOS: [&str; 8] = [
+    "sim", "verify", "sram", "sensor", "chain", "campaign", "pdes", "altlogic",
+];
+
 fn run_scenario(name: &str, smoke: bool, threads: usize, seed: u64) -> Telemetry {
     match name {
         "sim" => scenario_sim(smoke),
@@ -232,23 +242,15 @@ fn run_scenario(name: &str, smoke: bool, threads: usize, seed: u64) -> Telemetry
         "campaign" => scenario_campaign(smoke, threads, seed),
         "pdes" => scenario_pdes(smoke, threads),
         "altlogic" => scenario_altlogic(smoke),
-        "all" => {
-            let mut t = scenario_sim(smoke);
-            t.merge_from(&scenario_verify(smoke));
-            t.merge_from(&scenario_sram(smoke, seed));
-            t.merge_from(&scenario_sensor(smoke));
-            t.merge_from(&scenario_chain(smoke));
-            t.merge_from(&scenario_campaign(smoke, threads, seed));
-            t.merge_from(&scenario_pdes(smoke, threads));
-            t.merge_from(&scenario_altlogic(smoke));
-            t
-        }
-        other => {
-            panic!(
-                "unknown scenario {other:?} (sim, verify, sram, sensor, chain, campaign, pdes, \
-                 altlogic, all)"
-            )
-        }
+        "all" => SCENARIOS
+            .iter()
+            .map(|s| run_scenario(s, smoke, threads, seed))
+            .reduce(|mut t, next| {
+                t.merge_from(&next);
+                t
+            })
+            .expect("SCENARIOS is not empty"),
+        other => unreachable!("scenario {other:?} passed parse_args"),
     }
 }
 
@@ -312,7 +314,11 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, UsageError> {
+    let mut flags = Flags::from_env(
+        "[--smoke] [--scenario NAME] [--threads N] [--seed S] \
+         [--json | --chrome-trace | --prom] [--out PATH]",
+    )?;
     let mut args = Args {
         smoke: false,
         scenario: "all".to_owned(),
@@ -321,43 +327,40 @@ fn parse_args() -> Args {
         format: Format::Summary,
         out: None,
     };
-    let set_format = |args: &mut Args, f: Format| {
-        assert!(
-            args.format == Format::Summary,
-            "--json, --chrome-trace and --prom are mutually exclusive"
-        );
+    let set_format = |args: &mut Args, flags: &Flags, f: Format| {
+        if args.format != Format::Summary {
+            return Err(flags.error("--json, --chrome-trace and --prom are mutually exclusive"));
+        }
         args.format = f;
+        Ok(())
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
             "--smoke" => args.smoke = true,
-            "--json" => set_format(&mut args, Format::Jsonl),
-            "--chrome-trace" => set_format(&mut args, Format::ChromeTrace),
-            "--prom" => set_format(&mut args, Format::Prometheus),
+            "--json" => set_format(&mut args, &flags, Format::Jsonl)?,
+            "--chrome-trace" => set_format(&mut args, &flags, Format::ChromeTrace)?,
+            "--prom" => set_format(&mut args, &flags, Format::Prometheus)?,
             "--scenario" => {
-                args.scenario = it.next().expect("--scenario needs a name");
+                args.scenario = flags.value(&flag)?;
+                if args.scenario != "all" && !SCENARIOS.contains(&args.scenario.as_str()) {
+                    return Err(flags.error(format!(
+                        "--scenario {:?}: expected all or one of {}",
+                        args.scenario,
+                        SCENARIOS.join(", ")
+                    )));
+                }
             }
-            "--threads" => {
-                let v = it.next().expect("--threads needs a value");
-                args.threads = v.parse().expect("--threads takes an integer");
-            }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                args.seed = v.parse().expect("--seed takes a u64");
-            }
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            other => panic!(
-                "unknown flag {other} (try --smoke, --scenario, --threads, --seed, \
-                 --json, --chrome-trace, --prom, --out)"
-            ),
+            "--threads" => args.threads = flags.value(&flag)?,
+            "--seed" => args.seed = flags.value(&flag)?,
+            "--out" => args.out = Some(flags.value(&flag)?),
+            _ => return Err(flags.unknown(&flag)),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| e.exit());
     let t = run_scenario(&args.scenario, args.smoke, args.threads, args.seed);
     assert!(
         !t.metrics.is_empty() || !t.energy.is_empty(),

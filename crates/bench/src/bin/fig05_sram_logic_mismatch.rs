@@ -11,7 +11,7 @@ use emc_sim::campaign::{run_campaign, RunReport};
 use emc_units::Volts;
 
 fn main() {
-    let args = CampaignArgs::parse(0xf15_05);
+    let args = CampaignArgs::parse(0x000f_1505);
     let cal = SramLogicCalibration::solve(DeviceModel::umc90());
 
     let (lo, hi) = (0.15, 1.0);

@@ -12,7 +12,7 @@ use emc_sram::{Sram, SramConfig};
 use emc_units::{Seconds, Waveform};
 
 fn main() {
-    let args = CampaignArgs::parse(0xf15_07);
+    let args = CampaignArgs::parse(0x000f_1507);
     let mut sram = Sram::new(SramConfig::paper_1kbit());
     // The supply ramps 0.25 V → 1.0 V at t = 30 µs.
     let supply = Waveform::pwl([

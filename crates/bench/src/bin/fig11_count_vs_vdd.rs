@@ -10,7 +10,7 @@ use emc_sim::campaign::{run_campaign, RunReport};
 use emc_units::{Farads, Volts};
 
 fn main() {
-    let args = CampaignArgs::parse(0xf15_11);
+    let args = CampaignArgs::parse(0x000f_1511);
     let adc = ChargeToDigitalConverter::new(Farads(2e-12), 14);
 
     let (lo, hi) = (0.3, 1.1);

@@ -18,6 +18,7 @@
 
 use emc_sim::campaign::{CampaignConfig, CampaignReport};
 
+use crate::cli::{Flags, UsageError};
 use crate::Series;
 
 /// Parsed command-line contract of a campaign-backed figure binary.
@@ -32,41 +33,33 @@ pub struct CampaignArgs {
 }
 
 impl CampaignArgs {
-    /// Parses `std::env::args` with `default_seed` as the campaign seed
-    /// unless `--seed` overrides it.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown or malformed flags —
-    /// these are figure binaries, not a public CLI, so fail loudly.
+    /// The flag synopsis on the usage line.
+    const SYNOPSIS: &'static str = "[--smoke] [--threads N] [--seed S]";
+
+    /// Parses the process arguments with `default_seed` as the campaign seed
+    /// unless `--seed` overrides it. A bad command line exits with
+    /// status 2 and a usage line naming the binary (see [`crate::cli`]).
     pub fn parse(default_seed: u64) -> Self {
-        Self::from_iter(std::env::args().skip(1), default_seed)
+        Flags::from_env(Self::SYNOPSIS)
+            .and_then(|flags| Self::from_flags(flags, default_seed))
+            .unwrap_or_else(|e| e.exit())
     }
 
-    fn from_iter(args: impl Iterator<Item = String>, default_seed: u64) -> Self {
+    fn from_flags(mut flags: Flags, default_seed: u64) -> Result<Self, UsageError> {
         let mut out = Self {
             smoke: false,
             threads: 0,
             seed: default_seed,
         };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
                 "--smoke" => out.smoke = true,
-                "--threads" => {
-                    let v = args.next().expect("--threads needs a value");
-                    out.threads = v.parse().expect("--threads takes an integer");
-                }
-                "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    out.seed = v.parse().expect("--seed takes a u64");
-                }
-                other => {
-                    panic!("unknown flag {other:?}; usage: [--smoke] [--threads N] [--seed S]")
-                }
+                "--threads" => out.threads = flags.value(&flag)?,
+                "--seed" => out.seed = flags.value(&flag)?,
+                _ => return Err(flags.unknown(&flag)),
             }
         }
-        out
+        Ok(out)
     }
 
     /// The engine config these args describe.
@@ -114,13 +107,18 @@ mod tests {
     use super::*;
     use emc_sim::campaign::{run_campaign, RunReport};
 
-    fn parse(words: &[&str]) -> CampaignArgs {
-        CampaignArgs::from_iter(words.iter().map(|s| (*s).to_owned()), 42)
+    fn parse(words: &[&str]) -> Result<CampaignArgs, UsageError> {
+        let flags = Flags::new(
+            "fig",
+            CampaignArgs::SYNOPSIS,
+            words.iter().map(|s| (*s).to_owned()),
+        );
+        CampaignArgs::from_flags(flags, 42)
     }
 
     #[test]
     fn defaults_and_flags() {
-        let a = parse(&[]);
+        let a = parse(&[]).unwrap();
         assert_eq!(
             a,
             CampaignArgs {
@@ -129,7 +127,7 @@ mod tests {
                 seed: 42
             }
         );
-        let a = parse(&["--smoke", "--threads", "8", "--seed", "7"]);
+        let a = parse(&["--smoke", "--threads", "8", "--seed", "7"]).unwrap();
         assert_eq!(
             a,
             CampaignArgs {
@@ -140,13 +138,14 @@ mod tests {
         );
         assert_eq!(a.config(), CampaignConfig::new(7).threads(8));
         assert_eq!(a.points(20, 4), 4);
-        assert_eq!(parse(&[]).points(20, 4), 20);
+        assert_eq!(parse(&[]).unwrap().points(20, 4), 20);
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
     fn rejects_unknown_flags() {
-        parse(&["--frobnicate"]);
+        let e = parse(&["--frobnicate"]).unwrap_err();
+        assert_eq!(e.message, "unknown flag \"--frobnicate\"");
+        assert_eq!(e.usage, "fig [--smoke] [--threads N] [--seed S]");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Shared plumbing for the figure-regeneration binaries and benches.
+//! Shared plumbing for the figure-regeneration binaries and the `emc-*`
+//! check tools.
 //!
 //! Every `fig*`/`ablation*` binary in `src/bin/` regenerates one figure
 //! or result of *Energy-modulated computing* (see `DESIGN.md` §3 for the
@@ -10,7 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod harness;
+pub mod cli;
 pub mod pdes_rig;
 
 pub use campaign::{campaign_series, print_campaign_summary, CampaignArgs};

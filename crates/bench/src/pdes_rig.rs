@@ -3,11 +3,12 @@
 //! share no net, plus the deterministic reactive driver that pumps
 //! tokens through every row at a fixed cadence.
 //!
-//! `emc-perf` times this rig three ways — sequentially on one
-//! [`Simulator`] and in parallel on a [`PdesSimulator`] at several
-//! thread counts — and asserts the canonical trace digests agree;
-//! `emc-stats` runs the same rig with observability enabled to export
-//! the `sim.pdes.*` telemetry.
+//! `perfbench`'s `wchb_array` workload times this rig sequentially on
+//! one [`Simulator`] and in parallel on a [`PdesSimulator`] and checks
+//! that the canonical trace digests agree; `tests/golden_equivalence.rs`
+//! pins the digests of a deep-queue instance, and `emc-stats` runs the
+//! same rig with observability enabled to export the `sim.pdes.*`
+//! telemetry.
 //!
 //! The driver is *stateless and symmetric*: at each tick it reads the
 //! row's protocol nets from whichever engine it is driving and injects
@@ -122,7 +123,7 @@ pub fn pdes_sequential(rig: &PdesArray) -> Simulator {
 
 /// A started parallel simulator over the rig at `threads` worker
 /// threads. `obs` enables per-partition observability before start (for
-/// `emc-stats`; `emc-perf` measures with it off).
+/// `emc-stats`; `perfbench` measures with it off).
 ///
 /// # Panics
 ///

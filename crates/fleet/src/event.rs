@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn message_order_is_by_deliver_dst_src_seq() {
-        let mut msgs = vec![
+        let mut msgs = [
             Message {
                 deliver: 5,
                 dst: 2,

@@ -5,8 +5,8 @@
 //! energy-per-op curves over rail voltage, **calibrated once per fleet**
 //! by actually running `emc-sim` on the repository's builtin counting
 //! rig (a [`emc_async::SelfTimedOscillator`] driving an 8-bit
-//! [`emc_async::ToggleRippleCounter`] — the same circuit `emc-perf`
-//! measures) at a grid of supply points. Between grid points the island
+//! [`emc_async::ToggleRippleCounter`] — the circuit `perfbench`'s
+//! `ac_counter` workload drives) at a grid of supply points. Between grid points the island
 //! interpolates piecewise-linearly; below the lowest firing grid point
 //! the island stalls (rate 0), which is exactly the self-timed story:
 //! computation slows with the rail and stops, it never wrongs.

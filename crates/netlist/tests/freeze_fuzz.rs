@@ -40,7 +40,7 @@ fn draw_ops(rng: &mut StdRng, count: usize) -> Vec<Op> {
     for _ in 0..count {
         ops.push(match rng.gen_range(0u8..8) {
             0 => Op::Input,
-            1 | 2 | 3 | 4 => Op::Gate {
+            1..=4 => Op::Gate {
                 kind: kinds[rng.gen_range(0..kinds.len())],
                 a: rng.gen::<u64>() as usize,
                 b: rng.gen::<u64>() as usize,
@@ -106,7 +106,11 @@ impl NthNet for NetId {
     }
 }
 
-fn snapshot(nl: &Netlist) -> (usize, usize, Vec<Vec<usize>>, Vec<f64>, Vec<NetId>, usize) {
+/// Net count, gate count, each net's fanout gate indices and fanout
+/// load, the outputs, and the number of validation findings.
+type Snapshot = (usize, usize, Vec<Vec<usize>>, Vec<f64>, Vec<NetId>, usize);
+
+fn snapshot(nl: &Netlist) -> Snapshot {
     let fanouts = nl
         .iter_nets()
         .map(|n| nl.fanout(n).iter().map(|g| g.index()).collect())

@@ -213,9 +213,7 @@ fn reduced_verification_is_equivalent_on_generated_corpus() {
 #[test]
 fn pipelined_array_reduces_at_least_two_fold() {
     // Two independent, mutually symmetric rows: both the persistent-set
-    // and the orbit-quotient machinery must bite here. This is the
-    // PR's headline acceptance criterion (also recorded by emc-perf in
-    // BENCH_PR7.json).
+    // and the orbit-quotient machinery must bite here.
     let c = emc_gen::pipelined_array(2, 2, "sa-array").verify_circuit();
     assert!(
         c.footprint.is_some(),
