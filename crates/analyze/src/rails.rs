@@ -81,7 +81,7 @@ pub fn check_completion_coverage(netlist: &Netlist, pairs: &[RailPair]) -> Vec<D
 /// unbounded-delay analysis cannot certify. Bundled-data designs carry
 /// these by construction (the paper's Design 2 trades them for area);
 /// the rule pins where the assumption lives. Toggles are *not* flagged:
-/// the paper's counter toggle (Fig. 10, ref [3]) is itself a
+/// the paper's counter toggle (Fig. 10, ref \[3\]) is itself a
 /// speed-independent circuit that we model as a primitive, and lost
 /// events on it are caught dynamically by `SI001` overrun detection.
 pub fn check_timing_assumptions(netlist: &Netlist) -> Vec<Diagnostic> {

@@ -27,7 +27,7 @@
 
 use std::num::{NonZeroU32, NonZeroU64};
 
-use emc_bench::cli::{Flags, UsageError};
+use emc_bench::cli::{Flags, OutFile, UsageError};
 use emc_fleet::{run_fleet, CalibDepth, DroughtSpec, FleetConfig, FleetReport, TopologyKind};
 
 struct Args {
@@ -39,7 +39,7 @@ struct Args {
     drought: Option<DroughtSpec>,
     smoke: bool,
     json: bool,
-    out: Option<String>,
+    out: Option<OutFile>,
 }
 
 fn parse_args() -> Result<Args, UsageError> {
@@ -83,7 +83,7 @@ fn parse_args() -> Result<Args, UsageError> {
             }
             "--smoke" => args.smoke = true,
             "--json" => args.json = true,
-            "--out" => args.out = Some(flags.value(&flag)?),
+            "--out" => args.out = Some(flags.out_file(&flag)?),
             _ => return Err(flags.unknown(&flag)),
         }
     }
@@ -210,9 +210,8 @@ fn main() {
     if args.json {
         print!("{}", report.to_json());
     }
-    if let Some(path) = &args.out {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("  [saved {path}]");
+    if let Some(out) = &args.out {
+        out.write(&report.to_json());
+        println!("  [saved {}]", out.path);
     }
 }

@@ -10,10 +10,10 @@
 //!
 //! Seeds are expanded through the campaign engine (splitmix64 per
 //! index), and the whole sweep is run at 1, 2 and 8 worker threads with
-//! the campaign digests asserted identical — the report this binary
-//! prints is byte-identical at any thread count.
+//! the typed per-seed runs, failure messages included, asserted equal —
+//! the report this binary prints is byte-identical at any thread count.
 //!
-//! On failure the offending plan is shrunk to a local minimum
+//! On failure the first failing seed's plan is shrunk to a local minimum
 //! (parameters stepped down, block lists bisected and thinned) and the
 //! minimal netlist is written to `crates/gen/tests/fixtures/` with the
 //! seed in the filename, then the process exits non-zero.
@@ -26,22 +26,24 @@
 //! text must either be *rejected* by the importer with a classified
 //! error, or parse into a netlist on which `validate` and the static
 //! analyzer run without panicking and whose canonical export reparses
-//! byte-identically (`export ∘ import ∘ export` idempotence). The same
-//! 1/2/8-thread digest sweep applies; a failing mutant is written to
+//! byte-identically (`export ∘ import ∘ export` idempotence); a panic
+//! in the oracle is a failure. The same 1/2/8-thread sweep applies; the
+//! first failing mutant in seed order is written to
 //! `crates/gen/tests/fixtures/` and the process exits non-zero.
 //!
 //! Flags: `--smoke` (small generation bounds and budgets, for the
 //! tier-1 gate), `--seeds N` (default 32), `--seed BASE` (default
 //! 2011), `--import DIR` (mutate an existing corpus instead of
-//! generating), `--out PATH` (also write the report to a file). A bad
-//! command line exits 2 with a usage line; a failed check exits 1.
+//! generating), `--out PATH` (also write the per-seed rows to a file).
+//! A bad command line, an unwritable `--out` included, exits 2 with a
+//! usage line; a failed check exits 1.
 
-use std::sync::Mutex;
+use std::fmt::Debug;
 
-use emc_bench::cli::{Flags, UsageError};
-use emc_gen::{check_generated, shrink, CheckOptions, GenBounds, Plan};
-use emc_prng::{Rng, SplitMix64, StdRng};
-use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
+use emc_bench::cli::{Flags, OutFile, UsageError};
+use emc_gen::{check_generated, shrink, CheckOptions, CheckOutcome, GenBounds, Plan};
+use emc_prng::{Rng, StdRng};
+use emc_sim::campaign::{run_campaign, CampaignConfig};
 
 struct Args {
     smoke: bool,
@@ -49,7 +51,7 @@ struct Args {
     seed: u64,
     /// `--import DIR`: the directory and its `.emcnet` files.
     import: Option<(String, Vec<(String, String)>)>,
-    out: Option<String>,
+    out: Option<OutFile>,
 }
 
 fn parse_args() -> Result<Args, UsageError> {
@@ -73,7 +75,7 @@ fn parse_args() -> Result<Args, UsageError> {
                     read_corpus(&dir).map_err(|e| flags.error(format!("--import {dir:?}: {e}")))?;
                 args.import = Some((dir, files));
             }
-            "--out" => args.out = Some(flags.value(&flag)?),
+            "--out" => args.out = Some(flags.out_file(&flag)?),
             _ => return Err(flags.unknown(&flag)),
         }
     }
@@ -98,10 +100,6 @@ fn bounds_and_options(smoke: bool) -> (GenBounds, CheckOptions) {
             },
         )
     }
-}
-
-fn fixture_path(seed: u64) -> std::path::PathBuf {
-    std::path::Path::new("crates/gen/tests/fixtures").join(format!("fuzz_seed{seed:016x}.emcnet"))
 }
 
 /// Gate-kind mnemonics the kind-flip mutation draws from (a mix of
@@ -220,12 +218,36 @@ fn mutate_text(text: &str, rng: &mut StdRng) -> (String, Vec<&'static str>) {
 }
 
 /// What the import oracle observed on one mutant.
+#[derive(Debug, PartialEq)]
 struct ImportOutcome {
     parsed: bool,
     valid: bool,
-    roundtrip: bool,
     gates: usize,
     failure: Option<String>,
+}
+
+impl ImportOutcome {
+    /// `ok`, `parse-reject` or `FAIL`. A failure never counts as a clean
+    /// rejection, even when nothing was parsed.
+    fn status(&self) -> &'static str {
+        match (&self.failure, self.parsed) {
+            (Some(_), _) => "FAIL",
+            (None, true) => "ok",
+            (None, false) => "parse-reject",
+        }
+    }
+}
+
+/// Runs `oracle`, turning a panic into a failure: a panic is exactly the
+/// bug class the import mode hunts, and catching it lets the sweep
+/// complete and the mutant be written out.
+fn caught(oracle: impl FnOnce() -> ImportOutcome + std::panic::UnwindSafe) -> ImportOutcome {
+    std::panic::catch_unwind(oracle).unwrap_or_else(|_| ImportOutcome {
+        parsed: false,
+        valid: false,
+        gates: 0,
+        failure: Some("oracle panicked on mutant".to_string()),
+    })
 }
 
 /// The corpus-mutation oracle: a mutant must either be cleanly
@@ -237,7 +259,6 @@ fn import_oracle(text: &str) -> ImportOutcome {
         Err(_) => ImportOutcome {
             parsed: false,
             valid: false,
-            roundtrip: false,
             gates: 0,
             failure: None,
         },
@@ -254,7 +275,6 @@ fn import_oracle(text: &str) -> ImportOutcome {
             ImportOutcome {
                 parsed: true,
                 valid,
-                roundtrip: failure.is_none(),
                 gates: netlist.gate_count(),
                 failure,
             }
@@ -284,9 +304,57 @@ fn read_corpus(dir: &str) -> Result<Vec<(String, String)>, String> {
     Ok(files)
 }
 
+/// Runs `worker` on every seed of the campaign at 1, 2 and 8 worker
+/// threads and returns the runs in seed order. The thread sweep is
+/// itself an assertion: the typed runs must be equal at every count.
+fn sweep<R: Send + PartialEq + Debug>(args: &Args, worker: impl Fn(u64) -> R + Sync) -> Vec<R> {
+    let jobs = vec![(); args.seeds];
+    let mut reference: Option<Vec<R>> = None;
+    for threads in [1usize, 2, 8] {
+        let cfg = CampaignConfig::new(args.seed).threads(threads);
+        let report = run_campaign(&jobs, &cfg, |_, ctx| worker(ctx.seed));
+        println!(
+            "  sweep {threads}t: {:.2} ms",
+            report.wall_clock.as_secs_f64() * 1e3
+        );
+        match &reference {
+            None => reference = Some(report.runs),
+            Some(runs) => assert_eq!(
+                *runs, report.runs,
+                "runs diverged at {threads} threads — determinism broken"
+            ),
+        }
+    }
+    reference.expect("the sweep ran")
+}
+
+/// Prints the per-seed `rows` and the `summary` line, and writes the
+/// rows to `--out`.
+fn report(args: &Args, rows: &str, summary: &str) {
+    print!("{rows}");
+    println!("  {summary}, identical at 1/2/8 threads");
+    if let Some(out) = &args.out {
+        out.write(rows);
+        println!("  [saved {}]", out.path);
+    }
+}
+
+/// One seed of the corpus-mutation mode.
+#[derive(Debug, PartialEq)]
+struct ImportRun {
+    seed: u64,
+    /// Index of the mutated corpus file.
+    file: usize,
+    /// The mutations that landed.
+    muts: Vec<&'static str>,
+    mutant: String,
+    outcome: ImportOutcome,
+}
+
 /// The `--import` entry point: corpus-mutation fuzzing over the
 /// `.emcnet` `files` read from `dir`, thread-sweep asserted like the
-/// generative mode. Exits non-zero after writing the mutant on failure.
+/// generative mode. Exits non-zero after writing the first failing
+/// mutant in seed order.
 fn run_import(args: &Args, dir: &str, files: &[(String, String)]) {
     println!(
         "== emc-fuzz — corpus mutation ({} files from {dir}, {} seeds, base {}) ==",
@@ -294,295 +362,210 @@ fn run_import(args: &Args, dir: &str, files: &[(String, String)]) {
         args.seeds,
         args.seed
     );
-
-    let failures: Mutex<Vec<(u64, String, String)>> = Mutex::new(Vec::new());
-    let jobs: Vec<usize> = (0..args.seeds).collect();
-    let worker = |_: &usize, ctx: &RunContext| -> RunReport {
-        let file_ix = (ctx.seed % files.len() as u64) as usize;
-        let mut rng = StdRng::seed_from_u64(ctx.seed);
-        let (mutant, muts) = mutate_text(&files[file_ix].1, &mut rng);
-        // A panic anywhere in the oracle is exactly the bug class this
-        // mode hunts; catch it so the sweep completes and the mutant
-        // can be written out.
-        let outcome = std::panic::catch_unwind(|| import_oracle(&mutant));
-        let (parsed, valid, roundtrip, gates, ok) = match &outcome {
-            Err(_) => {
-                failures.lock().expect("failure list poisoned").push((
-                    ctx.seed,
-                    "oracle panicked on mutant".to_string(),
-                    mutant.clone(),
-                ));
-                (false, false, false, 0, false)
-            }
-            Ok(o) => {
-                if let Some(f) = &o.failure {
-                    failures.lock().expect("failure list poisoned").push((
-                        ctx.seed,
-                        f.clone(),
-                        mutant.clone(),
-                    ));
-                }
-                (o.parsed, o.valid, o.roundtrip, o.gates, o.failure.is_none())
-            }
-        };
-        RunReport::from_values(
-            ctx,
-            vec![
-                file_ix as f64,
-                muts.len() as f64,
-                f64::from(u8::from(parsed)),
-                f64::from(u8::from(valid)),
-                f64::from(u8::from(roundtrip)),
-                gates as f64,
-                f64::from(u8::from(ok && outcome.is_ok())),
-            ],
-        )
-    };
-
-    let mut reference = None;
-    let mut final_report = None;
-    for threads in [1usize, 2, 8] {
-        failures.lock().expect("failure list poisoned").clear();
-        let cfg = CampaignConfig::new(args.seed).threads(threads);
-        let report = run_campaign(&jobs, &cfg, worker);
-        let digest = report.digest();
-        match reference {
-            None => reference = Some(digest),
-            Some(r) => assert_eq!(
-                r, digest,
-                "campaign digest diverged at {threads} threads — determinism broken"
-            ),
-        }
-        println!(
-            "  sweep {threads}t: digest {digest:#018x} in {:.2} ms",
-            report.wall_clock.as_secs_f64() * 1e3
-        );
-        final_report = Some(report);
-    }
-    let report = final_report.expect("at least one sweep ran");
-
-    let mut text = String::new();
-    let mut ok_count = 0usize;
-    let mut rejected = 0usize;
-    for run in &report.runs {
-        let v = &run.values;
-        let file = &files[v[0] as usize].0;
-        let mut rng = StdRng::seed_from_u64(run.seed);
-        let (_, muts) = mutate_text(&files[v[0] as usize].1, &mut rng);
-        let ok = v[6] != 0.0;
-        ok_count += usize::from(ok);
-        rejected += usize::from(v[2] == 0.0);
-        text.push_str(&format!(
-            "seed {:016x} {:36} muts={:<36} gates={:4} {}\n",
-            run.seed,
+    let runs = sweep(args, |seed| {
+        let file = (seed % files.len() as u64) as usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mutant, muts) = mutate_text(&files[file].1, &mut rng);
+        let outcome = caught(|| import_oracle(&mutant));
+        ImportRun {
+            seed,
             file,
-            muts.join(","),
-            v[5] as u64,
-            if v[2] == 0.0 {
-                "parse-reject"
-            } else if ok {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        ));
-    }
-    print!("{text}");
-    println!(
-        "  {}/{} mutants ok, {} cleanly rejected, campaign digest {:#018x}",
-        ok_count,
-        args.seeds,
-        rejected,
-        reference.expect("reference digest set")
+            muts,
+            mutant,
+            outcome,
+        }
+    });
+
+    let rows: String = runs
+        .iter()
+        .map(|run| {
+            format!(
+                "seed {:016x} {:36} muts={:<36} gates={:4} {}\n",
+                run.seed,
+                files[run.file].0,
+                run.muts.join(","),
+                run.outcome.gates,
+                run.outcome.status(),
+            )
+        })
+        .collect();
+    let status = |want: &str| runs.iter().filter(|r| r.outcome.status() == want).count();
+    let (ok, rejected) = (args.seeds - status("FAIL"), status("parse-reject"));
+    report(
+        args,
+        &rows,
+        &format!(
+            "{ok}/{} mutants ok, {rejected} cleanly rejected",
+            args.seeds
+        ),
     );
 
-    if let Some(path) = &args.out {
-        std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("  [saved {path}]");
-    }
-
-    let failed = failures.into_inner().expect("failure list poisoned");
-    if let Some((seed, message, mutant)) = failed.first() {
+    if let Some((run, message)) = runs
+        .iter()
+        .find_map(|r| Some((r, r.outcome.failure.as_deref()?)))
+    {
+        let seed = run.seed;
         eprintln!("FAIL: seed {seed:016x}: {message}");
-        let path = std::path::Path::new("crates/gen/tests/fixtures")
-            .join(format!("import_seed{seed:016x}.emcnet"));
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let body = format!(
-            "# emc-fuzz --import reproducer\n# seed {seed:016x}\n# failure {message}\n{mutant}"
+        write_reproducer(
+            &format!("import_seed{seed:016x}.emcnet"),
+            "failing mutant",
+            format!(
+                "# emc-fuzz --import reproducer\n# seed {seed:016x}\n# failure {message}\n{}",
+                run.mutant
+            ),
         );
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("  failing mutant written to {}", path.display()),
-            Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-        }
-        std::process::exit(1);
     }
 }
 
-fn main() {
-    let args = parse_args().unwrap_or_else(|e| e.exit());
-    if let Some((dir, files)) = &args.import {
-        run_import(&args, dir, files);
-        return;
+/// Writes a failing seed's reproducer to `crates/gen/tests/fixtures/`
+/// and exits with status 1.
+fn write_reproducer(name: &str, what: &str, body: String) -> ! {
+    let dir = std::path::Path::new("crates/gen/tests/fixtures");
+    let _ = std::fs::create_dir_all(dir);
+    let path = dir.join(name);
+    match std::fs::write(&path, body) {
+        Ok(()) => eprintln!("  {what} written to {}", path.display()),
+        Err(e) => eprintln!("  could not write {}: {e}", path.display()),
     }
-    let (bounds, opts) = bounds_and_options(args.smoke);
+    std::process::exit(1)
+}
 
+/// One seed of the generative mode.
+#[derive(Debug, PartialEq)]
+struct GenRun {
+    seed: u64,
+    /// The plan's [`Plan::summary`].
+    plan: String,
+    gates: usize,
+    /// The differential oracle's outcome, or the static pre-filter's
+    /// rejection.
+    outcome: Result<CheckOutcome, String>,
+}
+
+impl GenRun {
+    fn failure(&self) -> Option<&str> {
+        match &self.outcome {
+            Ok(out) => out.failure.as_deref(),
+            Err(rejection) => Some(rejection),
+        }
+    }
+}
+
+/// The generative entry point. Exits non-zero after writing the shrunk
+/// plan of the first failing seed in seed order.
+fn run_generative(args: &Args) {
+    let (bounds, opts) = bounds_and_options(args.smoke);
     println!(
         "== emc-fuzz — generative differential fuzzing ({}, {} seeds, base {}) ==",
         if args.smoke { "smoke" } else { "full" },
         args.seeds,
         args.seed
     );
-
-    let failures: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
-    let jobs: Vec<usize> = (0..args.seeds).collect();
-    let worker = |_: &usize, ctx: &RunContext| -> RunReport {
-        let plan = Plan::from_seed(ctx.seed, &bounds);
+    let runs = sweep(args, |seed| {
+        let plan = Plan::from_seed(seed, &bounds);
         let gc = plan.build();
         // Zero-exploration pre-filter: a static error (rail short,
         // malformed netlist) is a generator bug the expensive
-        // differential oracle need never see. Rejections are counted in
-        // the report (value index 7) and still fail the run.
+        // differential oracle need never see. A rejection fails the run.
         let analysis = emc_analyze::analyze(&gc.netlist, &gc.initial);
-        if analysis.has_errors() {
-            let rules = analysis.distinct_rules();
-            failures
-                .lock()
-                .expect("failure list poisoned")
-                .push((ctx.seed, format!("static pre-filter rejected: {rules:?}")));
-            return RunReport::from_values(
-                ctx,
-                vec![
-                    gc.netlist.gate_count() as f64,
-                    gc.netlist.net_count() as f64,
-                    0.0,
-                    0.0,
-                    0.0,
-                    0.0,
-                    0.0,
-                    1.0, // static_rejected
-                ],
-            );
+        let outcome = if analysis.has_errors() {
+            Err(format!(
+                "static pre-filter rejected: {:?}",
+                analysis.distinct_rules()
+            ))
+        } else {
+            Ok(check_generated(&gc, seed, &opts))
+        };
+        GenRun {
+            seed,
+            plan: plan.summary(),
+            gates: gc.netlist.gate_count(),
+            outcome,
         }
-        let out = check_generated(&gc, ctx.seed, &opts);
-        if let Some(f) = &out.failure {
-            failures
-                .lock()
-                .expect("failure list poisoned")
-                .push((ctx.seed, f.clone()));
-        }
-        RunReport::from_values(
-            ctx,
-            vec![
-                out.gates as f64,
-                out.nets as f64,
-                out.verify_states as f64,
-                f64::from(u8::from(out.verify_exhaustive)),
-                f64::from_bits(out.digest),
-                out.fired_total as f64,
-                f64::from(u8::from(out.is_ok())),
-                0.0, // static_rejected
-            ],
-        )
-    };
+    });
 
-    // The thread sweep is itself an assertion: the campaign digest (an
-    // FNV fold over every run's values, in index order) must not depend
-    // on the worker-thread count.
-    let mut reference = None;
-    let mut final_report = None;
-    for threads in [1usize, 2, 8] {
-        failures.lock().expect("failure list poisoned").clear();
-        let cfg = CampaignConfig::new(args.seed).threads(threads);
-        let report = run_campaign(&jobs, &cfg, worker);
-        let digest = report.digest();
-        match reference {
-            None => reference = Some(digest),
-            Some(r) => assert_eq!(
-                r, digest,
-                "campaign digest diverged at {threads} threads — determinism broken"
-            ),
-        }
-        println!(
-            "  sweep {threads}t: digest {digest:#018x} in {:.2} ms",
-            report.wall_clock.as_secs_f64() * 1e3
-        );
-        final_report = Some(report);
-    }
-    let report = final_report.expect("at least one sweep ran");
-
-    // The per-seed report, reconstructed from the index-ordered rows —
-    // byte-identical at every thread count by the assertion above.
-    let mut text = String::new();
-    let mut ok_count = 0usize;
-    let mut exhaustive_count = 0usize;
-    let mut static_rejected = 0usize;
-    for run in &report.runs {
-        let seed = SplitMix64::mix(args.seed, run.index as u64);
-        debug_assert_eq!(seed, run.seed);
-        let plan = Plan::from_seed(run.seed, &bounds);
-        let v = &run.values;
-        let rejected = v[7] != 0.0;
-        let ok = v[6] != 0.0;
-        ok_count += usize::from(ok);
-        exhaustive_count += usize::from(v[3] != 0.0);
-        static_rejected += usize::from(rejected);
-        text.push_str(&format!(
-            "seed {:016x} {:28} gates={:5} states={:6} digest={:016x} {}\n",
-            run.seed,
-            plan.summary(),
-            v[0] as u64,
-            v[2] as u64,
-            v[4].to_bits(),
-            if rejected {
-                "STATIC-REJECT"
-            } else if ok {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        ));
-    }
-    print!("{text}");
-    println!(
-        "  {}/{} seeds ok, {} exhaustively verified, {} statically rejected, campaign digest {:#018x}",
-        ok_count,
-        args.seeds,
-        exhaustive_count,
-        static_rejected,
-        reference.expect("reference digest set")
+    let rows: String = runs
+        .iter()
+        .map(|run| {
+            let (states, digest, status) = match &run.outcome {
+                Err(_) => (0, 0, "STATIC-REJECT"),
+                Ok(out) => (
+                    out.verify_states,
+                    out.digest,
+                    if out.is_ok() { "ok" } else { "FAIL" },
+                ),
+            };
+            format!(
+                "seed {:016x} {:28} gates={:5} states={states:6} digest={digest:016x} {status}\n",
+                run.seed, run.plan, run.gates,
+            )
+        })
+        .collect();
+    let checked = || runs.iter().filter_map(|r| r.outcome.as_ref().ok());
+    let ok = checked().filter(|out| out.is_ok()).count();
+    let exhaustive = checked().filter(|out| out.verify_exhaustive).count();
+    let rejected = runs.iter().filter(|r| r.outcome.is_err()).count();
+    report(
+        args,
+        &rows,
+        &format!(
+            "{ok}/{} seeds ok, {exhaustive} exhaustively verified, {rejected} statically rejected",
+            args.seeds
+        ),
     );
 
-    if let Some(path) = &args.out {
-        std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("  [saved {path}]");
-    }
-
-    let failed = failures.into_inner().expect("failure list poisoned");
-    if let Some((seed, message)) = failed.first() {
+    if let Some((seed, message)) = runs.iter().find_map(|r| Some((r.seed, r.failure()?))) {
         eprintln!("FAIL: seed {seed:016x}: {message}");
-        let plan = Plan::from_seed(*seed, &bounds);
-        let minimal = shrink(plan, |p| !check_generated(&p.build(), *seed, &opts).is_ok());
+        let plan = Plan::from_seed(seed, &bounds);
+        let minimal = shrink(plan, |p| !check_generated(&p.build(), seed, &opts).is_ok());
         let gc = minimal.build();
-        let out = check_generated(&gc, *seed, &opts);
-        let path = fixture_path(*seed);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let body = format!(
-            "# emc-fuzz reproducer\n# seed {:016x}\n# plan {}\n# failure {}\n{}",
-            seed,
-            minimal.summary(),
-            out.failure
-                .as_deref()
-                .unwrap_or("(no longer fails after shrink)"),
-            emc_netlist::to_text(&gc.netlist)
+        let out = check_generated(&gc, seed, &opts);
+        write_reproducer(
+            &format!("fuzz_seed{seed:016x}.emcnet"),
+            "minimal reproducer",
+            format!(
+                "# emc-fuzz reproducer\n# seed {seed:016x}\n# plan {}\n# failure {}\n{}",
+                minimal.summary(),
+                out.failure
+                    .as_deref()
+                    .unwrap_or("(no longer fails after shrink)"),
+                emc_netlist::to_text(&gc.netlist)
+            ),
         );
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("  minimal reproducer written to {}", path.display()),
-            Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-        }
-        std::process::exit(1);
+    }
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|e| e.exit());
+    match &args.import {
+        Some((dir, files)) => run_import(&args, dir, files),
+        None => run_generative(&args),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_oracle_fails_its_row_and_is_no_rejection() {
+        let panicked = caught(|| panic!("oracle bug"));
+        assert_eq!(panicked.status(), "FAIL");
+        assert_eq!(
+            panicked.failure.as_deref(),
+            Some("oracle panicked on mutant")
+        );
+        assert_eq!(
+            caught(|| import_oracle("g FROB\n")).status(),
+            "parse-reject"
+        );
+        let parsed = |failure: Option<&str>| ImportOutcome {
+            parsed: true,
+            valid: true,
+            gates: 3,
+            failure: failure.map(str::to_string),
+        };
+        assert_eq!(parsed(None).status(), "ok");
+        assert_eq!(parsed(Some("not idempotent")).status(), "FAIL");
     }
 }

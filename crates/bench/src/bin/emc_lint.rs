@@ -11,8 +11,8 @@
 //!   exhaustive verification: every built-in, every known-bad fixture
 //!   and every pinned `.emcnet` corpus file is analyzed structurally
 //!   and checked against pinned static rule sets;
-//! * `--threads N` changes wall-clock only — the reports and the
-//!   campaign digest are byte-identical for any worker count;
+//! * `--threads N` changes wall-clock only — the reports are
+//!   byte-identical for any worker count;
 //! * `--json` emits one JSON object per circuit (a JSON array on
 //!   stdout) and nothing else, for tooling.
 //!
@@ -23,7 +23,6 @@
 //! usage line.
 
 use emc_bench::cli::{Flags, UsageError};
-use emc_bench::print_campaign_summary;
 use emc_sim::campaign::CampaignConfig;
 use emc_verify::builtin::{broken_suite, builtin_suite};
 use emc_verify::{verify_suite, Circuit, Report, Verifier};
@@ -250,7 +249,8 @@ fn main() {
 
     let verifier = Verifier::new();
     let config = CampaignConfig::new(args.seed).threads(args.threads);
-    let (reports, campaign) = verify_suite(&circuits, &verifier, &config);
+    let campaign = verify_suite(&circuits, &verifier, &config);
+    let reports = &campaign.runs;
 
     if args.json {
         // Machine output: a JSON array, nothing else (no timings or
@@ -259,7 +259,7 @@ fn main() {
         println!("[{}]", body.join(","));
     } else {
         println!("emc-lint: {} circuit(s)", reports.len());
-        for report in &reports {
+        for report in reports {
             println!(
                 "  {:<16} {:>6} state(s)  {} error(s), {} warning(s), {} note(s){}",
                 report.circuit,
@@ -273,7 +273,12 @@ fn main() {
                 println!("    {d}");
             }
         }
-        print_campaign_summary(&campaign);
+        println!(
+            "  [campaign: {} runs on {} thread(s), {:.1} ms wall]",
+            reports.len(),
+            campaign.threads,
+            campaign.wall_clock.as_secs_f64() * 1e3,
+        );
     }
 
     let mut failures = Vec::new();

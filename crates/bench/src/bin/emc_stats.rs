@@ -35,7 +35,7 @@
 
 use emc_altlogic::{AdiabaticPipeline, ChargeRecoveryMemory};
 use emc_async::{SelfTimedOscillator, ToggleRippleCounter};
-use emc_bench::cli::{Flags, UsageError};
+use emc_bench::cli::{Flags, OutFile, UsageError};
 use emc_bench::{drive_array, pdes_array, pdes_parallel};
 use emc_device::{AdiabaticModel, DeviceModel};
 use emc_netlist::{GateKind, Netlist};
@@ -311,7 +311,7 @@ struct Args {
     threads: usize,
     seed: u64,
     format: Format,
-    out: Option<String>,
+    out: Option<OutFile>,
 }
 
 fn parse_args() -> Result<Args, UsageError> {
@@ -352,7 +352,7 @@ fn parse_args() -> Result<Args, UsageError> {
             }
             "--threads" => args.threads = flags.value(&flag)?,
             "--seed" => args.seed = flags.value(&flag)?,
-            "--out" => args.out = Some(flags.value(&flag)?),
+            "--out" => args.out = Some(flags.out_file(&flag)?),
             _ => return Err(flags.unknown(&flag)),
         }
     }
@@ -374,9 +374,9 @@ fn main() {
         Format::Prometheus => to_prometheus(&t),
     };
     match &args.out {
-        Some(path) => {
-            std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            println!("[saved {path}]");
+        Some(out) => {
+            out.write(&rendered);
+            println!("[saved {}]", out.path);
         }
         None => print!("{rendered}"),
     }

@@ -7,10 +7,14 @@
 //! [`UsageError`] naming the flag, and [`UsageError::exit`] reports it
 //! with the binary's usage line and exits with status 2, before any
 //! work starts. Status 2 stays apart from the 1 that `emc-lint` and
-//! `emc-fuzz` return when a check fails.
+//! `emc-fuzz` return when a check fails. An `--out PATH` is created
+//! while the flags are parsed ([`Flags::out_file`]), so a path that
+//! cannot be written is a usage error too.
 
 use std::ffi::OsString;
 use std::fmt::Display;
+use std::fs::File;
+use std::io::Write;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -82,6 +86,14 @@ impl Flags {
             .map_err(|e| self.error(format!("{flag} {raw:?}: {e}")))
     }
 
+    /// The argument after `flag`, created (or truncated) as the file a
+    /// binary writes its report to when the work is done.
+    pub fn out_file(&mut self, flag: &str) -> Result<OutFile, UsageError> {
+        let path: String = self.value(flag)?;
+        let file = File::create(&path).map_err(|e| self.error(format!("{flag} {path:?}: {e}")))?;
+        Ok(OutFile { path, file })
+    }
+
     /// The error for a flag the binary does not know.
     pub fn unknown(&self, flag: &str) -> UsageError {
         self.error(format!("unknown flag {flag:?}"))
@@ -92,6 +104,25 @@ impl Flags {
         UsageError {
             message: message.into(),
             usage: self.usage.clone(),
+        }
+    }
+}
+
+/// A report file created by [`Flags::out_file`].
+#[derive(Debug)]
+pub struct OutFile {
+    /// The path the file was created at.
+    pub path: String,
+    file: File,
+}
+
+impl OutFile {
+    /// Writes `text` to the file. A write error prints
+    /// `error: cannot write PATH: …` and exits with status 1.
+    pub fn write(&self, text: &str) {
+        if let Err(e) = (&self.file).write_all(text.as_bytes()) {
+            eprintln!("error: cannot write {}: {e}", self.path);
+            std::process::exit(1);
         }
     }
 }

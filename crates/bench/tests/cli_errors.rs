@@ -1,9 +1,9 @@
 //! The command-line error contract of the `emc-*` tools and the
 //! campaign-backed figure binaries: an unknown flag, a flag missing its
-//! value, a value that does not parse or is out of range, or an
-//! `--import` directory without a readable corpus, or an argument that
-//! is not UTF-8, exits with status 2 and a usage line on stderr, before
-//! any work starts, and never panics.
+//! value, a value that does not parse or is out of range, an `--import`
+//! directory without a readable corpus, an `--out` path that cannot be
+//! created, or an argument that is not UTF-8, exits with status 2 and a
+//! usage line on stderr, before any work starts, and never panics.
 
 use std::ffi::OsStr;
 use std::fmt::Debug;
@@ -83,6 +83,23 @@ fn emc_fleet_rejects_bad_flags_and_out_of_range_values() {
     assert_usage_error(bin, &["--nodes", "0", "--threads", "1"]);
     assert_usage_error(bin, &["--epochs", "0", "--threads", "1"]);
     assert_usage_error(bin, &["--topology", "star"]);
+}
+
+/// A path whose parent is a regular file, so it can never be created.
+const UNWRITABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/report.out");
+
+#[test]
+fn an_unwritable_out_path_is_a_usage_error() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_emc-stats"),
+            &["--scenario", "sensor", "--json"][..],
+        ),
+        (env!("CARGO_BIN_EXE_emc-fleet"), &["--threads", "1"]),
+        (env!("CARGO_BIN_EXE_emc-fuzz"), &["--seeds", "2"]),
+    ] {
+        assert_usage_error(bin, &[&["--smoke"], args, &["--out", UNWRITABLE]].concat());
+    }
 }
 
 #[cfg(unix)]

@@ -185,11 +185,8 @@ fn assert_rig_digest_at_all_thread_counts(name: &str, expected: u64, digest_fn: 
     for threads in THREAD_COUNTS {
         let jobs = [(); 2];
         let cfg = CampaignConfig::new(1).threads(threads);
-        let report = run_campaign(&jobs, &cfg, |_, ctx| {
-            RunReport::from_values(ctx, vec![f64::from_bits(digest_fn())])
-        });
-        for run in &report.runs {
-            let got = run.values[0].to_bits();
+        let report = run_campaign(&jobs, &cfg, |_, _| digest_fn());
+        for &got in &report.runs {
             assert_eq!(
                 got, expected,
                 "{name} digest moved at {threads} thread(s): got {got:#018x}. If a \

@@ -22,7 +22,7 @@ use emc_device::{AdiabaticModel, DeviceModel, VariationModel};
 use emc_netlist::Netlist;
 use emc_power::{ClockShape, PowerClock};
 use emc_prng::StdRng;
-use emc_sim::campaign::{run_campaign, CampaignConfig, RunReport};
+use emc_sim::campaign::{run_campaign, CampaignConfig};
 use emc_sim::{Simulator, SupplyKind};
 use emc_units::{Farads, Joules, Seconds, Volts, Watts, Waveform};
 
@@ -190,24 +190,7 @@ pub fn family_curve_parallel(
     threads: usize,
 ) -> Vec<FamilyPoint> {
     let cfg = CampaignConfig::new(seed).threads(threads);
-    let report = run_campaign(grid, &cfg, |&v, ctx| {
-        let p = measure_family(family, Volts(v), seed);
-        RunReport::from_values(
-            ctx,
-            vec![p.vdd.0, p.energy_per_op.0, p.throughput, p.quality],
-        )
-    });
-    report
-        .rows()
-        .iter()
-        .map(|r| FamilyPoint {
-            family,
-            vdd: Volts(r[0]),
-            energy_per_op: Joules(r[1]),
-            throughput: r[2],
-            quality: r[3],
-        })
-        .collect()
+    run_campaign(grid, &cfg, |&v, _| measure_family(family, Volts(v), seed)).runs
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use emc_async::{BundledPipeline, DualRailPipeline};
 use emc_device::{DeviceModel, VariationModel};
 use emc_netlist::Netlist;
 use emc_prng::StdRng;
-use emc_sim::campaign::{run_campaign, CampaignConfig, RunReport};
+use emc_sim::campaign::{run_campaign, CampaignConfig};
 use emc_sim::{Simulator, SupplyKind};
 use emc_units::{Joules, Seconds, Volts, Watts, Waveform};
 
@@ -146,30 +146,10 @@ pub fn qos_curve_parallel(
     threads: usize,
 ) -> Vec<QosPoint> {
     let cfg = CampaignConfig::new(seed).threads(threads);
-    let report = run_campaign(grid, &cfg, |&v, ctx| {
-        let p = measure_pipeline_qos(style, Volts(v), seed);
-        RunReport::from_values(
-            ctx,
-            vec![
-                p.vdd.0,
-                p.throughput,
-                p.correct_fraction,
-                p.power.0,
-                p.energy_per_token.0,
-            ],
-        )
-    });
-    report
-        .rows()
-        .iter()
-        .map(|r| QosPoint {
-            vdd: Volts(r[0]),
-            throughput: r[1],
-            correct_fraction: r[2],
-            power: Watts(r[3]),
-            energy_per_token: Joules(r[4]),
-        })
-        .collect()
+    run_campaign(grid, &cfg, |&v, _| {
+        measure_pipeline_qos(style, Volts(v), seed)
+    })
+    .runs
 }
 
 #[cfg(test)]

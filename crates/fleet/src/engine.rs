@@ -1,5 +1,5 @@
 //! The fleet engine: epoch-barriered conservative PDES over the
-//! campaign worker pool.
+//! shared worker pool.
 //!
 //! # Determinism architecture
 //!
@@ -9,9 +9,9 @@
 //! event queue completely independently: the topology guarantees every
 //! link latency is at least one epoch (the PDES lookahead), so no
 //! message sent during epoch `k` can be deliverable before epoch
-//! `k+1`. Shards are fanned out across [`emc_sim::campaign`]'s worker
-//! pool (splitmix-seeded, submission-order merged), and between epochs
-//! a single-threaded barrier
+//! `k+1`. Each epoch fans the shards out on [`emc_sim::fan_out`], the
+//! workspace's one worker pool, and between epochs a single-threaded
+//! barrier
 //!
 //! 1. drains every shard's outbox *in shard order*,
 //! 2. sorts all in-flight messages by `(deliver, dst, src, seq)` — a
@@ -25,14 +25,12 @@
 //! ledgers, event counters), so the arbitration input — and hence the
 //! whole run — is bit-identical at any worker-thread count.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use emc_core::{PowerGame, TaskBid};
 use emc_obs::export::{json_number, json_string};
 use emc_obs::Telemetry;
-use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
-use emc_sim::Fnv64;
+use emc_sim::{fan_out, Fnv64};
 use emc_units::{Seconds, Waveform};
 
 use crate::event::{EventKind, EventQueue, Message, Nanos};
@@ -370,8 +368,7 @@ fn arbitrate(
     if budget_w <= 1e-12 {
         return quotas;
     }
-    let classes = [NodeClass::Sentinel, NodeClass::Monitor, NodeClass::Archiver];
-    let bids: Vec<TaskBid> = classes
+    let bids: Vec<TaskBid> = NodeClass::ALL
         .iter()
         .enumerate()
         .map(|(i, class)| TaskBid {
@@ -390,7 +387,7 @@ fn arbitrate(
         }
         // Energy the class share delivers over one wake period, per
         // node, in whole tasks — extra attempts beyond the base duty.
-        let period = classes[i].period_epochs() as f64 * epoch_secs;
+        let period = NodeClass::ALL[i].period_epochs() as f64 * epoch_secs;
         let per_node = alloc[i] * period / f64::from(class_nodes[i]);
         let extra = (per_node / task_energy[i].max(1e-15)).floor().min(7.0) as u32;
         quotas[i] = 1 + extra;
@@ -398,9 +395,9 @@ fn arbitrate(
     quotas
 }
 
-/// Runs a fleet to completion. `threads` is the campaign worker count
-/// (0 = available parallelism); the returned report is bit-identical
-/// for any value of it.
+/// Runs a fleet to completion. `threads` is the worker count of
+/// [`fan_out`] (0 = available parallelism); the returned report is
+/// bit-identical for any value of it.
 pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
     assert!(config.nodes > 0, "a fleet needs nodes");
     assert!(config.epochs > 0, "a fleet needs at least one epoch");
@@ -422,7 +419,7 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
     // in node order.
     let n_shards = shard_count(config.nodes);
     let per_shard = (config.nodes as usize).div_ceil(n_shards);
-    let mut shards: Vec<Mutex<Shard>> = Vec::with_capacity(n_shards);
+    let mut shards: Vec<Shard> = Vec::with_capacity(n_shards);
     for s in 0..n_shards {
         let base = (s * per_shard) as u32;
         let end = ((s + 1) * per_shard).min(config.nodes as usize) as u32;
@@ -441,45 +438,34 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
             shard.queue.push(first, id, EventKind::Wake);
             shard.nodes.push(node);
         }
-        shards.push(Mutex::new(shard));
+        shards.push(shard);
     }
 
     let mut class_nodes = [0u32; CLASSES];
     for id in 0..config.nodes {
         class_nodes[NodeClass::of(id).index()] += 1;
     }
-    let task_energy = [
-        class_task_energy(NodeClass::Sentinel, &island, &sensor),
-        class_task_energy(NodeClass::Monitor, &island, &sensor),
-        class_task_energy(NodeClass::Archiver, &island, &sensor),
-    ];
+    let task_energy = NodeClass::ALL.map(|c| class_task_energy(c, &island, &sensor));
     let epoch_secs = config.epoch as f64 * 1e-9;
 
     let mut epoch_rows = Vec::with_capacity(config.epochs as usize);
     let mut quotas = [1u32; CLASSES];
     let mut prev_harvest_fj = 0u64;
     let mut inflight = 0u64;
-    let campaign_jobs: Vec<usize> = (0..n_shards).collect();
 
     for e in 0..config.epochs {
         let applied = quotas;
         let horizon = (e + 1) * config.epoch;
-        let cfg = CampaignConfig::new(config.seed ^ e).threads(threads);
-        let worker = |idx: &usize, ctx: &RunContext| -> RunReport {
-            let mut shard = shards[*idx].lock().expect("shard lock poisoned");
+        let epoch_shards = shards.iter_mut().collect();
+        fan_out(epoch_shards, threads, |_, shard: &mut Shard| {
             shard.run_epoch(horizon, config.epoch, &quotas, &topo, &island, &sensor);
-            RunReport::from_values(ctx, Vec::new())
-        };
-        run_campaign(&campaign_jobs, &cfg, worker);
+        });
 
         // ---- Barrier (single-threaded) ----
         // Route messages: drain outboxes in shard order, sort into the
         // total message order, deliver into destination inboxes.
-        let mut in_flight: Vec<Message> = Vec::new();
-        for shard in &shards {
-            let mut shard = shard.lock().expect("shard lock poisoned");
-            in_flight.append(&mut shard.outbox);
-        }
+        let mut in_flight: Vec<Message> =
+            shards.iter_mut().flat_map(|s| s.outbox.drain(..)).collect();
         in_flight.sort_unstable();
         let last_epoch = e + 1 == config.epochs;
         if last_epoch {
@@ -487,11 +473,7 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
         } else {
             for m in in_flight {
                 let shard_idx = (m.dst as usize) / per_shard;
-                shards[shard_idx]
-                    .lock()
-                    .expect("shard lock poisoned")
-                    .inbox
-                    .push(m);
+                shards[shard_idx].inbox.push(m);
             }
         }
 
@@ -505,7 +487,6 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
             let mut harvest_fj = 0u64;
             let mut pending = [0u64; CLASSES];
             for shard in &shards {
-                let shard = shard.lock().expect("shard lock poisoned");
                 for node in &shard.nodes {
                     harvest_fj += node.ledger.harvested_fj;
                     pending[node.class.index()] += node.backlog;
@@ -527,30 +508,15 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
     let mut digest = Fnv64::new();
     let mut summary = NodeSummary::default();
     let mut ledger = NodeLedger::default();
-    let mut classes = [
-        ClassReport {
-            name: NodeClass::Sentinel.name(),
-            nodes: class_nodes[0],
-            expected: 0,
-            completed: 0,
-        },
-        ClassReport {
-            name: NodeClass::Monitor.name(),
-            nodes: class_nodes[1],
-            expected: 0,
-            completed: 0,
-        },
-        ClassReport {
-            name: NodeClass::Archiver.name(),
-            nodes: class_nodes[2],
-            expected: 0,
-            completed: 0,
-        },
-    ];
+    let mut classes = NodeClass::ALL.map(|c| ClassReport {
+        name: c.name(),
+        nodes: class_nodes[c.index()],
+        expected: 0,
+        completed: 0,
+    });
     let mut wakes = 0u64;
     let mut deliveries = 0u64;
-    for shard in &shards {
-        let mut shard = shard.lock().expect("shard lock poisoned");
+    for shard in &mut shards {
         wakes += shard.wakes;
         deliveries += shard.deliveries;
         // Messages routed into a queue but not yet delivered when the

@@ -49,28 +49,16 @@ pub struct FleetEvent {
 }
 
 impl Ord for FleetEvent {
+    /// `(time, node, seq)`: `seq` is unique within a queue, so no two
+    /// queued events compare equal and the payload never breaks a tie.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.node, self.seq, order_rank(&self.kind)).cmp(&(
-            other.time,
-            other.node,
-            other.seq,
-            order_rank(&other.kind),
-        ))
+        (self.time, self.node, self.seq).cmp(&(other.time, other.node, other.seq))
     }
 }
 
 impl PartialOrd for FleetEvent {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Wakes before deliveries at the same `(time, node, seq)` — unreachable
-/// in practice (`seq` is unique per queue) but keeps `Ord` total.
-fn order_rank(kind: &EventKind) -> u32 {
-    match kind {
-        EventKind::Wake => 0,
-        EventKind::Deliver { src, msg_seq } => 1 + src.wrapping_mul(2).wrapping_add(*msg_seq),
     }
 }
 

@@ -23,7 +23,7 @@
 //!   banked up front or the task does not start, and the
 //!   **game-theoretic power manager** ([`emc_core::PowerGame`]) turns
 //!   each epoch's measured harvest into per-class duty quotas;
-//! * the engine shards nodes across the [`emc_sim::campaign`] worker
+//! * the engine shards nodes across the [`emc_sim::fan_out`] worker
 //!   pool with splitmix-derived per-node seeds, an epoch barrier whose
 //!   lookahead is the minimum link latency, and exact-integer
 //!   femtojoule ledgers ([`node::NodeLedger`], associative merge) — so

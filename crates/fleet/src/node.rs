@@ -161,6 +161,10 @@ pub enum NodeClass {
 pub const CLASSES: usize = 3;
 
 impl NodeClass {
+    /// Every class, in [`NodeClass::index`] order.
+    pub const ALL: [NodeClass; CLASSES] =
+        [NodeClass::Sentinel, NodeClass::Monitor, NodeClass::Archiver];
+
     /// Class of `node_id` (round-robin assignment).
     pub fn of(node_id: u32) -> Self {
         match node_id % 3 {
@@ -298,7 +302,7 @@ pub struct NodeState {
     pub rng: StdRng,
     /// Simulation time of the node's last chain tick.
     pub last_tick: Nanos,
-    /// Unserved task backlog (capped at [`BACKLOG_CAP`]).
+    /// Unserved task backlog (capped at `BACKLOG_CAP`).
     pub backlog: u64,
     /// Sequence number for outgoing messages.
     pub msg_seq: u32,

@@ -278,7 +278,7 @@ impl Default for CheckOptions {
 }
 
 /// The full check's outcome for one generated circuit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckOutcome {
     /// The circuit's display name.
     pub name: String,

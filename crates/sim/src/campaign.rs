@@ -16,16 +16,19 @@
 //! 1. **Derived seeding.** Run `i` of a campaign with seed `s` always
 //!    receives `SplitMix64::mix(s, i)` — no shared generator whose
 //!    stream order would depend on scheduling.
-//! 2. **Index-slotted results.** Workers pull the next unclaimed run
-//!    index from a shared atomic counter (a degenerate work-stealing
-//!    queue: stealing is just incrementing first) and write the report
-//!    into its own slot, so aggregation order is the submission order.
+//! 2. **Index-slotted results.** [`fan_out`], the one worker pool of
+//!    the workspace, hands each worker the next `(index, job, result
+//!    slot)` from a shared queue, and the worker writes the run's result
+//!    into that slot, so aggregation order is the submission order.
 //! 3. **No cross-run state.** The worker closure gets `&T` and a fresh
 //!    [`RunContext`]; each run builds its own [`Simulator`].
 //!
-//! The generic entry point is [`run_campaign`]; [`SimCampaign`] is the
-//! convenience wrapper for the common (netlist builder, supply
-//! waveform, seed, stop condition) shape.
+//! [`run_campaign`] is [`fan_out`] plus the per-run seeds and the wall
+//! clock. A run returns whatever the experiment measures: a typed point
+//! comes back as it is, and a [`RunReport`] adds the simulator counts,
+//! figure row and telemetry that [`CampaignReport`] digests and merges.
+//! PDES partitions ([`crate::PdesSimulator`]) and fleet shards run on
+//! [`fan_out`] directly.
 //!
 //! # Examples
 //!
@@ -34,13 +37,11 @@
 //! ```
 //! use emc_device::DeviceModel;
 //! use emc_netlist::{GateKind, Netlist};
-//! use emc_sim::campaign::{run_campaign, CampaignConfig, RunReport};
+//! use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
 //! use emc_sim::{Simulator, SupplyKind};
 //! use emc_units::{Seconds, Waveform};
 //!
-//! let vdds = [0.4, 0.6, 0.8, 1.0];
-//! let cfg = CampaignConfig::new(7).threads(2);
-//! let report = run_campaign(&vdds, &cfg, |&vdd, ctx| {
+//! let ring = |&vdd: &f64, ctx: &RunContext| {
 //!     let mut nl = Netlist::new();
 //!     let en = nl.input("en");
 //!     let g1 = nl.gate(GateKind::Nand, &[en, en], "g1");
@@ -57,41 +58,22 @@
 //!     sim.start();
 //!     let stats = sim.run_until(Seconds(50e-9));
 //!     RunReport::from_sim(&sim, ctx, stats, vec![vdd, stats.fired as f64])
-//! });
+//! };
+//! let vdds = [0.4, 0.6, 0.8, 1.0];
+//! let report = run_campaign(&vdds, &CampaignConfig::new(7).threads(2), ring);
 //! assert_eq!(report.runs.len(), 4);
 //! // Same seed, different thread count: bit-identical outcome.
-//! let serial = run_campaign(&vdds, &CampaignConfig::new(7).threads(1), |&vdd, ctx| {
-//! #    let mut nl = Netlist::new();
-//! #    let en = nl.input("en");
-//! #    let g1 = nl.gate(GateKind::Nand, &[en, en], "g1");
-//! #    let g2 = nl.gate(GateKind::Inv, &[g1], "g2");
-//! #    let g3 = nl.gate(GateKind::Inv, &[g2], "g3");
-//! #    nl.connect_feedback(g1, g3);
-//! #    nl.mark_output(g3);
-//! #    let mut sim = Simulator::new(nl, DeviceModel::umc90());
-//! #    let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd)));
-//! #    sim.assign_all(d);
-//! #    sim.set_initial(g1, true);
-//! #    sim.set_initial(g3, true);
-//! #    sim.schedule_input(en, Seconds(0.0), true);
-//! #    sim.start();
-//! #    let stats = sim.run_until(Seconds(50e-9));
-//! #    RunReport::from_sim(&sim, ctx, stats, vec![vdd, stats.fired as f64])
-//! });
+//! let serial = run_campaign(&vdds, &CampaignConfig::new(7).threads(1), ring);
 //! assert_eq!(report.digest(), serial.digest());
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use emc_device::DeviceModel;
-use emc_netlist::Netlist;
 use emc_obs::Telemetry;
 use emc_prng::SplitMix64;
-use emc_units::{Joules, Seconds};
+use emc_units::Joules;
 
-use crate::domain::SupplyKind;
 use crate::fnv::Fnv64;
 use crate::simulator::{RunStats, Simulator};
 
@@ -117,18 +99,6 @@ impl CampaignConfig {
         self
     }
 
-    /// The effective thread count: the override, or available
-    /// parallelism.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
     /// The derived seed of run `index` — the contract that lets a run be
     /// replayed in isolation.
     pub fn run_seed(&self, index: usize) -> u64 {
@@ -147,7 +117,7 @@ pub struct RunContext {
     pub seed: u64,
 }
 
-/// What one run contributes to the campaign report.
+/// What one figure-producing run contributes to the campaign report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Position of this run in the campaign's job list.
@@ -167,7 +137,7 @@ pub struct RunReport {
     pub values: Vec<f64>,
     /// The run's telemetry bundle, when the run was observed.
     ///
-    /// Deliberately **excluded from [`RunReport::fold_into`]** so that
+    /// Deliberately **excluded from [`CampaignReport::digest`]** so that
     /// enabling observability can never move a pinned campaign digest.
     pub telemetry: Option<Box<Telemetry>>,
 }
@@ -209,13 +179,6 @@ impl RunReport {
         }
     }
 
-    /// Attaches a telemetry bundle (builder style) — for jobs that
-    /// build their telemetry outside the event simulator.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(Box::new(telemetry));
-        self
-    }
-
     fn fold_into(&self, h: &mut Fnv64) {
         h.write_u64(self.index as u64);
         h.write_u64(self.seed);
@@ -230,27 +193,27 @@ impl RunReport {
     }
 }
 
-/// The aggregated outcome of a campaign: every run's report in
+/// The aggregated outcome of a campaign: every run's result in
 /// submission order, plus the wall-clock the fan-out took.
 ///
 /// Everything except `wall_clock` is a pure function of the job list
-/// and the campaign seed; [`CampaignReport::digest`] covers exactly
-/// that deterministic part.
+/// and the campaign seed. For [`RunReport`] runs,
+/// [`CampaignReport::digest`] covers exactly that deterministic part.
 #[derive(Debug, Clone)]
-pub struct CampaignReport {
+pub struct CampaignReport<R = RunReport> {
     /// The seed the campaign ran under.
     pub seed: u64,
     /// Thread count actually used.
     pub threads: usize,
-    /// Per-run reports, indexed by submission order (never by
+    /// Per-run results, indexed by submission order (never by
     /// completion order).
-    pub runs: Vec<RunReport>,
+    pub runs: Vec<R>,
     /// How long the fan-out took (excluded from the digest: timing is
     /// the one thing threads are allowed to change).
     pub wall_clock: Duration,
 }
 
-impl CampaignReport {
+impl CampaignReport<RunReport> {
     /// Digest of the deterministic content: seed and every run report,
     /// in order. Equal digests ⇒ byte-identical figure data.
     pub fn digest(&self) -> u64 {
@@ -266,16 +229,6 @@ impl CampaignReport {
     /// Sum of events fired across runs.
     pub fn total_fired(&self) -> u64 {
         self.runs.iter().map(|r| r.stats.fired).sum()
-    }
-
-    /// Sum of hazards across runs.
-    pub fn total_hazards(&self) -> u64 {
-        self.runs.iter().map(|r| r.hazards).sum()
-    }
-
-    /// Total energy drawn across runs.
-    pub fn total_energy(&self) -> Joules {
-        Joules(self.runs.iter().map(|r| r.energy.0).sum())
     }
 
     /// The figure rows: each run's `values`, in submission order — the
@@ -299,7 +252,68 @@ impl CampaignReport {
     }
 }
 
-/// Fans `jobs` out across worker threads and aggregates the reports.
+/// The worker count for `items` items: `threads`, or one per available
+/// core when it is 0, never more than the items and at least one.
+fn worker_count(threads: usize, items: usize) -> usize {
+    let threads = if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    };
+    threads.min(items.max(1))
+}
+
+/// Runs `f(index, item)` for every item on a scoped pool of worker
+/// threads and returns the results in item order.
+///
+/// `threads == 0` means one worker per available core; there are never
+/// more workers than items, and an empty list gets one worker. Each
+/// worker takes the next `(index, item, result slot)` from one shared
+/// queue and writes its result into that slot, so a slow item holds up
+/// no other worker and the output order never depends on scheduling.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic with its payload.
+pub fn fan_out<I, R, F>(items: Vec<I>, threads: usize, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(usize, I) -> R + Sync,
+{
+    let workers = worker_count(threads, items.len());
+    // The caller allocates every result slot and the queue hands each out
+    // with its item, so workers allocate nothing here. On the
+    // `wchb_array` benchmark, workers that collected results in a `Vec`
+    // of their own (or took the stripe `i % threads`) raised peak RSS
+    // from about 249 MB to 284–313 MB; per-thread malloc arenas are the
+    // likely, unverified cause.
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let queue = Mutex::new(items.into_iter().zip(&mut slots).enumerate());
+    let work = || loop {
+        // The guard drops at the end of this statement: the lock is
+        // never held while `f` runs.
+        let next = queue.lock().expect("no panic holds the queue lock").next();
+        let Some((index, (item, slot))) = next else {
+            break;
+        };
+        *slot = Some(f(index, item));
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        for handle in handles {
+            handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every item ran"))
+        .collect()
+}
+
+/// Fans `jobs` out on [`fan_out`] and collects what each run returns.
 ///
 /// `worker` is called once per job with the job and its [`RunContext`];
 /// it must derive all randomness from `ctx.seed`. The returned report
@@ -307,43 +321,22 @@ impl CampaignReport {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the panic is propagated).
-pub fn run_campaign<T, F>(jobs: &[T], config: &CampaignConfig, worker: F) -> CampaignReport
+/// Panics if a worker panics (the panic is propagated).
+pub fn run_campaign<T, R, F>(jobs: &[T], config: &CampaignConfig, worker: F) -> CampaignReport<R>
 where
     T: Sync,
-    F: Fn(&T, &RunContext) -> RunReport + Sync,
+    R: Send,
+    F: Fn(&T, &RunContext) -> R + Sync,
 {
-    let threads = config.effective_threads().min(jobs.len().max(1));
+    let threads = worker_count(config.threads, jobs.len());
     let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunReport>>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= jobs.len() {
-                    break;
-                }
-                let ctx = RunContext {
-                    index,
-                    seed: config.run_seed(index),
-                };
-                let report = worker(&jobs[index], &ctx);
-                *slots[index].lock().expect("unpoisoned slot") = Some(report);
-            });
-        }
+    let runs = fan_out(jobs.iter().collect(), threads, |index, job| {
+        let ctx = RunContext {
+            index,
+            seed: config.run_seed(index),
+        };
+        worker(job, &ctx)
     });
-
-    let runs: Vec<RunReport> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .expect("unpoisoned slot")
-                .unwrap_or_else(|| panic!("run {i} produced no report"))
-        })
-        .collect();
     CampaignReport {
         seed: config.seed,
         threads,
@@ -352,137 +345,9 @@ where
     }
 }
 
-/// When a [`SimCampaign`] run stops.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StopCondition {
-    /// Run until the event queue passes `t` ([`Simulator::run_until`]).
-    At(Seconds),
-    /// Run to quiescence or `max_events`, whichever first
-    /// ([`Simulator::run_to_quiescence`]).
-    Quiescence {
-        /// Event budget for the run.
-        max_events: u64,
-    },
-}
-
-/// Builder hook of a [`SimJob`]: netlist plus device model, per run.
-pub type BuildFn<'a> = Box<dyn Fn(&RunContext) -> (Netlist, DeviceModel) + Sync + 'a>;
-/// Preparation hook of a [`SimJob`], between domain assignment and start.
-pub type PrepareFn<'a> = Box<dyn Fn(&mut Simulator, &RunContext) + Sync + 'a>;
-/// Measurement hook of a [`SimJob`]: the figure row after the run.
-pub type MeasureFn<'a> = Box<dyn Fn(&Simulator, &RunContext) -> Vec<f64> + Sync + 'a>;
-
-/// One (netlist builder, supply waveform, stop condition) simulation
-/// job — the campaign shape the paper's sweeps share. The run's seed
-/// arrives in the builder's [`RunContext`] for randomised workloads,
-/// delay scalings or fault picks.
-pub struct SimJob<'a> {
-    /// Builds the netlist and returns it with the device model to
-    /// simulate under. Called once, on the worker thread.
-    pub build: BuildFn<'a>,
-    /// The supply the whole netlist runs from.
-    pub supply: SupplyKind,
-    /// Hook between domain assignment and `start()`: initial values,
-    /// watches, scheduled inputs, delay scaling, extra loads.
-    pub prepare: PrepareFn<'a>,
-    /// When the run stops.
-    pub stop: StopCondition,
-    /// Extracts the figure row after the run.
-    pub measure: MeasureFn<'a>,
-}
-
-/// A campaign over [`SimJob`]s: builds, runs and measures each job on
-/// the engine, producing one [`RunReport`] per job.
-pub struct SimCampaign<'a> {
-    jobs: Vec<SimJob<'a>>,
-}
-
-impl<'a> Default for SimCampaign<'a> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a> SimCampaign<'a> {
-    /// An empty campaign.
-    pub fn new() -> Self {
-        Self { jobs: Vec::new() }
-    }
-
-    /// Queues one job.
-    pub fn push(&mut self, job: SimJob<'a>) -> &mut Self {
-        self.jobs.push(job);
-        self
-    }
-
-    /// Number of queued jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` if no jobs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Runs the campaign on the engine.
-    pub fn run(&self, config: &CampaignConfig) -> CampaignReport {
-        run_campaign(&self.jobs, config, |job, ctx| {
-            let (netlist, device) = (job.build)(ctx);
-            let mut sim = Simulator::new(netlist, device);
-            let d = sim.add_domain("vdd", job.supply.clone());
-            sim.assign_all(d);
-            (job.prepare)(&mut sim, ctx);
-            sim.start();
-            let stats = match job.stop {
-                StopCondition::At(t) => sim.run_until(t),
-                StopCondition::Quiescence { max_events } => {
-                    let fired = sim.run_to_quiescence(max_events);
-                    RunStats {
-                        fired,
-                        hazards: sim.hazards().len() as u64,
-                    }
-                }
-            };
-            let values = (job.measure)(&sim, ctx);
-            RunReport::from_sim(&sim, ctx, stats, values)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_netlist::GateKind;
-    use emc_units::Waveform;
-
-    fn ring_job(vdd: f64) -> SimJob<'static> {
-        SimJob {
-            build: Box::new(|_| {
-                let mut nl = Netlist::new();
-                let en = nl.input("en");
-                let g1 = nl.gate(GateKind::Nand, &[en, en], "g1");
-                let g2 = nl.gate(GateKind::Inv, &[g1], "g2");
-                let g3 = nl.gate(GateKind::Inv, &[g2], "g3");
-                nl.connect_feedback(g1, g3);
-                nl.mark_output(g3);
-                (nl, DeviceModel::umc90())
-            }),
-            supply: SupplyKind::ideal(Waveform::constant(vdd)),
-            prepare: Box::new(|sim, _| {
-                let nl = sim.netlist();
-                let g1 = nl.find_net("g1").expect("g1");
-                let g3 = nl.find_net("g3").expect("g3");
-                let en = nl.find_net("en").expect("en");
-                sim.set_initial(g1, true);
-                sim.set_initial(g3, true);
-                sim.watch(g3);
-                sim.schedule_input(en, Seconds(0.0), true);
-            }),
-            stop: StopCondition::At(Seconds(30e-9)),
-            measure: Box::new(|sim, _| vec![sim.total_transitions() as f64]),
-        }
-    }
 
     #[test]
     fn workers_genuinely_run_concurrently() {
@@ -494,10 +359,10 @@ mod tests {
         let jobs = [0u64; 4];
         let report = run_campaign(&jobs, &CampaignConfig::new(0).threads(4), |_, ctx| {
             barrier.wait();
-            RunReport::from_values(ctx, vec![ctx.index as f64])
+            ctx.index
         });
         assert_eq!(report.threads, 4);
-        assert_eq!(report.runs.len(), 4);
+        assert_eq!(report.runs, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -507,9 +372,8 @@ mod tests {
         // core. 6 × 30 ms serial would be ≥ 180 ms; overlapped it is
         // ~30 ms. The 120 ms threshold leaves wide scheduling margin.
         let jobs = [0u64; 6];
-        let report = run_campaign(&jobs, &CampaignConfig::new(0).threads(6), |_, ctx| {
+        let report = run_campaign(&jobs, &CampaignConfig::new(0).threads(6), |_, _| {
             std::thread::sleep(Duration::from_millis(30));
-            RunReport::from_values(ctx, vec![])
         });
         assert!(
             report.wall_clock < Duration::from_millis(120),
@@ -535,25 +399,9 @@ mod tests {
         });
         for (i, r) in report.runs.iter().enumerate() {
             assert_eq!(r.index, i);
+            assert_eq!(r.seed, CampaignConfig::new(1).run_seed(i));
             assert_eq!(r.values, vec![i as f64 * 2.0]);
         }
-    }
-
-    #[test]
-    fn sim_campaign_runs_and_reports() {
-        let mut c = SimCampaign::new();
-        for vdd in [0.5, 0.8, 1.0] {
-            c.push(ring_job(vdd));
-        }
-        let report = c.run(&CampaignConfig::new(3).threads(2));
-        assert_eq!(report.runs.len(), 3);
-        for r in &report.runs {
-            assert!(r.stats.fired > 5, "ring must oscillate: {r:?}");
-            assert!(r.energy.0 > 0.0);
-            assert_ne!(r.trace_digest, 0);
-        }
-        // Higher Vdd, more transitions in the same window.
-        assert!(report.runs[2].stats.fired > report.runs[0].stats.fired);
     }
 
     #[test]
@@ -563,11 +411,56 @@ mod tests {
             RunReport::from_values(ctx, vec![])
         });
         assert!(report.runs.is_empty());
+        assert_eq!(report.threads, 1);
         assert_eq!(report.digest(), {
             let mut h = Fnv64::new();
             h.write_u64(5);
             h.write_u64(0);
             h.finish()
         });
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_item_order_whatever_their_cost() {
+        // Early items are the slow ones, so they finish last.
+        let items: Vec<u64> = (0..24).collect();
+        for threads in [1, 2, 8] {
+            let out = fan_out(items.clone(), threads, |index, item| {
+                std::thread::sleep(Duration::from_micros(200 * (24 - item)));
+                (index, item * 3)
+            });
+            let expected: Vec<(usize, u64)> = (0..24).map(|i| (i as usize, i * 3)).collect();
+            assert_eq!(out, expected, "at {threads} thread(s)");
+        }
+    }
+
+    #[test]
+    fn fan_out_visits_every_mut_item_exactly_once() {
+        let mut visits = vec![0u32; 41];
+        let indices = fan_out(visits.iter_mut().collect(), 3, |index, v: &mut u32| {
+            *v += 1;
+            index
+        });
+        assert_eq!(indices, (0..41).collect::<Vec<_>>());
+        assert!(visits.iter().all(|&v| v == 1), "{visits:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn fan_out_reraises_a_worker_panic() {
+        fan_out((0..8).collect(), 2, |index, item: u32| {
+            assert!(index != 5, "item {index} failed");
+            item
+        });
+    }
+
+    #[test]
+    fn fan_out_takes_an_empty_list_and_zero_threads() {
+        assert!(fan_out(Vec::<u8>::new(), 4, |_, x| x).is_empty());
+        assert!(fan_out(Vec::<u8>::new(), 0, |_, x| x).is_empty());
+        assert_eq!(fan_out(vec![1, 2, 3], 0, |_, x| x * 10), [10, 20, 30]);
+        assert_eq!(worker_count(0, 0), 1);
+        assert_eq!(worker_count(8, 3), 3);
+        assert_eq!(worker_count(2, 100), 2);
     }
 }

@@ -70,10 +70,7 @@ pub mod sta;
 pub mod trace;
 pub mod vcd;
 
-pub use campaign::{
-    run_campaign, CampaignConfig, CampaignReport, RunContext, RunReport, SimCampaign, SimJob,
-    StopCondition,
-};
+pub use campaign::{fan_out, run_campaign, CampaignConfig, CampaignReport, RunContext, RunReport};
 pub use domain::{DomainId, PowerDomain, SupplyKind};
 pub use fnv::Fnv64;
 pub use pdes::{PdesPartitionSpec, PdesSimulator, PdesStats};

@@ -8,9 +8,9 @@
 //! is driven in one partition and read in another: every partition is a
 //! union of connected components. Partitions therefore exchange no
 //! events and need no synchronization protocol.
-//! [`PdesSimulator::run_until`] hands each worker thread its stripe of
-//! partitions (`part % threads`) and runs every partition's own
-//! [`Simulator::run_until`] side by side.
+//! [`PdesSimulator::run_until`] runs every partition's own
+//! [`Simulator::run_until`] side by side on the shared worker pool,
+//! [`fan_out`].
 //!
 //! # What equivalent means
 //!
@@ -31,6 +31,7 @@ use emc_netlist::{CrossingNet, GateKind, NetId, Netlist, Partitioned};
 use emc_obs::Telemetry;
 use emc_units::{Joules, Seconds};
 
+use crate::campaign::fan_out;
 use crate::domain::SupplyKind;
 use crate::simulator::{Hazard, RunStats, Simulator};
 use crate::trace::{Trace, TraceEntry};
@@ -329,31 +330,14 @@ impl PdesSimulator {
         {
             self.stats.sync_rounds += 1;
         }
-        let threads = self.threads.min(self.slices.len());
-        let mut stripes: Vec<Vec<&mut Simulator>> = (0..threads).map(|_| Vec::new()).collect();
-        for (p, sim) in self.slices.iter_mut().enumerate() {
-            stripes[p % threads].push(sim);
-        }
-        let add = |a: RunStats, b: RunStats| RunStats {
+        let slices = self.slices.iter_mut().collect();
+        fan_out(slices, self.threads, |_, sim: &mut Simulator| {
+            sim.run_until(t_end)
+        })
+        .into_iter()
+        .fold(RunStats::default(), |a, b| RunStats {
             fired: a.fired + b.fired,
             hazards: a.hazards + b.hazards,
-        };
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = stripes
-                .into_iter()
-                .map(|stripe| {
-                    scope.spawn(move || {
-                        stripe
-                            .into_iter()
-                            .map(|sim| sim.run_until(t_end))
-                            .fold(RunStats::default(), add)
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .fold(RunStats::default(), add)
         })
     }
 }

@@ -12,7 +12,7 @@
 //! States are bit-packed (one `u64` word per 64 nets, two per 64 gates
 //! for the pending events) and stored once each, in discovery order, in
 //! one flat `u64` arena behind an open-addressed index table
-//! ([`WordTable`]). The visited set is that table and the BFS frontier is
+//! (`WordTable`). The visited set is that table and the BFS frontier is
 //! the range of arena indices not yet expanded, so no state is ever boxed
 //! on its own.
 //!

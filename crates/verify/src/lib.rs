@@ -70,12 +70,10 @@ pub mod explore;
 pub mod powerclock;
 pub mod reduce;
 
-use std::sync::Mutex;
-
 use emc_netlist::{Diagnostic, NetId, Netlist, Severity};
 use emc_obs::export::json_string;
 use emc_petri::{SignalId, Stg};
-use emc_sim::{run_campaign, CampaignConfig, CampaignReport, RunReport};
+use emc_sim::{run_campaign, CampaignConfig, CampaignReport};
 
 pub use conformance::check_conformance;
 pub use emc_analyze::{
@@ -324,37 +322,14 @@ impl Verifier {
 }
 
 /// Verifies every circuit as a deterministic parallel campaign on
-/// [`emc_sim::run_campaign`]. Each run's digest-relevant values are the
-/// error/warning/info counts, the visited-state count and the
-/// exhaustiveness flag, so the campaign digest is identical for any
-/// thread count exactly when all reports agree.
+/// [`emc_sim::run_campaign`]: the reports come back in circuit order and
+/// are identical at any thread count.
 pub fn verify_suite(
     circuits: &[Circuit<'_>],
     verifier: &Verifier,
     config: &CampaignConfig,
-) -> (Vec<Report>, CampaignReport) {
-    let slots: Vec<Mutex<Option<Report>>> = circuits.iter().map(|_| Mutex::new(None)).collect();
-    let campaign = run_campaign(circuits, config, |circuit, ctx| {
-        let report = verifier.verify(circuit);
-        let values = vec![
-            report.errors() as f64,
-            report.warnings() as f64,
-            report.infos() as f64,
-            report.states as f64,
-            f64::from(u8::from(report.exhaustive)),
-        ];
-        *slots[ctx.index].lock().expect("report slot poisoned") = Some(report);
-        RunReport::from_values(ctx, values)
-    });
-    let reports = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("report slot poisoned")
-                .expect("worker always fills its slot")
-        })
-        .collect();
-    (reports, campaign)
+) -> CampaignReport<Report> {
+    run_campaign(circuits, config, |circuit, _| verifier.verify(circuit))
 }
 
 #[cfg(test)]
@@ -424,19 +399,19 @@ mod tests {
     }
 
     #[test]
-    fn suite_digest_is_thread_invariant() {
+    fn suite_reports_are_thread_invariant() {
         let circuits = vec![glitch(), glitch(), glitch(), glitch()];
         let verifier = Verifier::new();
-        let digests: Vec<u64> = [1usize, 2, 8]
+        let jsons: Vec<Vec<String>> = [1usize, 2, 8]
             .iter()
             .map(|&threads| {
                 let config = CampaignConfig::new(7).threads(threads);
-                let (reports, campaign) = verify_suite(&circuits, &verifier, &config);
-                assert_eq!(reports.len(), 4);
-                campaign.digest()
+                let campaign = verify_suite(&circuits, &verifier, &config);
+                assert_eq!(campaign.runs.len(), 4);
+                campaign.runs.iter().map(Report::to_json).collect()
             })
             .collect();
-        assert_eq!(digests[0], digests[1]);
-        assert_eq!(digests[1], digests[2]);
+        assert_eq!(jsons[0], jsons[1]);
+        assert_eq!(jsons[1], jsons[2]);
     }
 }

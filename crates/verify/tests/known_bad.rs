@@ -110,7 +110,6 @@ fn broken_fixture_json_is_stable() {
 #[test]
 fn campaign_over_full_suite_is_deterministic_across_thread_counts() {
     let verifier = Verifier::new();
-    let mut digests = Vec::new();
     let mut jsons: Vec<Vec<String>> = Vec::new();
     for threads in [1usize, 2, 8] {
         let circuits: Vec<_> = builtin_suite(true)
@@ -118,12 +117,9 @@ fn campaign_over_full_suite_is_deterministic_across_thread_counts() {
             .chain(broken_suite().into_iter().map(|(c, _)| c))
             .collect();
         let config = CampaignConfig::new(42).threads(threads);
-        let (reports, campaign) = verify_suite(&circuits, &verifier, &config);
-        digests.push(campaign.digest());
-        jsons.push(reports.iter().map(|r| r.to_json()).collect());
+        let campaign = verify_suite(&circuits, &verifier, &config);
+        jsons.push(campaign.runs.iter().map(|r| r.to_json()).collect());
     }
-    assert_eq!(digests[0], digests[1], "digest differs 1 vs 2 threads");
-    assert_eq!(digests[1], digests[2], "digest differs 2 vs 8 threads");
     assert_eq!(jsons[0], jsons[1]);
     assert_eq!(jsons[1], jsons[2]);
 }
