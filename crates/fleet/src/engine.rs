@@ -638,6 +638,30 @@ mod tests {
         assert!(drought.ledger.harvested_fj < healthy.ledger.harvested_fj);
     }
 
+    /// A drought on a multi-shard grid fleet: routing crosses shard
+    /// boundaries while the reservoirs drain, refuse and recover. The
+    /// digest is pinned, and must not depend on the thread count.
+    #[test]
+    fn multi_shard_drought_digest_is_pinned() {
+        let mut config = smoke_config(600);
+        config.epochs = 8;
+        config.topology = TopologyKind::Grid;
+        config.drought = Some(DroughtSpec {
+            from_epoch: 2,
+            until_epoch: 6,
+            factor: 0.1,
+        });
+        let report = run_fleet(&config, 1);
+        assert_eq!(report.shards, 3);
+        assert!(report.summary.refused > 0, "the drought refused nothing");
+        assert_eq!(
+            report.digest, 0x3a97_d0a4_a7e5_8a69,
+            "drought digest moved: got {:#018x}",
+            report.digest
+        );
+        assert_eq!(run_fleet(&config, 2).to_json(), report.to_json());
+    }
+
     #[test]
     fn json_is_stable_and_wall_free() {
         let report = run_fleet(&smoke_config(30), 1);
