@@ -25,6 +25,9 @@
 //! * `altlogic` — the alternative logic families' ledgers: an adiabatic
 //!   cascade run and a charge-recovery session, with `recovered` energy
 //!   booked next to `dissipated` and `leaked`;
+//! * `fleet` — a ring fleet of harvester-powered nodes: the `fleet.*`
+//!   event and message counters, per-class QoS gauges and the merged
+//!   femtojoule ledger as `fleet/<bucket>` accounts;
 //! * `all` — every scenario above, merged into one bundle.
 //!
 //! Output: a human summary by default, or exactly one of `--json`
@@ -38,6 +41,7 @@ use emc_async::{SelfTimedOscillator, ToggleRippleCounter};
 use emc_bench::cli::{Flags, OutFile, UsageError};
 use emc_bench::{drive_array, pdes_array, pdes_parallel};
 use emc_device::{AdiabaticModel, DeviceModel};
+use emc_fleet::{run_fleet, CalibDepth, FleetConfig};
 use emc_netlist::{GateKind, Netlist};
 use emc_obs::{to_chrome_trace, to_jsonl, to_prometheus, EnergyKind, Telemetry};
 use emc_power::{
@@ -186,7 +190,7 @@ fn campaign_worker(vdd: &f64, ctx: &RunContext) -> RunReport {
 fn scenario_pdes(smoke: bool, threads: usize) -> Telemetry {
     let (rows, cols, parts, ticks) = if smoke { (4, 3, 2, 7) } else { (8, 6, 3, 13) };
     let rig = pdes_array(rows, cols, parts);
-    let mut sim = pdes_parallel(&rig, threads.max(1), true);
+    let mut sim = pdes_parallel(&rig, threads, true);
     let fired = drive_array(&mut sim, &rig, ticks);
     assert!(fired > 0, "pdes scenario fired no events");
     sim.telemetry()
@@ -226,10 +230,32 @@ fn scenario_altlogic(smoke: bool) -> Telemetry {
     t
 }
 
+/// A ring fleet (the `emc-fleet` tool's size, or its `--smoke` size)
+/// through [`emc_fleet::FleetReport::telemetry`]: event and message
+/// counters, per-class QoS gauges and the femtojoule ledger. Shard
+/// ledgers merge as exact integers, so the bundle is byte-identical at
+/// any thread count.
+fn scenario_fleet(smoke: bool, threads: usize, seed: u64) -> Telemetry {
+    let config = if smoke {
+        FleetConfig {
+            calib: CalibDepth::Smoke,
+            ..FleetConfig::new(400, 6, seed)
+        }
+    } else {
+        FleetConfig::new(10_000, 50, seed)
+    };
+    let report = run_fleet(&config, threads);
+    assert!(
+        report.summary.completed > 0,
+        "fleet scenario completed no task"
+    );
+    report.telemetry()
+}
+
 /// The scenarios `--scenario` takes, besides `all`, in the order `all`
 /// merges them.
-const SCENARIOS: [&str; 8] = [
-    "sim", "verify", "sram", "sensor", "chain", "campaign", "pdes", "altlogic",
+const SCENARIOS: [&str; 9] = [
+    "sim", "verify", "sram", "sensor", "chain", "campaign", "pdes", "altlogic", "fleet",
 ];
 
 fn run_scenario(name: &str, smoke: bool, threads: usize, seed: u64) -> Telemetry {
@@ -242,6 +268,7 @@ fn run_scenario(name: &str, smoke: bool, threads: usize, seed: u64) -> Telemetry
         "campaign" => scenario_campaign(smoke, threads, seed),
         "pdes" => scenario_pdes(smoke, threads),
         "altlogic" => scenario_altlogic(smoke),
+        "fleet" => scenario_fleet(smoke, threads, seed),
         "all" => SCENARIOS
             .iter()
             .map(|s| run_scenario(s, smoke, threads, seed))

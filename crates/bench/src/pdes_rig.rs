@@ -122,7 +122,7 @@ pub fn pdes_sequential(rig: &PdesArray) -> Simulator {
 }
 
 /// A started parallel simulator over the rig at `threads` worker
-/// threads. `obs` enables per-partition observability before start (for
+/// threads (0 = one per core). `obs` enables per-partition observability before start (for
 /// `emc-stats`; `perfbench` measures with it off).
 ///
 /// # Panics

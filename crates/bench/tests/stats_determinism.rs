@@ -55,6 +55,8 @@ fn full_scenario_jsonl_is_reproducible_across_threads() {
         "\"id\":\"sram.reads\"",
         "\"id\":\"sensor.conversions\"",
         "\"account\":\"chain/harvested\"",
+        "\"id\":\"fleet.wakes\"",
+        "\"account\":\"fleet/harvested\"",
         "\"type\":\"span\"",
     ] {
         assert!(a.contains(needle), "JSONL lacks {needle}");

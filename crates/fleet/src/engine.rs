@@ -7,23 +7,32 @@
 //! shard count is a pure function of the node count — never of the
 //! thread count. Within one *epoch* every shard simulates its own
 //! event queue completely independently: the topology guarantees every
-//! link latency is at least one epoch (the PDES lookahead), so no
-//! message sent during epoch `k` can be deliverable before epoch
-//! `k+1`. Each epoch fans the shards out on [`emc_sim::fan_out`], the
-//! workspace's one worker pool, and between epochs a single-threaded
-//! barrier
+//! link latency is at least one epoch (the PDES lookahead), and every
+//! wake period is a whole number of epochs, so nothing run during epoch
+//! `k` schedules an event before epoch `k+1`. Each epoch fans the
+//! shards out on [`emc_sim::fan_out`], the workspace's one worker pool.
+//! A shard's epoch
 //!
-//! 1. drains every shard's outbox *in shard order*,
-//! 2. sorts all in-flight messages by `(deliver, dst, src, seq)` — a
-//!    total order independent of which worker produced them first,
-//! 3. routes them into the destination shards' inboxes, and
-//! 4. runs the fleet-wide duty arbitration for the next epoch: the
+//! 1. sorts its inbox into the total message order `(deliver, dst,
+//!    src, seq)` — unique keys, so the order does not depend on which
+//!    worker produced a message first — and queues the deliveries,
+//! 2. takes every event due before the epoch's horizon as one batch,
+//!    sorted once by `(time, node, seq)`, and runs it in order, and
+//! 3. sums its nodes' harvest and backlog while they are in cache.
+//!
+//! Between epochs a single-threaded barrier
+//!
+//! 1. routes every shard's outbox, *in shard order*, into the
+//!    destination shards' inboxes, unsorted,
+//! 2. adds the shard totals, and
+//! 3. runs the fleet-wide duty arbitration for the next epoch: the
 //!    game-theoretic power manager ([`emc_core::PowerGame`]) turns the
 //!    epoch's measured harvest power into per-class duty quotas.
 //!
-//! Every number crossing the barrier is an exact integer (femtojoule
-//! ledgers, event counters), so the arbitration input — and hence the
-//! whole run — is bit-identical at any worker-thread count.
+//! The barrier neither sorts nor visits a node. Every number crossing
+//! it is an exact integer (femtojoule ledgers, event counters), whose
+//! sum does not depend on grouping, so the arbitration input — and
+//! hence the whole run — is bit-identical at any worker-thread count.
 
 use std::time::Instant;
 
@@ -34,7 +43,7 @@ use emc_sim::{fan_out, Fnv64};
 use emc_units::{Seconds, Waveform};
 
 use crate::event::{EventKind, EventQueue, Message, Nanos};
-use crate::island::{CalibDepth, IslandModel, SensorModel};
+use crate::island::{CalibDepth, IslandModel, SensorModel, TaskCost};
 use crate::node::{from_femtojoules, NodeClass, NodeLedger, NodeState, NodeSummary, CLASSES};
 use crate::topology::{Topology, TopologyKind};
 
@@ -112,6 +121,10 @@ struct Shard {
     outbox: Vec<Message>,
     wakes: u64,
     deliveries: u64,
+    /// The nodes' harvest so far, summed at the end of the last epoch.
+    harvested_fj: u64,
+    /// The nodes' task backlog per class at the end of the last epoch.
+    backlog: [u64; CLASSES],
 }
 
 impl Shard {
@@ -122,12 +135,17 @@ impl Shard {
         epoch: Nanos,
         quotas: &[u32; CLASSES],
         topo: &Topology,
-        island: &IslandModel,
+        costs: &[TaskCost; CLASSES],
         sensor: &SensorModel,
     ) {
-        // Inject the barrier-routed inbox (already in total message
-        // order) into the local queue.
-        for m in std::mem::take(&mut self.inbox) {
+        // The barrier routes messages in arrival order; queue them in
+        // the total message order, so their sequence numbers follow it.
+        // Freeing the inbox here rather than keeping its capacity
+        // measured about 3 MB lower peak RSS on the 100k-node benchmark
+        // fleet (2-vCPU host; EXPERIMENTS.md).
+        let mut inbox = std::mem::take(&mut self.inbox);
+        inbox.sort_unstable();
+        for m in inbox {
             self.queue.push(
                 m.deliver,
                 m.dst,
@@ -137,15 +155,16 @@ impl Shard {
                 },
             );
         }
-        while let Some(ev) = self.queue.pop_before(horizon) {
+        for ev in self.queue.take_before(horizon) {
             let node = &mut self.nodes[(ev.node - self.base) as usize];
             match ev.kind {
                 EventKind::Wake => {
                     self.wakes += 1;
+                    let class = node.class.index();
                     node.wake(
                         ev.time,
-                        quotas[node.class.index()],
-                        island,
+                        quotas[class],
+                        &costs[class],
                         sensor,
                         topo.links(ev.node),
                         &mut self.outbox,
@@ -158,6 +177,12 @@ impl Shard {
                     node.receive(src, msg_seq);
                 }
             }
+        }
+        self.harvested_fj = 0;
+        self.backlog = [0; CLASSES];
+        for node in &self.nodes {
+            self.harvested_fj += node.ledger.harvested_fj;
+            self.backlog[node.class.index()] += node.backlog;
         }
     }
 }
@@ -244,7 +269,8 @@ impl FleetReport {
     }
 
     /// The merged fleet telemetry: the associative femtojoule ledger
-    /// rendered into `emc-obs` accounts, plus fleet counters and
+    /// rendered into `emc-obs` accounts, plus fleet counters (events,
+    /// tasks, and messages sent, received, dropped and in flight) and
     /// per-class QoS gauges.
     pub fn telemetry(&self) -> Telemetry {
         let mut t = Telemetry::new();
@@ -259,8 +285,12 @@ impl FleetReport {
         t.metrics.inc(c, self.summary.refused);
         let c = t.metrics.counter("fleet.msgs.sent");
         t.metrics.inc(c, self.summary.sent);
+        let c = t.metrics.counter("fleet.msgs.received");
+        t.metrics.inc(c, self.summary.received);
         let c = t.metrics.counter("fleet.msgs.dropped");
         t.metrics.inc(c, self.summary.dropped);
+        let c = t.metrics.counter("fleet.msgs.inflight");
+        t.metrics.inc(c, self.inflight);
         for class in &self.classes {
             let g = t.metrics.gauge(format!("fleet.qos.{}", class.name));
             t.metrics.set_gauge(g, class.qos());
@@ -344,12 +374,13 @@ impl FleetReport {
     }
 }
 
-/// Estimated delivered-energy quantum of one class task (arbitration's
-/// workload unit; the real per-task quantum varies with the sensed
-/// voltage, this uses the mid-range sensing point).
-fn class_task_energy(class: NodeClass, island: &IslandModel, sensor: &SensorModel) -> f64 {
+/// Estimated delivered-energy quantum of a class task of island cost
+/// `cost` (arbitration's workload unit; the real per-task quantum
+/// varies with the sensed voltage, this uses the mid-range sensing
+/// point).
+fn class_task_energy(cost: &TaskCost, sensor: &SensorModel) -> f64 {
     let (_, e_sense, _) = sensor.sample(0.62);
-    e_sense + class.ops_per_task() as f64 * island.joules_per_op(class.rail().0) + crate::node::TX_J
+    e_sense + cost.energy + crate::node::TX_J
 }
 
 /// Runs the fleet-wide duty arbitration for one epoch: the measured
@@ -431,6 +462,8 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
             outbox: Vec::new(),
             wakes: 0,
             deliveries: 0,
+            harvested_fj: 0,
+            backlog: [0; CLASSES],
         };
         for id in base..end {
             let mut node = NodeState::new(config.seed, id, drought.as_ref());
@@ -445,7 +478,8 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
     for id in 0..config.nodes {
         class_nodes[NodeClass::of(id).index()] += 1;
     }
-    let task_energy = NodeClass::ALL.map(|c| class_task_energy(c, &island, &sensor));
+    let costs = NodeClass::ALL.map(|c| island.task_cost(c.rail().0, c.ops_per_task()));
+    let task_energy = costs.map(|c| class_task_energy(&c, &sensor));
     let epoch_secs = config.epoch as f64 * 1e-9;
 
     let mut epoch_rows = Vec::with_capacity(config.epochs as usize);
@@ -458,38 +492,34 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
         let horizon = (e + 1) * config.epoch;
         let epoch_shards = shards.iter_mut().collect();
         fan_out(epoch_shards, threads, |_, shard: &mut Shard| {
-            shard.run_epoch(horizon, config.epoch, &quotas, &topo, &island, &sensor);
+            shard.run_epoch(horizon, config.epoch, &quotas, &topo, &costs, &sensor);
         });
 
         // ---- Barrier (single-threaded) ----
-        // Route messages: drain outboxes in shard order, sort into the
-        // total message order, deliver into destination inboxes.
-        let mut in_flight: Vec<Message> =
-            shards.iter_mut().flat_map(|s| s.outbox.drain(..)).collect();
-        in_flight.sort_unstable();
-        let last_epoch = e + 1 == config.epochs;
-        if last_epoch {
-            inflight = in_flight.len() as u64;
-        } else {
-            for m in in_flight {
-                let shard_idx = (m.dst as usize) / per_shard;
-                shards[shard_idx].inbox.push(m);
-            }
-        }
-
-        // Measure the harvest since the previous barrier (exact
-        // integer sum over all nodes) and the per-class backlog, then
+        // Route messages: drain outboxes in shard order into the
+        // destination inboxes; each shard sorts its own inbox. Then
+        // measure the harvest since the previous barrier (exact integer
+        // sum of the shard totals) and the per-class backlog, and
         // arbitrate the next epoch's duty quotas. The row records the
         // quotas that *applied* during this epoch alongside the budget
         // measured at its end.
         let mut budget_w = 0.0;
-        if !last_epoch {
+        if e + 1 == config.epochs {
+            inflight = shards.iter().map(|s| s.outbox.len() as u64).sum();
+        } else {
+            for s in 0..shards.len() {
+                let mut outbox = std::mem::take(&mut shards[s].outbox);
+                for m in outbox.drain(..) {
+                    shards[m.dst as usize / per_shard].inbox.push(m);
+                }
+                shards[s].outbox = outbox;
+            }
             let mut harvest_fj = 0u64;
             let mut pending = [0u64; CLASSES];
             for shard in &shards {
-                for node in &shard.nodes {
-                    harvest_fj += node.ledger.harvested_fj;
-                    pending[node.class.index()] += node.backlog;
+                harvest_fj += shard.harvested_fj;
+                for (p, b) in pending.iter_mut().zip(shard.backlog) {
+                    *p += b;
                 }
             }
             let delta_fj = harvest_fj - prev_harvest_fj;
@@ -539,6 +569,11 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
         }
     }
     digest.write_u64(inflight);
+    assert_eq!(
+        summary.sent,
+        summary.received + summary.dropped + inflight,
+        "message conservation violated: sent != received + dropped + in flight"
+    );
 
     FleetReport {
         nodes: config.nodes,

@@ -49,6 +49,22 @@ pub struct IslandModel {
     points: Vec<IslandPoint>,
 }
 
+/// What a task of a fixed op count costs the island at a fixed rail.
+/// A node class has one rail and one task size, so a fleet run reads
+/// the curves once per class ([`IslandModel::task_cost`]), not once per
+/// task attempt.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskCost {
+    /// Firing rate at the rail, ops per second; zero where the island
+    /// stalls.
+    pub rate: f64,
+    /// Compute energy of the task, joules.
+    pub energy: f64,
+    /// Compute time of the task, seconds (infinite where the island
+    /// stalls).
+    pub time: f64,
+}
+
 impl IslandModel {
     /// Calibrates the island from gate-level runs of the counting rig.
     ///
@@ -102,6 +118,16 @@ impl IslandModel {
     /// Interpolated energy per op at `vdd`, joules.
     pub fn joules_per_op(&self, vdd: f64) -> f64 {
         self.interp(vdd, |p| p.joules_per_op)
+    }
+
+    /// The cost of a task of `ops` operations at `vdd`.
+    pub fn task_cost(&self, vdd: f64, ops: u64) -> TaskCost {
+        let rate = self.ops_per_sec(vdd);
+        TaskCost {
+            rate,
+            energy: ops as f64 * self.joules_per_op(vdd),
+            time: ops as f64 / rate,
+        }
     }
 
     fn interp(&self, vdd: f64, f: impl Fn(&IslandPoint) -> f64) -> f64 {

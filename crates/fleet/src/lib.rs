@@ -17,7 +17,9 @@
 //!   per-link latencies of one-to-four epochs, through shard-local
 //!   [`event::EventQueue`]s (events ordered by `(time, node, seq)`,
 //!   execution yields successor events — the `akshayknarayan/simulator`
-//!   event/node/topology split);
+//!   event/node/topology split). Since no event schedules another
+//!   inside its own epoch, a shard runs each epoch as one batch, sorted
+//!   once;
 //! * tasks run under the **energy-token discipline**
 //!   ([`emc_power::PowerChain::draw_quantum`]): the whole quantum is
 //!   banked up front or the task does not start, and the
@@ -25,10 +27,13 @@
 //!   each epoch's measured harvest into per-class duty quotas;
 //! * the engine shards nodes across the [`emc_sim::fan_out`] worker
 //!   pool with splitmix-derived per-node seeds, an epoch barrier whose
-//!   lookahead is the minimum link latency, and exact-integer
-//!   femtojoule ledgers ([`node::NodeLedger`], associative merge) — so
-//!   fleet digests and JSON reports are **bit-identical at any worker
-//!   thread count**.
+//!   lookahead is the minimum link latency (it routes messages and adds
+//!   per-shard totals; shards sort their own inboxes), and
+//!   exact-integer femtojoule ledgers ([`node::NodeLedger`],
+//!   associative merge) — so fleet digests and JSON reports are
+//!   **bit-identical at any worker thread count**, and every run checks
+//!   that messages are conserved (sent = received + dropped + in
+//!   flight).
 //!
 //! ```
 //! use emc_fleet::{run_fleet, CalibDepth, FleetConfig};
@@ -56,6 +61,6 @@ pub use engine::{
     run_fleet, shard_count, ClassReport, DroughtSpec, EpochRow, FleetConfig, FleetReport,
 };
 pub use event::{EventKind, EventQueue, FleetEvent, Message, Nanos};
-pub use island::{CalibDepth, IslandModel, IslandPoint, SensorModel, SensorPoint};
+pub use island::{CalibDepth, IslandModel, IslandPoint, SensorModel, SensorPoint, TaskCost};
 pub use node::{NodeClass, NodeLedger, NodeState, NodeSummary, TaskOutcome, CLASSES};
 pub use topology::{Link, Topology, TopologyKind, CLUSTER_SIZE};

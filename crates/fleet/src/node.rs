@@ -20,7 +20,7 @@ use emc_sim::Fnv64;
 use emc_units::{Farads, Hertz, Joules, Seconds, Volts, Watts, Waveform};
 
 use crate::event::Nanos;
-use crate::island::{IslandModel, SensorModel};
+use crate::island::{SensorModel, TaskCost};
 
 /// Joules → integer femtojoules (saturating, never negative).
 pub fn to_femtojoules(j: f64) -> u64 {
@@ -407,32 +407,31 @@ impl NodeState {
     }
 
     /// Attempts one task at time `now`: bank the whole quantum (sense +
-    /// compute + tx), then execute. Returns the message to send on
-    /// success (`None` when the island is stalled, the token was
-    /// refused, or the node has no neighbours).
-    #[allow(clippy::too_many_arguments)]
+    /// compute + tx), then execute. `cost` is the island cost of this
+    /// node's class's task at its rail
+    /// ([`IslandModel::task_cost`](crate::island::IslandModel::task_cost)).
+    /// Returns the message to send on success (`None` when the island
+    /// is stalled, the token was refused, or the node has no
+    /// neighbours).
     pub fn attempt_task(
         &mut self,
         now: Nanos,
-        island: &IslandModel,
+        cost: &TaskCost,
         sensor: &SensorModel,
         links: &[crate::topology::Link],
     ) -> TaskOutcome {
-        let rail = self.class.rail().0;
-        let rate = island.ops_per_sec(rail);
-        if rate <= 0.0 {
+        if cost.rate <= 0.0 {
             // Rail below the island's calibrated floor: computation has
             // stopped, not failed — the defining self-timed behaviour.
             self.summary.refused += 1;
             return TaskOutcome::Stalled;
         }
-        let ops = self.class.ops_per_task();
         let (code, e_sense, t_sense) = sensor.sample(self.sense_voltage(now));
-        let e_compute = ops as f64 * island.joules_per_op(rail);
+        let e_compute = cost.energy;
         let will_send = !links.is_empty();
         let e_radio = if will_send { TX_J } else { 0.0 };
         let quantum = e_sense + e_compute + e_radio;
-        let window = Seconds((t_sense + ops as f64 / rate).max(1e-9));
+        let window = Seconds((t_sense + cost.time).max(1e-9));
         if !self.chain.draw_quantum(Joules(quantum), window) {
             self.ledger.deficit_fj += to_femtojoules(quantum);
             self.summary.refused += 1;
@@ -443,7 +442,7 @@ impl NodeState {
         self.ledger.compute_fj += to_femtojoules(e_compute);
         self.ledger.radio_fj += to_femtojoules(e_radio);
         self.summary.completed += 1;
-        self.summary.ops += ops;
+        self.summary.ops += self.class.ops_per_task();
         self.sense_digest.write_u64(code);
         if will_send {
             let link = links[self.rng.gen_range(0..links.len())];
@@ -476,13 +475,13 @@ impl NodeState {
     }
 
     /// One wake: tick the chain, grow the backlog by the one task this
-    /// wake expects, then attempt up to `quota` tasks. Returns messages
-    /// to route.
+    /// wake expects, then attempt up to `quota` tasks of island cost
+    /// `cost`. Returns messages to route.
     pub fn wake(
         &mut self,
         now: Nanos,
         quota: u32,
-        island: &IslandModel,
+        cost: &TaskCost,
         sensor: &SensorModel,
         links: &[crate::topology::Link],
         out: &mut Vec<crate::event::Message>,
@@ -493,7 +492,7 @@ impl NodeState {
         self.tick_chain(now);
         let attempts = u64::from(quota).min(self.backlog);
         for _ in 0..attempts {
-            match self.attempt_task(now, island, sensor, links) {
+            match self.attempt_task(now, cost, sensor, links) {
                 TaskOutcome::Sent { dst, deliver, seq } => {
                     self.backlog -= 1;
                     out.push(crate::event::Message {
@@ -548,7 +547,7 @@ pub enum TaskOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::island::{CalibDepth, IslandPoint};
+    use crate::island::{CalibDepth, IslandModel, IslandPoint};
 
     fn test_island() -> IslandModel {
         IslandModel::from_points(vec![
@@ -613,7 +612,8 @@ mod tests {
         }];
         let mut out = Vec::new();
         // Pre-charged reservoir: the first wake must complete its task.
-        node.wake(1_000_000, 1, &island, &sensor, &links, &mut out);
+        let cost = island.task_cost(node.class.rail().0, node.class.ops_per_task());
+        node.wake(1_000_000, 1, &cost, &sensor, &links, &mut out);
         assert_eq!(node.summary.completed, 1);
         assert_eq!(out.len(), 1);
         assert!(out[0].deliver >= 3_000_000);
@@ -631,7 +631,8 @@ mod tests {
         let sensor = SensorModel::calibrate(CalibDepth::Smoke);
         let mut node = NodeState::new(1, 0, None);
         let mut out = Vec::new();
-        node.wake(1_000_000, 4, &island, &sensor, &[], &mut out);
+        let cost = island.task_cost(node.class.rail().0, node.class.ops_per_task());
+        node.wake(1_000_000, 4, &cost, &sensor, &[], &mut out);
         assert_eq!(node.summary.completed, 0);
         assert_eq!(node.summary.refused, 1);
         assert!(out.is_empty());

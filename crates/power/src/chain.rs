@@ -120,11 +120,11 @@ impl PowerChain {
 
         // Serve the load through the converter.
         let demand = load_power * dt;
-        let v_in = self.storage.voltage();
+        let eta = self.converter.efficiency(self.storage.voltage());
         let mut delivered = Joules(0.0);
-        if let Some(required) = self.converter.input_energy_for(demand, v_in, dt) {
+        if let Some(required) = self.converter.input_energy_for(demand, eta, dt) {
             let withdrawn = self.storage.withdraw(required);
-            delivered = self.converter.output_energy_for(withdrawn, v_in, dt);
+            delivered = self.converter.output_energy_for(withdrawn, eta, dt);
             self.report.conversion_loss += withdrawn - delivered;
         }
         self.report.delivered += delivered;
@@ -156,8 +156,8 @@ impl PowerChain {
     pub fn draw_quantum(&mut self, demand: Joules, dt: Seconds) -> bool {
         assert!(demand.0 >= 0.0, "negative quantum demand");
         assert!(dt.0 > 0.0, "quantum window must be positive");
-        let v_in = self.storage.voltage();
-        let Some(required) = self.converter.input_energy_for(demand, v_in, dt) else {
+        let eta = self.converter.efficiency(self.storage.voltage());
+        let Some(required) = self.converter.input_energy_for(demand, eta, dt) else {
             self.report.deficit += demand;
             return false;
         };
@@ -166,7 +166,7 @@ impl PowerChain {
             return false;
         }
         let withdrawn = self.storage.withdraw(required);
-        let delivered = self.converter.output_energy_for(withdrawn, v_in, dt);
+        let delivered = self.converter.output_energy_for(withdrawn, eta, dt);
         self.report.delivered += delivered;
         self.report.conversion_loss += withdrawn - delivered;
         true

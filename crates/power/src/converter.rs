@@ -103,17 +103,13 @@ impl DcDcConverter {
     }
 
     /// Input energy that must be withdrawn from the reservoir to deliver
-    /// `load_energy` at the output, drawing from `v_in`, over an interval
-    /// `dt` (the quiescent draw is added).
+    /// `load_energy` at the output at efficiency `eta` (the
+    /// [`DcDcConverter::efficiency`] at the input voltage), over an
+    /// interval `dt` (the quiescent draw is added). A caller converting
+    /// both ways at one input voltage computes `eta` once for both.
     ///
     /// Returns `None` if the converter cannot operate (η = 0).
-    pub fn input_energy_for(
-        &self,
-        load_energy: Joules,
-        v_in: Volts,
-        dt: Seconds,
-    ) -> Option<Joules> {
-        let eta = self.efficiency(v_in);
+    pub fn input_energy_for(&self, load_energy: Joules, eta: f64, dt: Seconds) -> Option<Joules> {
         if eta == 0.0 {
             return None;
         }
@@ -121,9 +117,9 @@ impl DcDcConverter {
     }
 
     /// Output energy delivered when `input_energy` is withdrawn from the
-    /// reservoir at `v_in` over `dt` (quiescent draw is paid first).
-    pub fn output_energy_for(&self, input_energy: Joules, v_in: Volts, dt: Seconds) -> Joules {
-        let eta = self.efficiency(v_in);
+    /// reservoir at efficiency `eta` (the [`DcDcConverter::efficiency`]
+    /// at the input voltage) over `dt` (quiescent draw is paid first).
+    pub fn output_energy_for(&self, input_energy: Joules, eta: f64, dt: Seconds) -> Joules {
         let after_quiescent = (input_energy - self.quiescent * dt).max(Joules(0.0));
         Joules(after_quiescent.0 * eta)
     }
@@ -154,21 +150,20 @@ mod tests {
         let c = DcDcConverter::new(Volts(0.5));
         let dt = Seconds(1e-3);
         let load = Joules(10e-6);
-        let input = c.input_energy_for(load, Volts(0.8), dt).unwrap();
-        let back = c.output_energy_for(input, Volts(0.8), dt);
+        let eta = c.efficiency(Volts(0.8));
+        let input = c.input_energy_for(load, eta, dt).unwrap();
+        let back = c.output_energy_for(input, eta, dt);
         assert!((back.0 - load.0).abs() < 1e-12, "got {back}");
     }
 
     #[test]
     fn quiescent_draw_is_paid_even_for_zero_load() {
         let c = DcDcConverter::new(Volts(0.5));
-        let input = c
-            .input_energy_for(Joules(0.0), Volts(0.5), Seconds(1.0))
-            .unwrap();
+        let eta = c.efficiency(Volts(0.5));
+        let input = c.input_energy_for(Joules(0.0), eta, Seconds(1.0)).unwrap();
         assert!((input.0 - 1e-6).abs() < 1e-12);
         assert_eq!(
-            c.output_energy_for(Joules(0.5e-6), Volts(0.5), Seconds(1.0))
-                .0,
+            c.output_energy_for(Joules(0.5e-6), eta, Seconds(1.0)).0,
             0.0
         );
     }
@@ -176,8 +171,9 @@ mod tests {
     #[test]
     fn dead_input_yields_none() {
         let c = DcDcConverter::new(Volts(0.5));
+        let eta = c.efficiency(Volts(0.0));
         assert!(c
-            .input_energy_for(Joules(1e-6), Volts(0.0), Seconds(1.0))
+            .input_energy_for(Joules(1e-6), eta, Seconds(1.0))
             .is_none());
     }
 

@@ -84,8 +84,10 @@ impl StorageCap {
     /// Panics if `energy` is negative.
     pub fn deposit(&mut self, energy: Joules) -> Joules {
         assert!(energy.0 >= 0.0, "cannot deposit negative energy");
-        let accepted = Joules(energy.0.min(self.headroom().0));
-        let new_e = self.stored_energy() + accepted;
+        let stored = self.stored_energy();
+        let headroom = self.capacitance.stored_energy(self.v_max) - stored;
+        let accepted = Joules(energy.0.min(headroom.0));
+        let new_e = stored + accepted;
         let v = Volts((2.0 * new_e.0 / self.capacitance.0).sqrt());
         self.charge = self.capacitance * v;
         accepted
@@ -99,8 +101,9 @@ impl StorageCap {
     /// Panics if `energy` is negative.
     pub fn withdraw(&mut self, energy: Joules) -> Joules {
         assert!(energy.0 >= 0.0, "cannot withdraw negative energy");
-        let granted = Joules(energy.0.min(self.stored_energy().0));
-        let new_e = self.stored_energy() - granted;
+        let stored = self.stored_energy();
+        let granted = Joules(energy.0.min(stored.0));
+        let new_e = stored - granted;
         let v = Volts((2.0 * new_e.0.max(0.0) / self.capacitance.0).sqrt());
         self.charge = self.capacitance * v;
         granted

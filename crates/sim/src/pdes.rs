@@ -130,11 +130,11 @@ impl PdesSimulator {
         })
     }
 
-    /// Sets the worker thread count used by subsequent runs. Results
-    /// are bit-identical at any value; this only changes wall-clock
-    /// time. Clamped to the partition count at run time.
+    /// Sets the worker thread count used by subsequent runs, with
+    /// [`fan_out`]'s meaning: 0 is one worker per core, and never more
+    /// workers than partitions. Results are bit-identical at any value;
+    /// this only changes wall-clock time.
     pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "at least one thread");
         self.threads = threads;
     }
 
@@ -478,7 +478,7 @@ mod tests {
         let (n, assignment) = two_rings();
         let (seq, _) = run_sequential(&n, &assignment);
         assert!(seq.fired > 40, "both rings oscillate");
-        for threads in [1, 2, 8] {
+        for threads in [0, 1, 2, 8] {
             let (par, _) = run_pdes(&n, &assignment, threads);
             assert_eq!(seq, par, "at {threads} threads");
         }
