@@ -465,17 +465,45 @@ mod tests {
         }
     }
 
+    /// Each builtin's explored state count at full size and at smoke
+    /// size, in suite order.
+    const STATES: [(&str, usize, usize); 6] = [
+        ("counter", 42, 18),
+        ("wchb", 132, 30),
+        ("micropipeline", 108, 36),
+        ("bundled", 188, 34),
+        ("sram", 12, 12),
+        ("adder", 603, 603),
+    ];
+
+    /// The pinned state count of `circuit` at the given size.
+    fn pinned_states(circuit: &str, smoke: bool) -> usize {
+        let &(_, full, small) = STATES
+            .iter()
+            .find(|(name, ..)| *name == circuit)
+            .unwrap_or_else(|| panic!("{circuit} has no pinned state count"));
+        if smoke {
+            small
+        } else {
+            full
+        }
+    }
+
     #[test]
     fn full_suite_is_clean_too() {
         let verifier = Verifier::new();
-        for circuit in builtin_suite(false) {
-            let report = verifier.verify(&circuit);
+        let suite = builtin_suite(false);
+        assert_eq!(suite.len(), STATES.len());
+        for (circuit, (name, states, _)) in suite.iter().zip(STATES) {
+            let report = verifier.verify(circuit);
             assert!(
                 report.is_clean() && report.exhaustive,
                 "{}: {:#?}",
                 report.circuit,
                 report.diagnostics
             );
+            assert_eq!(report.circuit, name);
+            assert_eq!(report.states, states, "{name}");
         }
     }
 
@@ -510,21 +538,17 @@ mod tests {
                 .map(|c| Verifier::new().with_reduction(true).verify(c))
                 .collect();
             // The builtins are deliberately tight handshakes — almost
-            // everything interferes, so little or nothing shrinks here
-            // (the generated disjoint-row families are where reduction
-            // bites; see `tests/static_analysis.rs` at the workspace
-            // root). What this gate pins is *equivalence*.
+            // everything interferes, so nothing shrinks here (the
+            // generated disjoint-row families are where reduction bites;
+            // see `tests/static_analysis.rs` at the workspace root).
+            // What this gate pins is *equivalence*, down to the count.
             for (f, r) in full.iter().zip(&reduced) {
                 assert_eq!(f.distinct_rules(), r.distinct_rules(), "{}", f.circuit);
                 assert_eq!(f.is_clean(), r.is_clean(), "{}", f.circuit);
                 assert_eq!(f.exhaustive, r.exhaustive, "{}", f.circuit);
-                assert!(
-                    r.states <= f.states,
-                    "{}: reduced {} > full {}",
-                    f.circuit,
-                    r.states,
-                    f.states
-                );
+                let states = pinned_states(&f.circuit, smoke);
+                assert_eq!(f.states, states, "{} full, smoke {smoke}", f.circuit);
+                assert_eq!(r.states, states, "{} reduced, smoke {smoke}", f.circuit);
             }
         }
         for (circuit, expected) in broken_suite() {
