@@ -22,6 +22,7 @@
 //! fired event when the set is available.
 
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use emc_device::DeviceModel;
@@ -29,10 +30,24 @@ use emc_netlist::{NetId, Netlist};
 use emc_prng::{Rng, StdRng};
 use emc_sim::{Fnv64, Simulator, SupplyKind};
 use emc_units::{Hertz, Seconds, Waveform};
-use emc_verify::{Explorer, State, Verifier};
+use emc_verify::{Explorer, NetView, Verifier};
 
-use crate::env::{to_environment, SimView};
 use crate::GeneratedCircuit;
+
+/// [`NetView`] over a live simulator. Only consulted at event-queue
+/// quiescence (the differential driver settles the simulator before
+/// asking the environment for actions), so `quiescent` is always true.
+pub struct SimView<'a>(pub &'a Simulator);
+
+impl NetView for SimView<'_> {
+    fn value(&self, net: NetId) -> bool {
+        self.0.value(net)
+    }
+
+    fn quiescent(&self) -> bool {
+        true
+    }
+}
 
 /// Packs per-net boolean values into words, one bit per net index —
 /// the common projection of verifier states and simulator snapshots.
@@ -58,39 +73,19 @@ pub struct ReachableStates {
 }
 
 impl ReachableStates {
-    /// Depth-first reachability over the closed circuit–environment
-    /// system, via the verifier's own [`Explorer`] semantics. Caps at
-    /// `cap` distinct states.
+    /// The reachable states of the closed circuit–environment system,
+    /// from the verifier's own unreduced walk
+    /// ([`Explorer::walk_unreduced`]). Caps at `cap` distinct states.
     pub fn compute(gc: &GeneratedCircuit, cap: usize) -> Self {
-        let env = to_environment(Arc::clone(&gc.env));
-        let explorer = Explorer::new(&gc.netlist, &env, &gc.initial, cap);
-        let mut visited: HashSet<State> = HashSet::new();
+        let explorer = Explorer::new(&gc.netlist, &*gc.env, &gc.initial, cap);
         let mut projections: HashSet<Box<[u64]>> = HashSet::new();
-        let initial = explorer.initial_state();
-        visited.insert(initial.clone());
-        let mut frontier = vec![initial];
-        let mut exhaustive = true;
-        while let Some(s) = frontier.pop() {
+        let Ok((states, exhaustive)) = explorer.walk_unreduced(|s, _, _| {
             projections.insert(project(&gc.netlist, |n| s.value(n)));
-            let internal = explorer.internal_enabled(&s);
-            let quiescent = internal.is_empty();
-            let env_ts = explorer.env_enabled(&s, quiescent);
-            for t in internal.iter().chain(env_ts.iter()) {
-                let (next, _overruns) = explorer.apply(&s, t);
-                if visited.contains(&next) {
-                    continue;
-                }
-                if visited.len() >= cap {
-                    exhaustive = false;
-                    continue;
-                }
-                visited.insert(next.clone());
-                frontier.push(next);
-            }
-        }
+            Ok::<_, Infallible>(())
+        });
         ReachableStates {
             projections,
-            states: visited.len(),
+            states,
             exhaustive,
         }
     }
@@ -449,10 +444,9 @@ pub fn check_generated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{EnvModel, NetView};
     use crate::families::{completion_tree, dims_adder, micropipeline, wchb_datapath};
     use emc_netlist::DualRail;
-    use emc_verify::EnvAction;
+    use emc_verify::{EnvAction, EnvModel};
 
     #[test]
     fn digests_agree_across_schedules_for_wchb() {

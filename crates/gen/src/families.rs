@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use emc_async::{dims_gate2, DualRailAdder, DualRailPipeline, MullerPipeline};
 use emc_netlist::{completion_detector, DualRail, Netlist};
+use emc_verify::{ComposedEnv, EnvModel, FillDrainEnv, MicropipelineEnv, WchbEnv};
 
-use crate::env::{ComposedEnv, EnvModel, FillDrainEnv, MicropipelineEnv, WchbEnv};
 use crate::GeneratedCircuit;
 
 /// One DIMS block in a [`block_graph`] plan: a 2-input function applied
@@ -85,17 +85,11 @@ pub fn completion_tree(width: usize, name: &str) -> GeneratedCircuit {
 pub fn wchb_datapath(stages: usize, width: usize, name: &str) -> GeneratedCircuit {
     let mut nl = Netlist::new();
     let p = DualRailPipeline::build_wide(&mut nl, stages, width, name);
-    let env = WchbEnv {
-        inputs: p.inputs().to_vec(),
-        sender_ack: p.sender_ack(),
-        outputs: p.outputs().to_vec(),
-        sink_ack: p.sink_ack(),
-    };
     GeneratedCircuit {
         name: format!("{name}-wchb{stages}x{width}"),
         netlist: nl,
         initial: Vec::new(),
-        env: Arc::new(env),
+        env: Arc::new(WchbEnv::for_pipeline(&p)),
         domains: Vec::new(),
     }
 }
@@ -141,17 +135,11 @@ pub fn dims_adder(width: usize, name: &str) -> GeneratedCircuit {
 pub fn micropipeline(stages: usize, name: &str) -> GeneratedCircuit {
     let mut nl = Netlist::new();
     let p = MullerPipeline::build(&mut nl, stages, name);
-    let env = MicropipelineEnv {
-        req: p.request(),
-        head: p.stages()[0],
-        tail: *p.stages().last().expect("non-empty pipeline"),
-        tail_ack: p.tail_ack(),
-    };
     GeneratedCircuit {
         name: format!("{name}-mp{stages}"),
         netlist: nl,
         initial: Vec::new(),
-        env: Arc::new(env),
+        env: Arc::new(MicropipelineEnv::for_pipeline(&p)),
         domains: Vec::new(),
     }
 }
@@ -171,12 +159,7 @@ pub fn pipelined_array(rows: usize, cols: usize, name: &str) -> GeneratedCircuit
     let mut parts: Vec<Arc<dyn EnvModel>> = Vec::with_capacity(rows);
     for r in 0..rows {
         let p = DualRailPipeline::build(&mut nl, cols, &format!("{name}.r{r}"));
-        parts.push(Arc::new(WchbEnv {
-            inputs: p.inputs().to_vec(),
-            sender_ack: p.sender_ack(),
-            outputs: p.outputs().to_vec(),
-            sink_ack: p.sink_ack(),
-        }));
+        parts.push(Arc::new(WchbEnv::for_pipeline(&p)));
     }
     GeneratedCircuit {
         name: format!("{name}-array{rows}x{cols}"),
@@ -213,12 +196,7 @@ pub fn pipelined_array_domains(
         for i in lo..nl.gate_count() {
             domains[r % n_domains].push(nl.gate_id(i));
         }
-        envs.push(Arc::new(WchbEnv {
-            inputs: p.inputs().to_vec(),
-            sender_ack: p.sender_ack(),
-            outputs: p.outputs().to_vec(),
-            sink_ack: p.sink_ack(),
-        }));
+        envs.push(Arc::new(WchbEnv::for_pipeline(&p)));
     }
     GeneratedCircuit {
         name: format!("{name}-array{rows}x{cols}d{}", domains.len()),

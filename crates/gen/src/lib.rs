@@ -9,8 +9,8 @@
 //!    (completion trees, WCHB datapaths, DIMS adders, micropipelines,
 //!    pipelined arrays, random DIMS block graphs) from the
 //!    [`emc_netlist::dualrail`] primitives, each packaged as a
-//!    [`GeneratedCircuit`]: a closed netlist plus an [`env::EnvModel`]
-//!    environment.
+//!    [`GeneratedCircuit`]: a closed netlist plus an
+//!    [`emc_verify::EnvModel`] environment.
 //! 2. [`plan`] maps a PRNG seed to a family + parameter draw
 //!    ([`plan::Plan::from_seed`]) and shrinks failing draws to minimal
 //!    reproducers ([`plan::shrink`]).
@@ -34,20 +34,18 @@
 #![warn(missing_docs)]
 
 pub mod differential;
-pub mod env;
 pub mod families;
 pub mod plan;
 
 use std::sync::Arc;
 
 use emc_netlist::{GateId, NetId, Netlist};
-use emc_verify::Circuit;
+use emc_verify::{Circuit, EnvModel};
 
 pub use differential::{
     check_generated, run_differential, CheckOptions, CheckOutcome, DiffReport, ReachableStates,
-    Schedule,
+    Schedule, SimView,
 };
-pub use env::{to_environment, EnvModel, NetView, SimView};
 pub use families::{
     block_graph, completion_tree, dims_adder, micropipeline, pipelined_array,
     pipelined_array_domains, wchb_datapath, BlockSpec, BLOCK_FUNCTIONS,
@@ -101,12 +99,8 @@ impl GeneratedCircuit {
     /// Packages this circuit for [`emc_verify::Verifier::verify`].
     pub fn verify_circuit(&self) -> Circuit<'static> {
         Circuit {
-            name: self.name.clone(),
-            netlist: self.netlist.clone(),
             initial: self.initial.clone(),
-            env: to_environment(Arc::clone(&self.env)),
-            stg: None,
-            footprint: self.env.footprint(),
+            ..Circuit::new(&self.name, self.netlist.clone(), Arc::clone(&self.env))
         }
     }
 }

@@ -11,29 +11,40 @@
 //! quiescent), which models the matched-delay assumption the design is
 //! built on — its D flip-flops still carry pinned `TA001` warnings.
 
+use std::sync::Arc;
+
 use emc_async::{
     BundledPipeline, DualRailAdder, DualRailPipeline, MullerPipeline, ToggleRippleCounter,
 };
 use emc_netlist::{DualRail, GateKind, NetId, Netlist};
 use emc_petri::Stg;
 
-use crate::explore::{EnvAction, EnvView, Environment};
+use crate::env::{
+    act, part, EnvAction, EnvModel, FillDrainEnv, MicropipelineEnv, NetView, WchbEnv,
+};
 use crate::reduce::{EnvFootprint, EnvPart};
 use crate::Circuit;
 
-fn act(net: NetId, value: bool, next: u8) -> EnvAction {
-    EnvAction { net, value, next }
+/// The counter's pulse source: flips `pulse` into a quiescent counter
+/// only (fundamental mode).
+struct PulseEnv {
+    pulse: NetId,
 }
 
-/// A stateless, quiescence-free environment part (the common case for
-/// the speed-independent builtins).
-fn part(tag: u64, reads: &[NetId], drives: &[NetId]) -> EnvPart {
-    EnvPart {
-        reads: reads.to_vec(),
-        drives: drives.to_vec(),
-        uses_quiescence: false,
-        stateful: false,
-        tag,
+impl EnvModel for PulseEnv {
+    fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+        if view.quiescent() {
+            vec![act(self.pulse, !view.value(self.pulse))]
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn footprint(&self) -> Option<EnvFootprint> {
+        Some(EnvFootprint::new(vec![EnvPart {
+            uses_quiescence: true,
+            ..part(1, &[self.pulse], &[self.pulse])
+        }]))
     }
 }
 
@@ -45,22 +56,8 @@ fn part(tag: u64, reads: &[NetId], drives: &[NetId]) -> EnvPart {
 fn counter(bits: usize) -> Circuit<'static> {
     let mut nl = Netlist::new();
     let pulse = nl.input("pulse");
-    let cnt = ToggleRippleCounter::build(&mut nl, bits, pulse, "cnt");
-    let _ = cnt;
-    let mut circuit = Circuit::new(
-        "counter",
-        nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| {
-                if v.quiescent() {
-                    vec![act(pulse, !v.value(pulse), 0)]
-                } else {
-                    Vec::new()
-                }
-            }),
-        },
-    );
+    ToggleRippleCounter::build(&mut nl, bits, pulse, "cnt");
+    let mut circuit = Circuit::new("counter", nl, Arc::new(PulseEnv { pulse }));
     // The carry inverters idle high (their q inputs idle low); starting
     // them low would make the initial state inconsistent and arm the
     // next toggle spuriously.
@@ -71,10 +68,7 @@ fn counter(bits: usize) -> Circuit<'static> {
             .expect("counter carry net exists");
         circuit.initial.push((carry, true));
     }
-    circuit.with_footprint(EnvFootprint::new(vec![EnvPart {
-        uses_quiescence: true,
-        ..part(1, &[pulse], &[pulse])
-    }]))
+    circuit
 }
 
 /// Design 1: the WCHB dual-rail pipeline with a fully reactive 4-phase
@@ -82,47 +76,7 @@ fn counter(bits: usize) -> Circuit<'static> {
 fn wchb(stages: usize) -> Circuit<'static> {
     let mut nl = Netlist::new();
     let p = DualRailPipeline::build(&mut nl, stages, "p");
-    let input = p.inputs()[0];
-    let output = p.outputs()[0];
-    let sender_ack = p.sender_ack();
-    let sink_ack = p.sink_ack();
-    Circuit::new(
-        "wchb",
-        nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| {
-                let mut acts = Vec::new();
-                let (it, if_) = (v.value(input.t), v.value(input.f));
-                // Sender: offer a new codeword (either rail — a free
-                // choice) from spacer once acknowledged; return to
-                // spacer once the new token is acknowledged.
-                if !it && !if_ && !v.value(sender_ack) {
-                    acts.push(act(input.t, true, 0));
-                    acts.push(act(input.f, true, 0));
-                }
-                if it && v.value(sender_ack) {
-                    acts.push(act(input.t, false, 0));
-                }
-                if if_ && v.value(sender_ack) {
-                    acts.push(act(input.f, false, 0));
-                }
-                // Receiver: acknowledge valid, release on spacer.
-                let (ot, of) = (v.value(output.t), v.value(output.f));
-                if (ot ^ of) && !v.value(sink_ack) {
-                    acts.push(act(sink_ack, true, 0));
-                }
-                if !ot && !of && v.value(sink_ack) {
-                    acts.push(act(sink_ack, false, 0));
-                }
-                acts
-            }),
-        },
-    )
-    .with_footprint(EnvFootprint::new(vec![
-        part(1, &[input.t, input.f, sender_ack], &[input.t, input.f]),
-        part(2, &[output.t, output.f, sink_ack], &[sink_ack]),
-    ]))
+    Circuit::new("wchb", nl, Arc::new(WchbEnv::for_pipeline(&p)))
 }
 
 /// The Muller-pipeline control chain with a 4-phase sender at the head
@@ -131,35 +85,46 @@ fn wchb(stages: usize) -> Circuit<'static> {
 fn micropipeline(stages: usize) -> Circuit<'static> {
     let mut nl = Netlist::new();
     let p = MullerPipeline::build(&mut nl, stages, "mp");
-    let req = p.request();
-    let c0 = p.stages()[0];
-    let c_last = *p.stages().last().expect("non-empty pipeline");
-    let tail_ack = p.tail_ack();
+    let env = MicropipelineEnv::for_pipeline(&p);
     let (stg, sreq, sack) = Stg::four_phase_handshake();
-    Circuit::new(
-        "micropipeline",
-        nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| {
-                let mut acts = Vec::new();
-                // Sender: next request edge once the head has matched.
-                if v.value(c0) == v.value(req) {
-                    acts.push(act(req, !v.value(req), 0));
-                }
-                // Consumer: acknowledge by copying the tail stage.
-                if v.value(tail_ack) != v.value(c_last) {
-                    acts.push(act(tail_ack, v.value(c_last), 0));
-                }
-                acts
-            }),
-        },
-    )
-    .with_stg(stg, vec![(sreq, req), (sack, c0)])
-    .with_footprint(EnvFootprint::new(vec![
-        part(1, &[c0, req], &[req]),
-        part(2, &[tail_ack, c_last], &[tail_ack]),
-    ]))
+    let map = vec![(sreq, env.req), (sack, env.head)];
+    Circuit::new("micropipeline", nl, Arc::new(env)).with_stg(stg, map)
+}
+
+/// The bundled-data pipeline's bundling-disciplined producer: at rest
+/// (state 0) it wiggles `data` or launches a request, both only while
+/// the logic has settled and `ack` is low; launched (state 1) it
+/// withdraws the request once acknowledged.
+struct BundlingEnv {
+    data: NetId,
+    req: NetId,
+    ack: NetId,
+}
+
+impl EnvModel for BundlingEnv {
+    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+        match state {
+            0 if view.quiescent() && !view.value(self.ack) => vec![
+                act(self.data, !view.value(self.data)),
+                EnvAction {
+                    net: self.req,
+                    value: true,
+                    next: 1,
+                },
+            ],
+            0 => Vec::new(),
+            _ if view.value(self.ack) => vec![act(self.req, false)],
+            _ => Vec::new(),
+        }
+    }
+
+    fn footprint(&self) -> Option<EnvFootprint> {
+        Some(EnvFootprint::new(vec![EnvPart {
+            uses_quiescence: true,
+            stateful: true,
+            ..part(1, &[self.data, self.req, self.ack], &[self.data, self.req])
+        }]))
+    }
 }
 
 /// Design 2: the bundled-data pipeline under a bundling-disciplined
@@ -169,38 +134,12 @@ fn micropipeline(stages: usize) -> Circuit<'static> {
 fn bundled(stages: usize) -> Circuit<'static> {
     let mut nl = Netlist::new();
     let p = BundledPipeline::build(&mut nl, stages, 2, 1.5, "bd");
-    let data = p.data_in()[0];
-    let req = p.req_in();
-    let ack = p.ack();
-    let mut circuit = Circuit::new(
-        "bundled",
-        nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |state, v: &EnvView<'_>| {
-                match state {
-                    // At rest: wiggle data freely (bundling: only while
-                    // the request is low and the logic has settled) or
-                    // launch a request.
-                    0 => {
-                        if v.quiescent() && !v.value(ack) {
-                            vec![act(data, !v.value(data), 0), act(req, true, 1)]
-                        } else {
-                            Vec::new()
-                        }
-                    }
-                    // Launched: withdraw the request once acknowledged.
-                    _ => {
-                        if v.value(ack) {
-                            vec![act(req, false, 0)]
-                        } else {
-                            Vec::new()
-                        }
-                    }
-                }
-            }),
-        },
-    );
+    let env = BundlingEnv {
+        data: p.data_in()[0],
+        req: p.req_in(),
+        ack: p.ack(),
+    };
+    let mut circuit = Circuit::new("bundled", nl, Arc::new(env));
     // Each stage's first logic inverter idles high (its data input idles
     // low); see `counter` for why the initial state must be consistent.
     for s in 0..stages {
@@ -210,11 +149,33 @@ fn bundled(stages: usize) -> Circuit<'static> {
             .expect("bundled logic net exists");
         circuit.initial.push((l0, true));
     }
-    circuit.with_footprint(EnvFootprint::new(vec![EnvPart {
-        uses_quiescence: true,
-        stateful: true,
-        ..part(1, &[data, req, ack], &[data, req])
-    }]))
+    circuit
+}
+
+/// The SRAM read's four-phase requester: raises `req` once `done` is
+/// low and lowers it once `done` is high.
+struct ReadRequestEnv {
+    req: NetId,
+    done: NetId,
+}
+
+impl EnvModel for ReadRequestEnv {
+    fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+        let req = view.value(self.req);
+        if req == view.value(self.done) {
+            vec![act(self.req, !req)]
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn footprint(&self) -> Option<EnvFootprint> {
+        Some(EnvFootprint::new(vec![part(
+            1,
+            &[self.req, self.done],
+            &[self.req],
+        )]))
+    }
 }
 
 /// Fig. 5: SRAM read-completion control. The word line is gated by a
@@ -237,25 +198,9 @@ fn sram_control() -> Circuit<'static> {
     nl.mark_output(bf);
     nl.mark_output(done);
     let (stg, sreq, sack) = Stg::four_phase_handshake();
-    Circuit::new(
-        "sram",
-        nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| {
-                if !v.value(req) && !v.value(done) {
-                    vec![act(req, true, 0)]
-                } else if v.value(req) && v.value(done) {
-                    vec![act(req, false, 0)]
-                } else {
-                    Vec::new()
-                }
-            }),
-        },
-    )
-    .with_initial(cell, true)
-    .with_stg(stg, vec![(sreq, req), (sack, done)])
-    .with_footprint(EnvFootprint::new(vec![part(1, &[req, done], &[req])]))
+    Circuit::new("sram", nl, Arc::new(ReadRequestEnv { req, done }))
+        .with_initial(cell, true)
+        .with_stg(stg, vec![(sreq, req), (sack, done)])
 }
 
 /// The DIMS dual-rail ripple-carry adder under a 4-phase dual-rail
@@ -264,51 +209,18 @@ fn sram_control() -> Circuit<'static> {
 fn adder() -> Circuit<'static> {
     let mut nl = Netlist::new();
     let add = DualRailAdder::build(&mut nl, 1, "add");
-    let done = add.done();
-    let a = DualRail {
-        t: nl.find_net("add.a0.t").expect("adder input rail"),
-        f: nl.find_net("add.a0.f").expect("adder input rail"),
+    let rail = |name: &str| nl.find_net(name).expect("adder input rail");
+    let pairs = ["a0", "b0"]
+        .map(|op| DualRail {
+            t: rail(&format!("add.{op}.t")),
+            f: rail(&format!("add.{op}.f")),
+        })
+        .to_vec();
+    let env = FillDrainEnv {
+        pairs,
+        done: add.done(),
     };
-    let b = DualRail {
-        t: nl.find_net("add.b0.t").expect("adder input rail"),
-        f: nl.find_net("add.b0.f").expect("adder input rail"),
-    };
-    Circuit::new(
-        "adder",
-        nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| {
-                let mut acts = Vec::new();
-                if !v.value(done) {
-                    // Fill: offer either rail of each still-spacer
-                    // operand. DIMS input completion guarantees `done`
-                    // stays low until every operand is valid.
-                    for pair in [a, b] {
-                        if !v.value(pair.t) && !v.value(pair.f) {
-                            acts.push(act(pair.t, true, 0));
-                            acts.push(act(pair.f, true, 0));
-                        }
-                    }
-                } else {
-                    // Drain: lower whatever is high; `done` cannot fall
-                    // until every rail is back at spacer.
-                    for rail in [a.t, a.f, b.t, b.f] {
-                        if v.value(rail) {
-                            acts.push(act(rail, false, 0));
-                        }
-                    }
-                }
-                acts
-            }),
-        },
-    )
-    // One part per operand: each action reads only `done` plus its own
-    // operand's rails, so the two operands fill/drain independently.
-    .with_footprint(EnvFootprint::new(vec![
-        part(1, &[done, a.t, a.f], &[a.t, a.f]),
-        part(1, &[done, b.t, b.f], &[b.t, b.f]),
-    ]))
+    Circuit::new("adder", nl, Arc::new(env))
 }
 
 /// The full built-in suite, in a fixed order. `smoke` shrinks the
@@ -351,10 +263,7 @@ fn hazard_glitch() -> Circuit<'static> {
     Circuit::new(
         "hazard_glitch",
         nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| vec![act(a, !v.value(a), 0)]),
-        },
+        Arc::new(move |_: u8, v: &dyn NetView| vec![act(a, !v.value(a))]),
     )
 }
 
@@ -371,18 +280,15 @@ fn dual_rail_short() -> Circuit<'static> {
     Circuit::new(
         "dual_rail_short",
         nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| {
-                // Well-behaved driver (waits for both buffers) so the
-                // findings are purely the dual-rail protocol ones.
-                if v.value(t) == v.value(req) && v.value(f) == v.value(req) {
-                    vec![act(req, !v.value(req), 0)]
-                } else {
-                    Vec::new()
-                }
-            }),
-        },
+        Arc::new(move |_: u8, v: &dyn NetView| {
+            // Well-behaved driver (waits for both buffers) so the
+            // findings are purely the dual-rail protocol ones.
+            if v.value(t) == v.value(req) && v.value(f) == v.value(req) {
+                vec![act(req, !v.value(req))]
+            } else {
+                Vec::new()
+            }
+        }),
     )
 }
 
@@ -401,10 +307,7 @@ fn unbundled_sram() -> Circuit<'static> {
     Circuit::new(
         "unbundled_sram",
         nl,
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v: &EnvView<'_>| vec![act(req, !v.value(req), 0)]),
-        },
+        Arc::new(move |_: u8, v: &dyn NetView| vec![act(req, !v.value(req))]),
     )
     .with_initial(cell, true)
 }
@@ -422,7 +325,8 @@ fn structural_mess() -> Circuit<'static> {
     let orphan = nl.gate(GateKind::Buf, &[a], "orphan");
     let short = nl.driver_of(orphan).expect("buffer just built");
     nl.rewire_output(short, x);
-    Circuit::new("structural_mess", nl, Environment::inert())
+    let inert = |_: u8, _: &dyn NetView| Vec::new();
+    Circuit::new("structural_mess", nl, Arc::new(inert))
 }
 
 #[cfg(test)]

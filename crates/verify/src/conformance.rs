@@ -155,8 +155,19 @@ pub fn check_conformance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{EnvAction, Environment};
+    use crate::env::{act, EnvAction, NetView};
     use emc_netlist::{GateKind, Netlist};
+
+    /// A four-phase requester: flips `req` whenever `ack` matches it.
+    fn requester(req: NetId, ack: NetId) -> impl Fn(u8, &dyn NetView) -> Vec<EnvAction> {
+        move |_, v| {
+            if v.value(req) == v.value(ack) {
+                vec![act(req, !v.value(req))]
+            } else {
+                Vec::new()
+            }
+        }
+    }
 
     /// `ack = buf(buf(req))` driven by a 4-phase environment conforms to
     /// the handshake STG.
@@ -167,20 +178,7 @@ mod tests {
         let d = nl.gate(GateKind::Buf, &[req], "d");
         let ack = nl.gate(GateKind::Buf, &[d], "ack");
         nl.mark_output(ack);
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                if v.value(req) == v.value(ack) {
-                    vec![EnvAction {
-                        net: req,
-                        value: !v.value(req),
-                        next: 0,
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }),
-        };
+        let env = requester(req, ack);
         let ex = Explorer::new(&nl, &env, &[], 10_000);
         let (stg, sreq, sack) = Stg::four_phase_handshake();
         let (diags, exhaustive) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)], 10_000);
@@ -197,20 +195,7 @@ mod tests {
         let req = nl.input("req");
         let ack = nl.gate(GateKind::Inv, &[req], "ack");
         nl.mark_output(ack);
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                if v.value(req) == v.value(ack) {
-                    vec![EnvAction {
-                        net: req,
-                        value: !v.value(req),
-                        next: 0,
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }),
-        };
+        let env = requester(req, ack);
         let ex = Explorer::new(&nl, &env, &[], 10_000);
         let (stg, sreq, sack) = Stg::four_phase_handshake();
         let (diags, _) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)], 10_000);

@@ -1,23 +1,39 @@
-//! Reusable environment models.
+//! Environment models: the protocol machines that close a circuit.
 //!
-//! The verifier's [`Environment`] is a boxed closure tied to one
-//! circuit; a generator needs something it can hand to the verifier
-//! *and* replay against a live [`emc_sim::Simulator`]. [`EnvModel`] is
-//! that shared form: an explicit protocol machine reading net values
-//! through the [`NetView`] abstraction, so the same model closes the
-//! circuit for exhaustive exploration and drives the event-driven
-//! simulation one action at a time.
+//! Speed independence is a property of a circuit *and* its environment,
+//! so every explored [`Circuit`](crate::Circuit) is closed by an
+//! [`EnvModel`]: an explicit-state machine that offers input actions as
+//! a function of its control state and the net values it observes
+//! through a [`NetView`]. The same model closes the circuit for
+//! exhaustive exploration and, through a [`NetView`] over a live
+//! simulator, drives an event-driven simulation one action at a time.
+//! A model also declares its own dependency structure
+//! ([`EnvModel::footprint`]), which is what lets the explorer reduce
+//! around it.
 //!
-//! All models here are *fully reactive* (speed-independent): every
-//! action is enabled by observed net values alone, never by elapsed
-//! time or quiescence, so they are sound under the unbounded-delay
-//! model and under any Vdd schedule.
+//! The shared models here are *fully reactive* (speed-independent):
+//! every action is enabled by observed net values alone, never by
+//! elapsed time or quiescence, so they are sound under the
+//! unbounded-delay model and under any Vdd schedule.
 
 use std::sync::Arc;
 
+use emc_async::{DualRailPipeline, MullerPipeline};
 use emc_netlist::{DualRail, NetId};
-use emc_sim::Simulator;
-use emc_verify::{EnvAction, EnvFootprint, EnvPart, EnvView, Environment};
+
+use crate::reduce::{EnvFootprint, EnvPart};
+
+/// One environment action: drive `net` to `value`, move to state `next`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvAction {
+    /// The input net to drive (must be an `Input` gate's output).
+    pub net: NetId,
+    /// The level to drive it to (actions restating the current level are
+    /// ignored).
+    pub value: bool,
+    /// The environment state after the action.
+    pub next: u8,
+}
 
 /// What an environment model may observe: current net values, plus the
 /// settledness flag fundamental-mode environments gate on.
@@ -25,37 +41,13 @@ pub trait NetView {
     /// The current value of `net`.
     fn value(&self, net: NetId) -> bool;
     /// `true` when the circuit has no excited or pending gate.
+    /// Environments gated on this model *fundamental-mode* (or
+    /// bundling-discipline) operation; fully speed-independent
+    /// environments never need it.
     fn quiescent(&self) -> bool;
 }
 
-impl NetView for EnvView<'_> {
-    fn value(&self, net: NetId) -> bool {
-        EnvView::value(self, net)
-    }
-
-    fn quiescent(&self) -> bool {
-        EnvView::quiescent(self)
-    }
-}
-
-/// [`NetView`] over a live simulator. Only consulted at event-queue
-/// quiescence (the differential driver settles the simulator before
-/// asking the environment for actions), so `quiescent` is always true.
-pub struct SimView<'a>(pub &'a Simulator);
-
-impl NetView for SimView<'_> {
-    fn value(&self, net: NetId) -> bool {
-        self.0.value(net)
-    }
-
-    fn quiescent(&self) -> bool {
-        true
-    }
-}
-
-/// A sharable environment protocol machine: the generator-side
-/// counterpart of [`Environment`], usable both for verification and
-/// for driving a simulation.
+/// An environment protocol machine closing a circuit.
 pub trait EnvModel: Send + Sync {
     /// Initial control state (most models here are stateless).
     fn initial(&self) -> u8 {
@@ -63,23 +55,50 @@ pub trait EnvModel: Send + Sync {
     }
 
     /// Enabled actions in control state `state` given the observed net
-    /// values. Must be deterministic in its arguments.
+    /// values. Must be deterministic in its arguments (same state ⇒
+    /// same action list) for reproducible exploration.
     fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction>;
 
     /// The model's declared dependency structure, enabling
     /// partial-order/symmetry reduction in the verifier. `None` (the
     /// default) keeps exploration fully unreduced; models returning
     /// `Some` promise that every action [`EnvModel::step`] emits is
-    /// attributable to one declared part (see
-    /// [`emc_verify::EnvFootprint`]).
+    /// attributable to one declared part (see [`EnvFootprint`]).
     fn footprint(&self) -> Option<EnvFootprint> {
         None
     }
 }
 
-/// A stateless, quiescence-free environment part (every model in this
-/// module is fully reactive).
-fn part(tag: u64, reads: &[NetId], drives: &[NetId]) -> EnvPart {
+/// A closure is a model that starts in control state 0 and declares no
+/// footprint.
+impl<F> EnvModel for F
+where
+    F: Fn(u8, &dyn NetView) -> Vec<EnvAction> + Send + Sync,
+{
+    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+        self(state, view)
+    }
+}
+
+/// A shared model is a model: `&circuit.env` closes an
+/// [`Explorer`](crate::Explorer) as it is.
+impl<T: EnvModel + ?Sized> EnvModel for Arc<T> {
+    fn initial(&self) -> u8 {
+        (**self).initial()
+    }
+
+    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+        (**self).step(state, view)
+    }
+
+    fn footprint(&self) -> Option<EnvFootprint> {
+        (**self).footprint()
+    }
+}
+
+/// A stateless, quiescence-free environment part (every shared model in
+/// this module is fully reactive).
+pub(crate) fn part(tag: u64, reads: &[NetId], drives: &[NetId]) -> EnvPart {
     EnvPart {
         reads: reads.to_vec(),
         drives: drives.to_vec(),
@@ -89,17 +108,8 @@ fn part(tag: u64, reads: &[NetId], drives: &[NetId]) -> EnvPart {
     }
 }
 
-/// Adapts a shared [`EnvModel`] into the verifier's closure-based
-/// [`Environment`].
-pub fn to_environment(model: Arc<dyn EnvModel>) -> Environment<'static> {
-    let initial = model.initial();
-    Environment {
-        initial,
-        step: Box::new(move |state, view| model.step(state, view)),
-    }
-}
-
-fn act(net: NetId, value: bool) -> EnvAction {
+/// An action that leaves the control state at 0.
+pub(crate) fn act(net: NetId, value: bool) -> EnvAction {
     EnvAction {
         net,
         value,
@@ -155,12 +165,12 @@ impl EnvModel for FillDrainEnv {
     }
 }
 
-/// Four-phase sender and receiver around a W-bit WCHB pipeline: the
-/// sender offers a fresh codeword (free rail choice per bit) from
-/// spacer while the stage-0 completion acknowledge is low, and drains
-/// once it rises; the receiver acknowledges when every output bit is
-/// valid and releases on all-spacer. The width-1 case is the builtin
-/// verification suite's WCHB environment.
+/// Four-phase sender and receiver around a W-bit WCHB pipeline (Design
+/// 1): the sender offers a fresh codeword (free rail choice per bit)
+/// from spacer while the stage-0 completion acknowledge is low, and
+/// drains once it rises; the receiver acknowledges when every output
+/// bit is valid and releases on all-spacer. The width-1 case closes the
+/// builtin suite's WCHB pipeline.
 pub struct WchbEnv {
     /// Input rails, LSB first.
     pub inputs: Vec<DualRail>,
@@ -170,6 +180,18 @@ pub struct WchbEnv {
     pub outputs: Vec<DualRail>,
     /// The environment-driven sink acknowledge.
     pub sink_ack: NetId,
+}
+
+impl WchbEnv {
+    /// The sender and receiver around `p`.
+    pub fn for_pipeline(p: &DualRailPipeline) -> Self {
+        Self {
+            inputs: p.inputs().to_vec(),
+            sender_ack: p.sender_ack(),
+            outputs: p.outputs().to_vec(),
+            sink_ack: p.sink_ack(),
+        }
+    }
 }
 
 impl EnvModel for WchbEnv {
@@ -234,6 +256,18 @@ pub struct MicropipelineEnv {
     pub tail: NetId,
     /// The environment-driven tail acknowledge.
     pub tail_ack: NetId,
+}
+
+impl MicropipelineEnv {
+    /// The sender and consumer at the ends of `p`.
+    pub fn for_pipeline(p: &MullerPipeline) -> Self {
+        Self {
+            req: p.request(),
+            head: p.stages()[0],
+            tail: *p.stages().last().expect("non-empty pipeline"),
+            tail_ack: p.tail_ack(),
+        }
+    }
 }
 
 impl EnvModel for MicropipelineEnv {

@@ -38,6 +38,7 @@ use emc_netlist::{Diagnostic, GateId, GateKind, NetId, Netlist, Severity};
 use emc_obs::metrics::pow2_bounds;
 use emc_obs::{CounterId, GaugeId, HistogramId, Telemetry};
 
+use crate::env::{EnvModel, NetView};
 use crate::reduce::{EnvFootprint, ReduceScratch, ReductionEngine};
 
 /// One global state of the closed circuit–environment system,
@@ -169,62 +170,19 @@ pub struct Transition {
     pub env_next: u8,
 }
 
-/// One environment action: drive `net` to `value`, move to state `next`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvAction {
-    /// The input net to drive (must be an `Input` gate's output).
-    pub net: NetId,
-    /// The level to drive it to (actions restating the current level are
-    /// ignored).
-    pub value: bool,
-    /// The environment state after the action.
-    pub next: u8,
-}
-
-/// What the environment closure may observe of the current state.
-pub struct EnvView<'v> {
+/// What an [`EnvModel`] observes of an explored state.
+struct EnvView<'v> {
     state: &'v State,
     quiescent: bool,
 }
 
-impl EnvView<'_> {
-    /// The current value of `net`.
-    pub fn value(&self, net: NetId) -> bool {
+impl NetView for EnvView<'_> {
+    fn value(&self, net: NetId) -> bool {
         self.state.value(net)
     }
 
-    /// `true` when no internal gate is excited or pending — the circuit
-    /// has settled. Environments gated on this model *fundamental-mode*
-    /// (or bundling-discipline) operation; fully speed-independent
-    /// environments never need it.
-    pub fn quiescent(&self) -> bool {
+    fn quiescent(&self) -> bool {
         self.quiescent
-    }
-}
-
-/// The environment half of a closed system: an explicit-state protocol
-/// machine offering input actions as a function of its state and the
-/// visible net values.
-pub struct Environment<'a> {
-    /// Initial control state.
-    pub initial: u8,
-    /// Enabled actions in a given state. Must be deterministic in its
-    /// arguments (same state ⇒ same action list) for reproducible
-    /// exploration.
-    pub step: StepFn<'a>,
-}
-
-/// The step closure of an [`Environment`].
-pub type StepFn<'a> = Box<dyn Fn(u8, &EnvView<'_>) -> Vec<EnvAction> + Sync + 'a>;
-
-impl Environment<'_> {
-    /// An environment that never acts (for closed or structural-only
-    /// circuits).
-    pub fn inert() -> Self {
-        Environment {
-            initial: 0,
-            step: Box::new(|_, _| Vec::new()),
-        }
     }
 }
 
@@ -402,7 +360,7 @@ pub struct Explorer<'a> {
     /// Borrowed when the caller already froze the netlist; otherwise a
     /// private frozen clone, so `fanout()` always hits the CSR arena.
     netlist: Cow<'a, Netlist>,
-    env: &'a Environment<'a>,
+    env: &'a dyn EnvModel,
     initial: &'a [(NetId, bool)],
     state_cap: usize,
     pairs: Vec<RailPair>,
@@ -418,7 +376,7 @@ impl<'a> Explorer<'a> {
     /// cap on visited states.
     pub fn new(
         netlist: &'a Netlist,
-        env: &'a Environment<'a>,
+        env: &'a dyn EnvModel,
         initial: &'a [(NetId, bool)],
         state_cap: usize,
     ) -> Self {
@@ -470,7 +428,7 @@ impl<'a> Explorer<'a> {
         let mut s = State::empty(
             self.netlist.net_count(),
             self.netlist.gate_count(),
-            self.env.initial,
+            self.env.initial(),
         );
         for (_, g) in self.netlist.iter_gates() {
             if g.kind() == GateKind::Const1 {
@@ -548,7 +506,8 @@ impl<'a> Explorer<'a> {
             quiescent,
         };
         out.extend(
-            (self.env.step)(s.env, &view)
+            self.env
+                .step(s.env, &view)
                 .into_iter()
                 .filter(|a| s.value(a.net) != a.value)
                 .map(|a| Transition {
@@ -633,6 +592,48 @@ impl<'a> Explorer<'a> {
         let mut t = Telemetry::new();
         let outcome = self.explore_impl(Some(&mut t));
         (outcome, t)
+    }
+
+    /// Breadth-first walk of the **unreduced** reachable graph, checking
+    /// no rule: calls `visit` with every state, in discovery order, and
+    /// its enabled internal and environment transitions. At most
+    /// `state_cap` states are stored (the initial state always is).
+    /// Returns the number of states visited and whether the walk was
+    /// exhaustive (`false` when the cap left a successor out), or
+    /// `visit`'s first error.
+    pub fn walk_unreduced<E>(
+        &self,
+        mut visit: impl FnMut(&State, &[Transition], &[Transition]) -> Result<(), E>,
+    ) -> Result<(usize, bool), E> {
+        let mut current = self.initial_state();
+        let mut store = StateStore::new(current.words.len());
+        let slot = store.find(&current).expect_err("the store starts empty");
+        store.insert_at(slot, &current);
+        let mut next = current.clone();
+        let mut internal: Vec<Transition> = Vec::new();
+        let mut env: Vec<Transition> = Vec::new();
+        let mut overruns: Vec<GateId> = Vec::new();
+        let mut level = vec![0u64; self.netlist.gate_count().div_ceil(64)];
+        let mut exhaustive = true;
+        let mut popped = 0usize;
+        while popped < store.len() {
+            store.load(popped, &mut current);
+            popped += 1;
+            self.internal_enabled_into(&current, &mut internal, &mut level);
+            self.env_enabled_into(&current, internal.is_empty(), &mut env);
+            visit(&current, &internal, &env)?;
+            for t in internal.iter().chain(&env) {
+                self.apply_into(&current, t, &mut next, &mut overruns);
+                if let Err(slot) = store.find(&next) {
+                    if store.len() < self.state_cap {
+                        store.insert_at(slot, &next);
+                    } else {
+                        exhaustive = false;
+                    }
+                }
+            }
+        }
+        Ok((popped, exhaustive))
     }
 
     fn explore_impl(&self, telemetry: Option<&mut Telemetry>) -> ExploreOutcome {
@@ -925,6 +926,7 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::{act, EnvAction};
     use emc_netlist::GateKind;
 
     /// `y = a AND (NOT a)` — the textbook static-1 hazard: firing the
@@ -938,17 +940,14 @@ mod tests {
         (nl, a)
     }
 
-    fn flip_env(net: NetId) -> Environment<'static> {
-        Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                vec![EnvAction {
-                    net,
-                    value: !v.value(net),
-                    next: 0,
-                }]
-            }),
-        }
+    /// An environment that flips `net` whenever it likes.
+    fn flip_env(net: NetId) -> impl EnvModel {
+        move |_: u8, v: &dyn NetView| vec![act(net, !v.value(net))]
+    }
+
+    /// An environment that never acts.
+    fn inert(_: u8, _: &dyn NetView) -> Vec<EnvAction> {
+        Vec::new()
     }
 
     #[test]
@@ -974,23 +973,14 @@ mod tests {
         let b = nl.input("b");
         let c = nl.gate(GateKind::CElement, &[a, b], "c");
         nl.mark_output(c);
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                let mut acts = Vec::new();
-                for net in [a, b] {
-                    // Each input follows the C output: rise when both
-                    // low, fall when both high.
-                    if v.value(net) == v.value(c) {
-                        acts.push(EnvAction {
-                            net,
-                            value: !v.value(net),
-                            next: 0,
-                        });
-                    }
-                }
-                acts
-            }),
+        let env = move |_: u8, v: &dyn NetView| {
+            // Each input follows the C output: rise when both low, fall
+            // when both high.
+            [a, b]
+                .into_iter()
+                .filter(|&net| v.value(net) == v.value(c))
+                .map(|net| act(net, !v.value(net)))
+                .collect::<Vec<_>>()
         };
         let ex = Explorer::new(&nl, &env, &[], 1000);
         let out = ex.explore();
@@ -1039,19 +1029,12 @@ mod tests {
         let p = nl.input("p");
         let q = nl.gate(GateKind::Toggle, &[p], "q");
         nl.mark_output(q);
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                if v.quiescent() {
-                    vec![EnvAction {
-                        net: p,
-                        value: !v.value(p),
-                        next: 0,
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }),
+        let env = move |_: u8, v: &dyn NetView| {
+            if v.quiescent() {
+                vec![act(p, !v.value(p))]
+            } else {
+                Vec::new()
+            }
         };
         let ex = Explorer::new(&nl, &env, &[], 1000);
         let out = ex.explore();
@@ -1106,8 +1089,7 @@ mod tests {
         let zero = nl.constant(false, "zero");
         let y = nl.gate(GateKind::And, &[one, zero], "y");
         nl.mark_output(y);
-        let env = Environment::inert();
-        let ex = Explorer::new(&nl, &env, &[], 100);
+        let ex = Explorer::new(&nl, &inert, &[], 100);
         let s = ex.initial_state();
         assert!(s.value(one));
         assert!(!s.value(zero));
@@ -1123,8 +1105,7 @@ mod tests {
         // each span two words.
         let mut nl = Netlist::new();
         let nets: Vec<NetId> = (0..70).map(|i| nl.input(&format!("n{i}"))).collect();
-        let env = Environment::inert();
-        let ex = Explorer::new(&nl, &env, &[], 10);
+        let ex = Explorer::new(&nl, &inert, &[], 10);
         // State `k`'s bits come from an xorshift seeded by `k / 3`, its
         // env byte from `k % 3`, so some states differ only in env.
         let state_of = |k: u64| {
@@ -1186,8 +1167,7 @@ mod tests {
         for i in 0..70 {
             nets.push(nl.input(&format!("n{i}")));
         }
-        let env = Environment::inert();
-        let ex = Explorer::new(&nl, &env, &[], 10);
+        let ex = Explorer::new(&nl, &inert, &[], 10);
         let mut s = ex.initial_state();
         for (i, &n) in nets.iter().enumerate() {
             assert!(!s.value(n));

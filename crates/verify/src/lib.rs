@@ -40,8 +40,19 @@
 //! # Examples
 //!
 //! ```
-//! use emc_netlist::{GateKind, Netlist};
-//! use emc_verify::{Circuit, Environment, EnvAction, Verifier};
+//! use std::sync::Arc;
+//!
+//! use emc_netlist::{GateKind, NetId, Netlist};
+//! use emc_verify::{Circuit, EnvAction, EnvModel, NetView, Verifier};
+//!
+//! /// A free-running input: flips `0` whenever it likes.
+//! struct Flip(NetId);
+//!
+//! impl EnvModel for Flip {
+//!     fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+//!         vec![EnvAction { net: self.0, value: !view.value(self.0), next: 0 }]
+//!     }
+//! }
 //!
 //! // y = a AND (NOT a): a textbook hazard under unbounded delays.
 //! let mut n = Netlist::new();
@@ -50,13 +61,7 @@
 //! let y = n.gate(GateKind::And, &[a, na], "y");
 //! n.mark_output(y);
 //!
-//! let env = Environment {
-//!     initial: 0,
-//!     step: Box::new(move |_, v| {
-//!         vec![EnvAction { net: a, value: !v.value(a), next: 0 }]
-//!     }),
-//! };
-//! let report = Verifier::new().verify(&Circuit::new("glitch", n, env));
+//! let report = Verifier::new().verify(&Circuit::new("glitch", n, Arc::new(Flip(a))));
 //! assert!(report.errors() > 0);
 //! assert!(report.diagnostics.iter().any(|d| d.rule == "SI001"));
 //! ```
@@ -66,9 +71,12 @@
 
 pub mod builtin;
 pub mod conformance;
+pub mod env;
 pub mod explore;
 pub mod powerclock;
 pub mod reduce;
+
+use std::sync::Arc;
 
 use emc_netlist::{Diagnostic, NetId, Netlist, Severity};
 use emc_obs::export::json_string;
@@ -79,7 +87,8 @@ pub use conformance::check_conformance;
 pub use emc_analyze::{
     check_completion_coverage, check_timing_assumptions, discover_rail_pairs, RailPair,
 };
-pub use explore::{EnvAction, EnvView, Environment, ExploreOutcome, Explorer, State, Transition};
+pub use env::{ComposedEnv, EnvAction, EnvModel, FillDrainEnv, MicropipelineEnv, NetView, WchbEnv};
+pub use explore::{ExploreOutcome, Explorer, State, Transition};
 pub use powerclock::{check_power_clock, PhaseEvent};
 pub use reduce::{
     canonical_key_check, orbit_commutation_check, select_cache_check, EnvFootprint, EnvPart,
@@ -94,26 +103,28 @@ pub struct Circuit<'a> {
     /// Initial net-value overrides applied before exploration.
     pub initial: Vec<(NetId, bool)>,
     /// The environment protocol machine closing the circuit.
-    pub env: Environment<'a>,
+    pub env: Arc<dyn EnvModel + 'a>,
     /// Optional STG specification with a signal→net mapping for
     /// conformance checking.
     pub stg: Option<(Stg, Vec<(SignalId, NetId)>)>,
-    /// Optional declared environment dependency structure, enabling
-    /// partial-order/symmetry reduction (see [`reduce`]). `None` keeps
-    /// exploration fully unreduced.
+    /// The environment's declared dependency structure
+    /// ([`EnvModel::footprint`]), enabling partial-order/symmetry
+    /// reduction (see [`reduce`]). `None` keeps exploration fully
+    /// unreduced.
     pub footprint: Option<EnvFootprint>,
 }
 
 impl<'a> Circuit<'a> {
-    /// A circuit with no initial overrides and no STG specification.
-    pub fn new(name: &str, netlist: Netlist, env: Environment<'a>) -> Self {
+    /// A circuit closed by `env`, with its footprint, no initial
+    /// overrides and no STG specification.
+    pub fn new(name: &str, netlist: Netlist, env: Arc<dyn EnvModel + 'a>) -> Self {
         Self {
             name: name.to_owned(),
             netlist,
             initial: Vec::new(),
+            footprint: env.footprint(),
             env,
             stg: None,
-            footprint: None,
         }
     }
 
@@ -126,14 +137,6 @@ impl<'a> Circuit<'a> {
     /// Adds an initial net-value override.
     pub fn with_initial(mut self, net: NetId, value: bool) -> Self {
         self.initial.push((net, value));
-        self
-    }
-
-    /// Declares the environment's dependency structure, making the
-    /// circuit eligible for reduced exploration (opt-in via
-    /// [`Verifier::with_reduction`]).
-    pub fn with_footprint(mut self, footprint: EnvFootprint) -> Self {
-        self.footprint = Some(footprint);
         self
     }
 }
@@ -287,7 +290,7 @@ impl Verifier {
         // Dynamic rules only make sense on a structurally sound netlist
         // (a multiply-driven or floating net has no defined semantics).
         if structurally_sound {
-            let mut ex = Explorer::new(nl, &circuit.env, &circuit.initial, self.state_cap);
+            let mut ex = Explorer::new(nl, &*circuit.env, &circuit.initial, self.state_cap);
             if self.reduce {
                 if let Some(fp) = &circuit.footprint {
                     ex = ex.with_reduction(fp);
@@ -335,6 +338,7 @@ pub fn verify_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::act;
     use emc_netlist::GateKind;
 
     fn glitch() -> Circuit<'static> {
@@ -343,17 +347,8 @@ mod tests {
         let na = nl.gate(GateKind::Inv, &[a], "na");
         let y = nl.gate(GateKind::And, &[a, na], "y");
         nl.mark_output(y);
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                vec![EnvAction {
-                    net: a,
-                    value: !v.value(a),
-                    next: 0,
-                }]
-            }),
-        };
-        Circuit::new("glitch", nl, env)
+        let env = move |_: u8, v: &dyn NetView| vec![act(a, !v.value(a))];
+        Circuit::new("glitch", nl, Arc::new(env))
     }
 
     #[test]
@@ -379,7 +374,8 @@ mod tests {
         let _ = d;
         // Simplest structural break: drive c from two gates.
         broken.rewire_output(broken.driver_of(d).unwrap(), c);
-        let report = Verifier::new().verify(&Circuit::new("broken", broken, Environment::inert()));
+        let inert = |_: u8, _: &dyn NetView| Vec::new();
+        let report = Verifier::new().verify(&Circuit::new("broken", broken, Arc::new(inert)));
         assert!(report.diagnostics.iter().any(|d| d.rule.starts_with("NET")));
         assert_eq!(report.states, 0, "dynamic pass must not run");
     }

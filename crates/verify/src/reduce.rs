@@ -26,9 +26,9 @@
 //!
 //! The gate–gate half of the interference relation is
 //! [`emc_analyze::may_interfere_matrix`]; the environment half comes
-//! from the caller-declared [`EnvFootprint`]. **No footprint, no
-//! reduction** — an opaque environment closure may read anything, so
-//! commuting around it would be unsound. Runtime guards fall back to
+//! from the [`EnvFootprint`] the environment model declares. **No
+//! footprint, no reduction** — an environment that declares none may
+//! read anything, so commuting around it would be unsound. Runtime guards fall back to
 //! full expansion in any state where the declaration is violated (an
 //! action on an undeclared net, or a declared-stateless part moving
 //! the control byte).
@@ -45,7 +45,7 @@
 //! [`orbit_commutation_check`] independently validates the permutation
 //! argument on the unreduced graph.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 use emc_analyze::{detect_orbits, discover_rail_pairs, may_interfere_matrix, Interference, Orbits};
 use emc_netlist::{GateId, GateKind, NetId, Netlist};
@@ -60,10 +60,10 @@ pub struct EnvPart {
     /// Nets this part's enabledness/actions read.
     pub reads: Vec<NetId>,
     /// Nets this part drives (each must be an `Input` gate's output,
-    /// like every [`crate::EnvAction`](crate::explore::EnvAction)).
+    /// like every [`EnvAction`](crate::EnvAction)'s).
     pub drives: Vec<NetId>,
     /// `true` when the part consults
-    /// [`EnvView::quiescent`](crate::explore::EnvView::quiescent) — it
+    /// [`NetView::quiescent`](crate::NetView::quiescent) — it
     /// then depends on every gate's excitation and disables reduction
     /// around itself.
     pub uses_quiescence: bool,
@@ -77,11 +77,11 @@ pub struct EnvPart {
 }
 
 /// The declared dependency structure of an
-/// [`Environment`](crate::explore::Environment) closure, decomposed
-/// into independent [`EnvPart`]s. The declaration is a promise: every
-/// action the closure emits must be attributable to a part driving
-/// that net, reading only that part's `reads` (plus the control byte
-/// if `stateful`, plus quiescence if `uses_quiescence`).
+/// [`EnvModel`](crate::EnvModel), decomposed into independent
+/// [`EnvPart`]s. The declaration is a promise: every action the model
+/// emits must be attributable to a part driving that net, reading only
+/// that part's `reads` (plus the control byte if `stateful`, plus
+/// quiescence if `uses_quiescence`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnvFootprint {
     /// The declared parts.
@@ -789,37 +789,6 @@ fn validate_groups(
     out
 }
 
-/// Breadth-first walk of `ex`'s **unreduced** reachable graph (up to
-/// `cap` states), calling `visit` with every state and its enabled
-/// internal and environment transitions. Returns the number of states
-/// visited, or `visit`'s first error.
-fn walk_unreduced(
-    ex: &Explorer<'_>,
-    cap: usize,
-    mut visit: impl FnMut(&State, &[Transition], &[Transition]) -> Result<(), String>,
-) -> Result<usize, String> {
-    let mut seen: HashSet<State> = HashSet::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    let initial = ex.initial_state();
-    seen.insert(initial.clone());
-    queue.push_back(initial);
-    let mut visited = 0usize;
-    while let Some(s) = queue.pop_front() {
-        visited += 1;
-        let internal = ex.internal_enabled(&s);
-        let env = ex.env_enabled(&s, internal.is_empty());
-        visit(&s, &internal, &env)?;
-        for t in internal.iter().chain(env.iter()) {
-            let (next, _) = ex.apply(&s, t);
-            if !seen.contains(&next) && seen.len() < cap {
-                seen.insert(next.clone());
-                queue.push_back(next);
-            }
-        }
-    }
-    Ok(visited)
-}
-
 /// Walks the **unreduced** reachable graph of `circuit` (up to `cap`
 /// states) and checks, for every validated orbit group and every
 /// state, that swapping the representative with each other member
@@ -837,8 +806,8 @@ pub fn orbit_commutation_check(circuit: &crate::Circuit<'_>, cap: usize) -> Resu
     if engine.groups.is_empty() {
         return Ok(0);
     }
-    let ex = Explorer::new(&circuit.netlist, &circuit.env, &circuit.initial, cap);
-    walk_unreduced(&ex, cap, |s, internal, env| {
+    let ex = Explorer::new(&circuit.netlist, &*circuit.env, &circuit.initial, cap);
+    ex.walk_unreduced(|s, internal, env| {
         for group in &engine.groups {
             for other in 1..group.members.len() {
                 check_swap(&ex, group, other, s, internal, env)?;
@@ -846,6 +815,7 @@ pub fn orbit_commutation_check(circuit: &crate::Circuit<'_>, cap: usize) -> Resu
         }
         Ok(())
     })
+    .map(|(states, _)| states)
 }
 
 /// Walks the **unreduced** reachable graph of `circuit` (up to `cap`
@@ -862,9 +832,9 @@ pub fn select_cache_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<us
     let Some(engine) = ReductionEngine::build(&circuit.netlist, &circuit.initial, footprint) else {
         return Ok(0);
     };
-    let ex = Explorer::new(&circuit.netlist, &circuit.env, &circuit.initial, cap);
+    let ex = Explorer::new(&circuit.netlist, &*circuit.env, &circuit.initial, cap);
     let mut cached = engine.scratch();
-    walk_unreduced(&ex, cap, |s, internal, env| {
+    ex.walk_unreduced(|s, internal, env| {
         let mut fresh = engine.scratch();
         let want = engine.select(ex.netlist(), &mut fresh, s, internal, env);
         let got = engine.select(ex.netlist(), &mut cached, s, internal, env);
@@ -877,6 +847,7 @@ pub fn select_cache_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<us
         }
         Ok(())
     })
+    .map(|(states, _)| states)
 }
 
 /// Walks the **unreduced** reachable graph of `circuit` (up to `cap`
@@ -894,9 +865,9 @@ pub fn canonical_key_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<u
     if engine.groups.is_empty() {
         return Ok(0);
     }
-    let ex = Explorer::new(&circuit.netlist, &circuit.env, &circuit.initial, cap);
+    let ex = Explorer::new(&circuit.netlist, &*circuit.env, &circuit.initial, cap);
     let mut sc = engine.scratch();
-    walk_unreduced(&ex, cap, |s, _, _| {
+    ex.walk_unreduced(|s, _, _| {
         let mut got = s.clone();
         let got_moved = engine.canonicalize(&mut sc, &mut got);
         let mut want = s.clone();
@@ -909,6 +880,7 @@ pub fn canonical_key_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<u
         }
         Ok(())
     })
+    .map(|(states, _)| states)
 }
 
 /// The reference for [`canonical_key_check`]: sorts each group's members
@@ -1040,8 +1012,11 @@ fn check_swap(
 
 #[cfg(test)]
 mod tests {
+    use std::convert::Infallible;
+    use std::sync::Arc;
+
     use super::*;
-    use crate::explore::{EnvAction, Environment};
+    use crate::env::{act, part, EnvAction, EnvModel, NetView};
     use crate::{Circuit, Verifier};
     use emc_netlist::{GateKind, NetId, Netlist};
 
@@ -1077,37 +1052,58 @@ mod tests {
         close_chains("twin-interleaved", nl, a.into_iter().zip(c).collect())
     }
 
-    /// Closes each `(input, end)` chain with a part that flips the input
-    /// once the end has caught up with it.
+    /// One part per `(input, end)` chain, flipping the input once the
+    /// end has caught up with it.
+    struct ChainsEnv(Vec<(NetId, NetId)>);
+
+    impl EnvModel for ChainsEnv {
+        fn step(&self, _state: u8, v: &dyn NetView) -> Vec<EnvAction> {
+            self.0
+                .iter()
+                .filter(|&&(a, c)| v.value(a) == v.value(c))
+                .map(|&(a, _)| act(a, !v.value(a)))
+                .collect()
+        }
+
+        fn footprint(&self) -> Option<EnvFootprint> {
+            let parts = self.0.iter().map(|&(a, c)| part(7, &[a, c], &[a]));
+            Some(EnvFootprint::new(parts.collect()))
+        }
+    }
+
     fn close_chains(name: &str, nl: Netlist, ends: Vec<(NetId, NetId)>) -> Circuit<'static> {
-        let moved = ends.clone();
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                let mut acts = Vec::new();
-                for &(a, c) in &moved {
-                    if v.value(a) == v.value(c) {
-                        acts.push(EnvAction {
-                            net: a,
-                            value: !v.value(a),
-                            next: 0,
-                        });
-                    }
+        Circuit::new(name, nl, Arc::new(ChainsEnv(ends)))
+    }
+
+    /// One part per toggle stage `(a, r, q, y)`; see [`twin_toggles`].
+    struct TogglesEnv(Vec<(NetId, NetId, NetId, NetId)>);
+
+    impl EnvModel for TogglesEnv {
+        fn step(&self, _state: u8, v: &dyn NetView) -> Vec<EnvAction> {
+            let mut acts = Vec::new();
+            for &(a, r, q, y) in &self.0 {
+                let done = v.value(q) == v.value(r);
+                if v.value(y) == done {
+                    continue; // `y` has not settled yet
                 }
-                acts
-            }),
-        };
-        let parts = ends
-            .iter()
-            .map(|&(a, c)| EnvPart {
-                reads: vec![a, c],
-                drives: vec![a],
-                uses_quiescence: false,
-                stateful: false,
-                tag: 7,
-            })
-            .collect();
-        Circuit::new(name, nl, env).with_footprint(EnvFootprint::new(parts))
+                let (net, value) = match (v.value(a), done) {
+                    (false, true) => (r, !v.value(q)),
+                    (false, false) => (a, true),
+                    (true, true) => (a, false),
+                    (true, false) => continue, // armed, not fired yet
+                };
+                acts.push(act(net, value));
+            }
+            acts
+        }
+
+        fn footprint(&self) -> Option<EnvFootprint> {
+            let parts = self
+                .0
+                .iter()
+                .map(|&(a, r, q, y)| part(9, &[a, r, q, y], &[a, r]));
+            Some(EnvFootprint::new(parts.collect()))
+        }
     }
 
     /// Two independent toggle stages, so the orbit members carry pending
@@ -1127,42 +1123,7 @@ mod tests {
             nl.mark_output(y);
             stages.push((a, r, q, y));
         }
-        let moved = stages.clone();
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                let mut acts = Vec::new();
-                for &(a, r, q, y) in &moved {
-                    let done = v.value(q) == v.value(r);
-                    if v.value(y) == done {
-                        continue; // `y` has not settled yet
-                    }
-                    let (net, value) = match (v.value(a), done) {
-                        (false, true) => (r, !v.value(q)),
-                        (false, false) => (a, true),
-                        (true, true) => (a, false),
-                        (true, false) => continue, // armed, not fired yet
-                    };
-                    acts.push(EnvAction {
-                        net,
-                        value,
-                        next: 0,
-                    });
-                }
-                acts
-            }),
-        };
-        let parts = stages
-            .iter()
-            .map(|&(a, r, q, y)| EnvPart {
-                reads: vec![a, r, q, y],
-                drives: vec![a, r],
-                uses_quiescence: false,
-                stateful: false,
-                tag: 9,
-            })
-            .collect();
-        Circuit::new("twin-toggles", nl, env).with_footprint(EnvFootprint::new(parts))
+        Circuit::new("twin-toggles", nl, Arc::new(TogglesEnv(stages)))
     }
 
     fn verdict(c: &Circuit<'_>, reduce: bool) -> (Vec<&'static str>, bool, bool, usize) {
@@ -1222,7 +1183,7 @@ mod tests {
         // full expansion, keeping the result identical to the full run.
         let mut c = twin_chains();
         let fp = c.footprint.take().unwrap();
-        let c = c.with_footprint(EnvFootprint::new(vec![fp.parts[0].clone()]));
+        c.footprint = Some(EnvFootprint::new(vec![fp.parts[0].clone()]));
         let (rules_f, clean_f, exh_f, states_f) = verdict(&c, false);
         let (rules_r, clean_r, exh_r, states_r) = verdict(&c, true);
         assert_eq!((rules_f, clean_f, exh_f), (rules_r, clean_r, exh_r));
@@ -1241,23 +1202,9 @@ mod tests {
         let na = nl.gate(GateKind::Inv, &[a], "na");
         let y = nl.gate(GateKind::And, &[a, na], "y");
         nl.mark_output(y);
-        let env = Environment {
-            initial: 0,
-            step: Box::new(move |_, v| {
-                vec![EnvAction {
-                    net: a,
-                    value: !v.value(a),
-                    next: 0,
-                }]
-            }),
-        };
-        let c = Circuit::new("glitch", nl, env).with_footprint(EnvFootprint::new(vec![EnvPart {
-            reads: vec![a],
-            drives: vec![a],
-            uses_quiescence: false,
-            stateful: false,
-            tag: 1,
-        }]));
+        let env = move |_: u8, v: &dyn NetView| vec![act(a, !v.value(a))];
+        let mut c = Circuit::new("glitch", nl, Arc::new(env));
+        c.footprint = Some(EnvFootprint::new(vec![part(1, &[a], &[a])]));
         let (rules_f, ..) = verdict(&c, false);
         let (rules_r, ..) = verdict(&c, true);
         assert!(rules_r.contains(&"SI001"), "{rules_r:?}");
@@ -1283,7 +1230,7 @@ mod tests {
     #[test]
     fn select_cache_counters_cover_every_selection_past_the_guards() {
         let counters = |c: &Circuit<'_>, reduce: bool| {
-            let mut ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10_000);
+            let mut ex = Explorer::new(&c.netlist, &*c.env, &c.initial, 10_000);
             if reduce {
                 ex = ex.with_reduction(c.footprint.as_ref().expect("footprint"));
             }
@@ -1313,16 +1260,15 @@ mod tests {
         let mut c = twin_chains();
         let fp = c.footprint.take().expect("footprint");
         let declared = fp.parts[0].clone();
-        let c = c.with_footprint(EnvFootprint::new(vec![declared.clone()]));
-        let ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10_000);
+        c.footprint = Some(EnvFootprint::new(vec![declared.clone()]));
+        let ex = Explorer::new(&c.netlist, &*c.env, &c.initial, 10_000);
         let mut guarded = 0u64;
-        let all = walk_unreduced(&ex, 10_000, |_, _, env| {
+        let Ok((all, _)) = ex.walk_unreduced(|_, _, env| {
             if env.iter().all(|t| declared.drives.contains(&t.net)) {
                 guarded += 1;
             }
-            Ok(())
-        })
-        .expect("the walk has no check");
+            Ok::<_, Infallible>(())
+        });
         let (hits, misses, popped) = counters(&c, true);
         assert_eq!(popped, all as u64);
         assert!(guarded < popped, "some state must trip the guard");
@@ -1335,7 +1281,7 @@ mod tests {
         let fp = c.footprint.clone().unwrap();
         let engine = ReductionEngine::build(&c.netlist, &c.initial, &fp).unwrap();
         let mut sc = engine.scratch();
-        let ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10);
+        let ex = Explorer::new(&c.netlist, &*c.env, &c.initial, 10);
         let mut s = ex.initial_state();
         let r0a = c.netlist.find_net("r0.a").unwrap();
         let r1a = c.netlist.find_net("r1.a").unwrap();
@@ -1398,7 +1344,7 @@ mod tests {
         let fp = c.footprint.clone().expect("footprint");
         let engine = ReductionEngine::build(&c.netlist, &c.initial, &fp).expect("engine");
         let mut sc = engine.scratch();
-        let ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10);
+        let ex = Explorer::new(&c.netlist, &*c.env, &c.initial, 10);
         let net = |n: &str| c.netlist.find_net(n).expect("net");
         let gate = |n: &str| c.netlist.driver_of(net(n)).expect("driver");
         // Both toggles armed, the stages' nets equal, the targets
@@ -1424,7 +1370,7 @@ mod tests {
     #[test]
     fn canonical_rewrites_count_the_moved_successors() {
         let rewrites = |c: &Circuit<'_>, reduce: bool| {
-            let mut ex = Explorer::new(&c.netlist, &c.env, &c.initial, 10_000);
+            let mut ex = Explorer::new(&c.netlist, &*c.env, &c.initial, 10_000);
             if reduce {
                 ex = ex.with_reduction(c.footprint.as_ref().expect("footprint"));
             }
