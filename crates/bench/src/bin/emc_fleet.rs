@@ -28,6 +28,7 @@
 use std::num::{NonZeroU32, NonZeroU64};
 
 use emc_bench::cli::{Flags, OutFile, UsageError};
+use emc_bench::{out, outln};
 use emc_fleet::{run_fleet, CalibDepth, DroughtSpec, FleetConfig, FleetReport, TopologyKind};
 
 struct Args {
@@ -108,7 +109,7 @@ fn parse_drought(v: &str) -> Option<DroughtSpec> {
 fn print_summary(report: &FleetReport) {
     let secs = report.wall.as_secs_f64();
     let node_epochs = report.nodes as u64 * report.epochs;
-    println!(
+    outln!(
         "  {} nodes x {} epochs ({} shards, {} topology): {} wakes, {} deliveries in {:.3} s",
         report.nodes,
         report.epochs,
@@ -118,12 +119,12 @@ fn print_summary(report: &FleetReport) {
         report.deliveries,
         secs
     );
-    println!(
+    outln!(
         "    {:.0} node-epochs/s, {:.0} fleet events/s",
         node_epochs as f64 / secs.max(1e-9),
         report.events() as f64 / secs.max(1e-9)
     );
-    println!(
+    outln!(
         "    tasks {}/{} completed ({} refused), msgs {} sent / {} received / {} dropped / {} in flight",
         report.summary.completed,
         report.summary.expected,
@@ -134,14 +135,14 @@ fn print_summary(report: &FleetReport) {
         report.inflight
     );
     for c in &report.classes {
-        println!(
+        outln!(
             "    class {:<9} {:>7} nodes  qos {:.3}",
             c.name,
             c.nodes,
             c.qos()
         );
     }
-    println!("    digest {:016x}", report.digest);
+    outln!("    digest {:016x}", report.digest);
 }
 
 fn main() {
@@ -160,7 +161,7 @@ fn main() {
         calib,
         drought: args.drought,
     };
-    println!(
+    outln!(
         "== emc-fleet — deterministic fleet simulation ({}, {} nodes, {} epochs, seed {}) ==",
         if args.smoke { "smoke" } else { "full" },
         config.nodes,
@@ -171,7 +172,7 @@ fn main() {
     let report = match args.threads {
         Some(t) => {
             let report = run_fleet(&config, t);
-            println!("  [threads {t}]");
+            outln!("  [threads {t}]");
             print_summary(&report);
             report
         }
@@ -183,7 +184,7 @@ fn main() {
             let mut last = None;
             for threads in [1usize, 2, 8] {
                 let report = run_fleet(&config, threads);
-                println!("  [sweep {threads}t: {:.3} s]", report.wall.as_secs_f64());
+                outln!("  [sweep {threads}t: {:.3} s]", report.wall.as_secs_f64());
                 match &reference {
                     None => reference = Some((report.digest, report.to_json())),
                     Some((digest, json)) => {
@@ -201,17 +202,17 @@ fn main() {
                 last = Some(report);
             }
             let report = last.expect("sweep ran");
-            println!("  digest invariant held at 1/2/8 threads");
+            outln!("  digest invariant held at 1/2/8 threads");
             print_summary(&report);
             report
         }
     };
 
     if args.json {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
     }
     if let Some(out) = &args.out {
         out.write(&report.to_json());
-        println!("  [saved {}]", out.path);
+        outln!("  [saved {}]", out.path);
     }
 }

@@ -41,6 +41,7 @@
 use std::fmt::Debug;
 
 use emc_bench::cli::{Flags, OutFile, UsageError};
+use emc_bench::{out, outln};
 use emc_gen::{check_generated, shrink, CheckOptions, CheckOutcome, GenBounds, Plan};
 use emc_prng::{Rng, StdRng};
 use emc_sim::campaign::{run_campaign, CampaignConfig};
@@ -313,7 +314,7 @@ fn sweep<R: Send + PartialEq + Debug>(args: &Args, worker: impl Fn(u64) -> R + S
     for threads in [1usize, 2, 8] {
         let cfg = CampaignConfig::new(args.seed).threads(threads);
         let report = run_campaign(&jobs, &cfg, |_, ctx| worker(ctx.seed));
-        println!(
+        outln!(
             "  sweep {threads}t: {:.2} ms",
             report.wall_clock.as_secs_f64() * 1e3
         );
@@ -331,11 +332,11 @@ fn sweep<R: Send + PartialEq + Debug>(args: &Args, worker: impl Fn(u64) -> R + S
 /// Prints the per-seed `rows` and the `summary` line, and writes the
 /// rows to `--out`.
 fn report(args: &Args, rows: &str, summary: &str) {
-    print!("{rows}");
-    println!("  {summary}, identical at 1/2/8 threads");
+    out!("{rows}");
+    outln!("  {summary}, identical at 1/2/8 threads");
     if let Some(out) = &args.out {
         out.write(rows);
-        println!("  [saved {}]", out.path);
+        outln!("  [saved {}]", out.path);
     }
 }
 
@@ -356,7 +357,7 @@ struct ImportRun {
 /// generative mode. Exits non-zero after writing the first failing
 /// mutant in seed order.
 fn run_import(args: &Args, dir: &str, files: &[(String, String)]) {
-    println!(
+    outln!(
         "== emc-fuzz — corpus mutation ({} files from {dir}, {} seeds, base {}) ==",
         files.len(),
         args.seeds,
@@ -455,7 +456,7 @@ impl GenRun {
 /// plan of the first failing seed in seed order.
 fn run_generative(args: &Args) {
     let (bounds, opts) = bounds_and_options(args.smoke);
-    println!(
+    outln!(
         "== emc-fuzz — generative differential fuzzing ({}, {} seeds, base {}) ==",
         if args.smoke { "smoke" } else { "full" },
         args.seeds,

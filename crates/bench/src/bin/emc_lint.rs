@@ -23,6 +23,7 @@
 //! usage line.
 
 use emc_bench::cli::{Flags, UsageError};
+use emc_bench::outln;
 use emc_sim::campaign::CampaignConfig;
 use emc_verify::builtin::{broken_suite, builtin_suite};
 use emc_verify::{verify_suite, Circuit, Report, Verifier};
@@ -129,14 +130,14 @@ fn run_static(args: &Args) -> ! {
                 )
             })
             .collect();
-        println!("[{}]", body.join(","));
+        outln!("[{}]", body.join(","));
     } else {
-        println!(
+        outln!(
             "emc-lint --static: {} circuit(s), zero exploration",
             rows.len()
         );
         for (name, a) in &rows {
-            println!(
+            outln!(
                 "  {:<28} {:>3} finding(s)  rules {:?}  orbits {} group(s)",
                 name,
                 a.diagnostics.len(),
@@ -177,7 +178,7 @@ fn run_static(args: &Args) -> ! {
         std::process::exit(1);
     }
     if !args.json {
-        println!("emc-lint --static: OK — all static rule sets match the pinned goldens");
+        outln!("emc-lint --static: OK — all static rule sets match the pinned goldens");
     }
     std::process::exit(0);
 }
@@ -256,11 +257,11 @@ fn main() {
         // Machine output: a JSON array, nothing else (no timings or
         // thread counts, so the bytes are invocation-invariant).
         let body: Vec<String> = reports.iter().map(Report::to_json).collect();
-        println!("[{}]", body.join(","));
+        outln!("[{}]", body.join(","));
     } else {
-        println!("emc-lint: {} circuit(s)", reports.len());
+        outln!("emc-lint: {} circuit(s)", reports.len());
         for report in reports {
-            println!(
+            outln!(
                 "  {:<16} {:>6} state(s)  {} error(s), {} warning(s), {} note(s){}",
                 report.circuit,
                 report.states,
@@ -270,10 +271,10 @@ fn main() {
                 if report.exhaustive { "" } else { "  [capped]" },
             );
             for d in &report.diagnostics {
-                println!("    {d}");
+                outln!("    {d}");
             }
         }
-        println!(
+        outln!(
             "  [campaign: {} runs on {} thread(s), {:.1} ms wall]",
             reports.len(),
             campaign.threads,
@@ -295,6 +296,6 @@ fn main() {
         std::process::exit(1);
     }
     if !args.json {
-        println!("emc-lint: OK — all speed-independent circuits clean, all fixtures reproduce");
+        outln!("emc-lint: OK — all speed-independent circuits clean, all fixtures reproduce");
     }
 }

@@ -40,6 +40,7 @@ use emc_altlogic::{AdiabaticPipeline, ChargeRecoveryMemory};
 use emc_async::{SelfTimedOscillator, ToggleRippleCounter};
 use emc_bench::cli::{Flags, OutFile, UsageError};
 use emc_bench::{drive_array, pdes_array, pdes_parallel};
+use emc_bench::{out, outln};
 use emc_device::{AdiabaticModel, DeviceModel};
 use emc_fleet::{run_fleet, CalibDepth, FleetConfig};
 use emc_netlist::{GateKind, Netlist};
@@ -403,8 +404,8 @@ fn main() {
     match &args.out {
         Some(out) => {
             out.write(&rendered);
-            println!("[saved {}]", out.path);
+            outln!("[saved {}]", out.path);
         }
-        None => print!("{rendered}"),
+        None => out!("{rendered}"),
     }
 }

@@ -10,13 +10,19 @@
 //! `emc-fuzz` return when a check fails. An `--out PATH` is created
 //! while the flags are parsed ([`Flags::out_file`]), so a path that
 //! cannot be written is a usage error too.
+//!
+//! The tools print through [`out!`](crate::out) and
+//! [`outln!`](crate::outln) rather than `print!`/`println!`, so a reader
+//! that closes their stdout early (`emc-lint | head`) ends the output,
+//! not the run: see [`write_stdout`].
 
 use std::ffi::OsString;
-use std::fmt::Display;
+use std::fmt::{self, Display};
 use std::fs::File;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A rejected command line: what was wrong, and the binary's usage line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +131,44 @@ impl OutFile {
             std::process::exit(1);
         }
     }
+}
+
+/// Set once stdout's reader has gone away.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `args` to stdout. Once a write fails because the reader has
+/// closed the pipe, all further output is dropped and the run goes on,
+/// so it still exits with its own status (a failed check still exits
+/// 1). Any other write error prints `error: cannot write stdout: …` and
+/// exits with status 1.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => {
+            eprintln!("error: cannot write stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 #[cfg(test)]

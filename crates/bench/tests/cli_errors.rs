@@ -3,7 +3,8 @@
 //! value, a value that does not parse or is out of range, an `--import`
 //! directory without a readable corpus, an `--out` path that cannot be
 //! created, or an argument that is not UTF-8, exits with status 2 and a
-//! usage line on stderr, before any work starts, and never panics.
+//! usage line on stderr, before any work starts, and never panics. A
+//! stdout closed by its reader changes no tool's exit status either.
 
 use std::ffi::OsStr;
 use std::fmt::Debug;
@@ -108,6 +109,44 @@ fn a_non_utf8_argument_is_a_usage_error() {
     use std::os::unix::ffi::OsStrExt;
     let arg = OsStr::from_bytes(b"--seed\xff");
     assert_usage_error(env!("CARGO_BIN_EXE_emc-lint"), &[arg]);
+}
+
+/// Each tool writing to a pipe whose read end is already closed, as
+/// under `| head -c 20` once `head` has exited: the output is dropped,
+/// the run finishes with the status it would have had (0 for these
+/// passing runs), and nothing panics.
+#[test]
+fn a_closed_stdout_keeps_the_exit_status() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_emc-fleet"),
+            &["--smoke", "--threads", "1", "--json"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_emc-fleet"),
+            &["--smoke", "--threads", "1"],
+        ),
+        (env!("CARGO_BIN_EXE_emc-lint"), &["--smoke"]),
+        (env!("CARGO_BIN_EXE_emc-lint"), &["--smoke", "--json"]),
+        (env!("CARGO_BIN_EXE_emc-lint"), &["--static"]),
+        (env!("CARGO_BIN_EXE_emc-fuzz"), &["--smoke", "--seeds", "4"]),
+        (
+            env!("CARGO_BIN_EXE_emc-stats"),
+            &["--smoke", "--scenario", "verify", "--json"],
+        ),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{bin} {args:?}");
+        assert_eq!(out.status.code(), Some(0), "{what}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: stderr {stderr}");
+    }
 }
 
 #[test]
