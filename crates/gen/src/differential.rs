@@ -143,7 +143,7 @@ impl Schedule {
 pub struct DiffReport {
     /// The schedule simulated.
     pub schedule: Schedule,
-    /// Environment actions applied before quiescence or the round
+    /// The environment actions applied before quiescence or the round
     /// budget ended the run.
     pub rounds: usize,
     /// Total simulator events fired.
@@ -259,7 +259,7 @@ pub struct CheckOptions {
     /// State cap for verification and reachability (membership checking
     /// is skipped when exploration caps out).
     pub state_cap: usize,
-    /// Environment actions per schedule.
+    /// The environment actions per schedule.
     pub rounds: usize,
 }
 

@@ -22,7 +22,7 @@ pub struct MullerPipeline {
     request: NetId,
     stages: Vec<NetId>,
     c_gates: Vec<GateId>,
-    /// Environment-driven acknowledge at the tail (active low on the
+    /// The environment-driven acknowledge at the tail (active low on the
     /// C-input, wired through an inverter like every inter-stage link).
     tail_ack: NetId,
 }

@@ -1,4 +1,4 @@
-//! Environment models: the protocol machines that close a circuit.
+//! Models of a circuit's environment: the protocol machines that close it.
 //!
 //! Speed independence is a property of a circuit *and* its environment,
 //! so every explored [`Circuit`](crate::Circuit) is closed by an
@@ -40,10 +40,10 @@ pub struct EnvAction {
 pub trait NetView {
     /// The current value of `net`.
     fn value(&self, net: NetId) -> bool;
-    /// `true` when the circuit has no excited or pending gate.
-    /// Environments gated on this model *fundamental-mode* (or
-    /// bundling-discipline) operation; fully speed-independent
-    /// environments never need it.
+    /// `true` when the circuit has no excited or pending gate. Models
+    /// gated on this describe *fundamental-mode* (or
+    /// bundling-discipline) operation; fully speed-independent models
+    /// never need it.
     fn quiescent(&self) -> bool;
 }
 
@@ -80,8 +80,10 @@ where
     }
 }
 
-/// A shared model is a model: `&circuit.env` closes an
-/// [`Explorer`](crate::Explorer) as it is.
+/// A shared model is a model. `&Arc<dyn EnvModel>` does not coerce to
+/// `&dyn EnvModel` by deref (the compiler tries to unsize the `Arc`
+/// itself), so this is what lets `&circuit.env` close an
+/// [`Explorer`](crate::Explorer); `&*circuit.env` saves the extra call.
 impl<T: EnvModel + ?Sized> EnvModel for Arc<T> {
     fn initial(&self) -> u8 {
         (**self).initial()

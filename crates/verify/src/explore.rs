@@ -51,7 +51,7 @@ pub struct State {
     value_words: u32,
     /// Number of words in each of the two pending planes.
     pending_words: u32,
-    /// Environment control state (phase of its protocol machine).
+    /// The environment's control state (the phase of its protocol machine).
     pub env: u8,
 }
 
@@ -166,7 +166,8 @@ pub struct Transition {
     pub net: NetId,
     /// Its new value.
     pub value: bool,
-    /// Environment state after the transition (unchanged for gates).
+    /// The environment's control state after the transition (unchanged
+    /// for gates).
     pub env_next: u8,
 }
 

@@ -45,7 +45,7 @@
 //! use emc_netlist::{GateKind, NetId, Netlist};
 //! use emc_verify::{Circuit, EnvAction, EnvModel, NetView, Verifier};
 //!
-//! /// A free-running input: flips `0` whenever it likes.
+//! /// A free-running input: flips its net whenever it likes.
 //! struct Flip(NetId);
 //!
 //! impl EnvModel for Flip {

@@ -28,10 +28,10 @@
 //! [`emc_analyze::may_interfere_matrix`]; the environment half comes
 //! from the [`EnvFootprint`] the environment model declares. **No
 //! footprint, no reduction** — an environment that declares none may
-//! read anything, so commuting around it would be unsound. Runtime guards fall back to
-//! full expansion in any state where the declaration is violated (an
-//! action on an undeclared net, or a declared-stateless part moving
-//! the control byte).
+//! read anything, so commuting around it would be unsound. Runtime
+//! guards fall back to full expansion in any state where the
+//! declaration is violated (an action on an undeclared net, or a
+//! declared-stateless part moving the control byte).
 //!
 //! ## Symmetry reduction
 //!
