@@ -2,7 +2,7 @@
 //! stable power) versus harvester supply (unbounded energy, meagre
 //! unstable power), measured as work over deployment lifetime.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_power::{Battery, DcDcConverter, HarvestSource, PowerChain, StorageCap};
 use emc_units::{Farads, Joules, Seconds, Volts, Watts, Waveform};
 
@@ -48,10 +48,10 @@ fn main() {
         s.push(vec![days, battery_activations, harvester_activations]);
     }
     s.emit();
-    println!("Shape check: at one activation per second, the coin cell's fixed");
-    println!("~44M-activation budget serves the demand outright for short");
-    println!("deployments and then stops dead (~500 days); the harvester's");
-    println!("meagre 50 µW serves a lower steady rate but compounds forever, so");
-    println!("the curves cross within two years — the paper's case for");
-    println!("designing electronics for EH supplies in the first place.");
+    outln!("Shape check: at one activation per second, the coin cell's fixed");
+    outln!("~44M-activation budget serves the demand outright for short");
+    outln!("deployments and then stops dead (~500 days); the harvester's");
+    outln!("meagre 50 µW serves a lower steady rate but compounds forever, so");
+    outln!("the curves cross within two years — the paper's case for");
+    outln!("designing electronics for EH supplies in the first place.");
 }

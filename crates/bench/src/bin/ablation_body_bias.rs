@@ -1,7 +1,7 @@
 //! S6 — body-bias leakage control (the low-level adaptation knob of
 //! §II-B): reverse bias in idle, forward bias for sprints.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_device::{DeviceModel, ProcessParams};
 use emc_sram::{CellKind, Sram, SramConfig};
 use emc_units::Volts;
@@ -37,9 +37,9 @@ fn main() {
         ]);
     }
     s.emit();
-    println!("Shape check: reverse bias (negative) slows sub-threshold gates");
-    println!("but cuts leakage near-exponentially — the idle-mode knob; forward");
-    println!("bias buys speed at a leakage premium — the sprint knob. Together");
-    println!("with Vdd adaptation this spans the paper's low-level adaptation");
-    println!("space (\"leakage control mechanisms such as body biasing\").");
+    outln!("Shape check: reverse bias (negative) slows sub-threshold gates");
+    outln!("but cuts leakage near-exponentially — the idle-mode knob; forward");
+    outln!("bias buys speed at a leakage premium — the sprint knob. Together");
+    outln!("with Vdd adaptation this spans the paper's low-level adaptation");
+    outln!("space (\"leakage control mechanisms such as body biasing\").");
 }

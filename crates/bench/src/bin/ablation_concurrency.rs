@@ -1,7 +1,7 @@
 //! S3 — stochastic analysis of power, latency and degree of concurrency
 //! \[12\]: the M/M/K/N trade-off curves.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_sched::ConcurrencyModel;
 
 fn main() {
@@ -29,9 +29,9 @@ fn main() {
         ]);
     }
     s.emit();
-    println!("Shape check: latency collapses and throughput saturates once k");
-    println!("exceeds the offered load (the knee at k ≈ λ/μ = 8); power grows");
-    println!("with k; energy per job is minimised just past the knee where the");
-    println!("base power is amortised — the concurrency-degree trade-off the");
-    println!("paper's companion analysis [12] charts.");
+    outln!("Shape check: latency collapses and throughput saturates once k");
+    outln!("exceeds the offered load (the knee at k ≈ λ/μ = 8); power grows");
+    outln!("with k; energy per job is minimised just past the knee where the");
+    outln!("base power is amortised — the concurrency-degree trade-off the");
+    outln!("paper's companion analysis [12] charts.");
 }

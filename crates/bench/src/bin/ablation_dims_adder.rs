@@ -3,7 +3,7 @@
 //! "done" signal.
 
 use emc_async::DualRailAdder;
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_device::DeviceModel;
 use emc_netlist::Netlist;
 use emc_sim::{Simulator, SupplyKind};
@@ -33,8 +33,8 @@ fn main() {
         s.push(vec![vdd, dt * 1e9, de * 1e15, 1e-6 / de]);
     }
     s.emit();
-    println!("Shape check: the same netlist computes correctly from 1 V down");
-    println!("to 0.2 V; latency stretches ~1000x while energy per addition");
-    println!("falls ~15x — computation priced in joules, with the completion");
-    println!("detector announcing validity at every operating point.");
+    outln!("Shape check: the same netlist computes correctly from 1 V down");
+    outln!("to 0.2 V; latency stretches ~1000x while energy per addition");
+    outln!("falls ~15x — computation priced in joules, with the completion");
+    outln!("detector announcing validity at every operating point.");
 }

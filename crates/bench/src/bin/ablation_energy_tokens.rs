@@ -1,7 +1,7 @@
 //! S2 — energy-token scheduling \[15\] versus eager scheduling under a
 //! sporadic harvest: completions, abortions and wasted energy.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_petri::TaskGraph;
 use emc_sched::{EnergyTokenScheduler, GreedyScheduler};
 use emc_units::{Joules, Seconds};
@@ -42,7 +42,7 @@ fn main() {
         ]);
     }
     s.emit();
-    println!("Shape check: as bursts get sparser the greedy scheduler browns");
-    println!("out more often and throws energy away; the energy-token policy");
-    println!("never aborts and keeps the higher completions-per-joule.");
+    outln!("Shape check: as bursts get sparser the greedy scheduler browns");
+    outln!("out more often and throws energy away; the energy-token policy");
+    outln!("never aborts and keeps the higher completions-per-joule.");
 }

@@ -7,7 +7,7 @@
 //! every 4th gate; `--threads`, `--seed` as usual).
 
 use emc_async::{BundledPipeline, DualRailPipeline};
-use emc_bench::{print_campaign_summary, CampaignArgs, Series};
+use emc_bench::{outln, print_campaign_summary, CampaignArgs, Series};
 use emc_device::DeviceModel;
 use emc_netlist::Netlist;
 use emc_sim::campaign::{run_campaign, RunReport};
@@ -156,13 +156,13 @@ fn main() {
     s.push(bundled.row(1.0));
     s.emit();
     print_campaign_summary(&report);
-    println!("SI pipeline:      {si:?}");
-    println!("bundled pipeline: {bundled:?}");
-    println!();
-    println!("Shape check: the speed-independent design converts every");
-    println!("observable fault into a detectable stall (zero silent data");
-    println!("corruption); the bundled design's matched delays fire anyway and");
-    println!("a large fraction of faults deliver wrong words with a clean");
-    println!("handshake — the dependability half of the paper's self-timing");
-    println!("argument.");
+    outln!("SI pipeline:      {si:?}");
+    outln!("bundled pipeline: {bundled:?}");
+    outln!();
+    outln!("Shape check: the speed-independent design converts every");
+    outln!("observable fault into a detectable stall (zero silent data");
+    outln!("corruption); the bundled design's matched delays fire anyway and");
+    outln!("a large fraction of faults deliver wrong words with a clean");
+    outln!("handshake — the dependability half of the paper's self-timing");
+    outln!("argument.");
 }

@@ -1,7 +1,7 @@
 //! S4 — game-theoretic power management \[16\]: best-response bidding for
 //! a shared power budget versus a static equal split.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_sched::{PowerGame, TaskBid};
 
 fn main() {
@@ -53,8 +53,8 @@ fn main() {
         ]);
     }
     s.emit();
-    println!("Shape check: at tight budgets the equilibrium allocation routes");
-    println!("power to the urgent tasks and beats the static split on both");
-    println!("misses and tardiness; with a generous budget both policies meet");
-    println!("everything — the soft-arbitration picture of [16].");
+    outln!("Shape check: at tight budgets the equilibrium allocation routes");
+    outln!("power to the urgent tasks and beats the static split on both");
+    outln!("misses and tardiness; with a generous budget both policies meet");
+    outln!("everything — the soft-arbitration picture of [16].");
 }

@@ -11,7 +11,7 @@
 //! until errors just begin to appear.
 
 use emc_altlogic::RazorDvsController;
-use emc_bench::{campaign_series, print_campaign_summary, CampaignArgs, Series};
+use emc_bench::{campaign_series, outln, print_campaign_summary, CampaignArgs, Series};
 use emc_core::families::{family_words, measure_razor_outcome};
 use emc_core::qos::{measure_pipeline_qos, DesignStyle};
 use emc_sim::campaign::{run_campaign, RunReport};
@@ -95,10 +95,10 @@ fn main() {
         ctl.observe(out.errors_detected, out.received.len());
     }
     servo.emit();
-    println!("Shape check: at nominal Vdd nothing is detected and nothing is");
-    println!("replayed; as Vdd falls, violations appear and replays hold the");
-    println!("correct fraction above the bundled curve at a bounded replay");
-    println!("energy fraction. The servo walks Vdd down from nominal until");
-    println!("the detected-error rate enters the target band — trading the");
-    println!("worst-case margin for occasional, paid-for replays.");
+    outln!("Shape check: at nominal Vdd nothing is detected and nothing is");
+    outln!("replayed; as Vdd falls, violations appear and replays hold the");
+    outln!("correct fraction above the bundled curve at a bounded replay");
+    outln!("energy fraction. The servo walks Vdd down from nominal until");
+    outln!("the detected-error rate enters the target band — trading the");
+    outln!("worst-case margin for occasional, paid-for replays.");
 }

@@ -2,7 +2,7 @@
 //! (pushing the low-Vdd limit into sub-threshold) and 8T cells (cutting
 //! leakage), plus the corner table of \[8\].
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_device::DeviceModel;
 use emc_sram::energy::Op;
 use emc_sram::{CellKind, FailureAnalysis, Sram, SramConfig};
@@ -75,9 +75,9 @@ fn main() {
         "process corners: min Vdd and 0.3 V read latency",
         &["corner_index", "min_vdd_mV", "read_latency_0v3_ns"],
     );
-    println!("corner legend:");
+    outln!("corner legend:");
     for (i, row) in fa.corner_table(&device).iter().enumerate() {
-        println!(
+        outln!(
             "  {} = {} (min Vdd {:.0} mV, read @0.3 V {:.0} ns)",
             i,
             row.corner,
@@ -92,8 +92,8 @@ fn main() {
     }
     corners.emit();
 
-    println!("Shape check: segmentation lowers the usable voltage floor (the");
-    println!("§III-A suggestion of 8-bit completion segments); 8T cells cut");
-    println!("retention power ~2.5x for 1.4x area; the slow-slow corner is the");
-    println!("limiting one, as in the failure analysis of [8].");
+    outln!("Shape check: segmentation lowers the usable voltage floor (the");
+    outln!("§III-A suggestion of 8-bit completion segments); 8T cells cut");
+    outln!("retention power ~2.5x for 1.4x area; the slow-slow corner is the");
+    outln!("limiting one, as in the failure analysis of [8].");
 }

@@ -2,7 +2,7 @@
 //! gated bursts at a stabilised nominal rail versus self-timed operation
 //! directly off the varying rail.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_core::strategy::{simulate, SupplyStrategy};
 use emc_units::{Seconds, Watts};
 
@@ -31,9 +31,9 @@ fn main() {
         ]);
     }
     s.emit();
-    println!("Shape check: at microwatt densities the variable-Vdd self-timed");
-    println!("strategy does several times the work per joule (it operates near");
-    println!("the minimum-energy point and pays no regulator); at milliwatt");
-    println!("densities the stabilised-nominal strategy catches up — the paper's");
-    println!("case for power-adaptive hybrids.");
+    outln!("Shape check: at microwatt densities the variable-Vdd self-timed");
+    outln!("strategy does several times the work per joule (it operates near");
+    outln!("the minimum-energy point and pays no regulator); at milliwatt");
+    outln!("densities the stabilised-nominal strategy catches up — the paper's");
+    outln!("case for power-adaptive hybrids.");
 }

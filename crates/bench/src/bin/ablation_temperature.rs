@@ -2,7 +2,7 @@
 //! the SRAM minimum-energy point, and the reference-free sensor's
 //! thermal drift (its honest remaining dependence).
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_device::{DeviceModel, ProcessParams};
 use emc_sensors::ReferenceFreeSensor;
 use emc_sram::energy::Op;
@@ -36,9 +36,9 @@ fn main() {
         s.push(vec![t, inv.0 * 1e9, mep, drift]);
     }
     s.emit();
-    println!("Shape check: heat makes sub-threshold logic *faster* (Vt drops,");
-    println!("φt rises), shifts the SRAM minimum-energy point, and drifts the");
-    println!("room-temperature-calibrated reference-free sensor well past its");
-    println!("10 mV spec — temperature is the one reference the sensor still");
-    println!("implicitly carries.");
+    outln!("Shape check: heat makes sub-threshold logic *faster* (Vt drops,");
+    outln!("φt rises), shifts the SRAM minimum-energy point, and drifts the");
+    outln!("room-temperature-calibrated reference-free sensor well past its");
+    outln!("10 mV spec — temperature is the one reference the sensor still");
+    outln!("implicitly carries.");
 }

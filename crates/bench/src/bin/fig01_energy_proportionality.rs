@@ -2,7 +2,7 @@
 //! supplied energy, for the proportional (self-timed converter) and
 //! conventional (overhead-first) systems.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_core::ActivityCurve;
 use emc_units::Joules;
 
@@ -17,7 +17,7 @@ fn main() {
         s.push(vec![e.0 * 1e12, prop as f64, conv as f64]);
     }
     s.emit();
-    println!("Shape check: the proportional system produces activity from the");
-    println!("smallest quanta; the conventional system is dead below its");
-    println!("overhead, then grows faster — matching the paper's Fig. 1 sketch.");
+    outln!("Shape check: the proportional system produces activity from the");
+    outln!("smallest quanta; the conventional system is dead below its");
+    outln!("overhead, then grows faster — matching the paper's Fig. 1 sketch.");
 }

@@ -5,7 +5,7 @@
 //! Each grid point measures three gate-level simulations, so the sweep
 //! runs as a campaign (`--smoke`, `--threads`, `--seed`).
 
-use emc_bench::{campaign_series, print_campaign_summary, CampaignArgs};
+use emc_bench::{campaign_series, outln, print_campaign_summary, CampaignArgs};
 use emc_core::hybrid::HybridController;
 use emc_core::qos::{measure_pipeline_qos, DesignStyle};
 use emc_sim::campaign::{run_campaign, RunReport};
@@ -51,8 +51,8 @@ fn main() {
     );
     s.emit();
     print_campaign_summary(&report);
-    println!("Shape check: Design 1 delivers QoS at voltages where Design 2's");
-    println!("correct fraction collapses; Design 2 has the higher QoS/W at");
-    println!("nominal supply; the hybrid follows whichever is better (switch");
-    println!("threshold {:.0} mV).", ctl.threshold().0 * 1e3);
+    outln!("Shape check: Design 1 delivers QoS at voltages where Design 2's");
+    outln!("correct fraction collapses; Design 2 has the higher QoS/W at");
+    outln!("nominal supply; the hybrid follows whichever is better (switch");
+    outln!("threshold {:.0} mV).", ctl.threshold().0 * 1e3);
 }

@@ -1,7 +1,7 @@
 //! Fig. 3 — power-adaptive computing, the holistic view: useful work per
 //! harvested joule with and without two-way adaptation.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_core::HolisticExperiment;
 use emc_units::{Seconds, Watts};
 
@@ -34,8 +34,8 @@ fn main() {
         ]);
     }
     s.emit();
-    println!("Shape check: under scarce income the adaptive loop (energy-token");
-    println!("scheduling at the minimum-energy rail) completes several times the");
-    println!("work per joule of the fixed nominal-rail system; with abundant");
-    println!("income both complete the whole workload.");
+    outln!("Shape check: under scarce income the adaptive loop (energy-token");
+    outln!("scheduling at the minimum-energy rail) completes several times the");
+    outln!("work per joule of the fixed nominal-rail system; with abundant");
+    outln!("income both complete the whole workload.");
 }

@@ -2,7 +2,7 @@
 //! day-in-the-life harvest profile: style switches, elastic concurrency
 //! and energy-modulated work, in one time series.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_core::qos::DesignStyle;
 use emc_core::PowerAdaptiveSystem;
 use emc_power::{DcDcConverter, HarvestSource, PowerChain, StorageCap};
@@ -44,7 +44,7 @@ fn main() {
     }
     s.emit();
     let r = sys.report();
-    println!(
+    outln!(
         "totals: {} ops, {:.1} µJ harvested, {:.1} µJ delivered, {} style switches, {} gated steps",
         r.ops,
         r.harvested.0 * 1e6,
@@ -52,11 +52,11 @@ fn main() {
         r.style_switches,
         r.gated_steps
     );
-    println!("ops per harvested mJ: {:.0}", r.ops_per_joule() * 1e-3);
-    println!();
-    println!("Shape check: the system runs bundled at 1 V while the reservoir");
-    println!("is healthy, drops to the speed-independent style at the 0.4 V");
-    println!("minimum-energy rail as the store drains, throttles concurrency");
-    println!("with the income, and gates off only when the bank is empty —");
-    println!("computation modulated by energy, end to end.");
+    outln!("ops per harvested mJ: {:.0}", r.ops_per_joule() * 1e-3);
+    outln!();
+    outln!("Shape check: the system runs bundled at 1 V while the reservoir");
+    outln!("is healthy, drops to the speed-independent style at the 0.4 V");
+    outln!("minimum-energy rail as the store drains, throttles concurrency");
+    outln!("with the income, and gates off only when the bank is empty —");
+    outln!("computation modulated by energy, end to end.");
 }

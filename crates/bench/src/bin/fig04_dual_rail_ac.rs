@@ -3,7 +3,7 @@
 //! resumes in the crests, and the code sequence never corrupts.
 
 use emc_async::{SelfTimedOscillator, ToggleRippleCounter};
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_device::DeviceModel;
 use emc_netlist::Netlist;
 use emc_power::chain::ac_supply;
@@ -58,7 +58,7 @@ fn main() {
         std::fs::create_dir_all(&dir).expect("create figures dir");
         let path = dir.join("fig04.vcd");
         std::fs::write(&path, vcd).expect("write VCD");
-        println!("  [saved {}]", path.display());
+        outln!("  [saved {}]", path.display());
     }
 
     let mut s = Series::new(
@@ -89,11 +89,11 @@ fn main() {
             trough += 1;
         }
     }
-    println!(
+    outln!(
         "counted {} settled increments, {corrupt} corrupted",
         settled.len()
     );
-    println!(
+    outln!(
         "transitions in crest half-cycles: {crest}, in trough half-cycles: {trough} \
          ({}x concentration)",
         if trough > 0 {
@@ -102,10 +102,10 @@ fn main() {
             crest
         }
     );
-    println!("hazards observed: {}", sim.hazards().len());
-    println!();
-    println!("Shape check: counting is modulated by the supply (activity piles");
-    println!("into the crests), pauses through the sub-floor troughs, and the");
-    println!("sequence stays consecutive — the robustness the paper's Fig. 4");
-    println!("waveforms demonstrate.");
+    outln!("hazards observed: {}", sim.hazards().len());
+    outln!();
+    outln!("Shape check: counting is modulated by the supply (activity piles");
+    outln!("into the crests), pauses through the sub-floor troughs, and the");
+    outln!("sequence stays consecutive — the robustness the paper's Fig. 4");
+    outln!("waveforms demonstrate.");
 }

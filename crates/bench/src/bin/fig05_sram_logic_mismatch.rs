@@ -5,7 +5,7 @@
 //! Runs as a campaign: one run per Vdd point, fanned out by the engine
 //! (`--smoke`, `--threads`, `--seed`; see `emc_bench::campaign`).
 
-use emc_bench::{campaign_series, print_campaign_summary, CampaignArgs};
+use emc_bench::{campaign_series, outln, print_campaign_summary, CampaignArgs};
 use emc_device::{DeviceModel, SramLogicCalibration};
 use emc_sim::campaign::{run_campaign, RunReport};
 use emc_units::Volts;
@@ -36,18 +36,18 @@ fn main() {
     );
     s.emit();
     print_campaign_summary(&report);
-    println!(
+    outln!(
         "anchors: ratio(1.0 V) = {:.1} (paper: 50), ratio(0.19 V) = {:.1} (paper: 158)",
         cal.delay_ratio(Volts(1.0)),
         cal.delay_ratio(Volts(0.19))
     );
-    println!(
+    outln!(
         "solved stack-effect threshold elevation: {:.0} mV; cap/drive scale {:.1}",
         cal.delta_vt().0 * 1e3,
         cal.cap_scale()
     );
-    println!();
-    println!("Shape check: monotone growth as Vdd falls — a delay line matched");
-    println!("to the SRAM at nominal supply is ~3.2x too short at 190 mV, which");
-    println!("is why the paper abandons delay lines for completion detection.");
+    outln!();
+    outln!("Shape check: monotone growth as Vdd falls — a delay line matched");
+    outln!("to the SRAM at nominal supply is ~3.2x too short at 190 mV, which");
+    outln!("is why the paper abandons delay lines for completion detection.");
 }

@@ -6,7 +6,7 @@
 //! sweeps write/read latency and energy over the full Vdd range, one
 //! independent SRAM per point (`--smoke`, `--threads`, `--seed`).
 
-use emc_bench::{campaign_series, print_campaign_summary, CampaignArgs, Series};
+use emc_bench::{campaign_series, outln, print_campaign_summary, CampaignArgs, Series};
 use emc_sim::campaign::{run_campaign, RunReport};
 use emc_sram::{Sram, SramConfig};
 use emc_units::{Seconds, Waveform};
@@ -50,7 +50,7 @@ fn main() {
         std::fs::create_dir_all(&dir).expect("create figures dir");
         let path = dir.join("fig07_supply.vcd");
         std::fs::write(&path, vcd).expect("write VCD");
-        println!("  [saved {}]", path.display());
+        outln!("  [saved {}]", path.display());
     }
 
     let mut s = Series::new(
@@ -113,24 +113,24 @@ fn main() {
     sweep.emit();
     print_campaign_summary(&report);
 
-    println!(
+    outln!(
         "write #1 @ 0.25 V: {:>9.2} µs ({})",
         w1.latency.0 * 1e6,
         if w1.correct { "correct" } else { "FAILED" }
     );
-    println!(
+    outln!(
         "write #2 @ 1.00 V: {:>9.3} µs ({})",
         w2.latency.0 * 1e6,
         if w2.correct { "correct" } else { "FAILED" }
     );
-    println!(
+    outln!(
         "read-back: {:#06x} and {:#06x} (expected 0xaaaa / 0x5555)",
         r1.data.unwrap_or(0),
         r2.data.unwrap_or(0)
     );
-    println!("latency ratio: {:.0}x", w1.latency.0 / w2.latency.0);
-    println!();
-    println!("Shape check: exactly the paper's Fig. 7 story — \"the first");
-    println!("writing works under low Vdd, it takes long time, while the second");
-    println!("write, at high Vdd, works much faster\", with no data corruption.");
+    outln!("latency ratio: {:.0}x", w1.latency.0 / w2.latency.0);
+    outln!();
+    outln!("Shape check: exactly the paper's Fig. 7 story — \"the first");
+    outln!("writing works under low Vdd, it takes long time, while the second");
+    outln!("write, at high Vdd, works much faster\", with no data corruption.");
 }

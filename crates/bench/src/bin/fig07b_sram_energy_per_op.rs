@@ -1,7 +1,7 @@
 //! In-text numbers of §III-A — energy per access across Vdd: 5.8 pJ per
 //! 16-bit write at 1 V, 1.9 pJ at 0.4 V, minimum energy point at 0.4 V.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_sram::energy::Op;
 use emc_sram::{Sram, SramConfig, TimingDiscipline};
 use emc_units::Volts;
@@ -34,7 +34,7 @@ fn main() {
         Volts(1.0),
         400,
     );
-    println!(
+    outln!(
         "anchors: E_write(1.0 V) = {:.2} pJ (paper: 5.8), E_write(0.4 V) = {:.2} pJ (paper: 1.9)",
         sram.write_at(Volts(1.0), 0, 1, TimingDiscipline::Completion)
             .energy
@@ -45,12 +45,12 @@ fn main() {
             .0
             * 1e12,
     );
-    println!(
+    outln!(
         "minimum energy point: {:.0} mV at {:.2} pJ (paper: 400 mV)",
         mep.0 * 1e3,
         e_min.0 * 1e12
     );
-    println!();
-    println!("Shape check: quadratic dynamic energy above the MEP, a leakage-");
-    println!("driven blow-up below it — the canonical sub-threshold energy bowl.");
+    outln!();
+    outln!("Shape check: quadratic dynamic energy above the MEP, a leakage-");
+    outln!("driven blow-up below it — the canonical sub-threshold energy bowl.");
 }

@@ -2,7 +2,7 @@
 //! charge-to-digital sensor samples the reservoir and a bang-bang
 //! controller steers the DC-DC output rail.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_power::{DcDcConverter, HarvestSource, PowerChain, StorageCap};
 use emc_sensors::{ChargeToDigitalConverter, SensorLoop};
 use emc_units::{Farads, Seconds, Volts, Waveform};
@@ -55,18 +55,18 @@ fn main() {
         .map(|r| (r.estimate.0 - r.v_store.0).abs())
         .fold(0.0_f64, f64::max);
     let report = lp.chain().report();
-    println!(
+    outln!(
         "worst in-range sensing error in the loop: {:.1} mV",
         worst * 1e3
     );
-    println!(
+    outln!(
         "harvested {:.1} µJ, delivered {:.1} µJ, deficit {:.2} µJ",
         report.harvested.0 * 1e6,
         report.delivered.0 * 1e6,
         report.deficit.0 * 1e6
     );
-    println!();
-    println!("Shape check: the rail steps down when the harvest sags and back");
-    println!("up when it recovers — the controller acting purely on the self-");
-    println!("timed sensor's code, as in the paper's Fig. 8 chain.");
+    outln!();
+    outln!("Shape check: the rail steps down when the harvest sags and back");
+    outln!("up when it recovers — the controller acting purely on the self-");
+    outln!("timed sensor's code, as in the paper's Fig. 8 chain.");
 }

@@ -4,7 +4,7 @@
 //! modulated downwards as the sampling capacitor sags.
 
 use emc_async::{SelfTimedOscillator, ToggleRippleCounter};
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_device::DeviceModel;
 use emc_netlist::Netlist;
 use emc_sim::{Simulator, SupplyKind};
@@ -55,26 +55,26 @@ fn main() {
     let early: f64 = edges[1].0 - edges[0].0;
     let n = edges.len();
     let late: f64 = edges[n - 1].0 - edges[n - 2].0;
-    println!("pulses generated: {}", n);
-    println!(
+    outln!("pulses generated: {}", n);
+    outln!(
         "R0 period: {:.1} ns at full charge -> {:.1} ns near depletion ({:.0}x slower)",
         early * 1e9,
         late * 1e9,
         late / early
     );
-    println!(
+    outln!(
         "hazards: {} (strictly sequential firing)",
         sim.hazards().len()
     );
-    println!(
+    outln!(
         "final code {} from {} total transitions, residual {:.0} mV",
         sim.transition_count(counter.toggles()[0]),
         sim.total_transitions(),
         sim.domain_voltage(cap).0 * 1e3
     );
-    println!();
-    println!("Shape check: each stage fires at half the rate of its");
-    println!("predecessor; the oscillator's own frequency is modulated by the");
-    println!("decaying rail — the converter is a frequency-and-amplitude-");
-    println!("modulated oscillator exactly as §III-B describes.");
+    outln!();
+    outln!("Shape check: each stage fires at half the rate of its");
+    outln!("predecessor; the oscillator's own frequency is modulated by the");
+    outln!("decaying rail — the converter is a frequency-and-amplitude-");
+    outln!("modulated oscillator exactly as §III-B describes.");
 }

@@ -4,7 +4,7 @@
 //! Runs as a campaign: one conversion per initial voltage, fanned out
 //! by the engine (`--smoke`, `--threads`, `--seed`).
 
-use emc_bench::{campaign_series, print_campaign_summary, CampaignArgs};
+use emc_bench::{campaign_series, outln, print_campaign_summary, CampaignArgs};
 use emc_sensors::ChargeToDigitalConverter;
 use emc_sim::campaign::{run_campaign, RunReport};
 use emc_units::{Farads, Volts};
@@ -51,14 +51,14 @@ fn main() {
     // Proportionality of charge to count along the curve.
     let a = adc.convert(Volts(0.6));
     let b = adc.convert(Volts(1.0));
-    println!(
+    outln!(
         "counts per picocoulomb: {:.1} at 0.6 V, {:.1} at 1.0 V",
         a.code as f64 / (a.charge_used.0 * 1e12),
         b.code as f64 / (b.charge_used.0 * 1e12)
     );
-    println!();
-    println!("Shape check: a monotone, repeatable code-vs-voltage curve (the");
-    println!("paper's Fig. 11), with a stable counts-per-charge slope — the");
-    println!("\"strong proportionality between the quantity of charge sampled…");
-    println!("and the binary code accumulated in the counter\".");
+    outln!();
+    outln!("Shape check: a monotone, repeatable code-vs-voltage curve (the");
+    outln!("paper's Fig. 11), with a stable counts-per-charge slope — the");
+    outln!("\"strong proportionality between the quantity of charge sampled…");
+    outln!("and the binary code accumulated in the counter\".");
 }

@@ -1,7 +1,7 @@
 //! Fig. 12 — reference-free voltage measurement: the SRAM-vs-ruler race
 //! transfer curve, 200 mV – 1 V operating range, ≤ 10 mV accuracy.
 
-use emc_bench::Series;
+use emc_bench::{outln, Series};
 use emc_sensors::{ReferenceFreeSensor, RingOscillatorSensor};
 use emc_units::{Seconds, Volts};
 
@@ -23,26 +23,26 @@ fn main() {
     }
     s.emit();
 
-    println!(
+    outln!(
         "worst-case error over 0.2-1.0 V: {:.1} mV (paper claims 10 mV)",
         sensor.worst_case_error().0 * 1e3
     );
-    println!("ruler length required: {} stages", sensor.ruler_length());
+    outln!("ruler length required: {} stages", sensor.ruler_length());
 
     // Contrast: the conventional ring-oscillator sensor degrades with
     // its time reference; the race sensor has no reference to degrade.
     let ring = RingOscillatorSensor::new(31, Seconds(1e-6));
-    println!();
-    println!("ring-oscillator baseline at 0.5 V under reference-clock error:");
+    outln!();
+    outln!("ring-oscillator baseline at 0.5 V under reference-clock error:");
     for rel in [0.0, 0.02, 0.05, 0.10] {
-        println!(
+        outln!(
             "  {:>4.0} % clock error -> {:>5.1} mV voltage error",
             rel * 100.0,
             ring.error_with_reference(Volts(0.5), rel).0 * 1e3
         );
     }
-    println!();
-    println!("Shape check: monotone digital transfer curve over the full");
-    println!("0.2-1 V range with ≤10 mV inversion error and no analog");
-    println!("references — the claims of §III-C.");
+    outln!();
+    outln!("Shape check: monotone digital transfer curve over the full");
+    outln!("0.2-1 V range with ≤10 mV inversion error and no analog");
+    outln!("references — the claims of §III-C.");
 }

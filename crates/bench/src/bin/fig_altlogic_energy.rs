@@ -10,7 +10,7 @@
 //! count.
 
 use emc_altlogic::LogicFamily;
-use emc_bench::{campaign_series, print_campaign_summary, CampaignArgs};
+use emc_bench::{campaign_series, outln, print_campaign_summary, CampaignArgs};
 use emc_core::families::{measure_adiabatic, measure_family};
 use emc_sim::campaign::{run_campaign, RunReport};
 use emc_units::{Seconds, Volts};
@@ -68,9 +68,9 @@ fn main() {
     );
     s.emit();
     print_campaign_summary(&ramp_report);
-    println!("Shape check: adiabatic sits below both classic styles while its");
-    println!("clock ramps slowly; the ramp sweep is U-shaped — friction falls");
-    println!("as 1/T until the leakage floor takes over. Razor-DVS tracks the");
-    println!("bundled curve at nominal but keeps delivering (via replay) into");
-    println!("voltages where plain bundling has already collapsed.");
+    outln!("Shape check: adiabatic sits below both classic styles while its");
+    outln!("clock ramps slowly; the ramp sweep is U-shaped — friction falls");
+    outln!("as 1/T until the leakage floor takes over. Razor-DVS tracks the");
+    outln!("bundled curve at nominal but keeps delivering (via replay) into");
+    outln!("voltages where plain bundling has already collapsed.");
 }

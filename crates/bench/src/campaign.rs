@@ -92,7 +92,7 @@ pub fn campaign_series(id: &str, title: &str, columns: &[&str], report: &Campaig
 /// determinism digest plus the numbers needed for serial-vs-parallel
 /// wall-clock comparisons.
 pub fn print_campaign_summary(report: &CampaignReport) {
-    println!(
+    crate::outln!(
         "  [campaign: {} runs on {} thread(s), {:.1} ms wall, {} events, digest {:016x}]",
         report.runs.len(),
         report.threads,

@@ -11,10 +11,10 @@
 //! while the flags are parsed ([`Flags::out_file`]), so a path that
 //! cannot be written is a usage error too.
 //!
-//! The tools print through [`out!`](crate::out) and
-//! [`outln!`](crate::outln) rather than `print!`/`println!`, so a reader
-//! that closes their stdout early (`emc-lint | head`) ends the output,
-//! not the run: see [`write_stdout`].
+//! The tools and the figure binaries print through [`out!`](crate::out)
+//! and [`outln!`](crate::outln) rather than `print!`/`println!`, so a
+//! reader that closes their stdout early (`emc-lint | head`) ends the
+//! output, not the run: see [`write_stdout`].
 
 use std::ffi::OsString;
 use std::fmt::{self, Display};
@@ -166,6 +166,9 @@ macro_rules! out {
 /// `println!` through [`write_stdout`].
 #[macro_export]
 macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
     ($($arg:tt)*) => {
         $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
     };

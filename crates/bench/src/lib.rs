@@ -5,7 +5,9 @@
 //! or result of *Energy-modulated computing* (see `DESIGN.md` §3 for the
 //! index). Each prints a human-readable table **and** dumps the same
 //! series as JSON under `target/figures/`, so EXPERIMENTS.md numbers can
-//! be re-derived mechanically.
+//! be re-derived mechanically. Like the `emc-*` tools, they print
+//! through [`out!`] and [`outln!`], so a reader that closes their stdout
+//! early ends the output, not the run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +63,7 @@ impl Series {
 
     /// Prints the series as an aligned table.
     pub fn print(&self) {
-        println!("== {} — {} ==", self.id, self.title);
+        crate::outln!("== {} — {} ==", self.id, self.title);
         let widths: Vec<usize> = self.columns.iter().map(|c| c.len().max(12)).collect();
         let header: Vec<String> = self
             .columns
@@ -69,14 +71,14 @@ impl Series {
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}"))
             .collect();
-        println!("  {}", header.join("  "));
+        crate::outln!("  {}", header.join("  "));
         for row in &self.rows {
             let cells: Vec<String> = row
                 .iter()
                 .zip(&widths)
                 .map(|(v, w)| format!("{:>w$}", format_number(*v)))
                 .collect();
-            println!("  {}", cells.join("  "));
+            crate::outln!("  {}", cells.join("  "));
         }
     }
 
@@ -112,7 +114,7 @@ impl Series {
         fs::create_dir_all(&dir).expect("create target/figures");
         let path = dir.join(format!("{}.json", self.id));
         fs::write(&path, self.to_json()).expect("write series JSON");
-        println!("  [saved {}]", path.display());
+        crate::outln!("  [saved {}]", path.display());
         path
     }
 
@@ -120,7 +122,7 @@ impl Series {
     pub fn emit(&self) {
         self.print();
         self.save();
-        println!();
+        crate::outln!();
     }
 }
 

@@ -111,10 +111,11 @@ fn a_non_utf8_argument_is_a_usage_error() {
     assert_usage_error(env!("CARGO_BIN_EXE_emc-lint"), &[arg]);
 }
 
-/// Each tool writing to a pipe whose read end is already closed, as
-/// under `| head -c 20` once `head` has exited: the output is dropped,
-/// the run finishes with the status it would have had (0 for these
-/// passing runs), and nothing panics.
+/// Each tool, and a campaign, a plain and an ablation figure binary,
+/// writing to a pipe whose read end is already closed, as under
+/// `| head -c 20` once `head` has exited: the output is dropped, the
+/// run finishes with the status it would have had (0 for these passing
+/// runs), and nothing panics.
 #[test]
 fn a_closed_stdout_keeps_the_exit_status() {
     for (bin, args) in [
@@ -133,6 +134,15 @@ fn a_closed_stdout_keeps_the_exit_status() {
         (
             env!("CARGO_BIN_EXE_emc-stats"),
             &["--smoke", "--scenario", "verify", "--json"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig02_qos_vs_power"),
+            &["--smoke", "--threads", "1"],
+        ),
+        (env!("CARGO_BIN_EXE_fig06_handshake_trace"), &[]),
+        (
+            env!("CARGO_BIN_EXE_ablation_fault_injection"),
+            &["--smoke", "--threads", "1"],
         ),
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
