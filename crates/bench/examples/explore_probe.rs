@@ -1,13 +1,16 @@
 //! Micro-probe for the speed-independence explorer: explores
 //! `pipelined_array(rows, cols)` in full and with POR and orbit
 //! reduction, and prints each run's states, transitions, wall-clock ns
-//! per state and verdict, plus the reduction's work counters
-//! (stubborn-set cache hits and misses, proviso expansions, canonical
-//! rewrites). It measures one rung of a size ladder without a
-//! benchmark run: `explore_probe 2 3` and `explore_probe 3 2` are the
-//! `si_verify` benchmark's arrays, and `explore_probe 2 4` the next
-//! rung. Timings include the telemetry counters' own cost; the counts
-//! are exact and repeat from run to run.
+//! per state, verdict and key width (the bytes the state store keeps
+//! per visited state, besides its index table), plus the reduction's
+//! work counters (stubborn-set cache hits and misses, proviso
+//! expansions, canonical rewrites). Last it prints the process's peak
+//! resident set (`VmHWM` from `/proc/self/status`, where there is one).
+//! It measures one rung of a size ladder without a benchmark run:
+//! `explore_probe 2 3` and `explore_probe 3 2` are the `si_verify`
+//! benchmark's arrays, and `explore_probe 2 4` the next rung. Timings
+//! include the telemetry counters' own cost; the counts are exact and
+//! repeat from run to run.
 //!
 //! Usage: `explore_probe ROWS COLS [CAP]` (default cap 4,000,000 states)
 
@@ -45,11 +48,12 @@ fn main() {
         rules.sort_unstable();
         rules.dedup();
         println!(
-            "{}: {} states, {} transitions, {secs:.3} s ({:.0} ns/state), {}, {}",
+            "{}: {} states, {} transitions, {secs:.3} s ({:.0} ns/state), key {} B/state, {}, {}",
             if reduced { "reduced" } else { "full" },
             out.states,
             count("verify.transitions_applied"),
             secs / out.states as f64 * 1e9,
+            8 * ex.key_words(),
             if out.exhaustive {
                 "exhaustive"
             } else {
@@ -71,4 +75,16 @@ fn main() {
             );
         }
     }
+    match peak_rss_kib() {
+        Some(kib) => println!("peak RSS (VmHWM): {:.1} MiB", kib as f64 / 1024.0),
+        None => println!("peak RSS (VmHWM): unavailable"),
+    }
+}
+
+/// The process's peak resident set in KiB: the `VmHWM` line of
+/// `/proc/self/status` (Linux only).
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }

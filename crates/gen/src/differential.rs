@@ -219,13 +219,15 @@ pub fn run_differential(
     let mut env_state = gc.env.initial();
     let mut rng = StdRng::seed_from_u64(driver_seed);
     let mut applied = 0usize;
+    let mut acts = Vec::new();
 
     while violation.is_none() && applied < rounds {
         // Fold the quiescent state the circuit settled to.
         for w in project(sim.netlist(), |n| sim.value(n)).iter() {
             digest.write_u64(*w);
         }
-        let mut acts = gc.env.step(env_state, &SimView(&sim));
+        acts.clear();
+        gc.env.step(env_state, &SimView(&sim), &mut acts);
         acts.retain(|a| sim.value(a.net) != a.value);
         if acts.is_empty() {
             break;
@@ -510,16 +512,17 @@ mod tests {
     }
 
     impl EnvModel for ImpatientEnv {
-        fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-            self.pairs
-                .iter()
-                .flat_map(|p| [p.t, p.f])
-                .map(|rail| EnvAction {
-                    net: rail,
-                    value: !view.value(rail),
-                    next: 0,
-                })
-                .collect()
+        fn step(&self, _state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
+            out.extend(
+                self.pairs
+                    .iter()
+                    .flat_map(|p| [p.t, p.f])
+                    .map(|rail| EnvAction {
+                        net: rail,
+                        value: !view.value(rail),
+                        next: 0,
+                    }),
+            );
         }
     }
 

@@ -327,6 +327,18 @@ mod tests {
         assert_clean(&pipelined_array(2, 2, "ar"));
     }
 
+    /// The benchmark's arrays have no edge-triggered gate and fewer than
+    /// 57 nets, so the explorer keys each state by one word: the net
+    /// values with the env byte on top.
+    #[test]
+    fn benchmark_arrays_key_a_state_by_one_word() {
+        for (rows, cols) in [(2, 3), (3, 2)] {
+            let c = pipelined_array(rows, cols, "pa").verify_circuit();
+            let ex = emc_verify::Explorer::new(&c.netlist, &*c.env, &c.initial, 1);
+            assert_eq!(ex.key_words(), 1, "{rows}x{cols}");
+        }
+    }
+
     #[test]
     fn block_graphs_verify_clean() {
         // A layered DAG: g0 = x0 op x1, g1 = g0 op x2, g2 = g0 op g1

@@ -98,11 +98,13 @@ fn run_sequential(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut env_state = gc.env.initial();
     let mut actions = Vec::new();
+    let mut acts = Vec::new();
     let mut fired = 0u64;
     for k in 0..rounds {
         let t = Seconds(STEP * (k + 1) as f64);
         fired += sim.run_until(t).fired;
-        let mut acts = gc.env.step(env_state, &SimView(&sim));
+        acts.clear();
+        gc.env.step(env_state, &SimView(&sim), &mut acts);
         acts.retain(|a| sim.value(a.net) != a.value);
         if acts.is_empty() {
             continue;

@@ -32,11 +32,9 @@ struct PulseEnv {
 }
 
 impl EnvModel for PulseEnv {
-    fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+    fn step(&self, _state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
         if view.quiescent() {
-            vec![act(self.pulse, !view.value(self.pulse))]
-        } else {
-            Vec::new()
+            out.push(act(self.pulse, !view.value(self.pulse)));
         }
     }
 
@@ -102,19 +100,19 @@ struct BundlingEnv {
 }
 
 impl EnvModel for BundlingEnv {
-    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+    fn step(&self, state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
         match state {
-            0 if view.quiescent() && !view.value(self.ack) => vec![
+            0 if view.quiescent() && !view.value(self.ack) => out.extend([
                 act(self.data, !view.value(self.data)),
                 EnvAction {
                     net: self.req,
                     value: true,
                     next: 1,
                 },
-            ],
-            0 => Vec::new(),
-            _ if view.value(self.ack) => vec![act(self.req, false)],
-            _ => Vec::new(),
+            ]),
+            0 => {}
+            _ if view.value(self.ack) => out.push(act(self.req, false)),
+            _ => {}
         }
     }
 
@@ -160,12 +158,10 @@ struct ReadRequestEnv {
 }
 
 impl EnvModel for ReadRequestEnv {
-    fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
+    fn step(&self, _state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
         let req = view.value(self.req);
         if req == view.value(self.done) {
-            vec![act(self.req, !req)]
-        } else {
-            Vec::new()
+            out.push(act(self.req, !req));
         }
     }
 
@@ -263,7 +259,9 @@ fn hazard_glitch() -> Circuit<'static> {
     Circuit::new(
         "hazard_glitch",
         nl,
-        Arc::new(move |_: u8, v: &dyn NetView| vec![act(a, !v.value(a))]),
+        Arc::new(move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
+            out.push(act(a, !v.value(a)));
+        }),
     )
 }
 
@@ -280,13 +278,11 @@ fn dual_rail_short() -> Circuit<'static> {
     Circuit::new(
         "dual_rail_short",
         nl,
-        Arc::new(move |_: u8, v: &dyn NetView| {
+        Arc::new(move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
             // Well-behaved driver (waits for both buffers) so the
             // findings are purely the dual-rail protocol ones.
             if v.value(t) == v.value(req) && v.value(f) == v.value(req) {
-                vec![act(req, !v.value(req))]
-            } else {
-                Vec::new()
+                out.push(act(req, !v.value(req)));
             }
         }),
     )
@@ -307,7 +303,9 @@ fn unbundled_sram() -> Circuit<'static> {
     Circuit::new(
         "unbundled_sram",
         nl,
-        Arc::new(move |_: u8, v: &dyn NetView| vec![act(req, !v.value(req))]),
+        Arc::new(move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
+            out.push(act(req, !v.value(req)));
+        }),
     )
     .with_initial(cell, true)
 }
@@ -325,7 +323,7 @@ fn structural_mess() -> Circuit<'static> {
     let orphan = nl.gate(GateKind::Buf, &[a], "orphan");
     let short = nl.driver_of(orphan).expect("buffer just built");
     nl.rewire_output(short, x);
-    let inert = |_: u8, _: &dyn NetView| Vec::new();
+    let inert = |_: u8, _: &dyn NetView, _: &mut Vec<EnvAction>| {};
     Circuit::new("structural_mess", nl, Arc::new(inert))
 }
 

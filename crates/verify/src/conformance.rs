@@ -159,12 +159,10 @@ mod tests {
     use emc_netlist::{GateKind, Netlist};
 
     /// A four-phase requester: flips `req` whenever `ack` matches it.
-    fn requester(req: NetId, ack: NetId) -> impl Fn(u8, &dyn NetView) -> Vec<EnvAction> {
-        move |_, v| {
+    fn requester(req: NetId, ack: NetId) -> impl Fn(u8, &dyn NetView, &mut Vec<EnvAction>) {
+        move |_, v, out| {
             if v.value(req) == v.value(ack) {
-                vec![act(req, !v.value(req))]
-            } else {
-                Vec::new()
+                out.push(act(req, !v.value(req)));
             }
         }
     }

@@ -54,10 +54,11 @@ pub trait EnvModel: Send + Sync {
         0
     }
 
-    /// Enabled actions in control state `state` given the observed net
-    /// values. Must be deterministic in its arguments (same state ⇒
-    /// same action list) for reproducible exploration.
-    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction>;
+    /// Appends the actions enabled in control state `state`, given the
+    /// observed net values, to `out`, leaving what `out` already holds
+    /// in place. Must be deterministic in its arguments (same state ⇒
+    /// same actions, in the same order) for reproducible exploration.
+    fn step(&self, state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>);
 
     /// The model's declared dependency structure, enabling
     /// partial-order/symmetry reduction in the verifier. `None` (the
@@ -73,10 +74,10 @@ pub trait EnvModel: Send + Sync {
 /// footprint.
 impl<F> EnvModel for F
 where
-    F: Fn(u8, &dyn NetView) -> Vec<EnvAction> + Send + Sync,
+    F: Fn(u8, &dyn NetView, &mut Vec<EnvAction>) + Send + Sync,
 {
-    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-        self(state, view)
+    fn step(&self, state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
+        self(state, view, out)
     }
 }
 
@@ -89,8 +90,8 @@ impl<T: EnvModel + ?Sized> EnvModel for Arc<T> {
         (**self).initial()
     }
 
-    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-        (**self).step(state, view)
+    fn step(&self, state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
+        (**self).step(state, view, out)
     }
 
     fn footprint(&self) -> Option<EnvFootprint> {
@@ -134,25 +135,23 @@ pub struct FillDrainEnv {
 }
 
 impl EnvModel for FillDrainEnv {
-    fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-        let mut acts = Vec::new();
+    fn step(&self, _state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
         if !view.value(self.done) {
             for p in &self.pairs {
                 if !view.value(p.t) && !view.value(p.f) {
-                    acts.push(act(p.t, true));
-                    acts.push(act(p.f, true));
+                    out.push(act(p.t, true));
+                    out.push(act(p.f, true));
                 }
             }
         } else {
             for p in &self.pairs {
                 for rail in [p.t, p.f] {
                     if view.value(rail) {
-                        acts.push(act(rail, false));
+                        out.push(act(rail, false));
                     }
                 }
             }
         }
-        acts
     }
 
     fn footprint(&self) -> Option<EnvFootprint> {
@@ -197,20 +196,19 @@ impl WchbEnv {
 }
 
 impl EnvModel for WchbEnv {
-    fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-        let mut acts = Vec::new();
+    fn step(&self, _state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
         let ack = view.value(self.sender_ack);
         for p in &self.inputs {
             let (t, f) = (view.value(p.t), view.value(p.f));
             if !t && !f && !ack {
-                acts.push(act(p.t, true));
-                acts.push(act(p.f, true));
+                out.push(act(p.t, true));
+                out.push(act(p.f, true));
             }
             if t && ack {
-                acts.push(act(p.t, false));
+                out.push(act(p.t, false));
             }
             if f && ack {
-                acts.push(act(p.f, false));
+                out.push(act(p.f, false));
             }
         }
         let all_valid = self
@@ -222,12 +220,11 @@ impl EnvModel for WchbEnv {
             .iter()
             .all(|p| !view.value(p.t) && !view.value(p.f));
         if all_valid && !view.value(self.sink_ack) {
-            acts.push(act(self.sink_ack, true));
+            out.push(act(self.sink_ack, true));
         }
         if all_spacer && view.value(self.sink_ack) {
-            acts.push(act(self.sink_ack, false));
+            out.push(act(self.sink_ack, false));
         }
-        acts
     }
 
     fn footprint(&self) -> Option<EnvFootprint> {
@@ -273,15 +270,13 @@ impl MicropipelineEnv {
 }
 
 impl EnvModel for MicropipelineEnv {
-    fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-        let mut acts = Vec::new();
+    fn step(&self, _state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
         if view.value(self.head) == view.value(self.req) {
-            acts.push(act(self.req, !view.value(self.req)));
+            out.push(act(self.req, !view.value(self.req)));
         }
         if view.value(self.tail_ack) != view.value(self.tail) {
-            acts.push(act(self.tail_ack, view.value(self.tail)));
+            out.push(act(self.tail_ack, view.value(self.tail)));
         }
-        acts
     }
 
     fn footprint(&self) -> Option<EnvFootprint> {
@@ -294,7 +289,8 @@ impl EnvModel for MicropipelineEnv {
 
 /// The product of independent stateless environments (used by the
 /// pipelined-array family, where every row has its own sender and
-/// receiver): the enabled actions are the union of the parts'.
+/// receiver): the enabled actions are the union of the parts', in part
+/// order.
 pub struct ComposedEnv {
     /// The component environments. Each must be stateless (control
     /// state 0 throughout); the composition does not multiplex the
@@ -303,11 +299,10 @@ pub struct ComposedEnv {
 }
 
 impl EnvModel for ComposedEnv {
-    fn step(&self, state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-        self.parts
-            .iter()
-            .flat_map(|p| p.step(state, view))
-            .collect()
+    fn step(&self, state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
+        for p in &self.parts {
+            p.step(state, view, out);
+        }
     }
 
     fn footprint(&self) -> Option<EnvFootprint> {
@@ -318,5 +313,185 @@ impl EnvModel for ComposedEnv {
             fp.extend(p.footprint()?);
         }
         Some(fp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emc_netlist::Netlist;
+
+    /// A hand-built view: the listed nets read 1, every other net 0. The
+    /// shared models never ask about quiescence.
+    struct Levels(Vec<NetId>);
+
+    impl NetView for Levels {
+        fn value(&self, net: NetId) -> bool {
+            self.0.contains(&net)
+        }
+
+        fn quiescent(&self) -> bool {
+            false
+        }
+    }
+
+    fn view(high: &[NetId]) -> Levels {
+        Levels(high.to_vec())
+    }
+
+    /// `N` distinct nets.
+    fn nets<const N: usize>() -> [NetId; N] {
+        let mut nl = Netlist::new();
+        std::array::from_fn(|i| nl.input(&format!("n{i}")))
+    }
+
+    fn stepped(env: &dyn EnvModel, view: &dyn NetView) -> Vec<EnvAction> {
+        let mut out = Vec::new();
+        env.step(0, view, &mut out);
+        out
+    }
+
+    fn rail(t: NetId, f: NetId) -> DualRail {
+        DualRail { t, f }
+    }
+
+    #[test]
+    fn wchb_env_offers_codewords_drains_and_acknowledges() {
+        let [t0, f0, t1, f1, ack, ot, of, sink] = nets();
+        let env = WchbEnv {
+            inputs: vec![rail(t0, f0), rail(t1, f1)],
+            sender_ack: ack,
+            outputs: vec![rail(ot, of)],
+            sink_ack: sink,
+        };
+        // Spacer everywhere, acknowledge low: either rail of each pair.
+        assert_eq!(
+            stepped(&env, &view(&[])),
+            [act(t0, true), act(f0, true), act(t1, true), act(f1, true)]
+        );
+        // A pair still at spacer is offered; a valid one waits.
+        assert_eq!(stepped(&env, &view(&[t0])), [act(t1, true), act(f1, true)]);
+        // Acknowledged: drain the high rails; a valid output is
+        // acknowledged by the receiver.
+        assert_eq!(
+            stepped(&env, &view(&[ack, t0, f1, ot])),
+            [act(t0, false), act(f1, false), act(sink, true)]
+        );
+        // Outputs back at spacer: the receiver releases.
+        assert_eq!(stepped(&env, &view(&[ack, sink])), [act(sink, false)]);
+        // Outputs valid and already acknowledged: nothing to do.
+        assert_eq!(stepped(&env, &view(&[ack, of, sink])), []);
+    }
+
+    #[test]
+    fn fill_drain_env_fills_before_done_and_drains_after() {
+        let [t0, f0, t1, f1, done] = nets();
+        let env = FillDrainEnv {
+            pairs: vec![rail(t0, f0), rail(t1, f1)],
+            done,
+        };
+        assert_eq!(stepped(&env, &view(&[f1])), [act(t0, true), act(f0, true)]);
+        assert_eq!(
+            stepped(&env, &view(&[done, t0, f1])),
+            [act(t0, false), act(f1, false)]
+        );
+        assert_eq!(stepped(&env, &view(&[done])), []);
+    }
+
+    #[test]
+    fn micropipeline_env_flips_the_request_and_copies_the_tail() {
+        let [req, head, tail, tail_ack] = nets();
+        let env = MicropipelineEnv {
+            req,
+            head,
+            tail,
+            tail_ack,
+        };
+        // The head has matched the request: flip it.
+        assert_eq!(stepped(&env, &view(&[])), [act(req, true)]);
+        assert_eq!(stepped(&env, &view(&[req, head])), [act(req, false)]);
+        // The head lags the request: the sender waits.
+        assert_eq!(stepped(&env, &view(&[head])), []);
+        // The tail acknowledge copies the tail.
+        assert_eq!(stepped(&env, &view(&[req, tail])), [act(tail_ack, true)]);
+        assert_eq!(
+            stepped(&env, &view(&[tail_ack])),
+            [act(req, true), act(tail_ack, false)]
+        );
+    }
+
+    #[test]
+    fn composed_env_emits_its_parts_actions_in_part_order() {
+        let [r0, h0, t0, a0, r1, h1, t1, a1] = nets();
+        let row = |req, head, tail, tail_ack| -> Arc<dyn EnvModel> {
+            Arc::new(MicropipelineEnv {
+                req,
+                head,
+                tail,
+                tail_ack,
+            })
+        };
+        let v = view(&[t0, t1]);
+        let rows = [row(r0, h0, t0, a0), row(r1, h1, t1, a1)];
+        let forward = ComposedEnv {
+            parts: rows.to_vec(),
+        };
+        let backward = ComposedEnv {
+            parts: rows.iter().rev().cloned().collect(),
+        };
+        let (first, second) = (stepped(&*rows[0], &v), stepped(&*rows[1], &v));
+        assert_eq!(first, [act(r0, true), act(a0, true)]);
+        assert_eq!(second, [act(r1, true), act(a1, true)]);
+        assert_eq!(stepped(&forward, &v), [&first[..], &second[..]].concat());
+        assert_eq!(stepped(&backward, &v), [&second[..], &first[..]].concat());
+    }
+
+    #[test]
+    fn step_appends_to_a_non_empty_buffer() {
+        let [req, head, tail, tail_ack, t, f] = nets();
+        let micro = MicropipelineEnv {
+            req,
+            head,
+            tail,
+            tail_ack,
+        };
+        let models: Vec<Arc<dyn EnvModel>> = vec![
+            Arc::new(move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
+                out.push(act(t, !v.value(t)));
+            }),
+            Arc::new(FillDrainEnv {
+                pairs: vec![rail(t, f)],
+                done: head,
+            }),
+            Arc::new(WchbEnv {
+                inputs: vec![rail(t, f)],
+                sender_ack: head,
+                outputs: Vec::new(),
+                sink_ack: tail_ack,
+            }),
+            Arc::new(ComposedEnv {
+                parts: vec![
+                    Arc::new(micro),
+                    Arc::new(FillDrainEnv {
+                        pairs: vec![rail(t, f)],
+                        done: head,
+                    }),
+                ],
+            }),
+        ];
+        let sentinel = EnvAction {
+            net: tail,
+            value: true,
+            next: 7,
+        };
+        let v = view(&[]);
+        for (i, m) in models.iter().enumerate() {
+            let fresh = stepped(m, &v);
+            assert!(!fresh.is_empty(), "model {i} offers something");
+            let mut out = vec![sentinel.clone(), sentinel.clone()];
+            m.step(0, &v, &mut out);
+            assert_eq!(out[..2], [sentinel.clone(), sentinel.clone()], "model {i}");
+            assert_eq!(out[2..], fresh[..], "model {i}");
+        }
     }
 }

@@ -12,9 +12,9 @@
 //! States are bit-packed (one `u64` word per 64 nets, two per 64 gates
 //! for the pending events) and stored once each, in discovery order, in
 //! one flat `u64` arena behind an open-addressed index table
-//! (`WordTable`). The visited set is that table and the BFS frontier is
-//! the range of arena indices not yet expanded, so no state is ever boxed
-//! on its own.
+//! (`WordTable`), keyed by only the bits that can vary (`StateStore`).
+//! The visited set is that table and the BFS frontier is the range of
+//! arena indices not yet expanded, so no state is ever boxed on its own.
 //!
 //! Two families of rules are decided on the fly:
 //!
@@ -38,7 +38,7 @@ use emc_netlist::{Diagnostic, GateId, GateKind, NetId, Netlist, Severity};
 use emc_obs::metrics::pow2_bounds;
 use emc_obs::{CounterId, GaugeId, HistogramId, Telemetry};
 
-use crate::env::{EnvModel, NetView};
+use crate::env::{EnvAction, EnvModel, NetView};
 use crate::reduce::{EnvFootprint, ReduceScratch, ReductionEngine};
 
 /// One global state of the closed circuit–environment system,
@@ -307,20 +307,66 @@ fn mix(key: &[u64]) -> u64 {
     })
 }
 
-/// The explorer's visited states in a [`WordTable`], each keyed by its
-/// words followed by its env byte.
+/// Where the env byte sits in a key word that packs it.
+const ENV_SHIFT: u32 = 56;
+
+/// Which bits of a state a [`StateStore`] key holds: the bits that can
+/// vary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KeyLayout {
+    /// Leading state words kept: the net values, then both pending
+    /// planes when the netlist has a `Toggle` or `Dff`, the only kinds
+    /// [`Explorer::apply_into`] arms (otherwise the planes stay zero).
+    kept: usize,
+    /// `true` when the env byte rides in the top byte of the last kept
+    /// word, which no bit of the state uses; otherwise it takes one more
+    /// word.
+    packed: bool,
+}
+
+impl KeyLayout {
+    /// The layout for the states of `netlist`.
+    fn of(netlist: &Netlist) -> Self {
+        let edge_triggered = netlist
+            .iter_gates()
+            .any(|(_, g)| matches!(g.kind(), GateKind::Toggle | GateKind::Dff));
+        let (nets, gates) = (netlist.net_count(), netlist.gate_count());
+        // The last kept word ends the last plane kept, of `plane` bits,
+        // and uses the low `(plane - 1) % 64 + 1` of its own.
+        let (kept, plane) = if edge_triggered {
+            (nets.div_ceil(64) + 2 * gates.div_ceil(64), gates)
+        } else {
+            (nets.div_ceil(64), nets)
+        };
+        Self {
+            kept,
+            packed: kept > 0 && (plane - 1) % 64 < ENV_SHIFT as usize,
+        }
+    }
+
+    /// The key's width in words.
+    fn words(self) -> usize {
+        self.kept + usize::from(!self.packed)
+    }
+}
+
+/// The explorer's visited states in a [`WordTable`], each keyed as its
+/// [`KeyLayout`] says. Keys are equal exactly when states are, because
+/// every bit a key drops is zero in every state.
 struct StateStore {
     table: WordTable,
+    layout: KeyLayout,
     /// Scratch: the key of the state being looked up or inserted.
     key: Vec<u64>,
 }
 
 impl StateStore {
-    /// An empty store for states of `words` words.
-    fn new(words: usize) -> Self {
+    /// An empty store keyed by `layout`.
+    fn new(layout: KeyLayout) -> Self {
         Self {
-            table: WordTable::new(words + 1),
-            key: vec![0; words + 1],
+            table: WordTable::new(layout.words()),
+            layout,
+            key: vec![0; layout.words()],
         }
     }
 
@@ -328,10 +374,25 @@ impl StateStore {
         self.table.len()
     }
 
+    /// Writes the key of `s` into the scratch `key`.
     fn fill_key(&mut self, s: &State) {
-        let (words, env) = self.key.split_at_mut(s.words.len());
-        words.copy_from_slice(&s.words);
-        env[0] = u64::from(s.env);
+        let KeyLayout { kept, packed } = self.layout;
+        debug_assert!(
+            s.words[kept..].iter().all(|&w| w == 0),
+            "a pending bit is set in a netlist with no edge-triggered gate"
+        );
+        self.key[..kept].copy_from_slice(&s.words[..kept]);
+        let env = u64::from(s.env);
+        if packed {
+            debug_assert_eq!(
+                self.key[kept - 1] >> ENV_SHIFT,
+                0,
+                "a state bit in the env byte"
+            );
+            self.key[kept - 1] |= env << ENV_SHIFT;
+        } else {
+            self.key[kept] = env;
+        }
     }
 
     /// Looks `s` up: `Ok(index)` when stored, otherwise `Err(slot)` for
@@ -350,9 +411,16 @@ impl StateStore {
 
     /// Overwrites `s` with the state stored at `index`.
     fn load(&self, index: usize, s: &mut State) {
-        let (words, env) = self.table.key(index).split_at(s.words.len());
-        s.words.copy_from_slice(words);
-        s.env = env[0] as u8;
+        let KeyLayout { kept, packed } = self.layout;
+        let key = self.table.key(index);
+        s.words[..kept].copy_from_slice(&key[..kept]);
+        s.words[kept..].fill(0);
+        if packed {
+            s.env = (key[kept - 1] >> ENV_SHIFT) as u8;
+            s.words[kept - 1] &= (1 << ENV_SHIFT) - 1;
+        } else {
+            s.env = key[kept] as u8;
+        }
     }
 }
 
@@ -369,6 +437,8 @@ pub struct Explorer<'a> {
     pair_of_net: Vec<Option<usize>>,
     /// Partial-order/symmetry reduction, when enabled and available.
     reduction: Option<ReductionEngine>,
+    /// What the visited-state store keeps of each state.
+    key: KeyLayout,
 }
 
 impl<'a> Explorer<'a> {
@@ -395,6 +465,7 @@ impl<'a> Explorer<'a> {
             Cow::Owned(own)
         };
         Self {
+            key: KeyLayout::of(&netlist),
             netlist,
             env,
             initial,
@@ -420,6 +491,14 @@ impl<'a> Explorer<'a> {
     /// The netlist under analysis.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
+    }
+
+    /// The `u64` words the explorer stores per visited state: the
+    /// net-value words, both pending planes only when the netlist has an
+    /// edge-triggered gate, and the env byte packed into the last of
+    /// those when its top byte is free, else in one more word.
+    pub fn key_words(&self) -> usize {
+        self.key.words()
     }
 
     /// The initial state: all nets low except constants-1 and the
@@ -496,20 +575,29 @@ impl<'a> Explorer<'a> {
     /// the caller from [`Explorer::internal_enabled`]).
     pub fn env_enabled(&self, s: &State, quiescent: bool) -> Vec<Transition> {
         let mut out = Vec::new();
-        self.env_enabled_into(s, quiescent, &mut out);
+        self.env_enabled_into(s, quiescent, &mut Vec::new(), &mut out);
         out
     }
 
-    fn env_enabled_into(&self, s: &State, quiescent: bool, out: &mut Vec<Transition>) {
+    /// [`Explorer::env_enabled`] into `out`, stepping the environment into
+    /// the caller's `actions` buffer.
+    fn env_enabled_into(
+        &self,
+        s: &State,
+        quiescent: bool,
+        actions: &mut Vec<EnvAction>,
+        out: &mut Vec<Transition>,
+    ) {
+        actions.clear();
         out.clear();
         let view = EnvView {
             state: s,
             quiescent,
         };
+        self.env.step(s.env, &view, actions);
         out.extend(
-            self.env
-                .step(s.env, &view)
-                .into_iter()
+            actions
+                .iter()
                 .filter(|a| s.value(a.net) != a.value)
                 .map(|a| Transition {
                     gate: None,
@@ -607,11 +695,12 @@ impl<'a> Explorer<'a> {
         mut visit: impl FnMut(&State, &[Transition], &[Transition]) -> Result<(), E>,
     ) -> Result<(usize, bool), E> {
         let mut current = self.initial_state();
-        let mut store = StateStore::new(current.words.len());
+        let mut store = StateStore::new(self.key);
         let slot = store.find(&current).expect_err("the store starts empty");
         store.insert_at(slot, &current);
         let mut next = current.clone();
         let mut internal: Vec<Transition> = Vec::new();
+        let mut actions: Vec<EnvAction> = Vec::new();
         let mut env: Vec<Transition> = Vec::new();
         let mut overruns: Vec<GateId> = Vec::new();
         let mut level = vec![0u64; self.netlist.gate_count().div_ceil(64)];
@@ -621,7 +710,7 @@ impl<'a> Explorer<'a> {
             store.load(popped, &mut current);
             popped += 1;
             self.internal_enabled_into(&current, &mut internal, &mut level);
-            self.env_enabled_into(&current, internal.is_empty(), &mut env);
+            self.env_enabled_into(&current, internal.is_empty(), &mut actions, &mut env);
             visit(&current, &internal, &env)?;
             for t in internal.iter().chain(&env) {
                 self.apply_into(&current, t, &mut next, &mut overruns);
@@ -665,7 +754,7 @@ impl<'a> Explorer<'a> {
 
         let mut sink = Sink::new();
         let mut initial = self.initial_state();
-        let mut store = StateStore::new(initial.words.len());
+        let mut store = StateStore::new(self.key);
         let mut capped = self.state_cap == 0;
 
         // Reduction machinery: the engine (if enabled and accepted),
@@ -688,11 +777,13 @@ impl<'a> Explorer<'a> {
 
         // Scratch buffers reused across the whole search: the popped
         // state (copied out of the arena so successors can be stored
-        // while it is read), the successor, the transition lists, the
-        // excited level gates and the gates a firing may disable.
+        // while it is read), the successor, the transition lists and the
+        // environment's actions, the excited level gates and the gates a
+        // firing may disable.
         let mut current = initial.clone();
         let mut next = initial;
         let mut internal: Vec<Transition> = Vec::new();
+        let mut actions: Vec<EnvAction> = Vec::new();
         let mut env: Vec<Transition> = Vec::new();
         let mut overruns: Vec<GateId> = Vec::new();
         let mut level = vec![0u64; self.netlist.gate_count().div_ceil(64)];
@@ -712,7 +803,7 @@ impl<'a> Explorer<'a> {
             }
             let s = &current;
             self.internal_enabled_into(s, &mut internal, &mut level);
-            self.env_enabled_into(s, internal.is_empty(), &mut env);
+            self.env_enabled_into(s, internal.is_empty(), &mut actions, &mut env);
 
             // Choose the transitions to fire: a stubborn subset when the
             // engine finds one, everything otherwise.
@@ -927,7 +1018,7 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{act, EnvAction};
+    use crate::env::act;
     use emc_netlist::GateKind;
 
     /// `y = a AND (NOT a)` — the textbook static-1 hazard: firing the
@@ -943,13 +1034,11 @@ mod tests {
 
     /// An environment that flips `net` whenever it likes.
     fn flip_env(net: NetId) -> impl EnvModel {
-        move |_: u8, v: &dyn NetView| vec![act(net, !v.value(net))]
+        move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| out.push(act(net, !v.value(net)))
     }
 
     /// An environment that never acts.
-    fn inert(_: u8, _: &dyn NetView) -> Vec<EnvAction> {
-        Vec::new()
-    }
+    fn inert(_: u8, _: &dyn NetView, _: &mut Vec<EnvAction>) {}
 
     #[test]
     fn persistence_violation_detected() {
@@ -974,14 +1063,15 @@ mod tests {
         let b = nl.input("b");
         let c = nl.gate(GateKind::CElement, &[a, b], "c");
         nl.mark_output(c);
-        let env = move |_: u8, v: &dyn NetView| {
+        let env = move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
             // Each input follows the C output: rise when both low, fall
             // when both high.
-            [a, b]
-                .into_iter()
-                .filter(|&net| v.value(net) == v.value(c))
-                .map(|net| act(net, !v.value(net)))
-                .collect::<Vec<_>>()
+            out.extend(
+                [a, b]
+                    .into_iter()
+                    .filter(|&net| v.value(net) == v.value(c))
+                    .map(|net| act(net, !v.value(net))),
+            );
         };
         let ex = Explorer::new(&nl, &env, &[], 1000);
         let out = ex.explore();
@@ -1030,11 +1120,9 @@ mod tests {
         let p = nl.input("p");
         let q = nl.gate(GateKind::Toggle, &[p], "q");
         nl.mark_output(q);
-        let env = move |_: u8, v: &dyn NetView| {
+        let env = move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
             if v.quiescent() {
-                vec![act(p, !v.value(p))]
-            } else {
-                Vec::new()
+                out.push(act(p, !v.value(p)));
             }
         };
         let ex = Explorer::new(&nl, &env, &[], 1000);
@@ -1100,64 +1188,120 @@ mod tests {
         assert_eq!(out.diagnostics, Vec::new());
     }
 
+    /// The three key layouts: 69 inputs and a toggle (70 nets and 70
+    /// gates, so every plane spans two words and the planes stay),
+    /// 30 inputs (the env byte packs into the one value word) and 64
+    /// inputs (the value word is full, so the env byte takes a second).
+    fn layout_netlists() -> [(Netlist, KeyLayout); 3] {
+        let inputs = |n: usize| {
+            let mut nl = Netlist::new();
+            for i in 0..n {
+                nl.input(&format!("n{i}"));
+            }
+            nl
+        };
+        let mut toggled = inputs(69);
+        let n0 = toggled.net_id(0);
+        toggled.gate(GateKind::Toggle, &[n0], "q");
+        [
+            (
+                toggled,
+                KeyLayout {
+                    kept: 6,
+                    packed: true,
+                },
+            ),
+            (
+                inputs(30),
+                KeyLayout {
+                    kept: 1,
+                    packed: true,
+                },
+            ),
+            (
+                inputs(64),
+                KeyLayout {
+                    kept: 1,
+                    packed: false,
+                },
+            ),
+        ]
+    }
+
     #[test]
     fn state_store_agrees_with_a_hash_set() {
-        // 70 nets / 70 gates: the value plane and both pending planes
-        // each span two words.
-        let mut nl = Netlist::new();
-        let nets: Vec<NetId> = (0..70).map(|i| nl.input(&format!("n{i}"))).collect();
-        let ex = Explorer::new(&nl, &inert, &[], 10);
-        // State `k`'s bits come from an xorshift seeded by `k / 3`, its
-        // env byte from `k % 3`, so some states differ only in env.
-        let state_of = |k: u64| {
-            let mut x = (k / 3).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            let mut bit = || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x & 1 == 1
+        for ((nl, layout), words) in layout_netlists().into_iter().zip([6, 1, 2]) {
+            let ex = Explorer::new(&nl, &inert, &[], 10);
+            assert_eq!(ex.key, layout, "{} nets", nl.net_count());
+            assert_eq!(ex.key_words(), words, "{} nets", nl.net_count());
+            let pending = layout.kept > nl.net_count().div_ceil(64);
+            // State `k`'s bits come from an xorshift seeded by `k / 3`,
+            // its env byte from `k % 3`, so some states differ only in
+            // env; the env bytes reach 255. Pending events are drawn
+            // only where the layout keeps their planes.
+            let state_of = |k: u64| {
+                let mut x = (k / 3).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                let mut bit = || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x & 1 == 1
+                };
+                let mut s = ex.initial_state();
+                for n in nl.iter_nets() {
+                    s.set_value(n, bit());
+                }
+                if pending {
+                    for i in 0..nl.gate_count() {
+                        let p = if bit() { Some(bit()) } else { None };
+                        s.set_pending(nl.gate_id(i), p);
+                    }
+                }
+                s.env = [0, 128, 255][(k % 3) as usize];
+                s
             };
-            let mut s = ex.initial_state();
-            for &n in &nets {
-                s.set_value(n, bit());
-            }
-            for i in 0..70 {
-                let p = if bit() { Some(bit()) } else { None };
-                s.set_pending(nl.gate_id(i), p);
-            }
-            s.env = (k % 3) as u8;
-            s
-        };
 
-        let mut store = StateStore::new(ex.initial_state().words.len());
-        let mut seen: HashSet<State> = HashSet::new();
-        let mut order: Vec<State> = Vec::new();
-        // Draws repeat, so both lookup outcomes are exercised.
-        for draw in 0..6_000u64 {
-            let s = state_of(draw * 7_919 % 3_001);
-            match store.find(&s) {
-                Ok(i) => {
-                    assert!(seen.contains(&s), "draw {draw}: found an absent state");
-                    assert_eq!(order[i], s, "draw {draw}: found at the wrong index");
+            let mut store = StateStore::new(ex.key);
+            let mut seen: HashSet<State> = HashSet::new();
+            let mut order: Vec<State> = Vec::new();
+            // Draws repeat, so both lookup outcomes are exercised.
+            for draw in 0..6_000u64 {
+                let s = state_of(draw * 7_919 % 3_001);
+                match store.find(&s) {
+                    Ok(i) => {
+                        assert!(seen.contains(&s), "draw {draw}: found an absent state");
+                        assert_eq!(order[i], s, "draw {draw}: found at the wrong index");
+                    }
+                    Err(slot) => {
+                        assert!(seen.insert(s.clone()), "draw {draw}: missed a stored state");
+                        assert_eq!(store.insert_at(slot, &s), order.len(), "indices are dense");
+                        order.push(s);
+                    }
                 }
-                Err(slot) => {
-                    assert!(seen.insert(s.clone()), "draw {draw}: missed a stored state");
-                    assert_eq!(store.insert_at(slot, &s), order.len(), "indices are dense");
-                    order.push(s);
-                }
+                assert_eq!(store.len(), order.len());
             }
-            assert_eq!(store.len(), order.len());
+            assert!(order.len() > 2_000, "{} distinct states", order.len());
+            assert!(
+                store.table.slots.len() >= 16 << 3,
+                "at least three table growths"
+            );
+            let mut loaded = ex.initial_state();
+            for (i, s) in order.iter().enumerate() {
+                store.load(i, &mut loaded);
+                assert_eq!(&loaded, s, "index {i}");
+            }
         }
-        assert!(order.len() > 2_000, "{} distinct states", order.len());
-        assert!(
-            store.table.slots.len() >= 16 << 3,
-            "at least three table growths"
-        );
-        let mut loaded = ex.initial_state();
-        for (i, s) in order.iter().enumerate() {
-            store.load(i, &mut loaded);
-            assert_eq!(&loaded, s, "index {i}");
-        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "no edge-triggered gate")]
+    fn a_dropped_pending_bit_is_caught() {
+        let [_, (nl, layout), _] = layout_netlists();
+        let ex = Explorer::new(&nl, &inert, &[], 10);
+        let mut s = ex.initial_state();
+        s.set_pending(nl.gate_id(3), Some(true));
+        let _ = StateStore::new(layout).find(&s);
     }
 
     #[test]

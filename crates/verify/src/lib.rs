@@ -49,8 +49,8 @@
 //! struct Flip(NetId);
 //!
 //! impl EnvModel for Flip {
-//!     fn step(&self, _state: u8, view: &dyn NetView) -> Vec<EnvAction> {
-//!         vec![EnvAction { net: self.0, value: !view.value(self.0), next: 0 }]
+//!     fn step(&self, _state: u8, view: &dyn NetView, out: &mut Vec<EnvAction>) {
+//!         out.push(EnvAction { net: self.0, value: !view.value(self.0), next: 0 });
 //!     }
 //! }
 //!
@@ -347,7 +347,9 @@ mod tests {
         let na = nl.gate(GateKind::Inv, &[a], "na");
         let y = nl.gate(GateKind::And, &[a, na], "y");
         nl.mark_output(y);
-        let env = move |_: u8, v: &dyn NetView| vec![act(a, !v.value(a))];
+        let env = move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
+            out.push(act(a, !v.value(a)));
+        };
         Circuit::new("glitch", nl, Arc::new(env))
     }
 
@@ -374,7 +376,7 @@ mod tests {
         let _ = d;
         // Simplest structural break: drive c from two gates.
         broken.rewire_output(broken.driver_of(d).unwrap(), c);
-        let inert = |_: u8, _: &dyn NetView| Vec::new();
+        let inert = |_: u8, _: &dyn NetView, _: &mut Vec<EnvAction>| {};
         let report = Verifier::new().verify(&Circuit::new("broken", broken, Arc::new(inert)));
         assert!(report.diagnostics.iter().any(|d| d.rule.starts_with("NET")));
         assert_eq!(report.states, 0, "dynamic pass must not run");

@@ -1057,12 +1057,13 @@ mod tests {
     struct ChainsEnv(Vec<(NetId, NetId)>);
 
     impl EnvModel for ChainsEnv {
-        fn step(&self, _state: u8, v: &dyn NetView) -> Vec<EnvAction> {
-            self.0
-                .iter()
-                .filter(|&&(a, c)| v.value(a) == v.value(c))
-                .map(|&(a, _)| act(a, !v.value(a)))
-                .collect()
+        fn step(&self, _state: u8, v: &dyn NetView, out: &mut Vec<EnvAction>) {
+            out.extend(
+                self.0
+                    .iter()
+                    .filter(|&&(a, c)| v.value(a) == v.value(c))
+                    .map(|&(a, _)| act(a, !v.value(a))),
+            );
         }
 
         fn footprint(&self) -> Option<EnvFootprint> {
@@ -1079,8 +1080,7 @@ mod tests {
     struct TogglesEnv(Vec<(NetId, NetId, NetId, NetId)>);
 
     impl EnvModel for TogglesEnv {
-        fn step(&self, _state: u8, v: &dyn NetView) -> Vec<EnvAction> {
-            let mut acts = Vec::new();
+        fn step(&self, _state: u8, v: &dyn NetView, out: &mut Vec<EnvAction>) {
             for &(a, r, q, y) in &self.0 {
                 let done = v.value(q) == v.value(r);
                 if v.value(y) == done {
@@ -1092,9 +1092,8 @@ mod tests {
                     (true, true) => (a, false),
                     (true, false) => continue, // armed, not fired yet
                 };
-                acts.push(act(net, value));
+                out.push(act(net, value));
             }
-            acts
         }
 
         fn footprint(&self) -> Option<EnvFootprint> {
@@ -1202,7 +1201,9 @@ mod tests {
         let na = nl.gate(GateKind::Inv, &[a], "na");
         let y = nl.gate(GateKind::And, &[a, na], "y");
         nl.mark_output(y);
-        let env = move |_: u8, v: &dyn NetView| vec![act(a, !v.value(a))];
+        let env = move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
+            out.push(act(a, !v.value(a)));
+        };
         let mut c = Circuit::new("glitch", nl, Arc::new(env));
         c.footprint = Some(EnvFootprint::new(vec![part(1, &[a], &[a])]));
         let (rules_f, ..) = verdict(&c, false);
