@@ -52,6 +52,11 @@ const DEEP_QUEUE_DIGEST: u64 = 0xfb46_38dc_80c7_4d6d;
 /// FNV-1a of `emc-lint --json --smoke` stdout bytes.
 const LINT_JSON_DIGEST: u64 = 0x4b94_c385_f659_1c4e;
 
+/// FNV-1a of `emc-lint --json` stdout bytes at full size, where the
+/// micropipeline's STG conformance walk reaches 108 states (36 at smoke
+/// size).
+const LINT_FULL_JSON_DIGEST: u64 = 0xb450_b69b_19e5_3700;
+
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -268,9 +273,14 @@ fn deep_queue_rig_pinned_sequentially_and_under_pdes() {
     }
 }
 
-fn lint_json_bytes(threads: usize) -> Vec<u8> {
+fn lint_json_bytes(smoke: bool, threads: usize) -> Vec<u8> {
+    let threads = threads.to_string();
+    let mut args = vec!["--json", "--threads", &threads];
+    if smoke {
+        args.push("--smoke");
+    }
     let out = Command::new(env!("CARGO_BIN_EXE_emc-lint"))
-        .args(["--json", "--smoke", "--threads", &threads.to_string()])
+        .args(args)
         .output()
         .expect("emc-lint runs");
     assert!(
@@ -281,22 +291,28 @@ fn lint_json_bytes(threads: usize) -> Vec<u8> {
     out.stdout
 }
 
+/// The `emc-lint --json` bytes at 1 thread, checked equal at 2 and 8.
+fn lint_json_at_all_thread_counts(smoke: bool) -> Vec<u8> {
+    let reference = lint_json_bytes(smoke, 1);
+    for threads in [2usize, 8] {
+        assert_eq!(
+            lint_json_bytes(smoke, threads),
+            reference,
+            "emc-lint --json (smoke: {smoke}) bytes differ at {threads} thread(s)"
+        );
+    }
+    reference
+}
+
 #[test]
 fn emc_lint_json_bytes_identical_across_thread_counts_and_pinned() {
-    let reference = lint_json_bytes(1);
+    let reference = lint_json_at_all_thread_counts(true);
     assert_eq!(
         fnv64(&reference),
         LINT_JSON_DIGEST,
         "emc-lint --json bytes moved: got {:#018x}",
         fnv64(&reference)
     );
-    for threads in [2usize, 8] {
-        assert_eq!(
-            lint_json_bytes(threads),
-            reference,
-            "emc-lint --json bytes differ at {threads} thread(s)"
-        );
-    }
     // Seed must not leak into the machine output either.
     let other_seed = Command::new(env!("CARGO_BIN_EXE_emc-lint"))
         .args(["--json", "--smoke", "--seed", "7"])
@@ -305,6 +321,17 @@ fn emc_lint_json_bytes_identical_across_thread_counts_and_pinned() {
     assert_eq!(
         other_seed.stdout, reference,
         "seed leaked into --json bytes"
+    );
+}
+
+#[test]
+fn full_size_emc_lint_json_bytes_identical_across_thread_counts_and_pinned() {
+    let reference = lint_json_at_all_thread_counts(false);
+    assert_eq!(
+        fnv64(&reference),
+        LINT_FULL_JSON_DIGEST,
+        "full-size emc-lint --json bytes moved: got {:#018x}",
+        fnv64(&reference)
     );
 }
 
@@ -330,5 +357,12 @@ fn print_golden_constants() {
     let (fired, trace, _) = deep_queue_run(&deep_queue_rig());
     println!("DEEP_QUEUE_FIRED: {fired}");
     println!("DEEP_QUEUE_DIGEST: {:#018x}", trace.digest());
-    println!("LINT_JSON_DIGEST: {:#018x}", fnv64(&lint_json_bytes(1)));
+    println!(
+        "LINT_JSON_DIGEST: {:#018x}",
+        fnv64(&lint_json_bytes(true, 1))
+    );
+    println!(
+        "LINT_FULL_JSON_DIGEST: {:#018x}",
+        fnv64(&lint_json_bytes(false, 1))
+    );
 }

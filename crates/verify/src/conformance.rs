@@ -184,9 +184,9 @@ mod tests {
         assert_eq!(diags, Vec::new());
     }
 
-    /// An inverter as "ack" acknowledges before being asked: its very
-    /// first edge (ack+ while req is low... actually ack starts excited)
-    /// violates the handshake protocol.
+    /// An inverter as "ack" acknowledges before being asked: it starts
+    /// excited, and its first edge, ack+, comes while the handshake still
+    /// waits for req+.
     #[test]
     fn eager_ack_violates_handshake() {
         let mut nl = Netlist::new();
@@ -196,10 +196,16 @@ mod tests {
         let env = requester(req, ack);
         let ex = Explorer::new(&nl, &env, &[], 10_000);
         let (stg, sreq, sack) = Stg::four_phase_handshake();
-        let (diags, _) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)], 10_000);
-        assert!(
-            diags.iter().any(|d| d.rule == "STG001"),
-            "expected STG001, got {diags:?}"
+        let (diags, exhaustive) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)], 10_000);
+        let messages: Vec<(&str, &str)> = diags.iter().map(|d| (d.rule, &*d.message)).collect();
+        assert_eq!(
+            messages,
+            [(
+                "STG001",
+                "circuit can produce ack+ on net 'ack', which the STG specification does not \
+                 allow here"
+            )]
         );
+        assert!(exhaustive);
     }
 }

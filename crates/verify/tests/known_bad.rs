@@ -2,9 +2,13 @@
 //! anchors, and the JSON serialisation are all part of the tool
 //! contract (CI greps rule ids; goldens pin them).
 
+use std::sync::Arc;
+
+use emc_netlist::{GateId, GateKind, NetId, Netlist};
+use emc_petri::Stg;
 use emc_sim::CampaignConfig;
 use emc_verify::builtin::{broken_suite, builtin_suite};
-use emc_verify::{verify_suite, Verifier};
+use emc_verify::{verify_suite, Circuit, EnvAction, EnvModel, NetView, Report, Verifier};
 
 #[test]
 fn broken_fixture_rule_sets_are_golden() {
@@ -122,4 +126,83 @@ fn campaign_over_full_suite_is_deterministic_across_thread_counts() {
     }
     assert_eq!(jsons[0], jsons[1]);
     assert_eq!(jsons[1], jsons[2]);
+}
+
+/// A four-phase requester on `req`: flips it whenever `ack` matches it.
+fn requester(req: NetId, ack: NetId) -> Arc<dyn EnvModel> {
+    Arc::new(move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
+        if v.value(req) == v.value(ack) {
+            out.push(EnvAction {
+                net: req,
+                value: !v.value(req),
+                next: 0,
+            });
+        }
+    })
+}
+
+/// The `STG001` findings of `report`: message, gate and net anchors.
+fn stg001(report: &Report) -> Vec<(&str, Option<GateId>, Option<NetId>)> {
+    report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "STG001")
+        .map(|d| (d.message.as_str(), d.gate, d.net))
+        .collect()
+}
+
+#[test]
+fn eager_ack_violates_the_handshake_stg() {
+    // `ack = NOT req` is excited before any request: its first edge,
+    // ack+, comes while the STG still waits for req+. The product walk
+    // drops that branch and goes on along req+.
+    let mut nl = Netlist::new();
+    let req = nl.input("req");
+    let ack = nl.gate(GateKind::Inv, &[req], "ack");
+    nl.mark_output(ack);
+    let (stg, sreq, sack) = Stg::four_phase_handshake();
+    let circuit = Circuit::new("eager_ack", nl, requester(req, ack))
+        .with_stg(stg, vec![(sreq, req), (sack, ack)]);
+    let report = Verifier::new().verify(&circuit);
+    assert_eq!(
+        stg001(&report),
+        [(
+            "circuit can produce ack+ on net 'ack', which the STG specification does not \
+             allow here",
+            None,
+            Some(ack),
+        )]
+    );
+    // req+ also disables the excited inverter.
+    assert_eq!(report.distinct_rules(), ["SI001", "STG001"]);
+    assert!(report.exhaustive);
+    assert_eq!(report.states, 3);
+}
+
+#[test]
+fn an_undeclared_initial_level_violates_the_stg() {
+    // `ack = buf(buf(req))` conforms from rest, but here `req` starts
+    // high while the STG declares it low, so the check stops at the
+    // initial state.
+    let mut nl = Netlist::new();
+    let req = nl.input("req");
+    let d = nl.gate(GateKind::Buf, &[req], "d");
+    let ack = nl.gate(GateKind::Buf, &[d], "ack");
+    nl.mark_output(ack);
+    let (stg, sreq, sack) = Stg::four_phase_handshake();
+    let circuit = Circuit::new("early_req", nl, requester(req, ack))
+        .with_stg(stg, vec![(sreq, req), (sack, ack)])
+        .with_initial(req, true);
+    let report = Verifier::new().verify(&circuit);
+    assert_eq!(
+        stg001(&report),
+        [(
+            "initial level of net 'req' (1) disagrees with STG signal 'req' (0)",
+            None,
+            Some(req),
+        )]
+    );
+    assert_eq!(report.distinct_rules(), ["STG001"]);
+    assert!(report.exhaustive);
+    assert_eq!(report.states, 6);
 }
