@@ -13,16 +13,15 @@
 //! * Razor-DVS drives a [`RazorPipeline`] under the same variation as
 //!   the bundled rig, detecting and replaying timing violations.
 //!
-//! Every measurement is deterministic for a given seed, so the sweeps
-//! parallelise on the campaign engine with byte-identical output at any
-//! thread count.
+//! Every measurement is deterministic for a given seed, so a sweep run
+//! on the campaign engine (as `fig_altlogic_energy` runs one) gives
+//! byte-identical output at any thread count.
 
 use emc_altlogic::{AdiabaticPipeline, ChargeRecoveryMemory, LogicFamily, RazorPipeline};
 use emc_device::{AdiabaticModel, DeviceModel, VariationModel};
 use emc_netlist::Netlist;
 use emc_power::{ClockShape, PowerClock};
 use emc_prng::StdRng;
-use emc_sim::campaign::{run_campaign, CampaignConfig};
 use emc_sim::{Simulator, SupplyKind};
 use emc_units::{Farads, Joules, Seconds, Volts, Watts, Waveform};
 
@@ -174,25 +173,6 @@ pub fn measure_family(family: LogicFamily, vdd: Volts, seed: u64) -> FamilyPoint
     }
 }
 
-/// Sweeps one family over a voltage grid, serially.
-pub fn family_curve(family: LogicFamily, grid: &[f64], seed: u64) -> Vec<FamilyPoint> {
-    grid.iter()
-        .map(|&v| measure_family(family, Volts(v), seed))
-        .collect()
-}
-
-/// [`family_curve`] fanned out on the campaign engine — identical
-/// output at any `threads` (`0` = one per core).
-pub fn family_curve_parallel(
-    family: LogicFamily,
-    grid: &[f64],
-    seed: u64,
-    threads: usize,
-) -> Vec<FamilyPoint> {
-    let cfg = CampaignConfig::new(seed).threads(threads);
-    run_campaign(grid, &cfg, |&v, _| measure_family(family, Volts(v), seed)).runs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,15 +209,5 @@ mod tests {
         // Far past the optimum the leakage floor takes over.
         let crawl = measure_adiabatic(Volts(0.5), Seconds(50e-6));
         assert!(crawl.energy_per_op.0 > slow.energy_per_op.0);
-    }
-
-    #[test]
-    fn parallel_curve_matches_serial() {
-        let grid = [0.5, 1.0];
-        for family in [LogicFamily::Adiabatic, LogicFamily::RazorDvs] {
-            let serial = family_curve(family, &grid, 7);
-            let parallel = family_curve_parallel(family, &grid, 7, 2);
-            assert_eq!(serial, parallel, "{family}");
-        }
     }
 }

@@ -4,7 +4,6 @@ use emc_async::{BundledPipeline, DualRailPipeline};
 use emc_device::{DeviceModel, VariationModel};
 use emc_netlist::Netlist;
 use emc_prng::StdRng;
-use emc_sim::campaign::{run_campaign, CampaignConfig};
 use emc_sim::{Simulator, SupplyKind};
 use emc_units::{Joules, Seconds, Volts, Watts, Waveform};
 
@@ -126,43 +125,9 @@ pub fn measure_pipeline_qos(style: DesignStyle, vdd: Volts, seed: u64) -> QosPoi
     }
 }
 
-/// Sweeps a style over a voltage grid (see [`measure_pipeline_qos`]).
-pub fn qos_curve(style: DesignStyle, grid: &[f64], seed: u64) -> Vec<QosPoint> {
-    grid.iter()
-        .map(|&v| measure_pipeline_qos(style, Volts(v), seed))
-        .collect()
-}
-
-/// [`qos_curve`] fanned out on the campaign engine: each grid point is
-/// an independent gate-level simulation, so the sweep parallelises
-/// perfectly. Output is identical to the serial sweep — every point is
-/// measured with the same `seed`, and the engine guarantees aggregation
-/// order is submission order regardless of `threads` (`0` = one per
-/// core).
-pub fn qos_curve_parallel(
-    style: DesignStyle,
-    grid: &[f64],
-    seed: u64,
-    threads: usize,
-) -> Vec<QosPoint> {
-    let cfg = CampaignConfig::new(seed).threads(threads);
-    run_campaign(grid, &cfg, |&v, _| {
-        measure_pipeline_qos(style, Volts(v), seed)
-    })
-    .runs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_curve_matches_serial() {
-        let grid = [0.3, 0.6, 1.0];
-        let serial = qos_curve(DesignStyle::SpeedIndependent, &grid, 7);
-        let parallel = qos_curve_parallel(DesignStyle::SpeedIndependent, &grid, 7, 3);
-        assert_eq!(serial, parallel);
-    }
 
     #[test]
     fn both_styles_deliver_at_nominal() {
@@ -220,10 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn qos_curve_is_grid_ordered() {
-        let c = qos_curve(DesignStyle::SpeedIndependent, &[0.3, 1.0], 3);
-        assert_eq!(c.len(), 2);
-        assert!(c[1].throughput > c[0].throughput);
+    fn throughput_rises_with_vdd() {
+        let low = measure_pipeline_qos(DesignStyle::SpeedIndependent, Volts(0.3), 3);
+        let high = measure_pipeline_qos(DesignStyle::SpeedIndependent, Volts(1.0), 3);
+        assert!(high.throughput > low.throughput);
     }
 
     #[test]

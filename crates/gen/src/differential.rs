@@ -79,10 +79,13 @@ impl ReachableStates {
     pub fn compute(gc: &GeneratedCircuit, cap: usize) -> Self {
         let explorer = Explorer::new(&gc.netlist, &*gc.env, &gc.initial, cap);
         let mut projections: HashSet<Box<[u64]>> = HashSet::new();
-        let Ok((states, exhaustive)) = explorer.walk_unreduced(|s, _, _| {
-            projections.insert(project(&gc.netlist, |n| s.value(n)));
-            Ok::<_, Infallible>(())
-        });
+        let Ok((states, exhaustive)) = explorer.walk_unreduced(
+            |s, _, _| {
+                projections.insert(project(&gc.netlist, |n| s.value(n)));
+                Ok::<_, Infallible>(())
+            },
+            |_, _| Some(0),
+        );
         ReachableStates {
             projections,
             states,

@@ -9,23 +9,32 @@
 //! labelled STG transition from some marking in the set; an empty
 //! successor set means the circuit produced an edge the specification
 //! does not allow.
+//!
+//! The product runs on the explorer's own unreduced walk
+//! ([`Explorer::walk_unreduced`]): each reachable marking set is
+//! interned once, and its index is the tag the walk stores with a
+//! circuit state.
+//!
+//! [`State`]: crate::State
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
 
 use emc_netlist::{Diagnostic, NetId, Severity};
 use emc_petri::{Marking, Polarity, SignalId, Stg};
 use emc_units::Joules;
 
-use crate::explore::{Explorer, State};
+use crate::explore::{Explorer, Transition};
 
 /// Checks that every behaviour the explorer can produce on the mapped
-/// nets is a trace of `stg`. Returns the diagnostics and whether the
-/// product graph was explored exhaustively within `cap` combined states.
+/// nets is a trace of `stg`. The product walk is unreduced, whatever
+/// reduction `ex` carries, and stores at most the explorer's state cap
+/// of (circuit state, marking set) pairs. Returns the diagnostics and
+/// whether the walk was exhaustive within that cap.
 pub fn check_conformance(
     ex: &Explorer<'_>,
     stg: &Stg,
     map: &[(SignalId, NetId)],
-    cap: usize,
 ) -> (Vec<Diagnostic>, bool) {
     let mut diags = Vec::new();
     let initial = ex.initial_state();
@@ -59,97 +68,55 @@ pub fn check_conformance(
     // Scratch net for firing candidate transitions.
     let mut scratch = stg.net().clone();
     let mut budget = Joules(f64::INFINITY);
+    // Every marking set reached so far, interned: a set's tag is its
+    // index in `sets`.
+    let m0: BTreeSet<Marking> = BTreeSet::from([stg.net().marking()]);
+    let mut sets = vec![m0.clone()];
+    let mut tags = HashMap::from([(m0, 0u32)]);
 
-    let advance = |marks: &BTreeSet<Marking>,
-                   sig: SignalId,
-                   pol: Polarity,
-                   scratch: &mut emc_petri::PetriNet,
-                   budget: &mut Joules| {
+    let observe = |tag: u32, t: &Transition| {
+        let Some(&(sig, _)) = map.iter().find(|&&(_, net)| net == t.net) else {
+            return Some(tag);
+        };
+        let pol = if t.value {
+            Polarity::Plus
+        } else {
+            Polarity::Minus
+        };
         let mut next: BTreeSet<Marking> = BTreeSet::new();
-        for m in marks {
-            for t in stg.net().transition_ids() {
-                if stg.label(t) != (sig, pol) {
+        for m in &sets[tag as usize] {
+            for tr in stg.net().transition_ids() {
+                if stg.label(tr) != (sig, pol) {
                     continue;
                 }
                 scratch.set_marking(m);
-                if scratch.fire(t, budget).is_ok() {
+                if scratch.fire(tr, &mut budget).is_ok() {
                     next.insert(scratch.marking());
                 }
             }
         }
-        next
-    };
-
-    type Combined = (State, BTreeSet<Marking>);
-    let m0: BTreeSet<Marking> = BTreeSet::from([stg.net().marking()]);
-    let start: Combined = (initial, m0);
-    let mut seen: HashSet<Combined> = HashSet::new();
-    let mut queue: VecDeque<Combined> = VecDeque::new();
-    let mut exhaustive = true;
-    seen.insert(start.clone());
-    queue.push_back(start);
-
-    'bfs: while let Some((s, marks)) = queue.pop_front() {
-        let internal = ex.internal_enabled(&s);
-        let env = ex.env_enabled(&s, internal.is_empty());
-        for t in internal.iter().chain(env.iter()) {
-            let (next_s, _) = ex.apply(&s, t);
-            let mapped = map.iter().find(|&&(_, net)| net == t.net);
-            let next_marks = match mapped {
-                None => marks.clone(),
-                Some(&(sig, _)) => {
-                    let pol = if t.value {
-                        Polarity::Plus
-                    } else {
-                        Polarity::Minus
-                    };
-                    let advanced = advance(&marks, sig, pol, &mut scratch, &mut budget);
-                    if advanced.is_empty() {
-                        let suffix = match pol {
-                            Polarity::Plus => "+",
-                            Polarity::Minus => "-",
-                        };
-                        diags.push(
-                            Diagnostic::new(
-                                "STG001",
-                                Severity::Error,
-                                format!(
-                                    "circuit can produce {}{} on net '{}', which the \
-                                     STG specification does not allow here",
-                                    stg.signal_name(sig),
-                                    suffix,
-                                    ex.netlist().net_name(t.net),
-                                ),
-                            )
-                            .at_net(t.net),
-                        );
-                        // The branch is off-spec; don't chase it further.
-                        continue;
-                    }
-                    advanced
-                }
-            };
-            let combined = (next_s, next_marks);
-            if !seen.contains(&combined) {
-                if seen.len() >= cap {
-                    exhaustive = false;
-                    break 'bfs;
-                }
-                seen.insert(combined.clone());
-                queue.push_back(combined);
+        if next.is_empty() {
+            let message = format!(
+                "circuit can produce {}{} on net '{}', which the STG specification does \
+                 not allow here",
+                stg.signal_name(sig),
+                if t.value { "+" } else { "-" },
+                ex.netlist().net_name(t.net),
+            );
+            // One report per signal edge.
+            if !diags.iter().any(|d| d.message == message) {
+                diags.push(Diagnostic::new("STG001", Severity::Error, message).at_net(t.net));
             }
+            // The branch is off-spec; don't chase it further.
+            return None;
         }
-    }
-
-    // Deduplicate by (net, message-class): one report per signal/edge.
-    let mut unique = Vec::new();
-    let mut keys: HashSet<String> = HashSet::new();
-    for d in diags {
-        if keys.insert(d.message.clone()) {
-            unique.push(d);
-        }
-    }
-    (unique, exhaustive)
+        Some(*tags.entry(next).or_insert_with_key(|next| {
+            sets.push(next.clone());
+            u32::try_from(sets.len() - 1).expect("marking sets fit in u32 tags")
+        }))
+    };
+    let Ok((_, exhaustive)) = ex.walk_unreduced(|_, _, _| Ok::<_, Infallible>(()), observe);
+    (diags, exhaustive)
 }
 
 #[cfg(test)]
@@ -179,7 +146,7 @@ mod tests {
         let env = requester(req, ack);
         let ex = Explorer::new(&nl, &env, &[], 10_000);
         let (stg, sreq, sack) = Stg::four_phase_handshake();
-        let (diags, exhaustive) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)], 10_000);
+        let (diags, exhaustive) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)]);
         assert!(exhaustive);
         assert_eq!(diags, Vec::new());
     }
@@ -196,7 +163,7 @@ mod tests {
         let env = requester(req, ack);
         let ex = Explorer::new(&nl, &env, &[], 10_000);
         let (stg, sreq, sack) = Stg::four_phase_handshake();
-        let (diags, exhaustive) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)], 10_000);
+        let (diags, exhaustive) = check_conformance(&ex, &stg, &[(sreq, req), (sack, ack)]);
         let messages: Vec<(&str, &str)> = diags.iter().map(|d| (d.rule, &*d.message)).collect();
         assert_eq!(
             messages,

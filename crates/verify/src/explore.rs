@@ -310,6 +310,10 @@ fn mix(key: &[u64]) -> u64 {
 /// Where the env byte sits in a key word that packs it.
 const ENV_SHIFT: u32 = 56;
 
+/// Where a state's tag sits in the env word of an unpacked key: above
+/// the env byte.
+const TAG_SHIFT: u32 = 8;
+
 /// Which bits of a state a [`StateStore`] key holds: the bits that can
 /// vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,7 +324,8 @@ struct KeyLayout {
     kept: usize,
     /// `true` when the env byte rides in the top byte of the last kept
     /// word, which no bit of the state uses; otherwise it takes one more
-    /// word.
+    /// word, which also holds a `u32` tag above the env byte
+    /// ([`Explorer::walk_unreduced`]).
     packed: bool,
 }
 
@@ -351,8 +356,9 @@ impl KeyLayout {
 }
 
 /// The explorer's visited states in a [`WordTable`], each keyed as its
-/// [`KeyLayout`] says. Keys are equal exactly when states are, because
-/// every bit a key drops is zero in every state.
+/// [`KeyLayout`] says, with a `u32` tag that an unpacked key stores and
+/// a packed one holds at 0. Keys are equal exactly when states and tags
+/// are, because every bit a key drops is zero in every state.
 struct StateStore {
     table: WordTable,
     layout: KeyLayout,
@@ -374,8 +380,8 @@ impl StateStore {
         self.table.len()
     }
 
-    /// Writes the key of `s` into the scratch `key`.
-    fn fill_key(&mut self, s: &State) {
+    /// Writes the key of `s` and `tag` into the scratch `key`.
+    fn fill_key(&mut self, s: &State, tag: u32) {
         let KeyLayout { kept, packed } = self.layout;
         debug_assert!(
             s.words[kept..].iter().all(|&w| w == 0),
@@ -389,28 +395,30 @@ impl StateStore {
                 0,
                 "a state bit in the env byte"
             );
+            assert_eq!(tag, 0, "a tag in a packed key");
             self.key[kept - 1] |= env << ENV_SHIFT;
         } else {
-            self.key[kept] = env;
+            self.key[kept] = env | u64::from(tag) << TAG_SHIFT;
         }
     }
 
-    /// Looks `s` up: `Ok(index)` when stored, otherwise `Err(slot)` for
-    /// [`StateStore::insert_at`].
-    fn find(&mut self, s: &State) -> Result<usize, usize> {
-        self.fill_key(s);
+    /// Looks `s` tagged `tag` up: `Ok(index)` when stored, otherwise
+    /// `Err(slot)` for [`StateStore::insert_at`].
+    fn find(&mut self, s: &State, tag: u32) -> Result<usize, usize> {
+        self.fill_key(s, tag);
         self.table.find(&self.key)
     }
 
-    /// Stores the absent `s` at the `slot` that [`StateStore::find`] just
-    /// returned for it, and returns its index.
-    fn insert_at(&mut self, slot: usize, s: &State) -> usize {
-        self.fill_key(s);
+    /// Stores the absent `s` tagged `tag` at the `slot` that
+    /// [`StateStore::find`] just returned for them, and returns its index.
+    fn insert_at(&mut self, slot: usize, s: &State, tag: u32) -> usize {
+        self.fill_key(s, tag);
         self.table.insert_at(slot, &self.key)
     }
 
-    /// Overwrites `s` with the state stored at `index`.
-    fn load(&self, index: usize, s: &mut State) {
+    /// Overwrites `s` with the state stored at `index` and returns its
+    /// tag.
+    fn load(&self, index: usize, s: &mut State) -> u32 {
         let KeyLayout { kept, packed } = self.layout;
         let key = self.table.key(index);
         s.words[..kept].copy_from_slice(&key[..kept]);
@@ -418,8 +426,10 @@ impl StateStore {
         if packed {
             s.env = (key[kept - 1] >> ENV_SHIFT) as u8;
             s.words[kept - 1] &= (1 << ENV_SHIFT) - 1;
+            0
         } else {
             s.env = key[kept] as u8;
+            (key[kept] >> TAG_SHIFT) as u32
         }
     }
 }
@@ -493,10 +503,12 @@ impl<'a> Explorer<'a> {
         &self.netlist
     }
 
-    /// The `u64` words the explorer stores per visited state: the
-    /// net-value words, both pending planes only when the netlist has an
-    /// edge-triggered gate, and the env byte packed into the last of
-    /// those when its top byte is free, else in one more word.
+    /// The `u64` words [`Explorer::explore`] stores per visited state:
+    /// the net-value words, both pending planes only when the netlist has
+    /// an edge-triggered gate, and the env byte packed into the last of
+    /// those when its top byte is free, else in one more word
+    /// ([`Explorer::walk_unreduced`] always takes that word, for its
+    /// tags).
     pub fn key_words(&self) -> usize {
         self.key.words()
     }
@@ -571,17 +583,10 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Enabled environment transitions (`quiescent` is precomputed by
-    /// the caller from [`Explorer::internal_enabled`]).
-    pub fn env_enabled(&self, s: &State, quiescent: bool) -> Vec<Transition> {
-        let mut out = Vec::new();
-        self.env_enabled_into(s, quiescent, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// [`Explorer::env_enabled`] into `out`, stepping the environment into
-    /// the caller's `actions` buffer.
-    fn env_enabled_into(
+    /// Enabled environment transitions into `out` (`quiescent` is
+    /// precomputed by the caller from [`Explorer::internal_enabled`]),
+    /// stepping the environment into the caller's `actions` buffer.
+    pub(crate) fn env_enabled_into(
         &self,
         s: &State,
         quiescent: bool,
@@ -684,20 +689,29 @@ impl<'a> Explorer<'a> {
     }
 
     /// Breadth-first walk of the **unreduced** reachable graph, checking
-    /// no rule: calls `visit` with every state, in discovery order, and
-    /// its enabled internal and environment transitions. At most
-    /// `state_cap` states are stored (the initial state always is).
-    /// Returns the number of states visited and whether the walk was
-    /// exhaustive (`false` when the cap left a successor out), or
-    /// `visit`'s first error.
+    /// no rule, with a deterministic observer. Each stored state carries
+    /// a `u32` tag, 0 for the initial state: `observe(tag, t)` returns
+    /// the tag of the successor along `t` of a state tagged `tag`, or
+    /// `None` to drop that successor, and a state reached under two tags
+    /// is stored twice. Calls `visit` with every stored state, in
+    /// discovery order, and its enabled internal and environment
+    /// transitions. At most `state_cap` states are stored (the initial
+    /// state always is). Returns the number of states visited and
+    /// whether the walk was exhaustive (`false` when the cap left a
+    /// successor out), or `visit`'s first error.
     pub fn walk_unreduced<E>(
         &self,
         mut visit: impl FnMut(&State, &[Transition], &[Transition]) -> Result<(), E>,
+        mut observe: impl FnMut(u32, &Transition) -> Option<u32>,
     ) -> Result<(usize, bool), E> {
         let mut current = self.initial_state();
-        let mut store = StateStore::new(self.key);
-        let slot = store.find(&current).expect_err("the store starts empty");
-        store.insert_at(slot, &current);
+        // The tag needs the unpacked key's env word.
+        let mut store = StateStore::new(KeyLayout {
+            packed: false,
+            ..self.key
+        });
+        let slot = store.find(&current, 0).expect_err("the store starts empty");
+        store.insert_at(slot, &current, 0);
         let mut next = current.clone();
         let mut internal: Vec<Transition> = Vec::new();
         let mut actions: Vec<EnvAction> = Vec::new();
@@ -707,16 +721,19 @@ impl<'a> Explorer<'a> {
         let mut exhaustive = true;
         let mut popped = 0usize;
         while popped < store.len() {
-            store.load(popped, &mut current);
+            let tag = store.load(popped, &mut current);
             popped += 1;
             self.internal_enabled_into(&current, &mut internal, &mut level);
             self.env_enabled_into(&current, internal.is_empty(), &mut actions, &mut env);
             visit(&current, &internal, &env)?;
             for t in internal.iter().chain(&env) {
+                let Some(next_tag) = observe(tag, t) else {
+                    continue;
+                };
                 self.apply_into(&current, t, &mut next, &mut overruns);
-                if let Err(slot) = store.find(&next) {
+                if let Err(slot) = store.find(&next, next_tag) {
                     if store.len() < self.state_cap {
-                        store.insert_at(slot, &next);
+                        store.insert_at(slot, &next, next_tag);
                     } else {
                         exhaustive = false;
                     }
@@ -771,8 +788,8 @@ impl<'a> Explorer<'a> {
                 e.canonicalize(sc, &mut initial);
             }
             self.check_pair_invariants(None, &initial, &mut sink);
-            let slot = store.find(&initial).expect_err("the store starts empty");
-            store.insert_at(slot, &initial);
+            let slot = store.find(&initial, 0).expect_err("the store starts empty");
+            store.insert_at(slot, &initial, 0);
         }
 
         // Scratch buffers reused across the whole search: the popped
@@ -901,12 +918,12 @@ impl<'a> Explorer<'a> {
                             canonical_rewrites += 1;
                         }
                     }
-                    if let Err(slot) = store.find(&next) {
+                    if let Err(slot) = store.find(&next, 0) {
                         if store.len() >= self.state_cap {
                             capped = true;
                             break 'bfs;
                         }
-                        store.insert_at(slot, &next);
+                        store.insert_at(slot, &next, 0);
                         fresh = true;
                     }
                 }
@@ -1017,6 +1034,9 @@ impl<'a> Explorer<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+    use std::convert::Infallible;
+
     use super::*;
     use crate::env::act;
     use emc_netlist::GateKind;
@@ -1230,65 +1250,93 @@ mod tests {
 
     #[test]
     fn state_store_agrees_with_a_hash_set() {
-        for ((nl, layout), words) in layout_netlists().into_iter().zip([6, 1, 2]) {
+        let layouts = layout_netlists().into_iter().zip([(6, 7), (1, 2), (2, 2)]);
+        for ((nl, layout), (words, unpacked_words)) in layouts {
             let ex = Explorer::new(&nl, &inert, &[], 10);
             assert_eq!(ex.key, layout, "{} nets", nl.net_count());
             assert_eq!(ex.key_words(), words, "{} nets", nl.net_count());
             let pending = layout.kept > nl.net_count().div_ceil(64);
-            // State `k`'s bits come from an xorshift seeded by `k / 3`,
-            // its env byte from `k % 3`, so some states differ only in
-            // env; the env bytes reach 255. Pending events are drawn
-            // only where the layout keeps their planes.
-            let state_of = |k: u64| {
-                let mut x = (k / 3).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-                let mut bit = || {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x & 1 == 1
+            // Each layout keys states as `explore` does, untagged, then
+            // unpacked with tags, as `walk_unreduced` does.
+            for tagged in [false, true] {
+                let layout = KeyLayout {
+                    packed: layout.packed && !tagged,
+                    ..layout
                 };
-                let mut s = ex.initial_state();
-                for n in nl.iter_nets() {
-                    s.set_value(n, bit());
-                }
-                if pending {
-                    for i in 0..nl.gate_count() {
-                        let p = if bit() { Some(bit()) } else { None };
-                        s.set_pending(nl.gate_id(i), p);
+                // State `k`'s bits come from an xorshift seeded by `k / 9`
+                // (`k / 3` untagged), its env byte from `k % 3` and its
+                // tag from `k / 3 % 3` (0 untagged), so some states differ
+                // only in env and, tagged, some only in tag; the env bytes
+                // reach 255 and the tags `u32::MAX`. Pending events are
+                // drawn only where the layout keeps their planes.
+                let state_of = |k: u64| {
+                    let seed = if tagged { k / 9 } else { k / 3 };
+                    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                    let mut bit = || {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x & 1 == 1
+                    };
+                    let mut s = ex.initial_state();
+                    for n in nl.iter_nets() {
+                        s.set_value(n, bit());
                     }
-                }
-                s.env = [0, 128, 255][(k % 3) as usize];
-                s
-            };
+                    if pending {
+                        for i in 0..nl.gate_count() {
+                            let p = if bit() { Some(bit()) } else { None };
+                            s.set_pending(nl.gate_id(i), p);
+                        }
+                    }
+                    s.env = [0, 128, 255][(k % 3) as usize];
+                    let tag = if tagged {
+                        [0, 1, u32::MAX][(k / 3 % 3) as usize]
+                    } else {
+                        0
+                    };
+                    (s, tag)
+                };
 
-            let mut store = StateStore::new(ex.key);
-            let mut seen: HashSet<State> = HashSet::new();
-            let mut order: Vec<State> = Vec::new();
-            // Draws repeat, so both lookup outcomes are exercised.
-            for draw in 0..6_000u64 {
-                let s = state_of(draw * 7_919 % 3_001);
-                match store.find(&s) {
-                    Ok(i) => {
-                        assert!(seen.contains(&s), "draw {draw}: found an absent state");
-                        assert_eq!(order[i], s, "draw {draw}: found at the wrong index");
+                let mut store = StateStore::new(layout);
+                assert_eq!(store.key.len(), if tagged { unpacked_words } else { words });
+                let mut seen: HashSet<(State, u32)> = HashSet::new();
+                let mut order: Vec<(State, u32)> = Vec::new();
+                // Draws repeat, so both lookup outcomes are exercised.
+                for draw in 0..6_000u64 {
+                    let st = state_of(draw * 7_919 % 3_001);
+                    match store.find(&st.0, st.1) {
+                        Ok(i) => {
+                            assert!(seen.contains(&st), "draw {draw}: found an absent state");
+                            assert_eq!(order[i], st, "draw {draw}: found at the wrong index");
+                        }
+                        Err(slot) => {
+                            assert!(
+                                seen.insert(st.clone()),
+                                "draw {draw}: missed a stored state"
+                            );
+                            let index = store.insert_at(slot, &st.0, st.1);
+                            assert_eq!(index, order.len(), "indices are dense");
+                            order.push(st);
+                        }
                     }
-                    Err(slot) => {
-                        assert!(seen.insert(s.clone()), "draw {draw}: missed a stored state");
-                        assert_eq!(store.insert_at(slot, &s), order.len(), "indices are dense");
-                        order.push(s);
-                    }
+                    assert_eq!(store.len(), order.len());
                 }
-                assert_eq!(store.len(), order.len());
-            }
-            assert!(order.len() > 2_000, "{} distinct states", order.len());
-            assert!(
-                store.table.slots.len() >= 16 << 3,
-                "at least three table growths"
-            );
-            let mut loaded = ex.initial_state();
-            for (i, s) in order.iter().enumerate() {
-                store.load(i, &mut loaded);
-                assert_eq!(&loaded, s, "index {i}");
+                assert!(order.len() > 2_000, "{} distinct states", order.len());
+                let untagged: HashSet<&State> = order.iter().map(|(s, _)| s).collect();
+                assert_eq!(
+                    untagged.len() < order.len(),
+                    tagged,
+                    "states that differ only in their tag are stored apart"
+                );
+                assert!(
+                    store.table.slots.len() >= 16 << 3,
+                    "at least three table growths"
+                );
+                let mut loaded = ex.initial_state();
+                for (i, (s, tag)) in order.iter().enumerate() {
+                    assert_eq!(store.load(i, &mut loaded), *tag, "index {i}");
+                    assert_eq!(&loaded, s, "index {i}");
+                }
             }
         }
     }
@@ -1301,7 +1349,99 @@ mod tests {
         let ex = Explorer::new(&nl, &inert, &[], 10);
         let mut s = ex.initial_state();
         s.set_pending(nl.gate_id(3), Some(true));
-        let _ = StateStore::new(layout).find(&s);
+        let _ = StateStore::new(layout).find(&s, 0);
+    }
+
+    /// The reference for [`Explorer::walk_unreduced`]: a breadth-first
+    /// search over a `HashSet` of (state, tag) pairs that stores at most
+    /// `cap` of them. Returns the visited states in order and whether
+    /// the search was exhaustive.
+    fn reference_walk(
+        ex: &Explorer<'_>,
+        cap: usize,
+        mut observe: impl FnMut(u32, &Transition) -> Option<u32>,
+    ) -> (Vec<State>, bool) {
+        let start = (ex.initial_state(), 0);
+        let mut seen: HashSet<(State, u32)> = HashSet::from([start.clone()]);
+        let mut queue = VecDeque::from([start]);
+        let mut visited = Vec::new();
+        let mut exhaustive = true;
+        while let Some((s, tag)) = queue.pop_front() {
+            let internal = ex.internal_enabled(&s);
+            let mut env = Vec::new();
+            ex.env_enabled_into(&s, internal.is_empty(), &mut Vec::new(), &mut env);
+            for t in internal.iter().chain(&env) {
+                let Some(next_tag) = observe(tag, t) else {
+                    continue;
+                };
+                let next = (ex.apply(&s, t).0, next_tag);
+                if !seen.contains(&next) {
+                    if seen.len() < cap {
+                        seen.insert(next.clone());
+                        queue.push_back(next);
+                    } else {
+                        exhaustive = false;
+                    }
+                }
+            }
+            visited.push(s);
+        }
+        (visited, exhaustive)
+    }
+
+    #[test]
+    fn walk_unreduced_agrees_with_a_reference_bfs() {
+        // c = C(a, b) under the rendezvous environment. The observer's
+        // tag is the parity of the rising edges so far, and it drops
+        // every b+ at odd parity.
+        let mut nl = Netlist::new();
+        let a = nl.input("a");
+        let b = nl.input("b");
+        let c = nl.gate(GateKind::CElement, &[a, b], "c");
+        nl.mark_output(c);
+        let env = move |_: u8, v: &dyn NetView, out: &mut Vec<EnvAction>| {
+            out.extend(
+                [a, b]
+                    .into_iter()
+                    .filter(|&net| v.value(net) == v.value(c))
+                    .map(|net| act(net, !v.value(net))),
+            );
+        };
+        let observe = |tag: u32, t: &Transition| {
+            (!(t.net == b && t.value && tag == 1)).then_some(tag ^ u32::from(t.value))
+        };
+        for cap in [1_000, 5] {
+            let ex = Explorer::new(&nl, &env, &[], cap);
+            let mut want_calls = Vec::new();
+            let (want, want_exhaustive) = reference_walk(&ex, cap, |tag, t| {
+                want_calls.push((tag, t.clone()));
+                observe(tag, t)
+            });
+            let mut got = Vec::new();
+            let mut got_calls = Vec::new();
+            let Ok((visited, exhaustive)) = ex.walk_unreduced(
+                |s, _, _| {
+                    got.push(s.clone());
+                    Ok::<_, Infallible>(())
+                },
+                |tag, t| {
+                    got_calls.push((tag, t.clone()));
+                    observe(tag, t)
+                },
+            );
+            assert_eq!(visited, want.len(), "cap {cap}: visit count");
+            assert_eq!(got, want, "cap {cap}: visit order");
+            assert_eq!(got_calls, want_calls, "cap {cap}: observed tags");
+            assert_eq!(exhaustive, want_exhaustive, "cap {cap}: exhaustiveness");
+            assert_eq!(exhaustive, cap == 1_000, "cap {cap}");
+            if exhaustive {
+                // Not vacuous: some state is stored under both tags, and
+                // some successor is dropped.
+                let distinct: HashSet<&State> = got.iter().collect();
+                assert!(distinct.len() < visited, "{} of {visited}", distinct.len());
+                assert!(got_calls.iter().any(|(tag, t)| observe(*tag, t).is_none()));
+            }
+        }
     }
 
     #[test]

@@ -235,10 +235,9 @@ impl Report {
 
 /// Runs the full rule set over circuits.
 pub struct Verifier {
-    /// Exact cap on distinct states during dynamic exploration.
+    /// Exact cap on distinct states during dynamic exploration, and on
+    /// the (state, marking set) pairs of the STG conformance walk.
     pub state_cap: usize,
-    /// Exact cap on combined states during STG conformance checking.
-    pub stg_cap: usize,
     /// When `true`, circuits carrying an [`EnvFootprint`] are explored
     /// with partial-order/symmetry reduction. Default `false`, so all
     /// existing reports and digests are unchanged unless a caller opts
@@ -257,7 +256,6 @@ impl Verifier {
     pub fn new() -> Self {
         Self {
             state_cap: 50_000,
-            stg_cap: 50_000,
             reduce: false,
         }
     }
@@ -301,7 +299,7 @@ impl Verifier {
             exhaustive = outcome.exhaustive;
             diagnostics.extend(outcome.diagnostics);
             if let Some((stg, map)) = &circuit.stg {
-                let (stg_diags, stg_exhaustive) = check_conformance(&ex, stg, map, self.stg_cap);
+                let (stg_diags, stg_exhaustive) = check_conformance(&ex, stg, map);
                 diagnostics.extend(stg_diags);
                 exhaustive &= stg_exhaustive;
             }

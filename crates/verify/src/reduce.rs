@@ -807,14 +807,17 @@ pub fn orbit_commutation_check(circuit: &crate::Circuit<'_>, cap: usize) -> Resu
         return Ok(0);
     }
     let ex = Explorer::new(&circuit.netlist, &*circuit.env, &circuit.initial, cap);
-    ex.walk_unreduced(|s, internal, env| {
-        for group in &engine.groups {
-            for other in 1..group.members.len() {
-                check_swap(&ex, group, other, s, internal, env)?;
+    ex.walk_unreduced(
+        |s, internal, env| {
+            for group in &engine.groups {
+                for other in 1..group.members.len() {
+                    check_swap(&ex, group, other, s, internal, env)?;
+                }
             }
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+        |_, _| Some(0),
+    )
     .map(|(states, _)| states)
 }
 
@@ -834,19 +837,22 @@ pub fn select_cache_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<us
     };
     let ex = Explorer::new(&circuit.netlist, &*circuit.env, &circuit.initial, cap);
     let mut cached = engine.scratch();
-    ex.walk_unreduced(|s, internal, env| {
-        let mut fresh = engine.scratch();
-        let want = engine.select(ex.netlist(), &mut fresh, s, internal, env);
-        let got = engine.select(ex.netlist(), &mut cached, s, internal, env);
-        if got != want || (want && cached.mask != fresh.mask) {
-            return Err(format!(
-                "cached selection (reduces: {got}, mask {:?}) differs from a fresh one \
-                 (reduces: {want}, mask {:?})",
-                cached.mask, fresh.mask
-            ));
-        }
-        Ok(())
-    })
+    ex.walk_unreduced(
+        |s, internal, env| {
+            let mut fresh = engine.scratch();
+            let want = engine.select(ex.netlist(), &mut fresh, s, internal, env);
+            let got = engine.select(ex.netlist(), &mut cached, s, internal, env);
+            if got != want || (want && cached.mask != fresh.mask) {
+                return Err(format!(
+                    "cached selection (reduces: {got}, mask {:?}) differs from a fresh one \
+                     (reduces: {want}, mask {:?})",
+                    cached.mask, fresh.mask
+                ));
+            }
+            Ok(())
+        },
+        |_, _| Some(0),
+    )
     .map(|(states, _)| states)
 }
 
@@ -867,19 +873,22 @@ pub fn canonical_key_check(circuit: &crate::Circuit<'_>, cap: usize) -> Result<u
     }
     let ex = Explorer::new(&circuit.netlist, &*circuit.env, &circuit.initial, cap);
     let mut sc = engine.scratch();
-    ex.walk_unreduced(|s, _, _| {
-        let mut got = s.clone();
-        let got_moved = engine.canonicalize(&mut sc, &mut got);
-        let mut want = s.clone();
-        let want_moved = canonicalize_per_bit(&engine.groups, &mut want);
-        if got_moved != want_moved || got != want {
-            return Err(format!(
-                "compact keys canonicalize {s:?} to {got:?} (moved: {got_moved}), \
-                 the per-bit reference to {want:?} (moved: {want_moved})"
-            ));
-        }
-        Ok(())
-    })
+    ex.walk_unreduced(
+        |s, _, _| {
+            let mut got = s.clone();
+            let got_moved = engine.canonicalize(&mut sc, &mut got);
+            let mut want = s.clone();
+            let want_moved = canonicalize_per_bit(&engine.groups, &mut want);
+            if got_moved != want_moved || got != want {
+                return Err(format!(
+                    "compact keys canonicalize {s:?} to {got:?} (moved: {got_moved}), \
+                     the per-bit reference to {want:?} (moved: {want_moved})"
+                ));
+            }
+            Ok(())
+        },
+        |_, _| Some(0),
+    )
     .map(|(states, _)| states)
 }
 
@@ -961,7 +970,8 @@ fn check_swap(
 
     let ps = pi_state(s);
     let p_internal = ex.internal_enabled(&ps);
-    let p_env = ex.env_enabled(&ps, p_internal.is_empty());
+    let mut p_env = Vec::new();
+    ex.env_enabled_into(&ps, p_internal.is_empty(), &mut Vec::new(), &mut p_env);
     // Enabled sets must correspond under the permutation.
     let mut expect: Vec<_> = internal
         .iter()
@@ -1264,12 +1274,15 @@ mod tests {
         c.footprint = Some(EnvFootprint::new(vec![declared.clone()]));
         let ex = Explorer::new(&c.netlist, &*c.env, &c.initial, 10_000);
         let mut guarded = 0u64;
-        let Ok((all, _)) = ex.walk_unreduced(|_, _, env| {
-            if env.iter().all(|t| declared.drives.contains(&t.net)) {
-                guarded += 1;
-            }
-            Ok::<_, Infallible>(())
-        });
+        let Ok((all, _)) = ex.walk_unreduced(
+            |_, _, env| {
+                if env.iter().all(|t| declared.drives.contains(&t.net)) {
+                    guarded += 1;
+                }
+                Ok::<_, Infallible>(())
+            },
+            |_, _| Some(0),
+        );
         let (hits, misses, popped) = counters(&c, true);
         assert_eq!(popped, all as u64);
         assert!(guarded < popped, "some state must trip the guard");

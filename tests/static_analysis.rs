@@ -23,13 +23,13 @@
 //!    compiled orbit keys gives the same state as keying every slot bit
 //!    by bit ([`emc_verify::canonical_key_check`]).
 
-use std::collections::{HashSet, VecDeque};
-
 use emc_analyze::{discover_rail_pairs, may_interfere_matrix};
 use emc_gen::{GenBounds, Plan};
+use emc_netlist::GateId;
 use emc_verify::builtin::builtin_suite;
 use emc_verify::{
-    canonical_key_check, orbit_commutation_check, select_cache_check, Circuit, Explorer, Verifier,
+    canonical_key_check, orbit_commutation_check, select_cache_check, Circuit, Explorer, State,
+    Transition, Verifier,
 };
 
 /// The exemplar corpus seeds pinned in `crates/gen/tests/fixtures/`
@@ -62,70 +62,50 @@ fn corpus_circuits() -> Vec<Circuit<'static>> {
 fn assert_observed_interference_is_static(c: &Circuit<'_>, state_budget: usize) -> usize {
     let pairs = discover_rail_pairs(&c.netlist);
     let inter = may_interfere_matrix(&c.netlist, &pairs);
-    let ex = Explorer::new(&c.netlist, &c.env, &c.initial, state_budget * 4);
-    let mut seen: HashSet<emc_verify::State> = HashSet::new();
-    let mut queue = VecDeque::new();
-    let s0 = ex.initial_state();
-    seen.insert(s0.clone());
-    queue.push_back(s0);
+    let ex = Explorer::new(&c.netlist, &c.env, &c.initial, state_budget);
+    // The enabled internal transition of `s` that fires `t`'s gate to
+    // `t`'s value, if `t` survived into `s`.
+    let survivor = |s: &State, t: &Transition| {
+        ex.internal_enabled(s)
+            .into_iter()
+            .find(|u| u.gate == t.gate && u.net == t.net && u.value == t.value)
+    };
+    let disabled = |a: GateId, b: GateId| {
+        format!("gates {a:?}/{b:?} marked independent but firing the first disabled the second")
+    };
     let mut checked_pairs = 0usize;
-    while let Some(s) = queue.pop_front() {
-        let internal = ex.internal_enabled(&s);
-        let env = ex.env_enabled(&s, internal.is_empty());
-        for (i, t1) in internal.iter().enumerate() {
-            let g1 = t1.gate.expect("internal transition carries a gate");
-            let (s1, _) = ex.apply(&s, t1);
-            for t2 in internal.iter().skip(i + 1) {
-                let g2 = t2.gate.expect("internal transition carries a gate");
-                if inter.may_interfere(g1, g2) {
-                    // Statically dependent: nothing to prove.
-                    continue;
+    let walk = ex.walk_unreduced(
+        |s, internal, _| {
+            for (i, t1) in internal.iter().enumerate() {
+                let g1 = t1.gate.expect("internal transition carries a gate");
+                let (s1, _) = ex.apply(s, t1);
+                for t2 in internal.iter().skip(i + 1) {
+                    let g2 = t2.gate.expect("internal transition carries a gate");
+                    if inter.may_interfere(g1, g2) {
+                        // Statically dependent: nothing to prove.
+                        continue;
+                    }
+                    checked_pairs += 1;
+                    // Independent by the matrix: t2 must survive t1
+                    // unchanged and the diamond must close.
+                    let t2b = survivor(&s1, t2).ok_or_else(|| disabled(g1, g2))?;
+                    let (s12, _) = ex.apply(&s1, &t2b);
+                    let (s2, _) = ex.apply(s, t2);
+                    let t1b = survivor(&s2, t1).ok_or_else(|| disabled(g2, g1))?;
+                    let (s21, _) = ex.apply(&s2, &t1b);
+                    if s12 != s21 {
+                        return Err(format!(
+                            "statically independent gates {g1:?}/{g2:?} do not commute"
+                        ));
+                    }
                 }
-                checked_pairs += 1;
-                // Independent by the matrix: t2 must survive t1
-                // unchanged and the diamond must close.
-                let after1 = ex.internal_enabled(&s1);
-                let t2b = after1
-                    .iter()
-                    .find(|t| t.gate == t2.gate && t.net == t2.net && t.value == t2.value)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{}: gates {g1:?}/{g2:?} marked independent but firing \
-                             the first disabled the second",
-                            c.name
-                        )
-                    });
-                let (s12, _) = ex.apply(&s1, t2b);
-                let (s2, _) = ex.apply(&s, t2);
-                let after2 = ex.internal_enabled(&s2);
-                let t1b = after2
-                    .iter()
-                    .find(|t| t.gate == t1.gate && t.net == t1.net && t.value == t1.value)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{}: gates {g2:?}/{g1:?} marked independent but firing \
-                             the first disabled the second",
-                            c.name
-                        )
-                    });
-                let (s21, _) = ex.apply(&s2, t1b);
-                assert_eq!(
-                    s12, s21,
-                    "{}: statically independent gates {g1:?}/{g2:?} do not commute",
-                    c.name
-                );
             }
-        }
-        if seen.len() >= state_budget {
-            continue; // drain the queue without expanding further
-        }
-        for t in internal.iter().chain(env.iter()) {
-            let (n, _) = ex.apply(&s, t);
-            if !seen.contains(&n) {
-                seen.insert(n.clone());
-                queue.push_back(n);
-            }
-        }
+            Ok(())
+        },
+        |_, _| Some(0),
+    );
+    if let Err(e) = walk {
+        panic!("{}: {e}", c.name);
     }
     checked_pairs
 }
