@@ -14,12 +14,17 @@ use std::process::Command;
 use emc_async::{DualRailAdder, SelfTimedOscillator, ToggleRippleCounter};
 use emc_bench::{drive_array, pdes_array, pdes_parallel, pdes_sequential, PdesArray};
 use emc_device::DeviceModel;
-use emc_netlist::{GateKind, NetId, Netlist};
+use emc_gen::{
+    block_graph, completion_tree, dims_adder, micropipeline, pipelined_array,
+    pipelined_array_domains, wchb_datapath, BlockSpec,
+};
+use emc_netlist::{GateKind, NetId, Netlist, Partitioned};
 use emc_power::chain::ac_supply;
 use emc_prng::{Rng, StdRng};
 use emc_sim::campaign::{run_campaign, CampaignConfig, RunContext, RunReport};
 use emc_sim::{Fnv64, Simulator, SupplyKind, Trace};
 use emc_units::{Hertz, Seconds, Volts, Waveform};
+use emc_verify::builtin::builtin_suite;
 
 /// Fig. 4 rig (2-bit self-timed counter, AC 200 mV ± 100 mV at 1 MHz),
 /// 10 supply periods.
@@ -58,6 +63,35 @@ const LINT_JSON_DIGEST: u64 = 0x4b94_c385_f659_1c4e;
 const LINT_FULL_JSON_DIGEST: u64 = 0xb450_b69b_19e5_3700;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// [`structure_digest`] of every netlist [`structure_cases`] builds, in
+/// its order: the built-in suite at full size, one `emc-gen` circuit per
+/// family, the `pdes_array(8, 50, 4)` rig and that rig's four
+/// `Partitioned` slices.
+const STRUCTURE_DIGESTS: [(&str, u64); 18] = [
+    ("builtin/counter", 0xf032_7850_1b30_4fdd),
+    ("builtin/wchb", 0x4e99_1d1e_3c06_e081),
+    ("builtin/micropipeline", 0xafa8_54c5_beb4_c044),
+    ("builtin/bundled", 0x6d30_11ce_f05d_bef2),
+    ("builtin/sram", 0xe835_1805_d276_022c),
+    ("builtin/adder", 0xb8c6_40b3_73ce_c090),
+    ("gen/tree", 0x09d3_a649_3ad4_ca83),
+    ("gen/wchb", 0x5d95_50b2_87c9_60e4),
+    ("gen/adder", 0x012d_d8fb_3e93_d73a),
+    ("gen/micropipeline", 0xb7aa_1df6_a48d_d591),
+    ("gen/array", 0x4d3c_3482_31a5_e3a3),
+    ("gen/array-domains", 0x66b6_c59a_b9ee_8771),
+    ("gen/blocks", 0xdee6_895b_15a4_e657),
+    ("pdes_array", 0xf510_d0a5_1db4_97ab),
+    ("pdes_array/slice0", 0x1a3f_fcce_0419_90ca),
+    ("pdes_array/slice1", 0xd498_0a73_3f1f_5f06),
+    ("pdes_array/slice2", 0x11d9_307e_6cf6_3826),
+    ("pdes_array/slice3", 0xf7db_a105_0ef2_e4da),
+];
+
+/// FNV-1a over the parts of the `pdes_array(8, 50, 4)` partition map
+/// the slices do not hold: every global net's site.
+const STRUCTURE_SITES_DIGEST: u64 = 0x1d74_134a_ae9b_b82d;
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -273,6 +307,138 @@ fn deep_queue_rig_pinned_sequentially_and_under_pdes() {
     }
 }
 
+/// Everything a netlist exposes about its structure, hashed in a fixed
+/// order. Per gate: kind, drive bits and inputs. Per net: name bytes,
+/// driver, the fanout list in order with duplicates, and the
+/// `fanout_load_units` bits. Then the outputs in order. The fanout
+/// order fixes the `seq` order of equal-time events and the float order
+/// of the load sums, so a change that keeps the set but not the order
+/// moves this digest.
+fn structure_digest(nl: &Netlist) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(nl.gate_count() as u64);
+    for (_, g) in nl.iter_gates() {
+        h.write(g.kind().to_string().as_bytes());
+        h.write_u64(g.drive().to_bits());
+        h.write_u64(g.output().index() as u64);
+        h.write_u64(g.inputs().len() as u64);
+        for n in g.inputs() {
+            h.write_u64(n.index() as u64);
+        }
+    }
+    h.write_u64(nl.net_count() as u64);
+    for net in nl.iter_nets() {
+        let name = nl.net_name(net);
+        h.write_u64(name.len() as u64);
+        h.write(name.as_bytes());
+        h.write_u64(nl.driver_of(net).map_or(u64::MAX, |g| g.index() as u64));
+        let fanout = nl.fanout(net);
+        h.write_u64(fanout.len() as u64);
+        for g in fanout {
+            h.write_u64(g.index() as u64);
+        }
+        h.write_u64(nl.fanout_load_units(net).to_bits());
+    }
+    h.write_u64(nl.outputs().len() as u64);
+    for n in nl.outputs() {
+        h.write_u64(n.index() as u64);
+    }
+    h.finish()
+}
+
+/// The PDES rig whose slices [`structure_cases`] pins.
+fn structure_rig() -> (PdesArray, Partitioned) {
+    let rig = pdes_array(8, 50, 4);
+    let parts =
+        Partitioned::build(&rig.netlist, &rig.assignment, rig.parts).expect("rows share no net");
+    (rig, parts)
+}
+
+/// `(name, structure digest)` of every netlist [`STRUCTURE_DIGESTS`]
+/// pins, in its order.
+fn structure_cases() -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = builtin_suite(false)
+        .iter()
+        .map(|c| (format!("builtin/{}", c.name), structure_digest(&c.netlist)))
+        .collect();
+    let blocks = [
+        BlockSpec {
+            func: 0,
+            lhs: 0,
+            rhs: 1,
+        },
+        BlockSpec {
+            func: 2,
+            lhs: 5,
+            rhs: 2,
+        },
+        BlockSpec {
+            func: 4,
+            lhs: 7,
+            rhs: 3,
+        },
+        BlockSpec {
+            func: 5,
+            lhs: 1,
+            rhs: 6,
+        },
+    ];
+    for (name, gc) in [
+        ("tree", completion_tree(5, "t")),
+        ("wchb", wchb_datapath(3, 2, "w")),
+        ("adder", dims_adder(3, "a")),
+        ("micropipeline", micropipeline(4, "m")),
+        ("array", pipelined_array(2, 3, "p")),
+        ("array-domains", pipelined_array_domains(4, 3, 2, "d")),
+        ("blocks", block_graph(3, &blocks, "b")),
+    ] {
+        out.push((format!("gen/{name}"), structure_digest(&gc.netlist)));
+    }
+    let (rig, parts) = structure_rig();
+    out.push(("pdes_array".to_owned(), structure_digest(&rig.netlist)));
+    for p in 0..parts.parts() {
+        out.push((
+            format!("pdes_array/slice{p}"),
+            structure_digest(parts.slice(p)),
+        ));
+    }
+    out
+}
+
+/// FNV-1a over every global net's `(part, local net)` site and its
+/// round trip through `global_net`.
+fn structure_sites_digest() -> u64 {
+    let (rig, parts) = structure_rig();
+    let mut h = Fnv64::new();
+    for net in rig.netlist.iter_nets() {
+        let (p, local) = parts.site(net);
+        assert_eq!(parts.global_net(p, local), net, "site round trip");
+        h.write_u64(p as u64);
+        h.write_u64(local.index() as u64);
+    }
+    h.finish()
+}
+
+#[test]
+fn netlist_structure_digests_pinned() {
+    let got = structure_cases();
+    let names: Vec<&str> = got.iter().map(|(n, _)| n.as_str()).collect();
+    let pinned: Vec<&str> = STRUCTURE_DIGESTS.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, pinned, "structure cases changed");
+    for ((name, digest), (_, expected)) in got.iter().zip(STRUCTURE_DIGESTS) {
+        assert_eq!(
+            *digest, expected,
+            "{name} structure moved: got {digest:#018x}"
+        );
+    }
+    assert_eq!(
+        structure_sites_digest(),
+        STRUCTURE_SITES_DIGEST,
+        "pdes_array site map moved: got {:#018x}",
+        structure_sites_digest()
+    );
+}
+
 fn lint_json_bytes(smoke: bool, threads: usize) -> Vec<u8> {
     let threads = threads.to_string();
     let mut args = vec!["--json", "--threads", &threads];
@@ -365,4 +531,8 @@ fn print_golden_constants() {
         "LINT_FULL_JSON_DIGEST: {:#018x}",
         fnv64(&lint_json_bytes(false, 1))
     );
+    for (name, digest) in structure_cases() {
+        println!("STRUCTURE_DIGESTS {name}: {digest:#018x}");
+    }
+    println!("STRUCTURE_SITES_DIGEST: {:#018x}", structure_sites_digest());
 }
