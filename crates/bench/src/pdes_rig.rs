@@ -131,7 +131,7 @@ pub fn pdes_sequential(rig: &PdesArray) -> Simulator {
 /// that drives it, which no [`pdes_array`] rig does.
 pub fn pdes_parallel(rig: &PdesArray, threads: usize, obs: bool) -> PdesSimulator {
     let mut sim = PdesSimulator::new(
-        rig.netlist.clone(),
+        &rig.netlist,
         DeviceModel::umc90(),
         &pdes_specs(rig.parts),
         &rig.assignment,

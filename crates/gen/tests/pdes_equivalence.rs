@@ -147,7 +147,7 @@ fn run_pdes(
     threads: usize,
     oracle: &SeqRun,
 ) -> Trace {
-    let mut sim = PdesSimulator::new(gc.netlist.clone(), DeviceModel::umc90(), specs, assignment)
+    let mut sim = PdesSimulator::new(&gc.netlist, DeviceModel::umc90(), specs, assignment)
         .expect("the cut shares no net");
     sim.set_threads(threads);
     for &(net, v) in &gc.initial {
@@ -224,7 +224,7 @@ fn connected_family(gc: &GeneratedCircuit, parts: usize, seed: u64) {
 
     let scatter: Vec<u32> = (0..gates).map(|g| (g % parts) as u32).collect();
     let err = PdesSimulator::new(
-        gc.netlist.clone(),
+        &gc.netlist,
         DeviceModel::umc90(),
         &specs(parts, Rail::Constant),
         &scatter,

@@ -1,7 +1,8 @@
 //! The circuit graph: nets, gates, builder API and well-formedness checks.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
 use crate::diag::{Diagnostic, Severity};
@@ -10,12 +11,12 @@ use crate::gate::GateKind;
 /// Identifier of a net (a wire). Created by the [`Netlist`] builder
 /// methods; only meaningful for the netlist that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NetId(usize);
+pub struct NetId(u32);
 
 impl NetId {
     /// Dense index of this net in `0..netlist.net_count()`.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -27,12 +28,18 @@ impl fmt::Display for NetId {
 
 /// Identifier of a gate instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GateId(usize);
+pub struct GateId(u32);
 
 impl GateId {
     /// Dense index of this gate in `0..netlist.gate_count()`.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
+    }
+
+    /// The gate that created `net`: in a netlist without
+    /// [`Netlist::rewire_output`] surgery, gate `i` drives net `i`.
+    pub(crate) fn creator_of(net: NetId) -> GateId {
+        GateId(net.0)
     }
 }
 
@@ -42,33 +49,47 @@ impl fmt::Display for GateId {
     }
 }
 
-/// One gate instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gate {
+// Ids are 4 bytes: the input arena, the fanout arena and every id table
+// built over a netlist hold one per entry.
+const _: () = assert!(std::mem::size_of::<NetId>() == 4);
+const _: () = assert!(std::mem::size_of::<GateId>() == 4);
+
+/// Narrows a net, gate or arena index to the 4 bytes ids are stored in.
+/// `u32::MAX` stays free: it marks a driverless net.
+fn narrow(index: usize) -> u32 {
+    u32::try_from(index)
+        .ok()
+        .filter(|&i| i != u32::MAX)
+        .expect("netlists hold fewer than 2^32 - 1 nets, gates and input references")
+}
+
+/// One gate instance: a `Copy` view into its [`Netlist`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gate<'a> {
     kind: GateKind,
-    inputs: Vec<NetId>,
+    inputs: &'a [NetId],
     output: NetId,
     drive: f64,
 }
 
-impl Gate {
+impl<'a> Gate<'a> {
     /// The gate's primitive kind.
-    pub fn kind(&self) -> GateKind {
+    pub fn kind(self) -> GateKind {
         self.kind
     }
 
     /// Input nets, in declaration order.
-    pub fn inputs(&self) -> &[NetId] {
-        &self.inputs
+    pub fn inputs(self) -> &'a [NetId] {
+        self.inputs
     }
 
     /// The single output net.
-    pub fn output(&self) -> NetId {
+    pub fn output(self) -> NetId {
         self.output
     }
 
     /// Drive strength relative to a unit inverter.
-    pub fn drive(&self) -> f64 {
+    pub fn drive(self) -> f64 {
         self.drive
     }
 }
@@ -131,6 +152,11 @@ impl std::error::Error for NetlistError {}
 /// does **not** restrict connectivity: state-holding feedback is closed
 /// with [`Netlist::connect_feedback`]).
 ///
+/// The storage is flat: fixed-size gate records over one input arena,
+/// one name arena, a `u32` driver table and an output bitset, so a
+/// netlist holds no heap allocation per gate or per net. The fanout
+/// lists are built from it on first use (see [`Netlist::fanout`]).
+///
 /// # Examples
 ///
 /// A toggle stage's rendezvous (see the paper's Fig. 10):
@@ -147,32 +173,141 @@ impl std::error::Error for NetlistError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
-    gates: Vec<Gate>,
-    net_driver: Vec<Option<GateId>>,
-    net_names: Vec<String>,
-    fanout: Vec<Vec<GateId>>,
+    gates: Vec<GateRecord>,
+    /// Every gate's input nets, one run per gate. A run grows at the end
+    /// of the arena; [`Netlist::connect_feedback`] moves a run that is
+    /// not last there first, leaving its old slots unused.
+    inputs: Vec<NetId>,
+    /// Per net: the index of its driving gate, or `u32::MAX`.
+    drivers: Vec<u32>,
+    names: Names,
     outputs: Vec<NetId>,
-    /// Membership mirror of `outputs`, so marking stays O(1) on netlists
-    /// with hundreds of thousands of declared outputs.
-    output_set: HashSet<NetId>,
-    /// First net created under each name (duplicates never overwrite).
-    /// Built in net order by the first [`Netlist::find_net`], so
-    /// netlists nobody searches (slices, clones, simulator copies) never
-    /// pay for it; [`Netlist::new_net`] keeps a built index current.
-    name_index: OnceLock<HashMap<String, NetId>>,
-    /// CSR snapshot of the fanout lists, built by [`Netlist::freeze`] and
-    /// dropped by any structural mutation.
-    frozen: Option<Frozen>,
+    /// Membership bits of `outputs`, one per net, so marking stays O(1)
+    /// on netlists with hundreds of thousands of declared outputs.
+    output_bits: Vec<u64>,
+    /// Every [`Netlist::connect_feedback`] call, in call order: the only
+    /// input references whose place in a fanout list the gate order
+    /// does not give.
+    feedback: Vec<FeedbackArc>,
+    /// First net created under each name. Built by the first
+    /// [`Netlist::find_net`], so netlists nobody searches (slices,
+    /// clones, simulator copies) never pay for it; `new_net` keeps a
+    /// built index current.
+    name_index: OnceLock<NameIndex>,
+    /// The fanout lists, built on first use and dropped by the mutators
+    /// that add a net or an input reference.
+    fanout: OnceLock<Fanout>,
 }
 
-/// Flattened fanout adjacency: one contiguous [`GateId`] arena indexed by
-/// `offsets[net]..offsets[net + 1]`, plus the per-net input load totals,
-/// so the per-event hot path touches two cache lines instead of chasing a
-/// `Vec<Vec<_>>` and re-summing load factors.
+/// A gate's fixed-size record: its inputs are
+/// `inputs[start..start + len]` of the netlist's input arena.
+#[derive(Debug, Clone, Copy)]
+struct GateRecord {
+    drive: f64,
+    start: u32,
+    len: u32,
+    output: NetId,
+    kind: GateKind,
+}
+
+/// One [`Netlist::connect_feedback`] call.
+#[derive(Debug, Clone, Copy)]
+struct FeedbackArc {
+    /// Gates that existed at the call: the arc follows the input
+    /// references of gate `gates - 1` in every fanout list and precedes
+    /// those of gate `gates`.
+    gates: u32,
+    gate: GateId,
+    net: NetId,
+}
+
+/// Every net name back to back in one string: net `n`'s name ends at
+/// `ends[n]` and starts where net `n - 1`'s ends.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, net: usize) -> &str {
+        let start = if net == 0 { 0 } else { self.ends[net - 1] };
+        &self.text[start as usize..self.ends[net] as usize]
+    }
+
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(narrow(self.text.len()));
+    }
+}
+
+/// First-created-wins index from a name to its net: an open-addressed
+/// table of `net + 1` (0 marks an empty slot), probed linearly from the
+/// name's hash and kept at most half full.
 #[derive(Debug, Clone)]
-struct Frozen {
+struct NameIndex {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl NameIndex {
+    fn build(names: &Names) -> Self {
+        let mut index = NameIndex {
+            slots: vec![0; (2 * names.len()).next_power_of_two().max(16)],
+            len: 0,
+        };
+        for net in 0..names.len() {
+            index.insert(names, net);
+        }
+        index
+    }
+
+    /// The slot holding `name`, or the empty slot where it would go.
+    fn probe(&self, names: &Names, name: &str) -> usize {
+        let mut h = DefaultHasher::new();
+        name.hash(&mut h);
+        let mask = self.slots.len() - 1;
+        let mut slot = h.finish() as usize & mask;
+        while self.slots[slot] != 0 && names.get(self.slots[slot] as usize - 1) != name {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    fn get(&self, names: &Names, name: &str) -> Option<NetId> {
+        let entry = self.slots[self.probe(names, name)];
+        entry.checked_sub(1).map(NetId)
+    }
+
+    /// Indexes `net` unless an earlier net has its name.
+    fn insert(&mut self, names: &Names, net: usize) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let doubled = vec![0; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            for entry in old.into_iter().filter(|&e| e != 0) {
+                let slot = self.probe(names, names.get(entry as usize - 1));
+                self.slots[slot] = entry;
+            }
+        }
+        let slot = self.probe(names, names.get(net));
+        if self.slots[slot] == 0 {
+            self.slots[slot] = narrow(net) + 1;
+            self.len += 1;
+        }
+    }
+}
+
+/// The fanout lists in CSR form: net `n`'s readers are
+/// `readers[offsets[n]..offsets[n + 1]]`, and `load_units[n]` sums
+/// their input load factors in that order.
+#[derive(Debug, Clone)]
+struct Fanout {
     offsets: Vec<u32>,
-    arena: Vec<GateId>,
+    readers: Vec<GateId>,
     load_units: Vec<f64>,
 }
 
@@ -183,13 +318,11 @@ impl Netlist {
     }
 
     fn new_net(&mut self, name: &str) -> NetId {
-        let id = NetId(self.net_names.len());
-        self.net_names.push(name.to_owned());
-        self.net_driver.push(None);
-        self.fanout.push(Vec::new());
-        // First-created-wins, matching the documented `find_net` contract.
+        let id = NetId(narrow(self.names.len()));
+        self.names.push(name);
+        self.drivers.push(u32::MAX);
         if let Some(index) = self.name_index.get_mut() {
-            index.entry(name.to_owned()).or_insert(id);
+            index.insert(&self.names, id.index());
         }
         id
     }
@@ -248,23 +381,24 @@ impl Netlist {
         );
         for &i in inputs {
             assert!(
-                i.0 < self.net_names.len(),
+                i.index() < self.net_count(),
                 "input net {i} does not belong to this netlist (gate '{name}')"
             );
         }
-        self.frozen = None;
+        self.fanout.take();
         let output = self.new_net(name);
-        let gid = GateId(self.gates.len());
-        self.gates.push(Gate {
-            kind,
-            inputs: inputs.to_vec(),
-            output,
+        let gid = narrow(self.gates.len());
+        let start = narrow(self.inputs.len());
+        self.inputs.extend_from_slice(inputs);
+        let len = narrow(self.inputs.len()) - start;
+        self.gates.push(GateRecord {
             drive,
+            start,
+            len,
+            output,
+            kind,
         });
-        self.net_driver[output.0] = Some(gid);
-        for &i in inputs {
-            self.fanout[i.0].push(gid);
-        }
+        self.drivers[output.index()] = gid;
         output
     }
 
@@ -278,24 +412,43 @@ impl Netlist {
     /// Panics if `target` has no driver, the extended input list would
     /// violate the driver's arity, or either net is foreign.
     pub fn connect_feedback(&mut self, target: NetId, net: NetId) {
-        assert!(net.0 < self.net_names.len(), "foreign feedback net");
-        self.frozen = None;
-        let gid = self.net_driver[target.0].expect("feedback target has no driver");
-        let gate = &mut self.gates[gid.0];
-        gate.inputs.push(net);
-        let (lo, hi) = gate.kind.arity();
+        assert!(net.index() < self.net_count(), "foreign feedback net");
+        let gate = self
+            .driver_of(target)
+            .expect("feedback target has no driver");
+        let g = &mut self.gates[gate.index()];
+        let (lo, hi) = g.kind.arity();
+        let len = g.len as usize + 1;
         assert!(
-            gate.inputs.len() >= lo && gate.inputs.len() <= hi,
+            len >= lo && len <= hi,
             "feedback would violate {} arity",
-            gate.kind
+            g.kind
         );
-        self.fanout[net.0].push(gid);
+        let end = (g.start + g.len) as usize;
+        if end != self.inputs.len() {
+            let start = g.start as usize;
+            g.start = narrow(self.inputs.len());
+            self.inputs.extend_from_within(start..end);
+        }
+        self.inputs.push(net);
+        g.len = narrow(self.inputs.len()) - g.start;
+        self.fanout.take();
+        self.feedback.push(FeedbackArc {
+            gates: narrow(self.gates.len()),
+            gate,
+            net,
+        });
     }
 
     /// Declares `net` as a circuit output (observed by the environment),
     /// exempting it from the floating-net check.
     pub fn mark_output(&mut self, net: NetId) {
-        if self.output_set.insert(net) {
+        let (word, bit) = (net.index() / 64, net.index() % 64);
+        if word >= self.output_bits.len() {
+            self.output_bits.resize(word + 1, 0);
+        }
+        if self.output_bits[word] & (1 << bit) == 0 {
+            self.output_bits[word] |= 1 << bit;
             self.outputs.push(net);
         }
     }
@@ -305,9 +458,15 @@ impl Netlist {
         &self.outputs
     }
 
+    fn is_output(&self, net: NetId) -> bool {
+        self.output_bits
+            .get(net.index() / 64)
+            .is_some_and(|w| w >> (net.index() % 64) & 1 == 1)
+    }
+
     /// Number of nets.
     pub fn net_count(&self) -> usize {
-        self.net_names.len()
+        self.names.len()
     }
 
     /// Number of gate instances.
@@ -315,13 +474,22 @@ impl Netlist {
         self.gates.len()
     }
 
+    fn view(&self, g: &GateRecord) -> Gate<'_> {
+        Gate {
+            kind: g.kind,
+            inputs: &self.inputs[g.start as usize..(g.start + g.len) as usize],
+            output: g.output,
+            drive: g.drive,
+        }
+    }
+
     /// The gate with the given id.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn gate_ref(&self, id: GateId) -> &Gate {
-        &self.gates[id.0]
+    pub fn gate_ref(&self, id: GateId) -> Gate<'_> {
+        self.view(&self.gates[id.index()])
     }
 
     /// Recovers the [`GateId`] at dense `index` (the inverse of
@@ -332,7 +500,7 @@ impl Netlist {
     /// Panics if `index >= self.gate_count()`.
     pub fn gate_id(&self, index: usize) -> GateId {
         assert!(index < self.gates.len(), "gate index out of range");
-        GateId(index)
+        GateId(index as u32)
     }
 
     /// Recovers the [`NetId`] at dense `index` (the inverse of
@@ -342,23 +510,26 @@ impl Netlist {
     ///
     /// Panics if `index >= self.net_count()`.
     pub fn net_id(&self, index: usize) -> NetId {
-        assert!(index < self.net_names.len(), "net index out of range");
-        NetId(index)
+        assert!(index < self.net_count(), "net index out of range");
+        NetId(index as u32)
     }
 
-    /// Iterates over `(GateId, &Gate)` in construction order.
-    pub fn iter_gates(&self) -> impl Iterator<Item = (GateId, &Gate)> {
-        self.gates.iter().enumerate().map(|(i, g)| (GateId(i), g))
+    /// Iterates over `(GateId, Gate)` in construction order.
+    pub fn iter_gates(&self) -> impl Iterator<Item = (GateId, Gate<'_>)> {
+        self.gates
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (GateId(i as u32), self.view(g)))
     }
 
     /// All net ids in construction order.
     pub fn iter_nets(&self) -> impl Iterator<Item = NetId> {
-        (0..self.net_names.len()).map(NetId)
+        (0..self.net_count() as u32).map(NetId)
     }
 
     /// The name given to `net` at construction.
     pub fn net_name(&self, net: NetId) -> &str {
-        &self.net_names[net.0]
+        self.names.get(net.index())
     }
 
     /// Looks a net up by its construction name; if several nets share a
@@ -366,80 +537,90 @@ impl Netlist {
     /// in O(nets); later calls are O(1).
     pub fn find_net(&self, name: &str) -> Option<NetId> {
         self.name_index
-            .get_or_init(|| {
-                let mut index = HashMap::with_capacity(self.net_names.len());
-                for (i, n) in self.net_names.iter().enumerate() {
-                    index.entry(n.clone()).or_insert(NetId(i));
-                }
-                index
-            })
-            .get(name)
-            .copied()
+            .get_or_init(|| NameIndex::build(&self.names))
+            .get(&self.names, name)
     }
 
     /// The gate driving `net`, if any (inputs and constants drive their own
     /// nets, so in a checked netlist this is always `Some`).
     pub fn driver_of(&self, net: NetId) -> Option<GateId> {
-        self.net_driver[net.0]
+        let d = self.drivers[net.index()];
+        (d != u32::MAX).then_some(GateId(d))
     }
 
-    /// Gates whose inputs include `net`, as a borrowed slice (from the
-    /// CSR arena when frozen, the per-net list otherwise).
+    /// Gates whose inputs include `net`, as a borrowed slice: one entry
+    /// per input reference, in the order the references were made
+    /// ([`Netlist::gate`] and [`Netlist::connect_feedback`] calls), so a
+    /// gate reading `net` twice appears twice. Built for every net on
+    /// the first call after a structural mutation.
     pub fn fanout(&self, net: NetId) -> &[GateId] {
-        if let Some(f) = &self.frozen {
-            &f.arena[f.offsets[net.0] as usize..f.offsets[net.0 + 1] as usize]
-        } else {
-            &self.fanout[net.0]
-        }
+        let f = self.fanout_lists();
+        &f.readers[f.offsets[net.index()] as usize..f.offsets[net.index() + 1] as usize]
     }
 
     /// Total input load presented by the fanout of `net`, in unit-inverter
-    /// gate capacitances (see [`GateKind::input_load_factor`]). Cached by
-    /// [`Netlist::freeze`]; recomputed per call on an unfrozen netlist.
+    /// gate capacitances (see [`GateKind::input_load_factor`]), summed in
+    /// [`Netlist::fanout`] order. Built with the fanout lists.
     pub fn fanout_load_units(&self, net: NetId) -> f64 {
-        if let Some(f) = &self.frozen {
-            return f.load_units[net.0];
-        }
-        self.fanout[net.0]
-            .iter()
-            .map(|g| self.gates[g.0].kind.input_load_factor())
-            .sum()
+        self.fanout_lists().load_units[net.index()]
     }
 
-    /// Builds the flattened CSR fanout snapshot and the per-net load
-    /// cache. Idempotent; any later structural mutation (adding a gate,
-    /// closing feedback, rewiring an output) drops the snapshot, and the
-    /// query methods transparently fall back to the builder lists. The
-    /// simulator and verifier freeze their netlists before entering
-    /// their event loops.
+    /// Builds the fanout lists and loads now, so a timed event loop does
+    /// not pay for them on its first event. Idempotent; the queries build
+    /// them on first use anyway.
     pub fn freeze(&mut self) {
-        if self.frozen.is_some() {
-            return;
-        }
-        let nets = self.net_names.len();
-        let mut offsets = Vec::with_capacity(nets + 1);
-        let mut arena = Vec::with_capacity(self.fanout.iter().map(Vec::len).sum());
-        let mut load_units = Vec::with_capacity(nets);
-        offsets.push(0u32);
-        for list in &self.fanout {
-            arena.extend_from_slice(list);
-            offsets.push(u32::try_from(arena.len()).expect("fanout arena fits in u32"));
-            load_units.push(
-                list.iter()
-                    .map(|g| self.gates[g.0].kind.input_load_factor())
-                    .sum(),
-            );
-        }
-        self.frozen = Some(Frozen {
-            offsets,
-            arena,
-            load_units,
-        });
+        self.fanout_lists();
     }
 
-    /// Whether a [`Netlist::freeze`] snapshot is currently live.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
+    /// The fanout lists, in reference order: gate by gate, each gate's
+    /// construction-time inputs, then the feedback arcs closed before
+    /// the next gate was added.
+    fn fanout_lists(&self) -> &Fanout {
+        self.fanout.get_or_init(|| {
+            let nets = self.net_count();
+            let mut offsets = vec![0u32; nets + 1];
+            for g in &self.gates {
+                for n in self.view(g).inputs {
+                    offsets[n.index() + 1] += 1;
+                }
+            }
+            for i in 0..nets {
+                offsets[i + 1] += offsets[i];
+            }
+            let mut feedback_len = vec![0u32; self.gates.len()];
+            for arc in &self.feedback {
+                feedback_len[arc.gate.index()] += 1;
+            }
+            let mut next = offsets.clone();
+            let mut readers = vec![GateId(0); offsets[nets] as usize];
+            let mut push = |net: NetId, gate: GateId| {
+                readers[next[net.index()] as usize] = gate;
+                next[net.index()] += 1;
+            };
+            let mut arcs = self.feedback.iter().peekable();
+            for (i, g) in self.gates.iter().enumerate() {
+                let forward = g.start as usize..(g.start + g.len - feedback_len[i]) as usize;
+                for &n in &self.inputs[forward] {
+                    push(n, GateId(i as u32));
+                }
+                while let Some(arc) = arcs.next_if(|a| a.gates as usize == i + 1) {
+                    push(arc.net, arc.gate);
+                }
+            }
+            let load_units = (0..nets)
+                .map(|n| {
+                    readers[offsets[n] as usize..offsets[n + 1] as usize]
+                        .iter()
+                        .map(|g| self.gates[g.index()].kind.input_load_factor())
+                        .sum()
+                })
+                .collect();
+            Fanout {
+                offsets,
+                readers,
+                load_units,
+            }
+        })
     }
 
     /// Histogram of gate kinds — the "transistor budget" report.
@@ -466,26 +647,22 @@ impl Netlist {
     /// Panics if either id is foreign or `gate` is a source gate (inputs
     /// and constants own their nets).
     pub fn rewire_output(&mut self, gate: GateId, net: NetId) {
-        assert!(gate.0 < self.gates.len(), "foreign gate id");
-        assert!(net.0 < self.net_names.len(), "foreign net id");
-        assert!(
-            !self.gates[gate.0].kind.is_source(),
-            "cannot rewire a source gate's output"
-        );
-        self.frozen = None;
-        let old = self.gates[gate.0].output;
+        assert!(gate.index() < self.gates.len(), "foreign gate id");
+        assert!(net.index() < self.net_count(), "foreign net id");
+        let g = &mut self.gates[gate.index()];
+        assert!(!g.kind.is_source(), "cannot rewire a source gate's output");
+        let old = g.output;
         if old == net {
             return;
         }
-        self.gates[gate.0].output = net;
-        if self.net_driver[old.0] == Some(gate) {
-            self.net_driver[old.0] = None;
+        g.output = net;
+        if self.drivers[old.index()] == gate.0 {
+            self.drivers[old.index()] = u32::MAX;
         }
-        if self.net_driver[net.0].is_none() {
-            self.net_driver[net.0] = Some(gate);
+        if self.drivers[net.index()] == u32::MAX {
+            self.drivers[net.index()] = gate.0;
         }
     }
-
     /// Validates the netlist structure, returning **all** findings as
     /// structured diagnostics instead of failing on the first:
     ///
@@ -506,46 +683,41 @@ impl Netlist {
         // Driver census: by construction each gate owns its output net,
         // but `rewire_output` can short two outputs together or abandon
         // a net entirely.
-        let mut drivers: Vec<u32> = vec![0; self.net_names.len()];
+        let mut drivers: Vec<u32> = vec![0; self.net_count()];
         for g in &self.gates {
-            drivers[g.output.0] += 1;
+            drivers[g.output.index()] += 1;
         }
         for net in self.iter_nets() {
-            if self.fanout[net.0].is_empty() && !self.output_set.contains(&net) {
+            let name = self.net_name(net);
+            if self.fanout(net).is_empty() && !self.is_output(net) {
                 out.push(
                     Diagnostic::new(
                         "NET001",
                         Severity::Error,
-                        format!(
-                            "net {net} ('{}') has no fanout and is not a circuit output",
-                            self.net_names[net.0]
-                        ),
+                        format!("net {net} ('{name}') has no fanout and is not a circuit output"),
                     )
                     .at_net(net),
                 );
             }
-            if drivers[net.0] > 1 {
+            let count = drivers[net.index()];
+            if count > 1 {
                 out.push(
                     Diagnostic::new(
                         "NET002",
                         Severity::Error,
                         format!(
-                            "net {net} ('{}') is driven by {} gates (shorted outputs)",
-                            self.net_names[net.0], drivers[net.0]
+                            "net {net} ('{name}') is driven by {count} gates (shorted outputs)"
                         ),
                     )
                     .at_net(net),
                 );
             }
-            if drivers[net.0] == 0 && !self.fanout[net.0].is_empty() {
+            if count == 0 && !self.fanout(net).is_empty() {
                 out.push(
                     Diagnostic::new(
                         "NET004",
                         Severity::Error,
-                        format!(
-                            "net {net} ('{}') has consumers but no driving gate",
-                            self.net_names[net.0]
-                        ),
+                        format!("net {net} ('{name}') has consumers but no driving gate"),
                     )
                     .at_net(net),
                 );
@@ -559,27 +731,27 @@ impl Netlist {
                     format!(
                         "combinational loop through net {witness} ('{}') with no \
                          state-holding element",
-                        self.net_names[witness.0]
+                        self.net_name(witness)
                     ),
                 )
                 .at_net(witness),
             );
         }
         for (id, g) in self.iter_gates() {
-            let (lo, hi) = g.kind.arity();
-            if g.inputs.len() < lo || g.inputs.len() > hi {
+            let (lo, hi) = g.kind().arity();
+            if g.inputs().len() < lo || g.inputs().len() > hi {
                 out.push(
                     Diagnostic::new(
                         "NET005",
                         Severity::Error,
                         format!(
                             "gate {id} ({}) has {} inputs, outside its arity {lo}..={hi}",
-                            g.kind,
-                            g.inputs.len()
+                            g.kind(),
+                            g.inputs().len()
                         ),
                     )
                     .at_gate(id)
-                    .at_net(g.output),
+                    .at_net(g.output()),
                 );
             }
         }
@@ -634,12 +806,12 @@ impl Netlist {
             let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             marks[start] = Mark::Grey;
             while let Some(&mut (g, ref mut next)) = stack.last_mut() {
-                let gate = &self.gates[g];
-                if *next < gate.inputs.len() {
-                    let input_net = gate.inputs[*next];
+                let inputs = self.view(&self.gates[g]).inputs;
+                if *next < inputs.len() {
+                    let input_net = inputs[*next];
                     *next += 1;
-                    if let Some(pred) = self.net_driver[input_net.0] {
-                        let p = pred.0;
+                    if let Some(pred) = self.driver_of(input_net) {
+                        let p = pred.index();
                         let pk = self.gates[p].kind;
                         if pk.is_state_holding() || pk.is_source() {
                             continue;
@@ -793,7 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_queries_and_mutators_invalidate() {
+    fn freeze_preserves_queries_and_mutators_are_visible() {
         let mut n = Netlist::new();
         let a = n.input("a");
         let c = n.gate(GateKind::CElement, &[a, a], "c");
@@ -803,25 +975,25 @@ mod tests {
         let loads: Vec<f64> = n.iter_nets().map(|x| n.fanout_load_units(x)).collect();
 
         n.freeze();
-        assert!(n.is_frozen());
         n.freeze(); // idempotent
         for (i, net) in n.iter_nets().enumerate() {
             assert_eq!(n.fanout(net), before[i].as_slice());
             assert!((n.fanout_load_units(net) - loads[i]).abs() < 1e-12);
         }
 
-        // Every structural mutator must drop the snapshot, and the
-        // fallback path must see the mutation immediately.
+        // Every structural mutator must be visible to the next query.
+        let c_gate = n.driver_of(c).unwrap();
         n.connect_feedback(c, inv);
-        assert!(!n.is_frozen());
-        assert!(n.fanout(inv).contains(&n.driver_of(c).unwrap()));
+        assert_eq!(n.fanout(inv), [c_gate]);
 
         n.freeze();
         let z = n.gate(GateKind::Inv, &[inv], "z");
-        assert!(!n.is_frozen());
-        n.freeze();
-        n.rewire_output(n.driver_of(z).unwrap(), inv);
-        assert!(!n.is_frozen());
+        let z_gate = n.driver_of(z).unwrap();
+        assert_eq!(n.fanout(inv), [c_gate, z_gate]);
+        assert_eq!(n.fanout(z), []);
+        n.rewire_output(z_gate, inv);
+        assert_eq!(n.gate_ref(z_gate).output(), inv);
+        assert_eq!(n.driver_of(z), None);
     }
 
     #[test]

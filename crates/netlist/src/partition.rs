@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use crate::graph::{Gate, NetId, Netlist};
+use crate::graph::{Gate, GateId, NetId, Netlist};
 
 /// A net read outside the part that drives it: the reason
 /// [`Partitioned::build`] refused an assignment.
@@ -69,8 +69,9 @@ impl Partitioned {
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is 0, `assignment` is the wrong length, or a
-    /// gate is assigned out of range.
+    /// Panics if `parts` is 0, `assignment` is the wrong length, a gate
+    /// is assigned out of range, or a gate's output was moved by
+    /// [`Netlist::rewire_output`].
     pub fn build(netlist: &Netlist, assignment: &[u32], parts: usize) -> Result<Self, CrossingNet> {
         assert!(parts >= 1, "at least one part");
         assert_eq!(assignment.len(), netlist.gate_count(), "assignment length");
@@ -95,7 +96,7 @@ impl Partitioned {
                 }
             }
         }
-        let split_at = |g: &Gate| {
+        let split_at = |g: Gate| {
             let own = g.output().index();
             g.inputs()
                 .iter()
@@ -119,7 +120,7 @@ impl Partitioned {
                 g.drive(),
                 netlist.net_name(out),
             );
-            debug_assert_eq!(out.index(), sites.len(), "driver of net n is gate n");
+            assert_eq!(out.index(), sites.len(), "driver of net n is gate n");
             sites.push((p, ln));
             globals[p as usize].push(out);
         }
@@ -169,6 +170,13 @@ impl Partitioned {
     pub fn global_net(&self, p: usize, local: NetId) -> NetId {
         self.globals[p][local.index()]
     }
+
+    /// Maps a gate of part `p`'s slice back to its global gate. Gate
+    /// `i` drives net `i` in the source netlist and in every slice, so
+    /// this is [`Partitioned::global_net`] of the gate's output.
+    pub fn global_gate(&self, p: usize, local: GateId) -> GateId {
+        GateId::creator_of(self.globals[p][local.index()])
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +217,11 @@ mod tests {
             assert_eq!(part as u32, assignment[net.index()], "driver's part");
             assert_eq!(p.global_net(part, ln), net);
             assert_eq!(p.slice(part).net_name(ln), n.net_name(net));
+        }
+        for (gid, g) in n.iter_gates() {
+            let (part, ln) = p.site(g.output());
+            let local = p.slice(part).driver_of(ln).expect("driver");
+            assert_eq!(p.global_gate(part, local), gid);
         }
         let tie = p.site(n.find_net("tie").expect("tie"));
         let tie_gate = p.slice(1).driver_of(tie.1).expect("driver");

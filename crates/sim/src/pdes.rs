@@ -69,7 +69,6 @@ pub struct PdesStats {
 /// internal.
 #[derive(Debug)]
 pub struct PdesSimulator {
-    global: Netlist,
     index: Partitioned,
     slices: Vec<Simulator>,
     threads: usize,
@@ -80,7 +79,8 @@ pub struct PdesSimulator {
 impl PdesSimulator {
     /// Builds a parallel simulator over `netlist`. `specs[p]` names and
     /// powers partition `p`; `assignment[g]` is the partition of gate
-    /// `g`, sources included.
+    /// `g`, sources included. The simulator keeps only the partition
+    /// slices and their net maps, not `netlist` itself.
     ///
     /// # Errors
     ///
@@ -92,7 +92,7 @@ impl PdesSimulator {
     /// Panics on an empty `specs`, a malformed `assignment` (see
     /// [`Partitioned::build`]), or duplicate spec names.
     pub fn new(
-        netlist: Netlist,
+        netlist: &Netlist,
         device: DeviceModel,
         specs: &[PdesPartitionSpec],
         assignment: &[u32],
@@ -103,7 +103,7 @@ impl PdesSimulator {
                 assert_ne!(a.name, b.name, "partition names must be distinct");
             }
         }
-        let mut index = Partitioned::build(&netlist, assignment, specs.len())?;
+        let mut index = Partitioned::build(netlist, assignment, specs.len())?;
         let slices = specs
             .iter()
             .enumerate()
@@ -121,7 +121,6 @@ impl PdesSimulator {
             })
             .collect();
         Ok(Self {
-            global: netlist,
             index,
             slices,
             threads: 1,
@@ -146,11 +145,6 @@ impl PdesSimulator {
     /// The counters accumulated so far.
     pub fn stats(&self) -> PdesStats {
         self.stats
-    }
-
-    /// The source netlist (global ids).
-    pub fn netlist(&self) -> &Netlist {
-        &self.global
     }
 
     /// Enables live observability on every partition simulator.
@@ -249,14 +243,10 @@ impl PdesSimulator {
     pub fn hazards(&self) -> Vec<Hazard> {
         let mut out = Vec::new();
         for (p, sim) in self.slices.iter().enumerate() {
-            for h in sim.hazards() {
-                let local_out = sim.netlist().gate_ref(h.gate).output();
-                let global_net = self.index.global_net(p, local_out);
-                out.push(Hazard {
-                    gate: self.global.driver_of(global_net).expect("driver"),
-                    ..*h
-                });
-            }
+            out.extend(sim.hazards().iter().map(|h| Hazard {
+                gate: self.index.global_gate(p, h.gate),
+                ..*h
+            }));
         }
         out.sort_by(|a, b| {
             a.time
@@ -442,7 +432,7 @@ mod tests {
     }
 
     fn pdes(n: &Netlist, assignment: &[u32], threads: usize) -> PdesSimulator {
-        let mut sim = PdesSimulator::new(n.clone(), DeviceModel::umc90(), &specs(), assignment)
+        let mut sim = PdesSimulator::new(n, DeviceModel::umc90(), &specs(), assignment)
             .expect("the rings share no net");
         sim.set_threads(threads);
         for net in n.iter_nets() {
@@ -499,7 +489,7 @@ mod tests {
         let (n, mut assignment) = two_rings();
         // g2_a moves to partition 1: it reads g1_a across the cut.
         assignment[2] = 1;
-        let err = PdesSimulator::new(n.clone(), DeviceModel::umc90(), &specs(), &assignment)
+        let err = PdesSimulator::new(&n, DeviceModel::umc90(), &specs(), &assignment)
             .expect_err("g1_a crosses");
         assert_eq!(
             err,
@@ -509,6 +499,78 @@ mod tests {
                 to: 1,
             }
         );
+    }
+
+    /// A buffer-inverter chain in partition 0 and the textbook static
+    /// hazard `y = x ∧ ¬x` in partition 1, declared interleaved so that
+    /// `y` is gate 2 of its slice but gate 5 of the netlist.
+    fn chain_and_glitch() -> (Netlist, Vec<u32>) {
+        let mut n = Netlist::new();
+        let p = n.input("p");
+        let q = n.gate(GateKind::Buf, &[p], "q");
+        let x = n.input("x");
+        let nx = n.gate(GateKind::Inv, &[x], "nx");
+        let r = n.gate(GateKind::Inv, &[q], "r");
+        let y = n.gate(GateKind::And, &[x, nx], "y");
+        // Four loads on y, so the inverter always wins the race.
+        let sink = n.gate(GateKind::Nor, &[y; 4], "sink");
+        n.mark_output(r);
+        n.mark_output(sink);
+        (n, vec![0, 0, 1, 1, 0, 1, 1])
+    }
+
+    #[test]
+    fn a_hazard_in_partition_1_names_the_sequential_runs_global_gate() {
+        let (n, assignment) = chain_and_glitch();
+        let net = |name: &str| n.find_net(name).expect(name);
+        let stimulus = [
+            ("x", 1e-9, true),
+            ("p", 2e-9, true),
+            ("x", 20e-9, false),
+            ("x", 40e-9, true),
+        ];
+
+        let mut seq = Simulator::new(n.clone(), DeviceModel::umc90());
+        let doms: Vec<_> = specs()
+            .iter()
+            .map(|s| seq.add_domain(&s.name, s.supply.clone()))
+            .collect();
+        for (gid, g) in n.iter_gates() {
+            if g.kind() != GateKind::Input {
+                seq.assign_domain(gid, doms[assignment[gid.index()] as usize]);
+            }
+        }
+        let mut par = PdesSimulator::new(&n, DeviceModel::umc90(), &specs(), &assignment)
+            .expect("the parts share no net");
+        for name in ["nx", "r", "sink"] {
+            seq.set_initial(net(name), true);
+            par.set_initial(net(name), true);
+        }
+        for (name, t, v) in stimulus {
+            seq.schedule_input(net(name), Seconds(t), v);
+            par.schedule_input(net(name), Seconds(t), v);
+        }
+        seq.start();
+        par.start();
+        let seq_stats = seq.run_until(T_END);
+        let par_stats = par.run_until(T_END);
+
+        // Each rising x excites y and nx; the faster inverter fires
+        // first and disables y.
+        let y = n.driver_of(net("y")).expect("driver");
+        assert_eq!(y.index(), 5);
+        assert_eq!(seq_stats.hazards, 2);
+        assert!(seq
+            .hazards()
+            .iter()
+            .all(|h| h.gate == y && h.cancelled_value));
+        assert_eq!(
+            par.slices[1].hazards()[0].gate.index(),
+            2,
+            "the slice's own id"
+        );
+        assert_eq!(par_stats.hazards, seq_stats.hazards);
+        assert_eq!(par.hazards(), seq.hazards());
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //!   assert both rails of a discovered pair, and a codeword must return
 //!   to spacer before the pair changes again.
 
-use std::borrow::Cow;
 use std::collections::HashSet;
 
 use emc_analyze::{discover_rail_pairs, RailPair};
@@ -436,9 +435,7 @@ impl StateStore {
 
 /// The state-graph explorer for one circuit + environment pair.
 pub struct Explorer<'a> {
-    /// Borrowed when the caller already froze the netlist; otherwise a
-    /// private frozen clone, so `fanout()` always hits the CSR arena.
-    netlist: Cow<'a, Netlist>,
+    netlist: &'a Netlist,
     env: &'a dyn EnvModel,
     initial: &'a [(NetId, bool)],
     state_cap: usize,
@@ -467,15 +464,8 @@ impl<'a> Explorer<'a> {
             pair_of_net[p.t.index()] = Some(i);
             pair_of_net[p.f.index()] = Some(i);
         }
-        let netlist = if netlist.is_frozen() {
-            Cow::Borrowed(netlist)
-        } else {
-            let mut own = netlist.clone();
-            own.freeze();
-            Cow::Owned(own)
-        };
         Self {
-            key: KeyLayout::of(&netlist),
+            key: KeyLayout::of(netlist),
             netlist,
             env,
             initial,
@@ -494,13 +484,13 @@ impl<'a> Explorer<'a> {
     /// verdict, so reports agree with the unreduced explorer on rules,
     /// cleanliness, and exhaustiveness — only the state count shrinks.
     pub fn with_reduction(mut self, footprint: &EnvFootprint) -> Self {
-        self.reduction = ReductionEngine::build(&self.netlist, self.initial, footprint);
+        self.reduction = ReductionEngine::build(self.netlist, self.initial, footprint);
         self
     }
 
     /// The netlist under analysis.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+    pub fn netlist(&self) -> &'a Netlist {
+        self.netlist
     }
 
     /// The `u64` words [`Explorer::explore`] stores per visited state:
@@ -825,7 +815,7 @@ impl<'a> Explorer<'a> {
             // Choose the transitions to fire: a stubborn subset when the
             // engine finds one, everything otherwise.
             let use_mask = match (engine, rsc.as_mut()) {
-                (Some(e), Some(sc)) => e.select(&self.netlist, sc, s, &internal, &env),
+                (Some(e), Some(sc)) => e.select(self.netlist, sc, s, &internal, &env),
                 _ => false,
             };
             if use_mask {
