@@ -74,46 +74,52 @@ pub fn check_conformance(
     let mut sets = vec![m0.clone()];
     let mut tags = HashMap::from([(m0, 0u32)]);
 
+    // A step depends only on (tag, net, value): each is taken once, and
+    // its successor tag, or `None` for an off-spec edge, is kept.
+    let mut steps: HashMap<(u32, NetId, bool), Option<u32>> = HashMap::new();
+
     let observe = |tag: u32, t: &Transition| {
         let Some(&(sig, _)) = map.iter().find(|&&(_, net)| net == t.net) else {
             return Some(tag);
         };
-        let pol = if t.value {
-            Polarity::Plus
-        } else {
-            Polarity::Minus
-        };
-        let mut next: BTreeSet<Marking> = BTreeSet::new();
-        for m in &sets[tag as usize] {
-            for tr in stg.net().transition_ids() {
-                if stg.label(tr) != (sig, pol) {
-                    continue;
-                }
-                scratch.set_marking(m);
-                if scratch.fire(tr, &mut budget).is_ok() {
-                    next.insert(scratch.marking());
+        *steps.entry((tag, t.net, t.value)).or_insert_with(|| {
+            let pol = if t.value {
+                Polarity::Plus
+            } else {
+                Polarity::Minus
+            };
+            let mut next: BTreeSet<Marking> = BTreeSet::new();
+            for m in &sets[tag as usize] {
+                for tr in stg.net().transition_ids() {
+                    if stg.label(tr) != (sig, pol) {
+                        continue;
+                    }
+                    scratch.set_marking(m);
+                    if scratch.fire(tr, &mut budget).is_ok() {
+                        next.insert(scratch.marking());
+                    }
                 }
             }
-        }
-        if next.is_empty() {
-            let message = format!(
-                "circuit can produce {}{} on net '{}', which the STG specification does \
-                 not allow here",
-                stg.signal_name(sig),
-                if t.value { "+" } else { "-" },
-                ex.netlist().net_name(t.net),
-            );
-            // One report per signal edge.
-            if !diags.iter().any(|d| d.message == message) {
-                diags.push(Diagnostic::new("STG001", Severity::Error, message).at_net(t.net));
+            if next.is_empty() {
+                // Reported once per signal edge; the branch is off-spec,
+                // so the walk does not chase it further.
+                let message = format!(
+                    "circuit can produce {}{} on net '{}', which the STG specification \
+                     does not allow here",
+                    stg.signal_name(sig),
+                    if t.value { "+" } else { "-" },
+                    ex.netlist().net_name(t.net),
+                );
+                if !diags.iter().any(|d| d.message == message) {
+                    diags.push(Diagnostic::new("STG001", Severity::Error, message).at_net(t.net));
+                }
+                return None;
             }
-            // The branch is off-spec; don't chase it further.
-            return None;
-        }
-        Some(*tags.entry(next).or_insert_with_key(|next| {
-            sets.push(next.clone());
-            u32::try_from(sets.len() - 1).expect("marking sets fit in u32 tags")
-        }))
+            Some(*tags.entry(next).or_insert_with_key(|next| {
+                sets.push(next.clone());
+                u32::try_from(sets.len() - 1).expect("marking sets fit in u32 tags")
+            }))
+        })
     };
     let Ok((_, exhaustive)) = ex.walk_unreduced(|_, _, _| Ok::<_, Infallible>(()), observe);
     (diags, exhaustive)
