@@ -14,6 +14,7 @@
 //!
 //! Usage: `explore_probe ROWS COLS [CAP]` (default cap 4,000,000 states)
 
+use emc_bench::peak_rss_kib;
 use emc_gen::pipelined_array;
 use emc_verify::Explorer;
 use std::time::Instant;
@@ -79,12 +80,4 @@ fn main() {
         Some(kib) => println!("peak RSS (VmHWM): {:.1} MiB", kib as f64 / 1024.0),
         None => println!("peak RSS (VmHWM): unavailable"),
     }
-}
-
-/// The process's peak resident set in KiB: the `VmHWM` line of
-/// `/proc/self/status` (Linux only).
-fn peak_rss_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }

@@ -27,6 +27,15 @@ use std::path::PathBuf;
 
 use emc_obs::export::{json_number, json_string};
 
+/// The process's peak resident set in KiB: the `VmHWM` line of
+/// `/proc/self/status`, or `None` where there is none (outside Linux).
+/// The probe examples print it after each phase they time.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 /// A figure data series: named columns and numeric rows.
 #[derive(Debug, Clone)]
 pub struct Series {
