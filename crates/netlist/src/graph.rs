@@ -474,6 +474,7 @@ impl Netlist {
         self.gates.len()
     }
 
+    #[inline]
     fn view(&self, g: &GateRecord) -> Gate<'_> {
         Gate {
             kind: g.kind,
@@ -488,6 +489,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[inline]
     pub fn gate_ref(&self, id: GateId) -> Gate<'_> {
         self.view(&self.gates[id.index()])
     }
@@ -543,6 +545,7 @@ impl Netlist {
 
     /// The gate driving `net`, if any (inputs and constants drive their own
     /// nets, so in a checked netlist this is always `Some`).
+    #[inline]
     pub fn driver_of(&self, net: NetId) -> Option<GateId> {
         let d = self.drivers[net.index()];
         (d != u32::MAX).then_some(GateId(d))
@@ -553,6 +556,7 @@ impl Netlist {
     /// ([`Netlist::gate`] and [`Netlist::connect_feedback`] calls), so a
     /// gate reading `net` twice appears twice. Built for every net on
     /// the first call after a structural mutation.
+    #[inline]
     pub fn fanout(&self, net: NetId) -> &[GateId] {
         let f = self.fanout_lists();
         &f.readers[f.offsets[net.index()] as usize..f.offsets[net.index() + 1] as usize]
@@ -561,6 +565,7 @@ impl Netlist {
     /// Total input load presented by the fanout of `net`, in unit-inverter
     /// gate capacitances (see [`GateKind::input_load_factor`]), summed in
     /// [`Netlist::fanout`] order. Built with the fanout lists.
+    #[inline]
     pub fn fanout_load_units(&self, net: NetId) -> f64 {
         self.fanout_lists().load_units[net.index()]
     }
@@ -575,6 +580,7 @@ impl Netlist {
     /// The fanout lists, in reference order: gate by gate, each gate's
     /// construction-time inputs, then the feedback arcs closed before
     /// the next gate was added.
+    #[inline]
     fn fanout_lists(&self) -> &Fanout {
         self.fanout.get_or_init(|| {
             let nets = self.net_count();

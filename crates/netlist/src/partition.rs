@@ -1,5 +1,5 @@
 //! Vdd-domain partitioning: slicing a netlist into per-domain
-//! sub-netlists that share no net, the freeze-time artifact a parallel
+//! sub-netlists that share no net, the build-time artifact a parallel
 //! simulator runs on.
 //!
 //! The partitioner places every gate — sources included — in exactly

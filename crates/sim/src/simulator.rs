@@ -255,8 +255,8 @@ impl Simulator {
     /// gate to a power domain ([`Simulator::add_domain`] /
     /// [`Simulator::assign_all`]) before calling [`Simulator::start`].
     pub fn new(mut netlist: Netlist, device: DeviceModel) -> Self {
-        // The simulator owns the netlist and never mutates it: freeze the
-        // CSR fanout + load cache once, up front, for the event loop.
+        // The simulator owns the netlist and never mutates it: build the
+        // fanout CSR and loads once, up front, for the event loop.
         netlist.freeze();
         let gates = netlist.gate_count();
         let nets = netlist.net_count();
@@ -984,7 +984,7 @@ impl Simulator {
             self.trace.record(time, net_id, value);
         }
         // Propagate to fanout. Indexed loop: `fanout()` is a borrow of
-        // the netlist (two array reads on the frozen CSR), and the loop
+        // the netlist (two array reads on its CSR), and the loop
         // body needs `&mut self` to schedule.
         for fi in 0..self.netlist.fanout(net_id).len() {
             let f = self.netlist.fanout(net_id)[fi].index();
