@@ -308,7 +308,7 @@ fn deep_queue_rig_pinned_sequentially_and_under_pdes() {
 }
 
 /// Everything a netlist exposes about its structure, hashed in a fixed
-/// order. Per gate: kind, drive bits and inputs. Per net: name bytes,
+/// order. Per gate: kind, drive bits, output and inputs. Per net: name bytes,
 /// driver, the fanout list in order with duplicates, and the
 /// `fanout_load_units` bits. Then the outputs in order. The fanout
 /// order fixes the `seq` order of equal-time events and the float order
