@@ -1,4 +1,4 @@
-//! Fanout fuzz: random builder sequences checked against a reference
+//! Fanout fuzz: random construction sequences checked against a reference
 //! model of the fanout lists after every op.
 //!
 //! The simulator and verifier trust `fanout()` / `fanout_load_units()`
@@ -6,7 +6,7 @@
 //! equal-time events, and the load sum's float order fixes every
 //! gate's output load. The netlist builds its fanout lists lazily from
 //! a flat store and drops them on mutation. The model here keeps
-//! `Vec<Vec<_>>` lists the way the builder once did: each
+//! `Vec<Vec<_>>` lists the way the netlist once stored them: each
 //! `gate`/`connect_feedback` call pushes its reader onto each input
 //! net's list in call order, duplicates included, and a net's load is
 //! the sum over its list in that order. After every op, with no
@@ -93,8 +93,8 @@ fn draw_ops(rng: &mut StdRng, count: usize) -> Vec<Op> {
     ops
 }
 
-/// The builder's fanout lists, kept the way they were once stored:
-/// one list per net, pushed in call order.
+/// The fanout lists as the netlist once stored them: one list per
+/// net, pushed in call order.
 #[derive(Clone, Default)]
 struct Model {
     kinds: Vec<GateKind>,
