@@ -4,6 +4,7 @@
 
 use emc_fleet::{run_fleet, CalibDepth, DroughtSpec, FleetConfig, NodeLedger, TopologyKind};
 use emc_prng::{Rng, SplitMix64, StdRng};
+use emc_sim::Fnv64;
 
 fn smoke_config(nodes: u32, epochs: u64, seed: u64) -> FleetConfig {
     FleetConfig {
@@ -49,6 +50,53 @@ fn fleet_is_bit_identical_at_1_2_8_threads() {
             assert_eq!(reference.to_json(), report.to_json());
             assert_eq!(reference.summary, report.summary);
             assert_eq!(reference.ledger, report.ledger);
+        }
+    }
+}
+
+/// FNV-1a of `FleetReport::to_json()` bytes for 3,000-node, 20-epoch,
+/// seed-2011 smoke fleets (12 shards), healthy and under
+/// [`DROUGHT`]. The JSON carries every counter, the ledger, the
+/// per-class QoS and the arbitration trace beside the digest, so any
+/// drift in event order, routing or arbitration moves these.
+const FLEET_JSON_PINS: [(TopologyKind, bool, u64); 6] = [
+    (TopologyKind::Ring, false, 0x7895_543c_3e3b_7c2b),
+    (TopologyKind::Ring, true, 0x1e64_af24_88a9_4326),
+    (TopologyKind::Grid, false, 0xe42d_3fbb_9f4f_7e07),
+    (TopologyKind::Grid, true, 0x1c15_d66b_0478_6996),
+    (TopologyKind::Clustered, false, 0x0974_6246_4ca7_c59c),
+    (TopologyKind::Clustered, true, 0xbbd4_7c48_569c_13fe),
+];
+
+/// The drought of the JSON pins: epochs 5–14 at a tenth of the
+/// harvest, long enough to drain reservoirs and refuse tasks.
+const DROUGHT: DroughtSpec = DroughtSpec {
+    from_epoch: 5,
+    until_epoch: 15,
+    factor: 0.1,
+};
+
+/// Larger fleets than the digest pins, with and without a drought:
+/// the report JSON is pinned byte for byte (through its FNV-1a) at 1
+/// and 2 worker threads.
+#[test]
+fn fleet_json_is_pinned_on_every_topology() {
+    for (topology, dry, pinned) in FLEET_JSON_PINS {
+        let mut config = smoke_config(3_000, 20, 2011);
+        config.topology = topology;
+        config.drought = dry.then_some(DROUGHT);
+        for threads in [1usize, 2] {
+            let report = run_fleet(&config, threads);
+            assert_eq!(report.shards, 12);
+            let mut h = Fnv64::new();
+            h.write(report.to_json().as_bytes());
+            assert_eq!(
+                h.finish(),
+                pinned,
+                "{} fleet JSON (drought: {dry}) moved at {threads} threads: got {:#018x}",
+                topology.name(),
+                h.finish()
+            );
         }
     }
 }
