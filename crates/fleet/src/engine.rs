@@ -13,11 +13,14 @@
 //! shards out on [`emc_sim::fan_out`], the workspace's one worker pool.
 //! A shard's epoch
 //!
-//! 1. sorts its inbox into the total message order `(deliver, dst,
-//!    src, seq)` — unique keys, so the order does not depend on which
-//!    worker produced a message first — and queues the deliveries,
+//! 1. queues its inbox as deliveries in the total message order
+//!    `(dst, deliver, src, seq)` — unique keys, so the order does not
+//!    depend on which worker produced a message first,
 //! 2. takes every event due before the epoch's horizon as one batch,
-//!    sorted once by `(time, node, seq)`, and runs it in order, and
+//!    node-major (grouped by node in index order, each node's events
+//!    in `(time, seq)` order), and runs it in order. An event touches
+//!    only its own node, so each node runs the same events in the same
+//!    order as in a time-ordered run, and
 //! 3. sums its nodes' harvest and backlog while they are in cache.
 //!
 //! Between epochs a single-threaded barrier
@@ -138,23 +141,12 @@ impl Shard {
         costs: &[TaskCost; CLASSES],
         sensor: &SensorModel,
     ) {
-        // The barrier routes messages in arrival order; queue them in
-        // the total message order, so their sequence numbers follow it.
-        // Freeing the inbox here rather than keeping its capacity
-        // measured about 3 MB lower peak RSS on the 100k-node benchmark
-        // fleet (2-vCPU host; EXPERIMENTS.md).
-        let mut inbox = std::mem::take(&mut self.inbox);
-        inbox.sort_unstable();
-        for m in inbox {
-            self.queue.push(
-                m.deliver,
-                m.dst,
-                EventKind::Deliver {
-                    src: m.src,
-                    msg_seq: m.seq,
-                },
-            );
-        }
+        // The barrier routes messages in arrival order; the queue sorts
+        // them into the total message order. Freeing the inbox here
+        // rather than keeping its capacity measured about 3 MB lower
+        // peak RSS on the 100k-node benchmark fleet (2-vCPU host;
+        // EXPERIMENTS.md).
+        self.queue.deliver(std::mem::take(&mut self.inbox));
         for ev in self.queue.take_before(horizon) {
             let node = &mut self.nodes[(ev.node - self.base) as usize];
             match ev.kind {
@@ -170,7 +162,7 @@ impl Shard {
                         &mut self.outbox,
                     );
                     let next = ev.time + node.class.period_epochs() * epoch;
-                    self.queue.push(next, ev.node, EventKind::Wake);
+                    self.queue.schedule_wake(next, ev.node);
                 }
                 EventKind::Deliver { src, msg_seq } => {
                     self.deliveries += 1;
@@ -457,7 +449,7 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
         let mut shard = Shard {
             base,
             nodes: Vec::with_capacity((end - base) as usize),
-            queue: EventQueue::new(),
+            queue: EventQueue::new(base, end - base),
             inbox: Vec::new(),
             outbox: Vec::new(),
             wakes: 0,
@@ -468,7 +460,7 @@ pub fn run_fleet(config: &FleetConfig, threads: usize) -> FleetReport {
         for id in base..end {
             let mut node = NodeState::new(config.seed, id, drought.as_ref());
             let first = node.initial_wake(config.epoch);
-            shard.queue.push(first, id, EventKind::Wake);
+            shard.queue.schedule_wake(first, id);
             shard.nodes.push(node);
         }
         shards.push(shard);

@@ -15,11 +15,12 @@
 //!   fleets never step netlists in the hot loop;
 //! * nodes exchange messages over a [`topology::Topology`] with
 //!   per-link latencies of one-to-four epochs, through shard-local
-//!   [`event::EventQueue`]s (events ordered by `(time, node, seq)`,
-//!   execution yields successor events — the `akshayknarayan/simulator`
-//!   event/node/topology split). Since no event schedules another
-//!   inside its own epoch, a shard runs each epoch as one batch, sorted
-//!   once;
+//!   [`event::EventQueue`]s (execution yields successor events — the
+//!   `akshayknarayan/simulator` event/node/topology split). Since no
+//!   event schedules another inside its own epoch, a shard runs each
+//!   epoch as one batch, node-major: grouped by node in index order,
+//!   each node's events in `(time, seq)` order, which is exact because
+//!   nodes share nothing within an epoch;
 //! * tasks run under the **energy-token discipline**
 //!   ([`emc_power::PowerChain::draw_quantum`]): the whole quantum is
 //!   banked up front or the task does not start, and the

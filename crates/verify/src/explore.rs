@@ -280,7 +280,11 @@ impl WordTable {
             .expect("table index fits in u32");
         self.arena.extend_from_slice(key);
         if 2 * self.len() > self.slots.len() {
-            let mut slots = vec![EMPTY; 2 * self.slots.len()];
+            // The rehash reads only the arena, so the old table goes
+            // before the doubled one is allocated: the two never coexist.
+            let doubled = 2 * self.slots.len();
+            self.slots = Vec::new();
+            let mut slots = vec![EMPTY; doubled];
             let mask = slots.len() - 1;
             for (i, key) in (0u32..).zip(self.arena.chunks_exact(self.stride)) {
                 let mut at = mix(key) as usize & mask;
