@@ -155,7 +155,11 @@ impl std::error::Error for NetlistError {}
 /// The storage is flat: fixed-size gate records over one input arena,
 /// one name arena, a `u32` driver table and an output bitset, so a
 /// netlist holds no heap allocation per gate or per net. The fanout
-/// lists are built from it on first use (see [`Netlist::fanout`]).
+/// lists are built from the gate records alone on first use, in
+/// gate-scan order (see [`Netlist::fanout`]), so every copy that keeps
+/// the gate records (a clone, an `emcnet` round trip, a
+/// [`crate::Partitioned`] slice for the gates it holds) lists each net's
+/// readers in the same order.
 ///
 /// # Examples
 ///
@@ -185,10 +189,6 @@ pub struct Netlist {
     /// Membership bits of `outputs`, one per net, so marking stays O(1)
     /// on netlists with hundreds of thousands of declared outputs.
     output_bits: Vec<u64>,
-    /// Every [`Netlist::connect_feedback`] call, in call order: the only
-    /// input references whose place in a fanout list the gate order
-    /// does not give.
-    feedback: Vec<FeedbackArc>,
     /// First net created under each name. Built by the first
     /// [`Netlist::find_net`], so netlists nobody searches (slices,
     /// clones, simulator copies) never pay for it; `new_net` keeps a
@@ -208,17 +208,6 @@ struct GateRecord {
     len: u32,
     output: NetId,
     kind: GateKind,
-}
-
-/// One [`Netlist::connect_feedback`] call.
-#[derive(Debug, Clone, Copy)]
-struct FeedbackArc {
-    /// Gates that existed at the call: the arc follows the input
-    /// references of gate `gates - 1` in every fanout list and precedes
-    /// those of gate `gates`.
-    gates: u32,
-    gate: GateId,
-    net: NetId,
 }
 
 /// Every net name back to back in one string: net `n`'s name ends at
@@ -405,7 +394,9 @@ impl Netlist {
     /// Appends `net` to the input list of the gate driving `target` —
     /// closing a feedback arc that could not be expressed during forward
     /// construction (e.g. a C-element waiting on its own downstream
-    /// acknowledge).
+    /// acknowledge). [`Netlist::fanout`] lists the new reference where
+    /// it would be had the gate been built with it, as its last input,
+    /// so when the call is made does not matter.
     ///
     /// # Panics
     ///
@@ -433,11 +424,6 @@ impl Netlist {
         self.inputs.push(net);
         g.len = narrow(self.inputs.len()) - g.start;
         self.fanout.take();
-        self.feedback.push(FeedbackArc {
-            gates: narrow(self.gates.len()),
-            gate,
-            net,
-        });
     }
 
     /// Declares `net` as a circuit output (observed by the environment),
@@ -552,10 +538,14 @@ impl Netlist {
     }
 
     /// Gates whose inputs include `net`, as a borrowed slice: one entry
-    /// per input reference, in the order the references were made
-    /// ([`Netlist::gate`] and [`Netlist::connect_feedback`] calls), so a
-    /// gate reading `net` twice appears twice. Built for every net on
-    /// the first call after a structural mutation.
+    /// per input reference, in gate-scan order (gates in index order,
+    /// each gate's inputs in input order), so a gate reading `net` twice
+    /// appears twice, and a reference closed by
+    /// [`Netlist::connect_feedback`] sits with its gate's other inputs,
+    /// whenever it was made. The order depends only on the gate records,
+    /// which an `emcnet` round trip and a [`crate::Partitioned`] slice
+    /// keep. Built for every net on the first call after a structural
+    /// mutation.
     #[inline]
     pub fn fanout(&self, net: NetId) -> &[GateId] {
         let f = self.fanout_lists();
@@ -564,7 +554,8 @@ impl Netlist {
 
     /// Total input load presented by the fanout of `net`, in unit-inverter
     /// gate capacitances (see [`GateKind::input_load_factor`]), summed in
-    /// [`Netlist::fanout`] order. Built with the fanout lists.
+    /// [`Netlist::fanout`]'s gate-scan order, so its bits too depend only
+    /// on the gate records. Built with the fanout lists.
     #[inline]
     pub fn fanout_load_units(&self, net: NetId) -> f64 {
         self.fanout_lists().load_units[net.index()]
@@ -577,50 +568,34 @@ impl Netlist {
         self.fanout_lists();
     }
 
-    /// The fanout lists, in reference order: gate by gate, each gate's
-    /// construction-time inputs, then the feedback arcs closed before
-    /// the next gate was added.
+    /// The fanout lists and loads, in gate-scan order: gates in index
+    /// order, each gate's inputs in input order, duplicates kept.
     #[inline]
     fn fanout_lists(&self) -> &Fanout {
         self.fanout.get_or_init(|| {
             let nets = self.net_count();
             let mut offsets = vec![0u32; nets + 1];
+            // `-0.0` is the neutral element `Iterator::sum` starts from,
+            // so a net nobody reads has the load of an empty sum.
+            let mut load_units = vec![-0.0; nets];
             for g in &self.gates {
+                let load = g.kind.input_load_factor();
                 for n in self.view(g).inputs {
                     offsets[n.index() + 1] += 1;
+                    load_units[n.index()] += load;
                 }
             }
             for i in 0..nets {
                 offsets[i + 1] += offsets[i];
             }
-            let mut feedback_len = vec![0u32; self.gates.len()];
-            for arc in &self.feedback {
-                feedback_len[arc.gate.index()] += 1;
-            }
             let mut next = offsets.clone();
             let mut readers = vec![GateId(0); offsets[nets] as usize];
-            let mut push = |net: NetId, gate: GateId| {
-                readers[next[net.index()] as usize] = gate;
-                next[net.index()] += 1;
-            };
-            let mut arcs = self.feedback.iter().peekable();
             for (i, g) in self.gates.iter().enumerate() {
-                let forward = g.start as usize..(g.start + g.len - feedback_len[i]) as usize;
-                for &n in &self.inputs[forward] {
-                    push(n, GateId(i as u32));
-                }
-                while let Some(arc) = arcs.next_if(|a| a.gates as usize == i + 1) {
-                    push(arc.net, arc.gate);
+                for n in self.view(g).inputs {
+                    readers[next[n.index()] as usize] = GateId(i as u32);
+                    next[n.index()] += 1;
                 }
             }
-            let load_units = (0..nets)
-                .map(|n| {
-                    readers[offsets[n] as usize..offsets[n + 1] as usize]
-                        .iter()
-                        .map(|g| self.gates[g.index()].kind.input_load_factor())
-                        .sum()
-                })
-                .collect();
             Fanout {
                 offsets,
                 readers,
@@ -844,8 +819,24 @@ impl Netlist {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A net, `nack`, read through a feedback arc that gains another
+    /// reader, `ack`, after the arc is closed. `emcnet` import and
+    /// `Partitioned::build` close every arc after the last gate, so
+    /// only a fanout order that ignores when `connect_feedback` was
+    /// called lists `sync` before `ack` in their copies too.
+    pub(crate) fn late_reader_fixture() -> Netlist {
+        let mut n = Netlist::new();
+        let req = n.input("req");
+        let c = n.gate(GateKind::CElement, &[req, req], "sync");
+        let nack = n.gate(GateKind::Inv, &[c], "nack");
+        n.connect_feedback(c, nack);
+        let ack = n.gate(GateKind::Buf, &[nack], "ack");
+        n.mark_output(ack);
+        n
+    }
 
     #[test]
     fn builder_allocates_sequential_ids() {

@@ -16,7 +16,11 @@
 //! net index, which the builder API can only create via
 //! [`Netlist::connect_feedback`] — are reconstructed the same way
 //! (`emcnet` text import uses the identical technique), so slices
-//! round-trip state-holding loops exactly.
+//! round-trip state-holding loops exactly. A slice's fanout lists and
+//! loads are built from its gate records in gate-scan order (see
+//! [`Netlist::fanout`]), so each net lists its readers in the source
+//! netlist's order, with the same load bits: a PDES partition visits a
+//! net's readers in the order the sequential run does.
 
 use std::fmt;
 
@@ -183,6 +187,7 @@ impl Partitioned {
 mod tests {
     use super::*;
     use crate::gate::GateKind;
+    use crate::graph::tests::late_reader_fixture;
 
     /// Two independent handshake stages, each with a feedback arc and
     /// its own request input; the second also reads a constant. The
@@ -252,17 +257,26 @@ mod tests {
 
     #[test]
     fn single_part_build_reproduces_the_netlist() {
-        let (n, _) = two_stage_fixture();
-        let assignment = vec![0; n.gate_count()];
-        let p = Partitioned::build(&n, &assignment, 1).expect("one part");
-        let s = p.slice(0);
-        assert_eq!(s.gate_count(), n.gate_count());
-        assert_eq!(s.net_count(), n.net_count());
-        for (gid, g) in n.iter_gates() {
-            let sg = s.gate_ref(s.gate_id(gid.index()));
-            assert_eq!(sg.kind(), g.kind());
-            assert_eq!(sg.inputs(), g.inputs());
-            assert_eq!(sg.output(), g.output());
+        for n in [two_stage_fixture().0, late_reader_fixture()] {
+            let assignment = vec![0; n.gate_count()];
+            let p = Partitioned::build(&n, &assignment, 1).expect("one part");
+            let s = p.slice(0);
+            assert_eq!(s.gate_count(), n.gate_count());
+            assert_eq!(s.net_count(), n.net_count());
+            for (gid, g) in n.iter_gates() {
+                let sg = s.gate_ref(s.gate_id(gid.index()));
+                assert_eq!(sg.kind(), g.kind());
+                assert_eq!(sg.inputs(), g.inputs());
+                assert_eq!(sg.output(), g.output());
+            }
+            for net in n.iter_nets() {
+                assert_eq!(s.fanout(net), n.fanout(net), "fanout of {net}");
+                assert_eq!(
+                    s.fanout_load_units(net).to_bits(),
+                    n.fanout_load_units(net).to_bits(),
+                    "load of {net}"
+                );
+            }
         }
     }
 

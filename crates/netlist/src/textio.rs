@@ -33,7 +33,12 @@
 //! [`Netlist::connect_feedback`] once all nets exist. Because feedback
 //! only ever *appends* inputs, this reconstructs the exact input order,
 //! which is what makes `import ∘ export` the identity and the round
-//! trip byte-stable.
+//! trip byte-stable. The fanout lists and loads are built from the gate
+//! records in gate-scan order (see [`Netlist::fanout`]), not from the
+//! order of the builder calls, so the imported netlist lists every net's
+//! readers in the exported one's order, with the same load bits, even
+//! where the exporter closed a feedback arc before adding a later reader
+//! of the same net.
 //!
 //! Only builder-constructed netlists are exportable: after
 //! [`Netlist::rewire_output`] surgery a gate no longer owns the net of
@@ -263,6 +268,7 @@ pub fn from_text(text: &str) -> Result<Netlist, TextFormatError> {
 mod tests {
     use super::*;
     use crate::dualrail::{completion_detector, DualRail};
+    use crate::graph::tests::late_reader_fixture;
 
     /// A small circuit exercising every directive: inputs, a feedback
     /// arc, non-unit drive, and output marks.
@@ -293,21 +299,30 @@ mod tests {
 
     #[test]
     fn round_trip_is_byte_stable_and_structure_preserving() {
-        let original = handshake_fixture();
-        let text = to_text(&original);
-        let imported = from_text(&text).unwrap();
-        assert_eq!(to_text(&imported), text);
-        assert_eq!(imported.gate_count(), original.gate_count());
-        assert_eq!(imported.outputs().len(), original.outputs().len());
-        for (id, g) in original.iter_gates() {
-            let h = imported.gate_ref(id);
-            assert_eq!(h.kind(), g.kind());
-            assert_eq!(h.inputs(), g.inputs());
-            assert_eq!(h.output(), g.output());
-            assert_eq!(h.drive(), g.drive());
-            assert_eq!(imported.net_name(h.output()), original.net_name(g.output()));
+        for original in [handshake_fixture(), late_reader_fixture()] {
+            let text = to_text(&original);
+            let imported = from_text(&text).unwrap();
+            assert_eq!(to_text(&imported), text);
+            assert_eq!(imported.gate_count(), original.gate_count());
+            assert_eq!(imported.outputs().len(), original.outputs().len());
+            for (id, g) in original.iter_gates() {
+                let h = imported.gate_ref(id);
+                assert_eq!(h.kind(), g.kind());
+                assert_eq!(h.inputs(), g.inputs());
+                assert_eq!(h.output(), g.output());
+                assert_eq!(h.drive(), g.drive());
+                assert_eq!(imported.net_name(h.output()), original.net_name(g.output()));
+            }
+            for net in original.iter_nets() {
+                assert_eq!(imported.fanout(net), original.fanout(net), "{text}");
+                assert_eq!(
+                    imported.fanout_load_units(net).to_bits(),
+                    original.fanout_load_units(net).to_bits(),
+                    "{text}"
+                );
+            }
+            assert_eq!(imported.outputs(), original.outputs());
         }
-        assert_eq!(imported.outputs(), original.outputs());
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! as they stand: the order of a net's readers fixes the `seq` order of
 //! equal-time events, and the load sum's float order fixes every
 //! gate's output load. The netlist builds its fanout lists lazily from
-//! a flat store and drops them on mutation. The model here keeps
-//! `Vec<Vec<_>>` lists the way the netlist once stored them: each
-//! `gate`/`connect_feedback` call pushes its reader onto each input
-//! net's list in call order, duplicates included, and a net's load is
-//! the sum over its list in that order. After every op, with no
+//! a flat store and drops them on mutation. The model here keeps each
+//! gate's input list as a `Vec` and derives a net's readers by scanning
+//! those lists: gates in index order, each gate's inputs in input order,
+//! duplicates included, so a feedback reference counts where its gate
+//! does, not where its `connect_feedback` call came. A net's load is the
+//! sum over its readers in that order. After every op, with no
 //! `freeze()` call, every query must agree with the model bit for bit.
+//! The fuzz also counts the arcs that close onto a net a later gate
+//! already reads, the case where this order differs from the order of
+//! the calls.
 //!
 //! The same traces, with net names drawn from a small pool so that
 //! duplicates are common, check that `find_net`'s lazily built name
@@ -93,15 +97,14 @@ fn draw_ops(rng: &mut StdRng, count: usize) -> Vec<Op> {
     ops
 }
 
-/// The fanout lists as the netlist once stored them: one list per
-/// net, pushed in call order.
+/// The netlist as plain per-gate lists; each net's readers come from a
+/// scan of `inputs`.
 #[derive(Clone, Default)]
 struct Model {
     kinds: Vec<GateKind>,
     inputs: Vec<Vec<NetId>>,
     outputs_of: Vec<NetId>,
     drivers: Vec<Option<GateId>>,
-    fanout: Vec<Vec<GateId>>,
     outputs: Vec<NetId>,
 }
 
@@ -112,6 +115,9 @@ struct Coverage {
     duplicate_inputs: usize,
     feedback_lower: usize,
     feedback_higher: usize,
+    /// Arcs onto a net that a gate created after the target already
+    /// reads: the call order would list that gate first.
+    feedback_reordered: usize,
     repeated_marks: usize,
     rewires: usize,
 }
@@ -124,16 +130,22 @@ impl Model {
         self.inputs.push(ins.to_vec());
         self.outputs_of.push(out);
         self.drivers.push(Some(gid));
-        self.fanout.push(Vec::new());
-        for n in ins {
-            self.fanout[n.index()].push(gid);
+    }
+
+    /// The gate indices of `net`'s readers: gates in index order, each
+    /// gate's inputs in input order.
+    fn fanout(&self, net: NetId) -> Vec<usize> {
+        let mut readers = Vec::new();
+        for (g, ins) in self.inputs.iter().enumerate() {
+            readers.extend(ins.iter().filter(|&&n| n == net).map(|_| g));
         }
+        readers
     }
 
     fn load(&self, net: NetId) -> f64 {
-        self.fanout[net.index()]
+        self.fanout(net)
             .iter()
-            .map(|g| self.kinds[g.index()].input_load_factor())
+            .map(|&g| self.kinds[g].input_load_factor())
             .sum()
     }
 }
@@ -186,8 +198,13 @@ fn apply(nl: &mut Netlist, model: &mut Model, cov: &mut Coverage, op: &Op, name:
             let net = pick(net);
             let own = nl.gate_ref(gid).output();
             nl.connect_feedback(own, net);
+            if model.inputs[gid.index() + 1..]
+                .iter()
+                .any(|ins| ins.contains(&net))
+            {
+                cov.feedback_reordered += 1;
+            }
             model.inputs[gid.index()].push(net);
-            model.fanout[net.index()].push(gid);
             if net < own {
                 cov.feedback_lower += 1;
             } else {
@@ -227,7 +244,7 @@ fn apply(nl: &mut Netlist, model: &mut Model, cov: &mut Coverage, op: &Op, name:
 
 /// Every query the netlist answers, against the model, bit for bit.
 fn assert_matches_model(nl: &Netlist, model: &Model, context: &str) {
-    assert_eq!(nl.net_count(), model.fanout.len(), "{context}: net count");
+    assert_eq!(nl.net_count(), model.drivers.len(), "{context}: net count");
     assert_eq!(nl.gate_count(), model.kinds.len(), "{context}: gate count");
     for (gid, g) in nl.iter_gates() {
         let i = gid.index();
@@ -246,11 +263,8 @@ fn assert_matches_model(nl: &Netlist, model: &Model, context: &str) {
             model.drivers[i],
             "{context}: driver of {net}"
         );
-        assert_eq!(
-            nl.fanout(net),
-            model.fanout[i],
-            "{context}: fanout of {net}"
-        );
+        let readers: Vec<usize> = nl.fanout(net).iter().map(|g| g.index()).collect();
+        assert_eq!(readers, model.fanout(net), "{context}: fanout of {net}");
         assert_eq!(
             nl.fanout_load_units(net).to_bits(),
             model.load(net).to_bits(),
@@ -261,7 +275,7 @@ fn assert_matches_model(nl: &Netlist, model: &Model, context: &str) {
 }
 
 #[test]
-fn fanout_matches_a_push_order_model_after_every_op() {
+fn fanout_matches_a_gate_scan_model_after_every_op() {
     let mut cov = Coverage::default();
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -277,6 +291,10 @@ fn fanout_matches_a_push_order_model_after_every_op() {
         ("duplicate inputs", cov.duplicate_inputs),
         ("feedback to a lower net", cov.feedback_lower),
         ("feedback to a higher net", cov.feedback_higher),
+        (
+            "feedback onto a net a later gate reads",
+            cov.feedback_reordered,
+        ),
         ("repeated mark_output", cov.repeated_marks),
         ("rewire_output", cov.rewires),
     ] {
