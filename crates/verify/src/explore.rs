@@ -533,21 +533,21 @@ impl<'a> Explorer<'a> {
             .eval_map(g.inputs(), |n| s.value(n), s.value(g.output()))
     }
 
-    /// Enabled internal transitions: excited level gates and armed
-    /// edge-triggered gates, in gate order (deterministic).
-    pub fn internal_enabled(&self, s: &State) -> Vec<Transition> {
-        let mut out = Vec::new();
-        let mut level = vec![0; self.netlist.gate_count().div_ceil(64)];
-        self.internal_enabled_into(s, &mut out, &mut level);
-        out
-    }
-
-    /// [`Explorer::internal_enabled`] into `out`, also setting bit `g` of
-    /// `level` for each excited *level* gate `g`: the only gates whose
-    /// output persistence another firing can violate.
-    fn internal_enabled_into(&self, s: &State, out: &mut Vec<Transition>, level: &mut [u64]) {
+    /// Lists the enabled internal transitions of `s` into `out`: excited
+    /// level gates and armed edge-triggered gates, in gate order
+    /// (deterministic). Also refills `level` with one bit per gate, set
+    /// for each excited *level* gate: the only gates whose output
+    /// persistence another firing can violate. The search loops reuse
+    /// both buffers for a whole run.
+    pub fn internal_enabled_into(
+        &self,
+        s: &State,
+        out: &mut Vec<Transition>,
+        level: &mut Vec<u64>,
+    ) {
         out.clear();
-        level.fill(0);
+        level.clear();
+        level.resize(self.netlist.gate_count().div_ceil(64), 0);
         for (gid, g) in self.netlist.iter_gates() {
             if g.kind().is_source() {
                 continue;
@@ -578,7 +578,7 @@ impl<'a> Explorer<'a> {
     }
 
     /// Enabled environment transitions into `out` (`quiescent` is
-    /// precomputed by the caller from [`Explorer::internal_enabled`]),
+    /// precomputed by the caller from [`Explorer::internal_enabled_into`]),
     /// stepping the environment into the caller's `actions` buffer.
     pub(crate) fn env_enabled_into(
         &self,
@@ -607,19 +607,19 @@ impl<'a> Explorer<'a> {
         );
     }
 
-    /// Fires `t` in `s`: the successor state plus any edge-triggered
-    /// gates that **overran** (received an arming edge while an event was
-    /// still pending — a lost event).
-    pub fn apply(&self, s: &State, t: &Transition) -> (State, Vec<GateId>) {
-        let mut next = s.clone();
-        let mut overruns = Vec::new();
-        self.apply_into(s, t, &mut next, &mut overruns);
-        (next, overruns)
-    }
-
-    /// [`Explorer::apply`] into caller-owned buffers — the BFS inner loop
-    /// reuses one successor state and one overrun list for the whole run.
-    fn apply_into(&self, s: &State, t: &Transition, next: &mut State, overruns: &mut Vec<GateId>) {
+    /// Fires `t` in `s`, writing the successor into `next` (a state of
+    /// this explorer's shape, such as a clone of `s`) and the
+    /// edge-triggered gates that **overran** (received an arming edge
+    /// while an event was still pending — a lost event) into `overruns`.
+    /// The search loops reuse one successor and one overrun list for a
+    /// whole run.
+    pub fn apply_into(
+        &self,
+        s: &State,
+        t: &Transition,
+        next: &mut State,
+        overruns: &mut Vec<GateId>,
+    ) {
         next.copy_from(s);
         overruns.clear();
         next.set_value(t.net, t.value);
@@ -711,7 +711,7 @@ impl<'a> Explorer<'a> {
         let mut actions: Vec<EnvAction> = Vec::new();
         let mut env: Vec<Transition> = Vec::new();
         let mut overruns: Vec<GateId> = Vec::new();
-        let mut level = vec![0u64; self.netlist.gate_count().div_ceil(64)];
+        let mut level: Vec<u64> = Vec::new();
         let mut exhaustive = true;
         let mut popped = 0usize;
         while popped < store.len() {
@@ -797,7 +797,7 @@ impl<'a> Explorer<'a> {
         let mut actions: Vec<EnvAction> = Vec::new();
         let mut env: Vec<Transition> = Vec::new();
         let mut overruns: Vec<GateId> = Vec::new();
-        let mut level = vec![0u64; self.netlist.gate_count().div_ceil(64)];
+        let mut level: Vec<u64> = Vec::new();
         let mut touched: Vec<GateId> = Vec::new();
 
         // States are stored in discovery order, so the BFS frontier is
@@ -1361,14 +1361,16 @@ mod tests {
         let mut visited = Vec::new();
         let mut exhaustive = true;
         while let Some((s, tag)) = queue.pop_front() {
-            let internal = ex.internal_enabled(&s);
+            let mut internal = Vec::new();
+            ex.internal_enabled_into(&s, &mut internal, &mut Vec::new());
             let mut env = Vec::new();
             ex.env_enabled_into(&s, internal.is_empty(), &mut Vec::new(), &mut env);
             for t in internal.iter().chain(&env) {
                 let Some(next_tag) = observe(tag, t) else {
                     continue;
                 };
-                let next = (ex.apply(&s, t).0, next_tag);
+                let mut next = (s.clone(), next_tag);
+                ex.apply_into(&s, t, &mut next.0, &mut Vec::new());
                 if !seen.contains(&next) {
                     if seen.len() < cap {
                         seen.insert(next.clone());

@@ -969,7 +969,8 @@ fn check_swap(
     };
 
     let ps = pi_state(s);
-    let p_internal = ex.internal_enabled(&ps);
+    let mut p_internal = Vec::new();
+    ex.internal_enabled_into(&ps, &mut p_internal, &mut Vec::new());
     let mut p_env = Vec::new();
     ex.env_enabled_into(&ps, p_internal.is_empty(), &mut Vec::new(), &mut p_env);
     // Enabled sets must correspond under the permutation.
@@ -997,9 +998,11 @@ fn check_swap(
         ));
     }
     // Successors must correspond: π(apply(s, t)) == apply(π(s), π(t)).
+    let (mut n1, mut n2) = (s.clone(), ps.clone());
+    let (mut o1, mut o2) = (Vec::new(), Vec::new());
     for t in internal.iter().chain(env.iter()) {
-        let (n1, o1) = ex.apply(s, t);
-        let (n2, o2) = ex.apply(&ps, &pi_transition(t));
+        ex.apply_into(s, t, &mut n1, &mut o1);
+        ex.apply_into(&ps, &pi_transition(t), &mut n2, &mut o2);
         if pi_state(&n1) != n2 {
             return Err(format!(
                 "orbit swap does not commute with apply at the transition on net {}",

@@ -66,9 +66,17 @@ fn assert_observed_interference_is_static(c: &Circuit<'_>, state_budget: usize) 
     // The enabled internal transition of `s` that fires `t`'s gate to
     // `t`'s value, if `t` survived into `s`.
     let survivor = |s: &State, t: &Transition| {
-        ex.internal_enabled(s)
+        let mut enabled = Vec::new();
+        ex.internal_enabled_into(s, &mut enabled, &mut Vec::new());
+        enabled
             .into_iter()
             .find(|u| u.gate == t.gate && u.net == t.net && u.value == t.value)
+    };
+    // The successor of `s` along `t`.
+    let fire = |s: &State, t: &Transition| {
+        let mut next = s.clone();
+        ex.apply_into(s, t, &mut next, &mut Vec::new());
+        next
     };
     let disabled = |a: GateId, b: GateId| {
         format!("gates {a:?}/{b:?} marked independent but firing the first disabled the second")
@@ -78,7 +86,7 @@ fn assert_observed_interference_is_static(c: &Circuit<'_>, state_budget: usize) 
         |s, internal, _| {
             for (i, t1) in internal.iter().enumerate() {
                 let g1 = t1.gate.expect("internal transition carries a gate");
-                let (s1, _) = ex.apply(s, t1);
+                let s1 = fire(s, t1);
                 for t2 in internal.iter().skip(i + 1) {
                     let g2 = t2.gate.expect("internal transition carries a gate");
                     if inter.may_interfere(g1, g2) {
@@ -89,10 +97,10 @@ fn assert_observed_interference_is_static(c: &Circuit<'_>, state_budget: usize) 
                     // Independent by the matrix: t2 must survive t1
                     // unchanged and the diamond must close.
                     let t2b = survivor(&s1, t2).ok_or_else(|| disabled(g1, g2))?;
-                    let (s12, _) = ex.apply(&s1, &t2b);
-                    let (s2, _) = ex.apply(s, t2);
+                    let s12 = fire(&s1, &t2b);
+                    let s2 = fire(s, t2);
                     let t1b = survivor(&s2, t1).ok_or_else(|| disabled(g2, g1))?;
-                    let (s21, _) = ex.apply(&s2, &t1b);
+                    let s21 = fire(&s2, &t1b);
                     if s12 != s21 {
                         return Err(format!(
                             "statically independent gates {g1:?}/{g2:?} do not commute"
