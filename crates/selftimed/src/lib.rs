@@ -53,7 +53,6 @@ pub mod bundled;
 pub mod counter;
 pub mod dims;
 pub mod micropipeline;
-pub mod protocol;
 pub mod wchb;
 
 pub use arbiter::Arbiter;
@@ -61,5 +60,4 @@ pub use bundled::{BundledPipeline, DelayLine};
 pub use counter::{SelfTimedOscillator, ToggleRippleCounter};
 pub use dims::{dims_full_adder, dims_gate2, DualRailAdder};
 pub use micropipeline::MullerPipeline;
-pub use protocol::{check_four_phase, count_cycles, ProtocolViolation, ViolationKind};
 pub use wchb::DualRailPipeline;

@@ -66,7 +66,6 @@ pub mod fnv;
 mod obs;
 pub mod pdes;
 pub mod simulator;
-pub mod sta;
 pub mod trace;
 pub mod vcd;
 
@@ -75,6 +74,5 @@ pub use domain::{DomainId, PowerDomain, SupplyKind};
 pub use fnv::Fnv64;
 pub use pdes::{PdesPartitionSpec, PdesSimulator, PdesStats};
 pub use simulator::{ActivityRecord, FiredEvent, Hazard, RunStats, Simulator};
-pub use sta::{longest_path, StaReport};
 pub use trace::{Trace, TraceEntry};
 pub use vcd::{to_vcd, to_vcd_with_analog, AnalogTrack};
