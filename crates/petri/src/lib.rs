@@ -10,9 +10,10 @@
 //! net.
 //!
 //! * [`PetriNet`] — places, transitions, weighted arcs, and per-
-//!   transition energy costs drawn from a shared budget;
-//! * [`analysis`] — enabled sets, deadlock detection and bounded
-//!   reachability exploration;
+//!   transition energy costs drawn from a shared budget; its enabled set
+//!   under a budget tells energy starvation from a logical deadlock;
+//! * [`Stg`] — signal transition graphs, the specifications that
+//!   `emc-verify` checks circuits against;
 //! * [`TaskGraph`] — a dependency DAG of energy-costed tasks compiled
 //!   into a net (one place per dependency edge, one "done" place per
 //!   task).
@@ -44,12 +45,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod net;
 pub mod stg;
 pub mod taskgraph;
 
-pub use analysis::{deadlocked, reachable_markings};
 pub use net::{FireError, Marking, PetriNet, PlaceId, TransitionId};
 pub use stg::{Polarity, SignalId, Stg, StgError};
 pub use taskgraph::{CompiledGraph, Task, TaskGraph, TaskId};

@@ -317,6 +317,23 @@ mod tests {
     }
 
     #[test]
+    fn enabled_tells_starvation_from_logical_deadlock() {
+        let (mut n, _, [produce, consume]) = producer_consumer();
+        for t in [produce, consume] {
+            n.set_energy_cost(t, Joules(1.0));
+        }
+        assert!(n.enabled(Joules(0.5)).is_empty(), "starved");
+        assert!(!n.enabled(Joules(2.0)).is_empty(), "affordable");
+
+        // An input place that never gets a token: stuck at any budget.
+        let mut stuck = PetriNet::new();
+        let p = stuck.add_place("p", 0);
+        let t = stuck.add_transition("t");
+        stuck.add_input_arc(t, p, 1);
+        assert!(stuck.enabled(Joules(f64::INFINITY)).is_empty());
+    }
+
+    #[test]
     fn weighted_arcs() {
         let mut n = PetriNet::new();
         let p = n.add_place("p", 3);

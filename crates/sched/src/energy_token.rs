@@ -174,19 +174,6 @@ impl Engine {
     }
 }
 
-/// Which ready task the token scheduler banks first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StartPolicy {
-    /// Insertion (dependency) order — the default.
-    #[default]
-    FirstReady,
-    /// Cheapest quantum first: maximises the *number* of completions
-    /// under scarcity.
-    CheapestFirst,
-    /// Dearest quantum first: drains the reservoir into big tasks.
-    DearestFirst,
-}
-
 /// The energy-token policy: bank the full quantum, then run.
 #[derive(Debug, Clone)]
 pub struct EnergyTokenScheduler;
@@ -199,60 +186,24 @@ impl EnergyTokenScheduler {
     /// Runs `graph` for at most `max_ticks`, harvesting
     /// `income_per_tick(t)` each tick into a reservoir of `capacity`,
     /// with at most `concurrency` tasks in flight. `tick_seconds`
-    /// converts task durations to ticks.
+    /// converts task durations to ticks. Each free slot goes to the first
+    /// ready task, in insertion (dependency) order, whose quantum is on
+    /// hand.
     pub fn run(
         graph: TaskGraph,
         capacity: Joules,
         concurrency: usize,
         tick_seconds: f64,
         max_ticks: usize,
-        income_per_tick: impl FnMut(usize) -> Joules,
-    ) -> ScheduleReport {
-        Self::run_with_policy(
-            graph,
-            capacity,
-            concurrency,
-            tick_seconds,
-            max_ticks,
-            income_per_tick,
-            StartPolicy::FirstReady,
-        )
-    }
-
-    /// As [`Self::run`], with an explicit bank-and-start ordering policy.
-    pub fn run_with_policy(
-        graph: TaskGraph,
-        capacity: Joules,
-        concurrency: usize,
-        tick_seconds: f64,
-        max_ticks: usize,
         mut income_per_tick: impl FnMut(usize) -> Joules,
-        policy: StartPolicy,
     ) -> ScheduleReport {
         let mut e = Engine::new(graph, capacity, concurrency, tick_seconds);
         for tick in 0..max_ticks {
             e.harvest(income_per_tick(tick));
             // Bank-and-start: only tasks whose full quantum is on hand.
             while e.running.len() < e.concurrency {
-                let mut candidates = e.ready_tasks();
-                match policy {
-                    StartPolicy::FirstReady => {}
-                    StartPolicy::CheapestFirst => candidates.sort_by(|a, b| {
-                        e.graph
-                            .task(*a)
-                            .energy
-                            .partial_cmp(&e.graph.task(*b).energy)
-                            .expect("finite task energies")
-                    }),
-                    StartPolicy::DearestFirst => candidates.sort_by(|a, b| {
-                        e.graph
-                            .task(*b)
-                            .energy
-                            .partial_cmp(&e.graph.task(*a).energy)
-                            .expect("finite task energies")
-                    }),
-                }
-                let affordable = candidates
+                let affordable = e
+                    .ready_tasks()
                     .into_iter()
                     .find(|t| e.graph.task(*t).energy <= e.reservoir);
                 match affordable {
@@ -368,56 +319,6 @@ mod tests {
         let r = EnergyTokenScheduler::run(g, Joules(1e-3), 1, 1.0, 1_000, |_| Joules(10e-6));
         assert_eq!(r.completed, 3);
         assert!(r.makespan_ticks >= 30);
-    }
-
-    #[test]
-    fn start_policy_trades_count_for_retired_energy() {
-        use crate::energy_token::StartPolicy;
-        // Slow 4-tick tasks on one slot, income fast enough that the
-        // reservoir piles past the big quantum while a task runs: the
-        // policies then diverge at every start decision.
-        let mk = || {
-            let mut g = TaskGraph::new();
-            for i in 0..6 {
-                let _ = g.add_task(&format!("small{i}"), Joules(2e-6), Seconds(4.0), &[]);
-            }
-            for i in 0..6 {
-                let _ = g.add_task(&format!("big{i}"), Joules(20e-6), Seconds(4.0), &[]);
-            }
-            g
-        };
-        let income = |_| Joules(3e-6);
-        let horizon = 22;
-        let cheap = EnergyTokenScheduler::run_with_policy(
-            mk(),
-            Joules(60e-6),
-            1,
-            1.0,
-            horizon,
-            income,
-            StartPolicy::CheapestFirst,
-        );
-        let dear = EnergyTokenScheduler::run_with_policy(
-            mk(),
-            Joules(60e-6),
-            1,
-            1.0,
-            horizon,
-            income,
-            StartPolicy::DearestFirst,
-        );
-        assert!(
-            cheap.completed >= dear.completed,
-            "cheapest-first count {} vs dearest-first {}",
-            cheap.completed,
-            dear.completed
-        );
-        assert!(
-            dear.completed_energy > cheap.completed_energy,
-            "dearest-first retired {} vs cheapest-first {}",
-            dear.completed_energy,
-            cheap.completed_energy
-        );
     }
 
     #[test]

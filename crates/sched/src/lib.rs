@@ -7,14 +7,17 @@
 //! three companion techniques this crate implements:
 //!
 //! * [`energy_token`] — scheduling on Petri nets with energy tokens
-//!   \[15\]: the [`EnergyTokenScheduler`] fires a task only when its
-//!   energy quantum is banked, against a [`GreedyScheduler`] baseline
-//!   that starts tasks eagerly and *wastes* the invested energy whenever
-//!   the reservoir browns out mid-task;
+//!   \[15\]: the [`EnergyTokenScheduler`] starts the first ready task, in
+//!   dependency order, whose energy quantum is banked, against a
+//!   [`GreedyScheduler`] baseline that starts tasks eagerly and *wastes*
+//!   the invested energy whenever the reservoir browns out mid-task;
 //! * [`stochastic`] — the power/latency/degree-of-concurrency analysis
 //!   of \[12\]: a birth-death continuous-time Markov chain of a `K`-server
 //!   station with finite buffer, solved in closed form
 //!   ([`ConcurrencyModel`]);
+//! * [`elastic`] — power-elastic concurrency control \[11\]: the
+//!   [`ConcurrencyController`] picks the degree of concurrency that the
+//!   available power allows;
 //! * [`game`] — game-theoretic power management \[16\]: tasks bid for
 //!   shares of a power budget by best-response dynamics
 //!   ([`PowerGame`]), compared against a static equal split.
@@ -40,6 +43,6 @@ pub mod game;
 pub mod stochastic;
 
 pub use elastic::ConcurrencyController;
-pub use energy_token::{EnergyTokenScheduler, GreedyScheduler, ScheduleReport, StartPolicy};
+pub use energy_token::{EnergyTokenScheduler, GreedyScheduler, ScheduleReport};
 pub use game::{PowerGame, TaskBid};
 pub use stochastic::{ConcurrencyModel, ConcurrencyPoint};

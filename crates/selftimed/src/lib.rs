@@ -48,14 +48,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbiter;
 pub mod bundled;
 pub mod counter;
 pub mod dims;
 pub mod micropipeline;
 pub mod wchb;
 
-pub use arbiter::Arbiter;
 pub use bundled::{BundledPipeline, DelayLine};
 pub use counter::{SelfTimedOscillator, ToggleRippleCounter};
 pub use dims::{dims_full_adder, dims_gate2, DualRailAdder};

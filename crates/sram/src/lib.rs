@@ -26,7 +26,10 @@
 //! 5.8 pJ per 16-bit write at 1 V, 1.9 pJ at 0.4 V, minimum energy point
 //! at 0.4 V — and the access engine evaluates phase latencies under an
 //! arbitrary supply [`Waveform`](emc_units::Waveform), reproducing the
-//! slow-write/fast-write trace of Fig. 7.
+//! slow-write/fast-write trace of Fig. 7. Callers issue one access at a
+//! time: [`Sram::read_at`] / [`Sram::write_at`] at a fixed Vdd under any
+//! discipline, [`Sram::read_under`] / [`Sram::write_under`] under a
+//! waveform with completion detection.
 //!
 //! # Examples
 //!
@@ -51,11 +54,9 @@ pub mod energy;
 pub mod failure;
 pub mod sram;
 pub mod timing;
-pub mod workload;
 
 pub use cell::CellKind;
 pub use energy::EnergyCalibration;
 pub use failure::FailureAnalysis;
 pub use sram::{AccessOutcome, Sram, SramConfig, TimingDiscipline};
 pub use timing::{Phase, SramTiming};
-pub use workload::{replay, AddressPattern, MemOp, MemoryWorkload, WorkloadReport};

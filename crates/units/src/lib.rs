@@ -14,9 +14,10 @@
 //!   [`Joules`], …) with the physically meaningful cross-unit operators
 //!   (`Volts * Amps = Watts`, `Watts * Seconds = Joules`, …) and SI-prefix
 //!   display;
-//! * [`waveform`] — [`Waveform`], a piecewise-linear function of time used
-//!   to describe supply-voltage trajectories, harvester output and traces
-//!   recorded by the simulator.
+//! * [`waveform`] — [`Waveform`], a function of time (a constant, a sine, a
+//!   piecewise-linear or staircase schedule, gated by a product or
+//!   clamped) used to describe supply-voltage trajectories, harvester
+//!   output and traces recorded by the simulator.
 //!
 //! # Examples
 //!
@@ -43,4 +44,4 @@ pub mod waveform;
 pub use quantity::{
     Amps, Celsius, Coulombs, Farads, Hertz, Joules, Kelvin, Ohms, Seconds, Volts, Watts,
 };
-pub use waveform::{Waveform, WaveformBuilder};
+pub use waveform::Waveform;

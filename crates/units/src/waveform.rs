@@ -3,9 +3,8 @@
 //! A [`Waveform`] is a total function of time — every supply rail, harvester
 //! output and recorded trace in the simulator is one. Waveforms are
 //! *analytic where possible* (a 1 MHz AC supply is stored as a sine, not as
-//! tens of thousands of samples) and compose structurally: sums, scaling,
-//! clamping and time shifts build complex supply scenarios out of simple
-//! parts.
+//! tens of thousands of samples) and compose structurally: a product gates
+//! a rail with an enable schedule, and a clamp models a rectifier.
 //!
 //! The value axis is a bare `f64` whose unit is fixed by context (a supply
 //! waveform is in volts, a power profile in watts); the time axis is always
@@ -31,9 +30,9 @@ use crate::quantity::{Hertz, Seconds};
 /// A total, piecewise-smooth function of time.
 ///
 /// Constructed via [`Waveform::constant`], [`Waveform::sine`],
-/// [`Waveform::pwl`], [`Waveform::steps`], [`Waveform::ramp`] or the
-/// [`WaveformBuilder`], then refined with the `plus` / `scaled` /
-/// `clamped` / `delayed` combinators.
+/// [`Waveform::pwl`], [`Waveform::steps`] or [`Waveform::ramp`], then
+/// refined with the [`times`](Waveform::times) and
+/// [`clamped`](Waveform::clamped) combinators.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     shape: Shape,
@@ -54,15 +53,12 @@ enum Shape {
     /// Sorted `(time, value)` breakpoints with zero-order hold: the value
     /// jumps at each breakpoint and holds until the next.
     Steps(Vec<(f64, f64)>),
-    Sum(Box<Shape>, Box<Shape>),
     Product(Box<Shape>, Box<Shape>),
-    Scale(f64, Box<Shape>),
     Clamp {
         min: f64,
         max: f64,
         inner: Box<Shape>,
     },
-    Delay(f64, Box<Shape>),
 }
 
 impl Shape {
@@ -77,11 +73,8 @@ impl Shape {
             } => dc + amplitude * (TAU * frequency * t + phase).sin(),
             Shape::Pwl(points) => eval_pwl(points, t),
             Shape::Steps(points) => eval_steps(points, t),
-            Shape::Sum(a, b) => a.eval(t) + b.eval(t),
             Shape::Product(a, b) => a.eval(t) * b.eval(t),
-            Shape::Scale(k, inner) => k * inner.eval(t),
             Shape::Clamp { min, max, inner } => inner.eval(t).clamp(*min, *max),
-            Shape::Delay(d, inner) => inner.eval(t - d),
         }
     }
 }
@@ -186,20 +179,6 @@ impl Waveform {
         Self::pwl([(t0, v0), (t1, v1)])
     }
 
-    /// Pointwise sum of two waveforms.
-    pub fn plus(self, other: Waveform) -> Self {
-        Self {
-            shape: Shape::Sum(Box::new(self.shape), Box::new(other.shape)),
-        }
-    }
-
-    /// Pointwise scaling by `k`.
-    pub fn scaled(self, k: f64) -> Self {
-        Self {
-            shape: Shape::Scale(k, Box::new(self.shape)),
-        }
-    }
-
     /// Pointwise product of two waveforms. The canonical use is **supply
     /// gating**: multiply a rail by a 0/1 enable schedule to model a
     /// power switch (sleep transistor).
@@ -226,14 +205,6 @@ impl Waveform {
         }
     }
 
-    /// Shifts the waveform later in time by `delay` (the value previously at
-    /// `t` now appears at `t + delay`).
-    pub fn delayed(self, delay: Seconds) -> Self {
-        Self {
-            shape: Shape::Delay(delay.0, Box::new(self.shape)),
-        }
-    }
-
     /// The value at time `t`.
     pub fn value_at(&self, t: Seconds) -> f64 {
         self.shape.eval(t.0)
@@ -253,11 +224,8 @@ impl Waveform {
                     let first = points.first()?.1;
                     points.iter().all(|&(_, v)| v == first).then_some(first)
                 }
-                Shape::Sum(a, b) => Some(go(a)? + go(b)?),
                 Shape::Product(a, b) => Some(go(a)? * go(b)?),
-                Shape::Scale(k, inner) => Some(k * go(inner)?),
                 Shape::Clamp { min, max, inner } => Some(go(inner)?.clamp(*min, *max)),
-                Shape::Delay(_, inner) => go(inner),
             }
         }
         go(&self.shape)
@@ -295,21 +263,6 @@ impl Waveform {
         }
         acc / (t1.0 - t0.0)
     }
-
-    /// Minimum sampled value over `[t0, t1]` with `n` intervals. An
-    /// approximation adequate for the smooth waveforms used here.
-    pub fn min_over(&self, t0: Seconds, t1: Seconds, n: usize) -> f64 {
-        self.sample_series(t0, t1, n)
-            .into_iter()
-            .fold(f64::INFINITY, |m, (_, v)| m.min(v))
-    }
-
-    /// Maximum sampled value over `[t0, t1]` with `n` intervals.
-    pub fn max_over(&self, t0: Seconds, t1: Seconds, n: usize) -> f64 {
-        self.sample_series(t0, t1, n)
-            .into_iter()
-            .fold(f64::NEG_INFINITY, |m, (_, v)| m.max(v))
-    }
 }
 
 impl Default for Waveform {
@@ -328,79 +281,6 @@ fn validate_points<I: IntoIterator<Item = (Seconds, f64)>>(points: I) -> Vec<(f6
         prev = t;
     }
     points
-}
-
-/// Incremental constructor for piecewise-linear waveforms, used to script
-/// supply scenarios ("hold 0.3 V for 2 µs, ramp to 1 V over 1 µs, …").
-///
-/// # Examples
-///
-/// ```
-/// use emc_units::{Seconds, WaveformBuilder};
-///
-/// let w = WaveformBuilder::starting_at(0.3)
-///     .hold_for(Seconds(2e-6))
-///     .ramp_to(1.0, Seconds(1e-6))
-///     .finish();
-/// assert!((w.value_at(Seconds(1e-6)) - 0.3).abs() < 1e-12);
-/// assert!((w.value_at(Seconds(2.5e-6)) - 0.65).abs() < 1e-12);
-/// assert!((w.value_at(Seconds(10e-6)) - 1.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WaveformBuilder {
-    points: Vec<(f64, f64)>,
-    now: f64,
-    value: f64,
-}
-
-impl WaveformBuilder {
-    /// Starts the scenario at `t = 0` with the given value.
-    pub fn starting_at(value: f64) -> Self {
-        Self {
-            points: vec![(0.0, value)],
-            now: 0.0,
-            value,
-        }
-    }
-
-    /// Holds the current value for `duration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is negative.
-    pub fn hold_for(mut self, duration: Seconds) -> Self {
-        assert!(duration.0 >= 0.0, "negative hold duration");
-        self.now += duration.0;
-        self.points.push((self.now, self.value));
-        self
-    }
-
-    /// Ramps linearly to `value` over `duration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is negative.
-    pub fn ramp_to(mut self, value: f64, duration: Seconds) -> Self {
-        assert!(duration.0 >= 0.0, "negative ramp duration");
-        self.now += duration.0;
-        self.value = value;
-        self.points.push((self.now, self.value));
-        self
-    }
-
-    /// Steps instantaneously to `value`.
-    pub fn step_to(mut self, value: f64) -> Self {
-        self.value = value;
-        self.points.push((self.now, self.value));
-        self
-    }
-
-    /// Finalizes the scenario into a [`Waveform`] (last value held forever).
-    pub fn finish(self) -> Waveform {
-        Waveform {
-            shape: Shape::Pwl(self.points),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -480,19 +360,10 @@ mod tests {
 
     #[test]
     fn combinators_compose() {
-        let w = Waveform::constant(0.5)
-            .plus(Waveform::constant(0.25))
-            .scaled(2.0)
+        let w = Waveform::constant(0.75)
+            .times(Waveform::constant(2.0))
             .clamped(0.0, 1.2);
         assert!((w.value_at(T(0.0)) - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delay_shifts_in_time() {
-        let w = Waveform::ramp(0.0, 1.0, T(0.0), T(1.0)).delayed(T(2.0));
-        assert_eq!(w.value_at(T(2.0)), 0.0);
-        assert!((w.value_at(T(2.5)) - 0.5).abs() < 1e-12);
-        assert_eq!(w.value_at(T(3.0)), 1.0);
     }
 
     #[test]
@@ -507,27 +378,6 @@ mod tests {
         let w = Waveform::sine(0.2, 0.1, Hertz(1e6), 0.0);
         let mean = w.mean_over(T(0.0), T(1e-6), 1000);
         assert!((mean - 0.2).abs() < 1e-6, "mean {mean}");
-    }
-
-    #[test]
-    fn min_max_over_sine() {
-        let w = Waveform::sine(0.2, 0.1, Hertz(1e6), 0.0);
-        assert!((w.min_over(T(0.0), T(1e-6), 400) - 0.1).abs() < 1e-4);
-        assert!((w.max_over(T(0.0), T(1e-6), 400) - 0.3).abs() < 1e-4);
-    }
-
-    #[test]
-    fn builder_scenario() {
-        let w = WaveformBuilder::starting_at(0.2)
-            .hold_for(T(1.0))
-            .ramp_to(1.0, T(1.0))
-            .hold_for(T(1.0))
-            .step_to(0.4)
-            .finish();
-        assert_eq!(w.value_at(T(0.5)), 0.2);
-        assert!((w.value_at(T(1.5)) - 0.6).abs() < 1e-12);
-        assert_eq!(w.value_at(T(2.5)), 1.0);
-        assert_eq!(w.value_at(T(3.1)), 0.4);
     }
 
     #[test]
@@ -574,11 +424,9 @@ mod tests {
             Some(0.4)
         );
         // Combinators preserve constancy.
-        let combo = Waveform::constant(0.4)
-            .plus(Waveform::constant(0.2))
-            .scaled(2.0)
-            .clamped(0.0, 1.0)
-            .delayed(T(3.0));
+        let combo = Waveform::constant(0.6)
+            .times(Waveform::constant(2.0))
+            .clamped(0.0, 1.0);
         assert_eq!(combo.as_constant(), Some(1.0));
     }
 
@@ -591,7 +439,7 @@ mod tests {
         assert_eq!(Waveform::ramp(0.0, 1.0, T(0.0), T(1.0)).as_constant(), None);
         assert_eq!(
             Waveform::constant(1.0)
-                .plus(Waveform::ramp(0.0, 1.0, T(0.0), T(1.0)))
+                .times(Waveform::ramp(0.0, 1.0, T(0.0), T(1.0)))
                 .as_constant(),
             None
         );

@@ -7,7 +7,7 @@
 //! with its present output; excited gates and environment actions are the
 //! enabled transitions, and any interleaving of them may occur — delays
 //! are unbounded, so the explorer tries them all (breadth-first, with an
-//! exact state cap like `emc_petri::analysis::reachable_markings`).
+//! exact state cap: at most `state_cap` states are ever stored).
 //!
 //! States are bit-packed (one `u64` word per 64 nets, two per 64 gates
 //! for the pending events) and stored once each, in discovery order, in
