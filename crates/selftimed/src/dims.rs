@@ -390,6 +390,19 @@ mod tests {
     }
 
     #[test]
+    fn add_below_the_floor_gives_up_instead_of_hanging() {
+        // 0.05 V is half the operating floor: no gate can switch, so the
+        // addition never completes and `add` must say so.
+        let (mut sim, adder) = adder_rig(2, 0.05);
+        let deadline = Seconds(sim.now().0 + 1e-3);
+        assert_eq!(adder.add(&mut sim, 1, 2, deadline), None);
+        sim.run_to_quiescence(10);
+        assert!(sim.now() <= deadline, "now {}", sim.now());
+        let d = sim.domain_id(0);
+        assert!(sim.energy_drawn(d).0.is_finite());
+    }
+
+    #[test]
     #[should_panic(expected = "operand exceeds")]
     fn oversized_operand_panics() {
         let (mut sim, adder) = adder_rig(3, 1.0);

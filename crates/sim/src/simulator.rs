@@ -113,11 +113,16 @@ enum StepOutcome {
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     value: bool,
-    /// `true` if the transition sits in a capacitor-backed domain whose
-    /// rail is below the operating floor: no queue entry exists and the
-    /// transition waits for [`Simulator::recharge_domain`].
+    /// `true` if the transition sits on a rail that cannot progress: no
+    /// queue entry exists. On a capacitor rail below the operating floor
+    /// the transition waits for [`Simulator::recharge_domain`]; on a
+    /// constant ideal rail below it, the transition never fires.
     stalled: bool,
 }
+
+/// Integration-resolution steps per stall-continuation window on a
+/// varying ideal rail.
+const WINDOW_STEPS: f64 = 4096.0;
 
 /// [`GateState::domain`] of a gate not yet assigned to a power domain.
 const NO_DOMAIN: u16 = u16::MAX;
@@ -228,13 +233,9 @@ pub struct Simulator {
     now: Seconds,
     started: bool,
     hazards: Vec<Hazard>,
-    extra_load: Vec<Farads>,
     delay_scale: Vec<f64>,
     watched: Vec<bool>,
     trace: Trace,
-    /// Number of integration-resolution steps per stall-continuation
-    /// window.
-    window_steps: f64,
     /// `(voltage bits, watts)` memo for the device leakage law (also an
     /// `exp`), shared by all domains — the key is the voltage alone.
     leak_memo: Cell<(u64, f64)>,
@@ -295,16 +296,14 @@ impl Simulator {
             now: Seconds(0.0),
             started: false,
             hazards: Vec::new(),
-            extra_load: vec![Farads(0.0); gates],
             delay_scale: vec![1.0; gates],
             watched: vec![false; nets],
             trace: Trace::new(),
-            window_steps: 4096.0,
             leak_memo: Cell::new((MEMO_INVALID, 0.0)),
             obs: None,
         };
         for g in 0..gates {
-            sim.gates[g].load = sim.output_load(g);
+            sim.gates[g].load = sim.output_load(g, Farads(0.0));
         }
         sim
     }
@@ -366,8 +365,7 @@ impl Simulator {
     pub fn set_extra_load(&mut self, gate: GateId, load: Farads) {
         assert!(load.0 >= 0.0, "negative extra load");
         let g = gate.index();
-        self.extra_load[g] = load;
-        self.gates[g].load = self.output_load(g);
+        self.gates[g].load = self.output_load(g, load);
         self.gates[g].delay_memo.set((MEMO_INVALID, 0.0));
     }
 
@@ -733,9 +731,11 @@ impl Simulator {
     /// Fires the next event, if any. Returns `None` when the queue is
     /// exhausted (the circuit is quiescent or fully stalled).
     ///
-    /// A circuit whose supply never recovers above the operating floor can
-    /// make this spin through integration windows without ever firing; use
-    /// [`Simulator::run_until`] for a time-bounded run.
+    /// A transition on a capacitor or constant rail below the operating
+    /// floor stalls without a queue entry, so it cannot hold this up.
+    /// Only a varying ideal rail that never recovers above the floor can
+    /// make this spin through integration windows without ever firing;
+    /// use [`Simulator::run_until`] for a time-bounded run.
     pub fn step(&mut self) -> Option<FiredEvent> {
         loop {
             match self.step_outcome(None) {
@@ -823,12 +823,12 @@ impl Simulator {
     }
 
     /// Output load of a gate: its own drain parasitic (scaled by drive),
-    /// the gate capacitance of its fanout, and any extra (wire) load.
-    fn output_load(&self, gate: usize) -> Farads {
+    /// the gate capacitance of its fanout, and `extra` (wire) load.
+    fn output_load(&self, gate: usize, extra: Farads) -> Farads {
         let g = self.netlist.gate_ref(self.netlist.gate_id(gate));
         let p = self.device.params();
         let fanout_units = self.netlist.fanout_load_units(g.output());
-        Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * fanout_units + self.extra_load[gate].0)
+        Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * fanout_units + extra.0)
     }
 
     /// Constant-supply delay of `gate` at rail voltage `v`, memoised on
@@ -867,13 +867,12 @@ impl Simulator {
         /// domain (and its waveform, in place — no clone), then the
         /// mutations happen with those borrows released.
         enum Plan {
-            /// Depleted capacitor rail: wait for an explicit recharge.
+            /// Capacitor or constant ideal rail below the floor: queue
+            /// nothing. A capacitor rail waits for an explicit recharge;
+            /// a constant rail never recovers.
             Stall,
             /// Fires at the given absolute time.
             FireAt(f64),
-            /// Permanently stalled ideal rail: park the continuation far
-            /// in the future so it never spins.
-            Park,
             /// Integration window crossed while stalled: continue at
             /// `time` with `progress` of the work already done.
             Window { time: f64, progress: f64 },
@@ -908,10 +907,10 @@ impl Simulator {
                         if td.0.is_finite() {
                             Plan::FireAt(from.0 + td.0 * remaining)
                         } else {
-                            Plan::Park
+                            Plan::Stall
                         }
                     } else {
-                        let horizon = Seconds(from.0 + resolution.0 * self.window_steps);
+                        let horizon = Seconds(from.0 + resolution.0 * WINDOW_STEPS);
                         // Scaling every delay by the remaining work makes
                         // the solver's work target of 1 equal `remaining`
                         // of the original transition.
@@ -933,23 +932,21 @@ impl Simulator {
             }
         };
 
-        if let Plan::Stall = plan {
-            self.gates[gate].set_pending(Some(Pending {
-                value,
-                stalled: true,
-            }));
-            return;
-        }
+        let (time, progress, complete) = match plan {
+            Plan::Stall => {
+                self.gates[gate].set_pending(Some(Pending {
+                    value,
+                    stalled: true,
+                }));
+                return;
+            }
+            Plan::FireAt(t) => (t, 0.0, true),
+            Plan::Window { time, progress } => (time, progress, false),
+        };
         self.gates[gate].set_pending(Some(Pending {
             value,
             stalled: false,
         }));
-        let (time, progress, complete) = match plan {
-            Plan::FireAt(t) => (t, 0.0, true),
-            Plan::Park => (f64::MAX / 2.0, progress, false),
-            Plan::Window { time, progress } => (time, progress, false),
-            Plan::Stall => unreachable!(),
-        };
         let ev = QueuedEvent {
             time,
             seq: self.next_seq(),

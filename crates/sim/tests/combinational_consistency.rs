@@ -1,13 +1,14 @@
 //! Property test: for arbitrary random combinational DAGs, the
 //! event-driven simulator must settle to exactly the Boolean evaluation
 //! of the netlist — at any supply voltage, under any per-gate delay
-//! scaling.
+//! scaling. On a rail pinned at or below the device's operating floor
+//! every run must still end.
 
 use emc_device::DeviceModel;
 use emc_netlist::{GateKind, NetId, Netlist};
 use emc_prng::{Rng, StdRng};
 use emc_sim::{Simulator, SupplyKind};
-use emc_units::Waveform;
+use emc_units::{Farads, Seconds, Volts, Waveform};
 
 #[derive(Debug, Clone)]
 struct RandomDag {
@@ -118,6 +119,93 @@ fn simulator_settles_to_boolean_evaluation() {
                 expected[o.index()],
                 "case {case}: net {o} settled wrong"
             );
+        }
+    }
+}
+
+/// Rails at and below the floor: ideal constants at 0, ½·`v_floor` and
+/// exactly `v_floor`, and a capacitor charged to ½·`v_floor`, each under
+/// the logic of the same DAGs (the input drivers stay off the rail,
+/// unbilled), driven by a `step()` loop and by `run_to_quiescence`. A
+/// transition that cannot progress stalls with no queue entry, so every
+/// run ends with the queue drained. Below the floor, time stops at the
+/// last stimulus and no switching energy is drawn; at the floor, the DAG
+/// settles to its Boolean evaluation. Every booked energy is finite.
+#[test]
+fn runs_end_on_rails_at_and_below_the_floor() {
+    let floor = DeviceModel::umc90().v_floor().0;
+    let rails = [
+        ("0 V", SupplyKind::ideal(Waveform::constant(0.0)), true),
+        (
+            "half floor",
+            SupplyKind::ideal(Waveform::constant(0.5 * floor)),
+            true,
+        ),
+        ("floor", SupplyKind::ideal(Waveform::constant(floor)), false),
+        (
+            "half-floor capacitor",
+            SupplyKind::capacitor(Farads(1e-12), Volts(0.5 * floor)),
+            true,
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(0xf1004);
+    for case in 0..16 {
+        let dag = random_dag(&mut rng);
+        let (nl, inputs, outs) = build(&dag);
+        let expected = reference_eval(&nl, &inputs, &dag.input_values);
+        for (rail, supply, below) in &rails {
+            for by_step in [true, false] {
+                let what = format!("case {case}, {rail} rail, step loop {by_step}");
+                let mut sim = Simulator::new(nl.clone(), DeviceModel::umc90());
+                let d = sim.add_domain("vdd", supply.clone());
+                for i in 0..sim.netlist().gate_count() {
+                    let gate = sim.netlist().gate_id(i);
+                    if sim.netlist().gate_ref(gate).kind() != GateKind::Input {
+                        sim.assign_domain(gate, d);
+                    }
+                }
+                sim.start();
+                // Input `i` rises at `i` ns.
+                let mut last = Seconds(0.0);
+                for (i, &net) in inputs.iter().enumerate() {
+                    if dag.input_values[i] {
+                        last = Seconds(i as f64 * 1e-9);
+                        sim.schedule_input(net, last, true);
+                    }
+                }
+                if by_step {
+                    let mut fired = 0;
+                    while sim.step().is_some() {
+                        fired += 1;
+                        assert!(fired < 200_000, "{what}: did not quiesce");
+                    }
+                } else {
+                    let fired = sim.run_to_quiescence(200_000);
+                    assert!(fired < 200_000, "{what}: did not quiesce");
+                }
+                assert_eq!(sim.next_event_time(), None, "{what}: queue not drained");
+                assert!(sim.now().0.is_finite(), "{what}: now {}", sim.now());
+                let domain = sim.domain(d);
+                for e in [domain.switching_energy(), domain.leakage_energy()] {
+                    assert!(e.0.is_finite(), "{what}: booked {e}");
+                }
+                assert!(
+                    sim.activity_report().iter().all(|r| r.energy.0.is_finite()),
+                    "{what}: a gate booked non-finite energy"
+                );
+                if *below {
+                    assert!(sim.now() <= last, "{what}: now {} past {last}", sim.now());
+                    assert_eq!(domain.switching_energy().0, 0.0, "{what}: switched");
+                } else {
+                    for &o in &outs {
+                        assert_eq!(
+                            sim.value(o),
+                            expected[o.index()],
+                            "{what}: net {o} settled wrong"
+                        );
+                    }
+                }
+            }
         }
     }
 }
