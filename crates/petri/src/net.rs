@@ -314,16 +314,6 @@ mod tests {
         assert_eq!(n.enabled(e), vec![produce]);
         n.fire(produce, &mut e).unwrap();
         assert_eq!(e, Joules(0.0));
-    }
-
-    #[test]
-    fn enabled_tells_starvation_from_logical_deadlock() {
-        let (mut n, _, [produce, consume]) = producer_consumer();
-        for t in [produce, consume] {
-            n.set_energy_cost(t, Joules(1.0));
-        }
-        assert!(n.enabled(Joules(0.5)).is_empty(), "starved");
-        assert!(!n.enabled(Joules(2.0)).is_empty(), "affordable");
 
         // An input place that never gets a token: stuck at any budget.
         let mut stuck = PetriNet::new();

@@ -714,6 +714,40 @@ mod tests {
     }
 
     #[test]
+    fn accesses_under_a_noisy_supply_are_correct_and_slower() {
+        // 0.5 V mean with a ±0.2 V wobble, accesses issued back to back.
+        let supply = Waveform::sine(0.5, 0.2, emc_units::Hertz(50e3), 0.0);
+        let (res, horizon) = (Seconds(100e-9), Seconds(10.0));
+        let words = [(0, 0x1234), (7, 0xBEEF), (63, 0x0F0F), (8, 0x00FF)];
+        let mut s = sram();
+        let mut t = Seconds(0.0);
+        for &(a, w) in &words {
+            let out = s.write_under(&supply, t, a, w, res, horizon);
+            assert!(out.correct, "write of {w:#x} to {a}");
+            t += out.latency;
+        }
+        for &(a, w) in &words {
+            let out = s.read_under(&supply, t, a, res, horizon);
+            assert!(out.correct, "read of {a}");
+            assert_eq!(out.data, Some(w));
+            t += out.latency;
+        }
+
+        let mut steady = sram();
+        let vdd = Volts(0.7);
+        let mut t_steady = Seconds(0.0);
+        for &(a, w) in &words {
+            t_steady += steady
+                .write_at(vdd, a, w, TimingDiscipline::Completion)
+                .latency;
+        }
+        for &(a, _) in &words {
+            t_steady += steady.read_at(vdd, a, TimingDiscipline::Completion).latency;
+        }
+        assert!(t > t_steady, "noisy {t} vs steady {t_steady}");
+    }
+
+    #[test]
     fn read_latency_ratio_between_0v19_and_1v_is_large() {
         let s = sram();
         let fast = s
