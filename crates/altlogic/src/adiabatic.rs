@@ -87,7 +87,7 @@ impl AdiabaticRun {
     }
 
     /// Fraction of supplied energy returned to the clock.
-    pub fn recovery_fraction(&self) -> f64 {
+    pub(crate) fn recovery_fraction(&self) -> f64 {
         if self.supplied.0 <= 0.0 {
             0.0
         } else {

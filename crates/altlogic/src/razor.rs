@@ -31,11 +31,9 @@ pub struct RazorStage {
     /// Buffer gates of the main (bundling) delay line.
     pub delay_gates: Vec<GateId>,
     /// Buffer gates of the shadow extension line.
-    pub shadow_gates: Vec<GateId>,
+    pub(crate) shadow_gates: Vec<GateId>,
     /// Main capture flip-flops, LSB first.
     pub latches: Vec<GateId>,
-    /// Shadow latches, LSB first.
-    pub shadow_latches: Vec<GateId>,
     /// The stage's error flag: OR of per-bit main/shadow disagreements.
     pub error: NetId,
 }
@@ -169,7 +167,6 @@ impl RazorPipeline {
             );
             let mut logic_gates = Vec::new();
             let mut latches = Vec::with_capacity(width);
-            let mut shadow_latches = Vec::with_capacity(width);
             let mut latched = Vec::with_capacity(width);
             let mut disagree = Vec::with_capacity(width);
             for (b, &din) in data.iter().enumerate() {
@@ -189,7 +186,6 @@ impl RazorPipeline {
                     &[shadow_line.output(), d],
                     &format!("{name}.s{s}.b{b}.sq"),
                 );
-                shadow_latches.push(netlist.driver_of(sq).expect("dff just built"));
                 disagree.push(netlist.gate(
                     GateKind::Xor,
                     &[q, sq],
@@ -208,7 +204,6 @@ impl RazorPipeline {
                 delay_gates: main_line.gates().to_vec(),
                 shadow_gates: shadow_line.gates().to_vec(),
                 latches,
-                shadow_latches,
                 error,
             });
             data = latched;

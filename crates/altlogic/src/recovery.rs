@@ -31,11 +31,11 @@ pub struct RecoveryOp {
     /// Sim-time duration of the burst.
     pub duration: Seconds,
     /// Energy lost inside the operation: `E(V_op) − E(V_res)`.
-    pub op_dissipated: Joules,
+    pub(crate) op_dissipated: Joules,
     /// Residual energy recycled through the return rail: `η·E(V_res)`.
-    pub returned: Joules,
+    pub(crate) returned: Joules,
     /// Residual energy lost in the return conversion: `(1−η)·E(V_res)`.
-    pub return_loss: Joules,
+    pub(crate) return_loss: Joules,
     /// Fresh energy the supply provides to restore the rail for the
     /// next operation: `E(V_op) − returned`.
     pub fresh: Joules,
@@ -45,7 +45,7 @@ pub struct RecoveryOp {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoverySession {
     /// Operating (recharge) voltage.
-    pub v_op: Volts,
+    pub(crate) v_op: Volts,
     /// Per-operation results, in order.
     pub ops: Vec<RecoveryOp>,
 }
@@ -57,12 +57,12 @@ impl RecoverySession {
     }
 
     /// Total energy recycled through the return rail.
-    pub fn returned_total(&self) -> Joules {
+    pub(crate) fn returned_total(&self) -> Joules {
         Joules(self.ops.iter().map(|o| o.returned.0).sum())
     }
 
     /// Total energy dissipated (in-op switching + return losses).
-    pub fn dissipated_total(&self) -> Joules {
+    pub(crate) fn dissipated_total(&self) -> Joules {
         Joules(
             self.ops
                 .iter()
@@ -73,7 +73,7 @@ impl RecoverySession {
 
     /// Fresh energy per count across the session — the figure-of-merit
     /// the recovery rail improves.
-    pub fn fresh_per_count(&self) -> Joules {
+    pub(crate) fn fresh_per_count(&self) -> Joules {
         let counts: u64 = self.ops.iter().map(|o| o.code).sum();
         if counts == 0 {
             Joules(0.0)
@@ -154,20 +154,10 @@ impl ChargeRecoveryMemory {
         }
     }
 
-    /// The storage capacitance.
-    pub fn c_store(&self) -> Farads {
-        self.c_store
-    }
-
-    /// The recovery rail's return efficiency `η`.
-    pub fn return_efficiency(&self) -> f64 {
-        self.return_efficiency
-    }
-
     /// Runs one count burst from a rail charged to `v_op`: a gate-level
     /// oscillator + counter simulation stepped until the LSB registers
     /// `counts_per_op` events or the rail stalls.
-    pub fn run_op(&self, v_op: Volts) -> RecoveryOp {
+    pub(crate) fn run_op(&self, v_op: Volts) -> RecoveryOp {
         assert!(v_op.0 >= 0.0, "negative operating voltage");
         let mut nl = Netlist::new();
         let osc = SelfTimedOscillator::build(&mut nl, "osc");

@@ -37,7 +37,7 @@ use emc_netlist::{Diagnostic, NetId, Netlist, Severity};
 use emc_obs::Telemetry;
 
 pub use independence::{may_interfere_matrix, Interference};
-pub use lints::{structural_lints, ForkStats};
+use lints::structural_lints;
 pub use orbits::{detect_orbits, OrbitGroup, OrbitMember, Orbits};
 pub use rails::{
     check_completion_coverage, check_timing_assumptions, discover_rail_pairs, RailPair,
@@ -105,11 +105,6 @@ pub struct Analysis {
     pub interference: Interference,
     /// Verified symmetry orbits (empty when validation failed).
     pub orbits: Orbits,
-    /// Fork census from the SA004 pass.
-    pub fork_stats: ForkStats,
-    /// Wall-clock per-pass timings, `(pass name, microseconds)`. Timing
-    /// is observational only and never enters any digest.
-    pub pass_micros: Vec<(&'static str, u64)>,
 }
 
 impl Analysis {
@@ -144,7 +139,7 @@ pub fn analyze(netlist: &Netlist, initial: &[(NetId, bool)]) -> Analysis {
 /// `telemetry` when given. Counter values are deterministic functions
 /// of the netlist; the `*.micros` gauges are wall-clock and must stay
 /// out of digests.
-pub fn analyze_with(
+pub(crate) fn analyze_with(
     netlist: &Netlist,
     initial: &[(NetId, bool)],
     telemetry: Option<&mut Telemetry>,
@@ -209,8 +204,6 @@ pub fn analyze_with(
         pairs,
         interference,
         orbits,
-        fork_stats,
-        pass_micros,
     }
 }
 
@@ -242,7 +235,6 @@ mod tests {
         assert!(a.distinct_rules().contains(&"SA006"));
         assert!(a.distinct_rules().contains(&"CD001"));
         assert_eq!(a.pairs.len(), 1);
-        assert_eq!(a.pass_micros.len(), 5);
         // Errors sort first.
         assert_eq!(a.diagnostics[0].severity, Severity::Error);
     }
@@ -267,6 +259,11 @@ mod tests {
                 t2.metrics.counter_value(name)
             );
         }
+        for pass in ["validate", "rails", "lints", "independence", "orbits"] {
+            let gauge = format!("analyze.pass.{pass}.micros");
+            assert!(t1.metrics.gauge_value(&gauge).is_some(), "{gauge}");
+        }
+        assert_eq!(t1.metrics.gauges().len(), 5);
     }
 
     #[test]

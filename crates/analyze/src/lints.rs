@@ -14,16 +14,16 @@ use crate::rails::RailPair;
 
 /// Fork census produced alongside the SA004 pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForkStats {
+pub(crate) struct ForkStats {
     /// Nets read by ≥ 2 distinct gates.
-    pub forks: usize,
+    pub(crate) forks: usize,
     /// Forks with at least one unacknowledged (isochronic) branch.
-    pub isochronic: usize,
+    pub(crate) isochronic: usize,
 }
 
 /// Runs every SA structural lint, returning the diagnostics (unsorted)
 /// and the fork census.
-pub fn structural_lints(
+pub(crate) fn structural_lints(
     netlist: &Netlist,
     pairs: &[RailPair],
     initial: &[(NetId, bool)],

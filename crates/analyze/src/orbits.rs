@@ -64,16 +64,8 @@ impl Orbits {
     }
 
     /// Total members across all groups.
-    pub fn member_count(&self) -> usize {
+    pub(crate) fn member_count(&self) -> usize {
         self.groups.iter().map(|g| g.members.len()).sum()
-    }
-
-    /// Total gates covered by any orbit member.
-    pub fn gate_coverage(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.members.len() * g.members[0].gates.len())
-            .sum()
     }
 
     /// Whether no symmetry was found.

@@ -18,8 +18,7 @@ pub mod pdes_rig;
 
 pub use campaign::{campaign_series, print_campaign_summary, CampaignArgs};
 pub use pdes_rig::{
-    drive_array, pdes_array, pdes_parallel, pdes_sequential, pdes_specs, pdes_watched, DriveSim,
-    PdesArray, PDES_STEP, PDES_VOLTS,
+    drive_array, pdes_array, pdes_parallel, pdes_sequential, DriveSim, PdesArray, PDES_STEP,
 };
 
 use std::fs;
@@ -44,7 +43,7 @@ pub struct Series {
     /// What the series shows.
     pub title: String,
     /// Column names.
-    pub columns: Vec<String>,
+    pub(crate) columns: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<f64>>,
 }
@@ -118,7 +117,7 @@ impl Series {
     ///
     /// Panics if the directory or file cannot be written (benches run in
     /// a writable workspace by construction).
-    pub fn save(&self) -> PathBuf {
+    pub(crate) fn save(&self) -> PathBuf {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
         fs::create_dir_all(&dir).expect("create target/figures");
         let path = dir.join(format!("{}.json", self.id));
@@ -137,7 +136,7 @@ impl Series {
 
 /// Compact number formatting for table cells: engineering-ish without
 /// trailing noise.
-pub fn format_number(v: f64) -> String {
+pub(crate) fn format_number(v: f64) -> String {
     if v == 0.0 {
         "0".to_owned()
     } else if !v.is_finite() {

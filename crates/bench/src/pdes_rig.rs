@@ -26,7 +26,7 @@ use emc_units::{Seconds, Waveform};
 
 /// Domain rail voltages, cycled over partitions: a genuinely
 /// multi-voltage split, so cross-domain delays differ.
-pub const PDES_VOLTS: [f64; 3] = [1.0, 0.8, 0.6];
+pub(crate) const PDES_VOLTS: [f64; 3] = [1.0, 0.8, 0.6];
 
 /// Driver cadence. Generous enough that even a 500-stage row at the
 /// lowest rail voltage is quiescent when the driver samples it, so
@@ -77,7 +77,7 @@ pub fn pdes_array(rows: usize, cols: usize, parts: usize) -> PdesArray {
 
 /// One ideal-constant supply spec per partition, voltages cycled from
 /// [`PDES_VOLTS`].
-pub fn pdes_specs(parts: usize) -> Vec<PdesPartitionSpec> {
+pub(crate) fn pdes_specs(parts: usize) -> Vec<PdesPartitionSpec> {
     (0..parts)
         .map(|d| PdesPartitionSpec {
             name: format!("vdd{d}"),
@@ -90,7 +90,7 @@ pub fn pdes_specs(parts: usize) -> Vec<PdesPartitionSpec> {
 /// output rails and sender acknowledge. A deliberate subset — watching
 /// all nets of a million-gate array would make trace memory, not the
 /// event kernel, the measured quantity.
-pub fn pdes_watched(rig: &PdesArray) -> Vec<NetId> {
+pub(crate) fn pdes_watched(rig: &PdesArray) -> Vec<NetId> {
     rig.rows
         .iter()
         .flat_map(|p| {

@@ -52,7 +52,7 @@ impl FamilyPoint {
 }
 
 /// Ramp time of the default adiabatic measurement clock.
-pub const ADIABATIC_RAMP: Seconds = Seconds(50e-9);
+pub(crate) const ADIABATIC_RAMP: Seconds = Seconds(50e-9);
 
 fn adiabatic_pipeline(vdd: Volts, ramp: Seconds) -> AdiabaticPipeline {
     let clock = PowerClock::symmetric(vdd, ramp, 4, ClockShape::Trapezoid);
@@ -149,7 +149,7 @@ fn measure_razor(vdd: Volts, seed: u64) -> FamilyPoint {
 }
 
 /// Measures one family at one voltage. Deterministic for a given
-/// `seed`; the adiabatic point uses [`ADIABATIC_RAMP`].
+/// `seed`; the adiabatic point uses `ADIABATIC_RAMP`.
 pub fn measure_family(family: LogicFamily, vdd: Volts, seed: u64) -> FamilyPoint {
     match family {
         LogicFamily::SpeedIndependent | LogicFamily::BundledData => {

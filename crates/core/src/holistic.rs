@@ -17,7 +17,7 @@ pub struct HolisticReport {
     /// Energy that reached the load rail.
     pub delivered: Joules,
     /// Energy invested in work that was thrown away (brown-outs).
-    pub wasted: Joules,
+    pub(crate) wasted: Joules,
     /// Completions per harvested joule — the "useful energy consumption
     /// … maximized for a given amount of energy produced" of Fig. 3.
     pub completions_per_joule: f64,

@@ -57,7 +57,7 @@ impl ActivityCurve {
     /// # Panics
     ///
     /// Panics if `energy` is negative.
-    pub fn proportional_activity(&self, energy: Joules) -> u64 {
+    pub(crate) fn proportional_activity(&self, energy: Joules) -> u64 {
         assert!(energy.0 >= 0.0, "negative energy");
         // E = C·V²/2 ⇒ the voltage this quantum charges the cap to; the
         // sample switch clamps at 1.2 V (overvoltage protection), so
@@ -70,7 +70,7 @@ impl ActivityCurve {
 
     /// Activity of the conventional system for the same quantum: zero
     /// until the overhead is paid, then linear.
-    pub fn conventional_activity(&self, energy: Joules) -> u64 {
+    pub(crate) fn conventional_activity(&self, energy: Joules) -> u64 {
         assert!(energy.0 >= 0.0, "negative energy");
         let net = energy.0 - self.overhead.0;
         if net <= 0.0 {

@@ -23,8 +23,9 @@
 //! * a **non-adiabatic residue**: threshold drops and un-recovered nodes
 //!   lose `≈ ½·C·Vt²` per operation no matter how slow the ramp;
 //! * a **leakage floor**: the op occupies the gate for a window
-//!   proportional to `T`, integrating `P_leak·T` — so `E(T)` is convex
-//!   with a minimum at [`AdiabaticModel::optimal_ramp_time`].
+//!   proportional to `T`, integrating `P_leak·T` — so `E(T)` is convex,
+//!   with its minimum where the `1/T` friction and the leakage balance,
+//!   at `T* = sqrt(ξ·R·C²·V² / (P_leak·w))` for a window of `w` ramps.
 
 use emc_units::{Farads, Joules, Ohms, Seconds, Volts};
 
@@ -88,7 +89,7 @@ impl AdiabaticModel {
     /// Effective charging resistance of a unit-drive channel at peak
     /// supply `v`: `R = V / I_on(V)`. Below the operating floor the
     /// channel never turns on and the resistance is `+∞`.
-    pub fn channel_resistance(&self, v: Volts) -> Ohms {
+    pub(crate) fn channel_resistance(&self, v: Volts) -> Ohms {
         if !self.device.operational(v) {
             return Ohms(f64::INFINITY);
         }
@@ -170,44 +171,6 @@ impl AdiabaticModel {
             recovered,
         }
     }
-
-    /// Total dissipation per operation (the curve the figures plot).
-    pub fn dissipation_per_op(
-        &self,
-        v: Volts,
-        c: Farads,
-        t_ramp: Seconds,
-        shape: f64,
-        window_ramps: f64,
-    ) -> Joules {
-        self.op_energy(v, c, t_ramp, shape, window_ramps)
-            .dissipated()
-    }
-
-    /// The ramp time minimising total dissipation: balancing the
-    /// `ξ·RC²V²/T` friction against the `P_leak·w·T` leakage floor gives
-    /// `T* = sqrt(ξ·R·C²·V² / (P_leak·w))`.
-    ///
-    /// Returns `None` below the device floor or when leakage is zero
-    /// (then slower is always better).
-    pub fn optimal_ramp_time(
-        &self,
-        v: Volts,
-        c: Farads,
-        shape: f64,
-        window_ramps: f64,
-    ) -> Option<Seconds> {
-        if !self.device.operational(v) {
-            return None;
-        }
-        let p_leak = self.device.leakage_power(v).0 * window_ramps;
-        if p_leak <= 0.0 {
-            return None;
-        }
-        let r = self.channel_resistance(v).0;
-        let cv2 = v.cv2(c).0;
-        Some(Seconds((shape * r * c.0 * cv2 / p_leak).sqrt()))
-    }
 }
 
 #[cfg(test)]
@@ -278,14 +241,29 @@ mod tests {
     fn dissipation_is_convex_with_an_interior_minimum() {
         let m = adb();
         let v = Volts(0.5);
-        let t_star = m
-            .optimal_ramp_time(v, C, 1.0, 4.0)
-            .expect("operational with leakage");
-        let e_star = m.dissipation_per_op(v, C, t_star, 1.0, 4.0);
-        let e_fast = m.dissipation_per_op(v, C, Seconds(t_star.0 / 10.0), 1.0, 4.0);
-        let e_slow = m.dissipation_per_op(v, C, Seconds(t_star.0 * 10.0), 1.0, 4.0);
-        assert!(e_star < e_fast, "minimum not below fast ramp");
-        assert!(e_star < e_slow, "minimum not below slow ramp");
+        // Ramp times from 1 ps to 1 s, four per decade.
+        let dissipated: Vec<f64> = (0..=48)
+            .map(|k| {
+                let t_ramp = Seconds(1e-12 * 10f64.powf(f64::from(k) / 4.0));
+                m.op_energy(v, C, t_ramp, 1.0, 4.0).dissipated().0
+            })
+            .collect();
+        let best = (0..dissipated.len())
+            .min_by(|&a, &b| dissipated[a].total_cmp(&dissipated[b]))
+            .expect("non-empty sweep");
+        assert!(
+            4 <= best && best + 4 < dissipated.len(),
+            "minimum at the sweep's edge ({best})"
+        );
+        let e_star = dissipated[best];
+        assert!(
+            e_star < dissipated[best - 4],
+            "minimum not below a 10x faster ramp"
+        );
+        assert!(
+            e_star < dissipated[best + 4],
+            "minimum not below a 10x slower ramp"
+        );
     }
 
     #[test]
@@ -309,7 +287,6 @@ mod tests {
         assert_eq!(op.recovered, Joules(0.0));
         assert_eq!(op.ramp_loss, Joules(0.0));
         assert!(op.leakage.0 > 0.0);
-        assert!(m.optimal_ramp_time(Volts(0.05), C, 1.0, 4.0).is_none());
     }
 
     #[test]

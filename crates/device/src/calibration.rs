@@ -26,17 +26,17 @@ use emc_units::{Seconds, Volts};
 use crate::model::DeviceModel;
 
 /// One `(Vdd, sram-delay-in-inverter-units)` anchor point.
-pub type Anchor = (Volts, f64);
+pub(crate) type Anchor = (Volts, f64);
 
 /// The paper's anchor at nominal supply: 50 inverter delays at 1.0 V.
-pub const ANCHOR_NOMINAL: Anchor = (Volts(1.0), 50.0);
+pub(crate) const ANCHOR_NOMINAL: Anchor = (Volts(1.0), 50.0);
 
 /// The paper's anchor in sub-threshold: 158 inverter delays at 190 mV.
-pub const ANCHOR_SUBTHRESHOLD: Anchor = (Volts(0.19), 158.0);
+pub(crate) const ANCHOR_SUBTHRESHOLD: Anchor = (Volts(0.19), 158.0);
 
 /// Errors from [`SramLogicCalibration::solve_with_anchors`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SolveCalibrationError {
+pub(crate) enum SolveCalibrationError {
     /// Anchors must be at two distinct voltages with positive ratios.
     DegenerateAnchors,
     /// The required mismatch growth cannot be produced by any `ΔVt` in the
@@ -106,7 +106,7 @@ impl SramLogicCalibration {
     /// Returns [`SolveCalibrationError`] if the anchors coincide, have
     /// non-positive ratios, or demand a mismatch growth no physical
     /// threshold elevation can produce.
-    pub fn solve_with_anchors(
+    pub(crate) fn solve_with_anchors(
         model: DeviceModel,
         hi: Anchor,
         lo: Anchor,

@@ -93,7 +93,13 @@ impl DeviceModel {
     /// # Panics
     ///
     /// Panics if `drive` is not strictly positive or `c_load` is negative.
-    pub fn gate_delay_with_vt(&self, vdd: Volts, c_load: Farads, drive: f64, vt: Volts) -> Seconds {
+    pub(crate) fn gate_delay_with_vt(
+        &self,
+        vdd: Volts,
+        c_load: Farads,
+        drive: f64,
+        vt: Volts,
+    ) -> Seconds {
         assert!(drive > 0.0, "drive strength must be positive");
         assert!(c_load.0 >= 0.0, "negative load capacitance");
         if vdd < self.params.v_floor {
@@ -141,20 +147,13 @@ impl DeviceModel {
         vdd * self.leakage_current(vdd)
     }
 
-    /// Frequency-domain figure of merit: transitions per joule at `vdd`
-    /// for a gate loaded by `c`. Higher at lower Vdd — the quantitative
-    /// core of "a quantum of energy buys an amount of computation".
-    pub fn transitions_per_joule(&self, vdd: Volts, c: Farads) -> f64 {
-        1.0 / self.switching_energy(vdd, c).0
-    }
-
     /// The supply floor below which gates stall.
     pub fn v_floor(&self) -> Volts {
         self.params.v_floor
     }
 
     /// `true` if a gate can switch at `vdd`.
-    pub fn operational(&self, vdd: Volts) -> bool {
+    pub(crate) fn operational(&self, vdd: Volts) -> bool {
         vdd >= self.params.v_floor
     }
 }
@@ -280,13 +279,6 @@ mod tests {
         assert!((l_nom - d.params().leak_at_nominal_a).abs() / l_nom < 1e-9);
         assert_eq!(d.leakage_current(Volts(0.0)), Amps(0.0));
         assert!(d.leakage_power(Volts(0.5)).0 > 0.0);
-    }
-
-    #[test]
-    fn transitions_per_joule_rises_as_vdd_falls() {
-        let d = dev();
-        let c = Farads(1e-15);
-        assert!(d.transitions_per_joule(Volts(0.3), c) > d.transitions_per_joule(Volts(1.0), c));
     }
 
     /// Delay decreases monotonically as Vdd rises (above the floor).

@@ -1,10 +1,10 @@
 //! Technology constants, process corners and temperature.
 
-use emc_units::{Celsius, Farads, Kelvin, Volts};
+use emc_units::{Farads, Kelvin, Volts};
 
 /// Boltzmann constant over elementary charge, in volts per kelvin; the
 /// thermal voltage is `φt = (k/q)·T`.
-pub const BOLTZMANN_OVER_Q: f64 = 8.617_333e-5;
+pub(crate) const BOLTZMANN_OVER_Q: f64 = 8.617_333e-5;
 
 /// Process corner of a CMOS die.
 ///
@@ -41,7 +41,7 @@ impl ProcessCorner {
     /// Skewed corners move Vt by half the full-corner shift: a logic path
     /// exercises both device types, so its effective threshold sits between
     /// the two skews.
-    pub fn vt_shift(self) -> Volts {
+    pub(crate) fn vt_shift(self) -> Volts {
         match self {
             ProcessCorner::Typical => Volts(0.0),
             ProcessCorner::FastFast => Volts(-0.035),
@@ -52,7 +52,7 @@ impl ProcessCorner {
     }
 
     /// Multiplier on the specific (drive) current.
-    pub fn drive_factor(self) -> f64 {
+    pub(crate) fn drive_factor(self) -> f64 {
         match self {
             ProcessCorner::Typical => 1.0,
             ProcessCorner::FastFast => 1.15,
@@ -63,7 +63,7 @@ impl ProcessCorner {
     }
 
     /// Short mnemonic ("TT", "FF", …) used in reports.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             ProcessCorner::Typical => "TT",
             ProcessCorner::FastFast => "FF",
@@ -93,24 +93,24 @@ pub struct ProcessParams {
     pub vt: Volts,
     /// Sub-threshold slope factor `n` (dimensionless, 1.0 is the
     /// theoretical ideal; bulk 90 nm sits near 1.4).
-    pub slope_factor: f64,
+    pub(crate) slope_factor: f64,
     /// Specific current `Is`: the drain current scale of a unit-strength
     /// transistor at the moderate-inversion knee, in amps.
-    pub specific_current_a: f64,
+    pub(crate) specific_current_a: f64,
     /// Delay fit constant `kd` mapping `C·V/I` onto an inverter
     /// propagation delay (dimensionless, absorbs logical effort and slope
     /// effects).
-    pub delay_fit: f64,
+    pub(crate) delay_fit: f64,
     /// Input (gate) capacitance of a unit inverter, in farads.
     pub gate_cap: Farads,
     /// Parasitic output capacitance of a unit inverter, in farads.
     pub drain_cap: Farads,
     /// Off-state leakage current of a unit inverter at Vdd = 1 V, in amps.
-    pub leak_at_nominal_a: f64,
+    pub(crate) leak_at_nominal_a: f64,
     /// DIBL coefficient: leakage scales as `e^(η·(V−1V)/φt)`.
-    pub dibl: f64,
+    pub(crate) dibl: f64,
     /// Junction temperature.
-    pub temperature: Kelvin,
+    pub(crate) temperature: Kelvin,
     /// Supply floor below which a static CMOS gate no longer switches
     /// reliably (state elements lose noise margin). The paper's circuits
     /// operate down to 0.2 V; below ≈ 0.1 V nothing computes.
@@ -148,7 +148,7 @@ impl ProcessParams {
 
     /// Returns a copy of these parameters at junction temperature `t`.
     ///
-    /// Temperature raises the thermal voltage (through [`Self::thermal_voltage`])
+    /// Temperature raises the thermal voltage (through `Self::thermal_voltage`)
     /// and lowers Vt by ≈ 1 mV/K — the standard first-order behaviour, which
     /// makes sub-threshold circuits *faster* when hot.
     pub fn at_temperature(&self, t: Kelvin) -> Self {
@@ -158,11 +158,6 @@ impl ProcessParams {
             temperature: t,
             ..self.clone()
         }
-    }
-
-    /// Convenience wrapper over [`Self::at_temperature`] taking Celsius.
-    pub fn at_celsius(&self, t: Celsius) -> Self {
-        self.at_temperature(t.into())
     }
 
     /// Returns a copy of these parameters under a body bias — the
@@ -195,7 +190,7 @@ impl ProcessParams {
 
     /// Thermal voltage `φt = kT/q` at the configured temperature
     /// (≈ 25.9 mV at 300 K).
-    pub fn thermal_voltage(&self) -> Volts {
+    pub(crate) fn thermal_voltage(&self) -> Volts {
         Volts(BOLTZMANN_OVER_Q * self.temperature.0)
     }
 }
@@ -273,8 +268,5 @@ mod tests {
         let hot = p.at_temperature(Kelvin(360.0));
         assert!(hot.vt < p.vt);
         assert!(hot.thermal_voltage() > p.thermal_voltage());
-        // Celsius wrapper agrees.
-        let via_c = p.at_celsius(Celsius(360.0 - 273.15));
-        assert!((via_c.vt.0 - hot.vt.0).abs() < 1e-12);
     }
 }

@@ -51,23 +51,13 @@ impl VariationModel {
         }
     }
 
-    /// σ(Vt) of this model.
-    pub fn sigma_vt(&self) -> Volts {
-        self.sigma_vt
-    }
-
     /// Draws one Vt offset ~ Normal(0, σ) using the Box–Muller transform.
-    pub fn sample_vt_offset<R: Rng + ?Sized>(&self, rng: &mut R) -> Volts {
+    pub(crate) fn sample_vt_offset<R: Rng + ?Sized>(&self, rng: &mut R) -> Volts {
         // Box–Muller: u1 ∈ (0, 1] avoids ln(0).
         let u1: f64 = 1.0 - rng.gen::<f64>();
         let u2: f64 = rng.gen();
         let z = (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
         Volts(self.sigma_vt.0 * z)
-    }
-
-    /// Draws `n` independent Vt offsets.
-    pub fn sample_vt_offsets<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Volts> {
-        (0..n).map(|_| self.sample_vt_offset(rng)).collect()
     }
 
     /// Returns a copy of `base` whose threshold has been perturbed by one
@@ -107,11 +97,15 @@ mod tests {
     use super::*;
     use emc_prng::StdRng;
 
+    fn offsets(var: VariationModel, n: usize, rng: &mut StdRng) -> Vec<Volts> {
+        (0..n).map(|_| var.sample_vt_offset(rng)).collect()
+    }
+
     #[test]
     fn sampling_is_reproducible_from_seed() {
         let var = VariationModel::new(0.03);
-        let a = var.sample_vt_offsets(16, &mut StdRng::seed_from_u64(42));
-        let b = var.sample_vt_offsets(16, &mut StdRng::seed_from_u64(42));
+        let a = offsets(var, 16, &mut StdRng::seed_from_u64(42));
+        let b = offsets(var, 16, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
     }
 
@@ -119,7 +113,7 @@ mod tests {
     fn sample_statistics_match_sigma() {
         let var = VariationModel::new(0.02);
         let mut rng = StdRng::seed_from_u64(1);
-        let samples = var.sample_vt_offsets(20_000, &mut rng);
+        let samples = offsets(var, 20_000, &mut rng);
         let mean: f64 = samples.iter().map(|v| v.0).sum::<f64>() / samples.len() as f64;
         let var_est: f64 = samples
             .iter()

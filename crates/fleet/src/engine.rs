@@ -209,9 +209,9 @@ pub struct EpochRow {
     /// Epoch index.
     pub epoch: u64,
     /// Measured fleet harvest power over the previous epoch, watts.
-    pub budget_w: f64,
+    pub(crate) budget_w: f64,
     /// Per-class task quota per wake for this epoch.
-    pub quotas: [u32; CLASSES],
+    pub(crate) quotas: [u32; CLASSES],
 }
 
 /// The result of a fleet run. Everything except `wall` is a pure
@@ -246,7 +246,7 @@ pub struct FleetReport {
     /// Per-class totals.
     pub classes: [ClassReport; CLASSES],
     /// Per-epoch arbitration decisions.
-    pub epoch_rows: Vec<EpochRow>,
+    pub(crate) epoch_rows: Vec<EpochRow>,
     /// FNV-1a digest over every node's counters, ledger and sensing
     /// history plus the arbitration trace — the determinism pin.
     pub digest: u64,

@@ -12,7 +12,7 @@
 //!   contract — every link latency and every wake period is at least
 //!   one epoch — means no event run in an epoch schedules another one
 //!   before that epoch's horizon, so a shard knows the whole batch when
-//!   the epoch starts ([`EventQueue::take_before`]). The queue panics on
+//!   the epoch starts (`EventQueue::take_before`). The queue panics on
 //!   an event that would break the contract;
 //! * the batch is *node-major*: grouped by node in index order, each
 //!   node's events in `(time, seq)` order. An event reads and writes
@@ -50,7 +50,7 @@ pub struct FleetEvent {
     /// Absolute firing time.
     pub time: Nanos,
     /// Destination node id.
-    pub node: u32,
+    pub(crate) node: u32,
     /// Shard-local insertion sequence — the final tiebreak, assigned in
     /// deterministic insertion order when the event is queued.
     pub seq: u64,
@@ -131,7 +131,7 @@ impl EventQueue {
     /// (the event would have had to run in an epoch that is over, so the
     /// lookahead contract is broken), if `node` is not one of the
     /// queue's, or if it already has a wake pending.
-    pub fn schedule_wake(&mut self, time: Nanos, node: u32) {
+    pub(crate) fn schedule_wake(&mut self, time: Nanos, node: u32) {
         let seq = self.assign_seq(time, node);
         let slot = &mut self.wakes[node.wrapping_sub(self.base) as usize];
         assert_eq!(*slot, NO_WAKE, "node {node} already has a wake pending");
@@ -146,7 +146,7 @@ impl EventQueue {
     ///
     /// As [`EventQueue::schedule_wake`], for a message delivered before
     /// a taken horizon or to a node that is not the queue's.
-    pub fn deliver(&mut self, mut inbox: Vec<Message>) {
+    pub(crate) fn deliver(&mut self, mut inbox: Vec<Message>) {
         inbox.sort_unstable();
         let end = self.base + self.wakes.len() as u32;
         self.deliveries.reserve(inbox.len());
@@ -180,7 +180,7 @@ impl EventQueue {
     /// for a later epoch, and each taken wake leaves its node without a
     /// pending one. From now on the queue refuses events before
     /// `horizon`.
-    pub fn take_before(&mut self, horizon: Nanos) -> Vec<FleetEvent> {
+    pub(crate) fn take_before(&mut self, horizon: Nanos) -> Vec<FleetEvent> {
         let mut batch = Vec::with_capacity(self.wakes.len() + self.deliveries.len());
         let mut kept = 0;
         let mut next = 0;
@@ -226,7 +226,7 @@ impl EventQueue {
     /// Number of queued [`EventKind::Deliver`] events — messages routed
     /// to this queue but not yet delivered (message-conservation
     /// accounting at end of run).
-    pub fn pending_deliveries(&self) -> u64 {
+    pub(crate) fn pending_deliveries(&self) -> u64 {
         self.deliveries.len() as u64
     }
 
@@ -244,7 +244,7 @@ pub struct Message {
     /// Destination node id.
     pub dst: u32,
     /// Absolute delivery time (send time + link latency).
-    pub deliver: Nanos,
+    pub(crate) deliver: Nanos,
     /// Source node id.
     pub src: u32,
     /// Sender-assigned sequence number, unique per source node.

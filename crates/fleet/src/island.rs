@@ -38,9 +38,9 @@ pub struct IslandPoint {
     /// Rail voltage of the measurement.
     pub vdd: f64,
     /// Gate firings per simulated second at this rail.
-    pub ops_per_sec: f64,
+    pub(crate) ops_per_sec: f64,
     /// Supply energy drawn per gate firing, joules.
-    pub joules_per_op: f64,
+    pub(crate) joules_per_op: f64,
 }
 
 /// Piecewise-linear throughput/energy model of a self-timed island.
@@ -51,7 +51,7 @@ pub struct IslandModel {
 
 /// What a task of a fixed op count costs the island at a fixed rail.
 /// A node class has one rail and one task size, so a fleet run reads
-/// the curves once per class ([`IslandModel::task_cost`]), not once per
+/// the curves once per class (`IslandModel::task_cost`), not once per
 /// task attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskCost {
@@ -90,12 +90,13 @@ impl IslandModel {
         Self { points }
     }
 
-    /// Builds a model directly from points (tests, ablations).
+    /// Builds a model directly from points, a fixture for unit tests.
     ///
     /// # Panics
     ///
     /// Panics if `points` is empty or not sorted by voltage.
-    pub fn from_points(points: Vec<IslandPoint>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_points(points: Vec<IslandPoint>) -> Self {
         assert!(!points.is_empty(), "island model needs points");
         assert!(
             points.windows(2).all(|w| w[0].vdd < w[1].vdd),
@@ -111,17 +112,17 @@ impl IslandModel {
 
     /// Interpolated firing rate at `vdd` (ops per simulated second).
     /// Zero below the lowest live grid point — the island stalls.
-    pub fn ops_per_sec(&self, vdd: f64) -> f64 {
+    pub(crate) fn ops_per_sec(&self, vdd: f64) -> f64 {
         self.interp(vdd, |p| p.ops_per_sec)
     }
 
     /// Interpolated energy per op at `vdd`, joules.
-    pub fn joules_per_op(&self, vdd: f64) -> f64 {
+    pub(crate) fn joules_per_op(&self, vdd: f64) -> f64 {
         self.interp(vdd, |p| p.joules_per_op)
     }
 
     /// The cost of a task of `ops` operations at `vdd`.
-    pub fn task_cost(&self, vdd: f64, ops: u64) -> TaskCost {
+    pub(crate) fn task_cost(&self, vdd: f64, ops: u64) -> TaskCost {
         let rate = self.ops_per_sec(vdd);
         TaskCost {
             rate,

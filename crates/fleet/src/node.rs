@@ -23,7 +23,7 @@ use crate::event::Nanos;
 use crate::island::{SensorModel, TaskCost};
 
 /// Joules → integer femtojoules (saturating, never negative).
-pub fn to_femtojoules(j: f64) -> u64 {
+pub(crate) fn to_femtojoules(j: f64) -> u64 {
     if j <= 0.0 {
         0
     } else {
@@ -32,7 +32,7 @@ pub fn to_femtojoules(j: f64) -> u64 {
 }
 
 /// Integer femtojoules → joules.
-pub fn from_femtojoules(fj: u64) -> f64 {
+pub(crate) fn from_femtojoules(fj: u64) -> f64 {
     fj as f64 * 1e-15
 }
 
@@ -81,7 +81,7 @@ impl NodeLedger {
     /// Renders the integer buckets into an `emc-obs` energy ledger
     /// under `fleet/<bucket>` accounts (fixed booking order → identical
     /// export bytes for identical runs).
-    pub fn to_energy_ledger(&self) -> emc_obs::EnergyLedger {
+    pub(crate) fn to_energy_ledger(self) -> emc_obs::EnergyLedger {
         use emc_obs::EnergyKind;
         let mut l = emc_obs::EnergyLedger::new();
         l.add(
@@ -128,7 +128,7 @@ impl NodeLedger {
     }
 
     /// Fold the ledger into an FNV-1a accumulator (digest building).
-    pub fn fold_digest(&self, h: &mut Fnv64) {
+    pub(crate) fn fold_digest(&self, h: &mut Fnv64) {
         for v in [
             self.harvested_fj,
             self.spilled_fj,
@@ -193,7 +193,7 @@ impl NodeClass {
     }
 
     /// Wake period in epochs.
-    pub fn period_epochs(&self) -> u64 {
+    pub(crate) fn period_epochs(&self) -> u64 {
         match self {
             NodeClass::Sentinel => 1,
             NodeClass::Monitor => 2,
@@ -202,7 +202,7 @@ impl NodeClass {
     }
 
     /// Island operations per task.
-    pub fn ops_per_task(&self) -> u64 {
+    pub(crate) fn ops_per_task(&self) -> u64 {
         match self {
             NodeClass::Sentinel => 64,
             NodeClass::Monitor => 256,
@@ -225,11 +225,11 @@ impl NodeClass {
 /// comparable to per-epoch harvest, which is what makes the fleet
 /// *energy-modulated*: duty cycles track harvest, and a drought
 /// visibly starves the reservoir within tens of epochs.
-pub const TX_J: f64 = 60e-9;
+pub(crate) const TX_J: f64 = 60e-9;
 /// Radio energy per received message.
-pub const RX_J: f64 = 25e-9;
+pub(crate) const RX_J: f64 = 25e-9;
 /// Standing idle draw of the always-on wake timer.
-pub const IDLE_W: f64 = 1.5e-6;
+pub(crate) const IDLE_W: f64 = 1.5e-6;
 
 /// Counters a node accumulates over a run (all exact integers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -269,7 +269,7 @@ impl NodeSummary {
     }
 
     /// Fold the counters into an FNV-1a accumulator.
-    pub fn fold_digest(&self, h: &mut Fnv64) {
+    pub(crate) fn fold_digest(&self, h: &mut Fnv64) {
         for v in [
             self.expected,
             self.completed,
@@ -294,7 +294,7 @@ pub struct NodeState {
     /// Fleet-wide node id.
     pub id: u32,
     /// QoS class.
-    pub class: NodeClass,
+    pub(crate) class: NodeClass,
     /// The real supply chain (harvester → cap → DC-DC).
     pub chain: PowerChain,
     /// Per-node seeded RNG (`SplitMix64::mix(fleet_seed, id)`) — every
@@ -303,17 +303,17 @@ pub struct NodeState {
     /// Simulation time of the node's last chain tick.
     pub last_tick: Nanos,
     /// Unserved task backlog (capped at `BACKLOG_CAP`).
-    pub backlog: u64,
+    pub(crate) backlog: u64,
     /// Sequence number for outgoing messages.
-    pub msg_seq: u32,
+    pub(crate) msg_seq: u32,
     /// Phase of the sensed environment signal, radians.
-    pub sense_phase: f64,
+    pub(crate) sense_phase: f64,
     /// Accumulated counters.
     pub summary: NodeSummary,
     /// Accumulated energy ledger (integer femtojoules).
     pub ledger: NodeLedger,
     /// Checksum of sensed codes (folds sensing into the digest).
-    pub sense_digest: Fnv64,
+    pub(crate) sense_digest: Fnv64,
 }
 
 impl NodeState {
@@ -375,7 +375,7 @@ impl NodeState {
 
     /// First wake time: a per-node jitter inside the first period, so
     /// a class's nodes don't all fire on the same nanosecond.
-    pub fn initial_wake(&mut self, epoch: Nanos) -> Nanos {
+    pub(crate) fn initial_wake(&mut self, epoch: Nanos) -> Nanos {
         let period = self.class.period_epochs() * epoch;
         self.rng.gen_range(0..period.max(1))
     }
@@ -383,7 +383,7 @@ impl NodeState {
     /// Advances the power chain to `now`: harvest at the real
     /// (possibly droughted) source power, pay the idle draw, and book
     /// the deltas into the integer ledger.
-    pub fn tick_chain(&mut self, now: Nanos) {
+    pub(crate) fn tick_chain(&mut self, now: Nanos) {
         if now <= self.last_tick {
             return;
         }
@@ -401,7 +401,7 @@ impl NodeState {
     /// The environment signal this node is sensing (volts) — a slow
     /// per-node-phased oscillation across the sensor's calibrated
     /// range.
-    pub fn sense_voltage(&self, now: Nanos) -> f64 {
+    pub(crate) fn sense_voltage(&self, now: Nanos) -> f64 {
         let t = now as f64 * 1e-9;
         0.62 + 0.32 * (std::f64::consts::TAU * 3.0 * t + self.sense_phase).sin()
     }
@@ -413,7 +413,7 @@ impl NodeState {
     /// Returns the message to send on success (`None` when the island
     /// is stalled, the token was refused, or the node has no
     /// neighbours).
-    pub fn attempt_task(
+    pub(crate) fn attempt_task(
         &mut self,
         now: Nanos,
         cost: &TaskCost,
@@ -461,7 +461,7 @@ impl NodeState {
 
     /// Handles a message arrival: the rx quantum is drawn under the
     /// same all-or-nothing discipline; refusal drops the message.
-    pub fn receive(&mut self, src: u32, msg_seq: u32) {
+    pub(crate) fn receive(&mut self, src: u32, msg_seq: u32) {
         // Fold the arrival into the digest so routing bugs change it.
         self.sense_digest
             .write_u64(u64::from(src) << 32 | u64::from(msg_seq));
@@ -477,7 +477,7 @@ impl NodeState {
     /// One wake: tick the chain, grow the backlog by the one task this
     /// wake expects, then attempt up to `quota` tasks of island cost
     /// `cost`. Returns messages to route.
-    pub fn wake(
+    pub(crate) fn wake(
         &mut self,
         now: Nanos,
         quota: u32,

@@ -115,13 +115,8 @@ impl Topology {
         (self.offsets.len() - 1) as u32
     }
 
-    /// Total number of directed links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// The outgoing links of `node`.
-    pub fn links(&self, node: u32) -> &[Link] {
+    pub(crate) fn links(&self, node: u32) -> &[Link] {
         let lo = self.offsets[node as usize] as usize;
         let hi = self.offsets[node as usize + 1] as usize;
         &self.links[lo..hi]
@@ -129,7 +124,7 @@ impl Topology {
 
     /// The smallest link latency — the PDES lookahead. The engine
     /// asserts `min_latency() >= epoch`.
-    pub fn min_latency(&self) -> Nanos {
+    pub(crate) fn min_latency(&self) -> Nanos {
         self.min_latency
     }
 }
@@ -241,7 +236,7 @@ mod tests {
     #[test]
     fn single_node_fleet_has_no_links() {
         let t = Topology::build(TopologyKind::Ring, 1, 1_000, 3);
-        assert_eq!(t.link_count(), 0);
+        assert!(t.links(0).is_empty());
         assert_eq!(t.min_latency(), 1_000);
     }
 }

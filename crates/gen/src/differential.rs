@@ -18,7 +18,7 @@
 //! exhaustively explored reachable set, because applying one
 //! environment action at quiescence is a particular interleaving the
 //! explorer also covers. [`ReachableStates`] holds that set projected
-//! to net values; [`run_differential`] asserts membership after every
+//! to net values; `run_differential` asserts membership after every
 //! fired event when the set is available.
 
 use std::collections::HashSet;
@@ -76,7 +76,7 @@ impl ReachableStates {
     /// The reachable states of the closed circuit–environment system,
     /// from the verifier's own unreduced walk
     /// ([`Explorer::walk_unreduced`]). Caps at `cap` distinct states.
-    pub fn compute(gc: &GeneratedCircuit, cap: usize) -> Self {
+    pub(crate) fn compute(gc: &GeneratedCircuit, cap: usize) -> Self {
         let explorer = Explorer::new(&gc.netlist, &*gc.env, &gc.initial, cap);
         let mut projections: HashSet<Box<[u64]>> = HashSet::new();
         let Ok((states, exhaustive)) = explorer.walk_unreduced(
@@ -159,7 +159,7 @@ pub struct DiffReport {
     /// The first soundness violation observed, if any: a simulated
     /// state outside the verifier's reachable set, or a settle that
     /// exceeded the event budget.
-    pub violation: Option<String>,
+    pub(crate) violation: Option<String>,
 }
 
 fn settle(
@@ -200,7 +200,7 @@ fn settle(
 /// trace digest; when `reachable` is given (exhaustive exploration),
 /// additionally asserts every intermediate simulator state is
 /// verifier-reachable.
-pub fn run_differential(
+pub(crate) fn run_differential(
     gc: &GeneratedCircuit,
     schedule: Schedule,
     driver_seed: u64,
@@ -295,7 +295,7 @@ pub struct CheckOutcome {
     /// deterministic function of the plan and driver seed).
     pub digest: u64,
     /// Total simulator events fired across all schedules.
-    pub fired_total: u64,
+    pub(crate) fired_total: u64,
     /// `None` on success; otherwise the first failed stage's
     /// description.
     pub failure: Option<String>,

@@ -37,7 +37,7 @@ pub struct BlockSpec {
 }
 
 /// A named 2-input boolean function usable as a [`BlockSpec`] body.
-pub type BlockFunction = (&'static str, fn(bool, bool) -> bool);
+pub(crate) type BlockFunction = (&'static str, fn(bool, bool) -> bool);
 
 /// The 2-input functions a [`BlockSpec`] may select: every non-trivial
 /// symmetric-complete choice that keeps both DIMS output rails driven

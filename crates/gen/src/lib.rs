@@ -43,8 +43,7 @@ use emc_netlist::{GateId, NetId, Netlist};
 use emc_verify::{Circuit, EnvModel};
 
 pub use differential::{
-    check_generated, run_differential, CheckOptions, CheckOutcome, DiffReport, ReachableStates,
-    Schedule, SimView,
+    check_generated, CheckOptions, CheckOutcome, DiffReport, ReachableStates, Schedule, SimView,
 };
 pub use families::{
     block_graph, completion_tree, dims_adder, micropipeline, pipelined_array,

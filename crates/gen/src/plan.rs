@@ -23,23 +23,23 @@ use crate::GeneratedCircuit;
 #[derive(Debug, Clone)]
 pub struct GenBounds {
     /// Completion-tree width (bits).
-    pub max_tree_width: usize,
+    pub(crate) max_tree_width: usize,
     /// WCHB pipeline depth (stages).
-    pub max_wchb_stages: usize,
+    pub(crate) max_wchb_stages: usize,
     /// WCHB pipeline width (bits).
-    pub max_wchb_width: usize,
+    pub(crate) max_wchb_width: usize,
     /// DIMS adder width (bits).
-    pub max_adder_width: usize,
+    pub(crate) max_adder_width: usize,
     /// Muller pipeline depth (stages).
-    pub max_mp_stages: usize,
+    pub(crate) max_mp_stages: usize,
     /// Pipelined-array rows.
-    pub max_array_rows: usize,
+    pub(crate) max_array_rows: usize,
     /// Pipelined-array columns (row depth).
-    pub max_array_cols: usize,
+    pub(crate) max_array_cols: usize,
     /// Block-graph dual-rail inputs.
-    pub max_graph_inputs: usize,
+    pub(crate) max_graph_inputs: usize,
     /// Block-graph DIMS blocks.
-    pub max_graph_blocks: usize,
+    pub(crate) max_graph_blocks: usize,
 }
 
 impl GenBounds {
@@ -202,7 +202,7 @@ impl Plan {
     /// graphs — the block list bisected and individually thinned. Every
     /// candidate is a valid plan (operand draws rebind modulo the new
     /// pool size).
-    pub fn shrink_candidates(&self) -> Vec<Plan> {
+    pub(crate) fn shrink_candidates(&self) -> Vec<Plan> {
         let mut out = Vec::new();
         let mut push = |family: FamilyPlan| {
             let p = Plan {

@@ -77,7 +77,7 @@ impl GateKind {
     }
 
     /// `true` for gates whose next output depends on the current output.
-    pub fn is_state_holding(self) -> bool {
+    pub(crate) fn is_state_holding(self) -> bool {
         matches!(
             self,
             GateKind::CElement | GateKind::SrLatch | GateKind::Toggle | GateKind::Dff
@@ -145,7 +145,7 @@ impl GateKind {
                 }
             }
             // Edge-triggered kinds hold their state under pure level
-            // evaluation; edges arrive through `eval_with_edge`.
+            // evaluation; edges arrive through `eval_map_with_edge`.
             GateKind::Toggle | GateKind::Dff => current,
         }
     }
@@ -162,8 +162,14 @@ impl GateKind {
         self.eval_indexed(inputs.len(), |i| read(inputs[i]), current)
     }
 
-    /// [`Self::eval_with_edge`] in the allocation-free form of
-    /// [`Self::eval_map`].
+    /// Next-state function with edge information, reading input levels
+    /// like [`Self::eval_map`]: `edge`, when present, names the input
+    /// position that just changed and its new level.
+    ///
+    /// Level-sensitive kinds ignore the edge and defer to
+    /// [`Self::eval_map`]; [`GateKind::Toggle`] inverts its output on a
+    /// rising edge of its input, and [`GateKind::Dff`] captures `d` on a
+    /// rising edge of `clk`.
     ///
     /// # Panics
     ///
@@ -188,18 +194,15 @@ impl GateKind {
         }
     }
 
-    /// Next-state function with edge information: `edge`, when present,
-    /// names the input position that just changed and its new level.
-    ///
-    /// Level-sensitive kinds ignore the edge and defer to [`Self::eval`];
-    /// [`GateKind::Toggle`] inverts its output on a rising edge of its
-    /// input, and [`GateKind::Dff`] captures `d` on a rising edge of
-    /// `clk`.
+    /// [`Self::eval_map_with_edge`] over a pre-collected slice of input
+    /// levels, deferring to [`Self::eval`]: the reference the unit tests
+    /// check the simulator's form against.
     ///
     /// # Panics
     ///
     /// Panics on arity violations, like [`Self::eval`].
-    pub fn eval_with_edge(
+    #[cfg(test)]
+    pub(crate) fn eval_with_edge(
         self,
         inputs: &[bool],
         current: bool,

@@ -55,18 +55,11 @@ pub struct Histogram {
     pub bounds: Vec<f64>,
     /// Per-bound cumulative-style counts (non-cumulative storage:
     /// `buckets[i]` counts observations in `(bounds[i-1], bounds[i]]`).
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
     /// Total number of observations, including overflow.
     pub count: u64,
     /// Sum of all observed values.
     pub sum: f64,
-}
-
-impl Histogram {
-    /// Observations above the last bound.
-    pub fn overflow(&self) -> u64 {
-        self.count - self.buckets.iter().sum::<u64>()
-    }
 }
 
 /// Power-of-two integer bounds `1, 2, 4, … 2^(n-1)` — a good default
@@ -214,13 +207,6 @@ impl Metrics {
             .and_then(|&i| self.gauges[i as usize].value)
     }
 
-    /// Histogram by id, if registered.
-    pub fn histogram_by_id(&self, id: &str) -> Option<&Histogram> {
-        self.histogram_index
-            .get(id)
-            .map(|&i| &self.histograms[i as usize])
-    }
-
     /// Counters in registration order.
     pub fn counters(&self) -> &[Counter] {
         &self.counters
@@ -291,10 +277,13 @@ mod tests {
         for v in [0.5, 1.0, 2.0, 3.0, 9.0] {
             m.observe(h, v);
         }
-        let hist = m.histogram_by_id("q.depth").unwrap();
+        let [hist] = m.histograms() else {
+            panic!("one histogram registered")
+        };
+        assert_eq!(hist.id, "q.depth");
         assert_eq!(hist.buckets, vec![2, 1, 1]);
         assert_eq!(hist.count, 5);
-        assert_eq!(hist.overflow(), 1);
+        assert_eq!(hist.count - hist.buckets.iter().sum::<u64>(), 1, "overflow");
         assert!((hist.sum - 15.5).abs() < 1e-12);
     }
 
@@ -328,7 +317,9 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a.counter_value("n"), Some(5));
         assert_eq!(a.gauge_value("v"), Some(7.0));
-        let hist = a.histogram_by_id("lat").unwrap();
+        let [hist] = a.histograms() else {
+            panic!("one histogram registered")
+        };
         assert_eq!(hist.buckets, vec![1, 1]);
         assert_eq!(hist.count, 2);
     }

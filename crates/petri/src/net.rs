@@ -1,6 +1,5 @@
 //! The energy-token Petri net structure and firing rule.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use emc_units::Joules;
@@ -121,18 +120,8 @@ impl PetriNet {
         self.transitions[t.0].energy_cost = cost;
     }
 
-    /// The energy cost of `t`.
-    pub fn energy_cost(&self, t: TransitionId) -> Joules {
-        self.transitions[t.0].energy_cost
-    }
-
-    /// Name of a place.
-    pub fn place_name(&self, p: PlaceId) -> &str {
-        &self.place_names[p.0]
-    }
-
     /// Name of a transition.
-    pub fn transition_name(&self, t: TransitionId) -> &str {
+    pub(crate) fn transition_name(&self, t: TransitionId) -> &str {
         &self.transitions[t.0].name
     }
 
@@ -246,15 +235,6 @@ impl PetriNet {
         out.push_str("}\n");
         out
     }
-
-    /// Sum over places of `weights[p] · tokens[p]` — evaluate a P-
-    /// invariant candidate on the current marking.
-    pub fn weighted_token_sum(&self, weights: &BTreeMap<PlaceId, i64>) -> i64 {
-        weights
-            .iter()
-            .map(|(&p, &w)| w * self.tokens[p.0] as i64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -292,14 +272,11 @@ mod tests {
     #[test]
     fn slot_count_is_invariant() {
         let (mut n, [empty, full], [produce, consume]) = producer_consumer();
-        let mut weights = BTreeMap::new();
-        weights.insert(empty, 1);
-        weights.insert(full, 1);
         let mut e = Joules(f64::INFINITY);
-        let before = n.weighted_token_sum(&weights);
+        let before = n.tokens(empty) + n.tokens(full);
         for t in [produce, consume, produce, produce, consume] {
             let _ = n.fire(t, &mut e);
-            assert_eq!(n.weighted_token_sum(&weights), before);
+            assert_eq!(n.tokens(empty) + n.tokens(full), before);
         }
     }
 
@@ -353,7 +330,9 @@ mod tests {
     #[test]
     fn names_are_kept() {
         let (n, [empty, _], [produce, _]) = producer_consumer();
-        assert_eq!(n.place_name(empty), "empty");
+        assert!(n
+            .to_dot()
+            .contains(&format!("p{} [shape=circle label=\"empty\\n", empty.0)));
         assert_eq!(n.transition_name(produce), "produce");
         assert_eq!(n.place_count(), 2);
         assert_eq!(n.transition_count(), 2);

@@ -114,7 +114,7 @@ impl Stg {
 
     /// Declares a signal with its initial level; `is_input` marks
     /// environment-controlled signals (exempt from output persistence).
-    pub fn add_signal(&mut self, name: &str, initial: bool, is_input: bool) -> SignalId {
+    pub(crate) fn add_signal(&mut self, name: &str, initial: bool, is_input: bool) -> SignalId {
         self.signal_names.push(name.to_owned());
         self.initial_levels.push(initial);
         self.is_input.push(is_input);
@@ -122,7 +122,7 @@ impl Stg {
     }
 
     /// Adds a labelled transition `signal±` and returns its id.
-    pub fn add_edge(&mut self, signal: SignalId, polarity: Polarity) -> TransitionId {
+    pub(crate) fn add_edge(&mut self, signal: SignalId, polarity: Polarity) -> TransitionId {
         let name = format!("{}{polarity}", self.signal_names[signal.0]);
         let t = self.net.add_transition(&name);
         self.labels.push((signal, polarity));
@@ -135,27 +135,30 @@ impl Stg {
         self.net.add_place(name, initial)
     }
 
-    /// Arc `place → transition`.
+    /// Arc `place → transition`, for unit tests that build choice places
+    /// and unbounded places, which [`Stg::arc`] cannot.
     ///
     /// # Panics
     ///
     /// Panics on foreign ids or zero weight (see [`PetriNet`]).
-    pub fn connect_in(&mut self, t: TransitionId, p: PlaceId) {
+    #[cfg(test)]
+    pub(crate) fn connect_in(&mut self, t: TransitionId, p: PlaceId) {
         self.net.add_input_arc(t, p, 1);
     }
 
-    /// Arc `transition → place`.
+    /// Arc `transition → place`, the other half of [`Stg::connect_in`].
     ///
     /// # Panics
     ///
     /// Panics on foreign ids or zero weight (see [`PetriNet`]).
-    pub fn connect_out(&mut self, t: TransitionId, p: PlaceId) {
+    #[cfg(test)]
+    pub(crate) fn connect_out(&mut self, t: TransitionId, p: PlaceId) {
         self.net.add_output_arc(t, p, 1);
     }
 
     /// Convenience: a fresh place from `a` to `b` (the usual STG arc
     /// `a → b` with an implicit place).
-    pub fn arc(&mut self, a: TransitionId, b: TransitionId) {
+    pub(crate) fn arc(&mut self, a: TransitionId, b: TransitionId) {
         let p = self.net.add_place(
             &format!(
                 "{}->{}",
@@ -169,7 +172,7 @@ impl Stg {
     }
 
     /// As [`Stg::arc`] with an initial token — closes a cycle.
-    pub fn arc_with_token(&mut self, a: TransitionId, b: TransitionId) {
+    pub(crate) fn arc_with_token(&mut self, a: TransitionId, b: TransitionId) {
         let p = self.net.add_place(
             &format!(
                 "{}=>{}",
@@ -205,11 +208,6 @@ impl Stg {
     /// The level `s` was declared with (the level at the initial marking).
     pub fn initial_level(&self, s: SignalId) -> bool {
         self.initial_levels[s.0]
-    }
-
-    /// `true` if `s` was declared environment-controlled.
-    pub fn is_input(&self, s: SignalId) -> bool {
-        self.is_input[s.0]
     }
 
     fn fire_label(&self, levels: &mut [bool], t: TransitionId) -> Result<(), StgError> {

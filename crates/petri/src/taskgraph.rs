@@ -2,7 +2,7 @@
 
 use emc_units::{Joules, Seconds};
 
-use crate::net::{PetriNet, PlaceId, TransitionId};
+use crate::net::{PetriNet, TransitionId};
 
 /// Identifier of a task within a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,8 +41,6 @@ pub struct CompiledGraph {
     pub net: PetriNet,
     /// Transition of each task.
     pub transition_of: Vec<TransitionId>,
-    /// "Done" place of each task.
-    pub done_place_of: Vec<PlaceId>,
 }
 
 impl TaskGraph {
@@ -111,7 +109,6 @@ impl TaskGraph {
     pub fn compile(&self) -> CompiledGraph {
         let mut net = PetriNet::new();
         let mut transition_of = Vec::with_capacity(self.tasks.len());
-        let mut done_place_of = Vec::with_capacity(self.tasks.len());
         // Create transitions + start/done places first.
         for (i, task) in self.tasks.iter().enumerate() {
             let t = net.add_transition(&task.name);
@@ -121,7 +118,6 @@ impl TaskGraph {
             net.add_output_arc(t, done, 1);
             net.set_energy_cost(t, task.energy);
             transition_of.push(t);
-            done_place_of.push(done);
             let _ = i;
         }
         // One place per dependency edge.
@@ -132,11 +128,7 @@ impl TaskGraph {
                 net.add_input_arc(transition_of[i], edge, 1);
             }
         }
-        CompiledGraph {
-            net,
-            transition_of,
-            done_place_of,
-        }
+        CompiledGraph { net, transition_of }
     }
 
     /// A synthetic fork-join pipeline workload: `stages` sequential
@@ -165,6 +157,7 @@ impl TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::FireError;
 
     #[test]
     fn diamond_compiles_and_runs_in_order() {
@@ -200,8 +193,10 @@ mod tests {
             .net
             .fire(compiled.transition_of[d.index()], &mut e)
             .unwrap();
+        let dot = compiled.net.to_dot();
         for t in g.ids() {
-            assert_eq!(compiled.net.tokens(compiled.done_place_of[t.index()]), 1);
+            let done = format!("label=\"{}.done\\n1\"", g.task(t).name);
+            assert!(dot.contains(&done), "{done} missing");
         }
         // Everything done: net is quiescent.
         assert!(compiled.net.enabled(e).is_empty());
@@ -227,11 +222,16 @@ mod tests {
     fn energy_costs_transfer_to_net() {
         let mut g = TaskGraph::new();
         let a = g.add_task("a", Joules(3.5), Seconds(1.0), &[]);
-        let compiled = g.compile();
+        let mut compiled = g.compile();
+        let t = compiled.transition_of[a.index()];
+        let mut e = Joules(3.4);
         assert_eq!(
-            compiled.net.energy_cost(compiled.transition_of[a.index()]),
-            Joules(3.5)
+            compiled.net.fire(t, &mut e),
+            Err(FireError::InsufficientEnergy)
         );
+        e = Joules(3.5);
+        compiled.net.fire(t, &mut e).unwrap();
+        assert_eq!(e, Joules(0.0));
         assert_eq!(g.total_energy(), Joules(3.5));
     }
 

@@ -3,14 +3,10 @@
 //! but while it is still operational the available power can be very
 //! large. Supply characteristics are stable and known in advance."
 
-use emc_units::{Joules, Ohms, Seconds, Volts, Watts};
+use emc_units::{Joules, Seconds, Watts};
 
-/// A battery with finite capacity, a state-of-charge-dependent terminal
-/// voltage and an internal series resistance.
-///
-/// The open-circuit voltage follows a flat-plateau curve typical of
-/// primary lithium cells: nominal over most of the state of charge, with
-/// a knee near empty. Loaded terminal voltage sags by `I·R_int`.
+/// A battery with finite capacity: it delivers whatever power is asked
+/// until its energy runs out.
 ///
 /// # Examples
 ///
@@ -27,33 +23,25 @@ use emc_units::{Joules, Ohms, Seconds, Volts, Watts};
 pub struct Battery {
     capacity: Joules,
     remaining: Joules,
-    v_nominal: Volts,
-    r_internal: Ohms,
 }
 
 impl Battery {
-    /// A battery with the given capacity, nominal voltage and internal
-    /// resistance.
+    /// A battery with the given capacity.
     ///
     /// # Panics
     ///
-    /// Panics unless capacity, voltage and resistance are strictly
-    /// positive.
-    pub fn new(capacity: Joules, v_nominal: Volts, r_internal: Ohms) -> Self {
+    /// Panics unless the capacity is strictly positive.
+    pub fn new(capacity: Joules) -> Self {
         assert!(capacity.0 > 0.0, "capacity must be positive");
-        assert!(v_nominal.0 > 0.0, "voltage must be positive");
-        assert!(r_internal.0 > 0.0, "resistance must be positive");
         Self {
             capacity,
             remaining: capacity,
-            v_nominal,
-            r_internal,
         }
     }
 
-    /// A 3 V lithium coin cell: 225 mAh ≈ 2.4 kJ, 15 Ω internal.
+    /// A 3 V lithium coin cell: 225 mAh ≈ 2.4 kJ.
     pub fn coin_cell() -> Self {
-        Self::new(Joules(2430.0), Volts(3.0), Ohms(15.0))
+        Self::new(Joules(2430.0))
     }
 
     /// Rated capacity.
@@ -76,28 +64,6 @@ impl Battery {
         self.remaining.0 <= 0.0
     }
 
-    /// Open-circuit voltage at the current state of charge: flat at
-    /// nominal above 20 %, linear knee to 60 % of nominal at empty.
-    pub fn open_circuit_voltage(&self) -> Volts {
-        let soc = self.state_of_charge();
-        if soc >= 0.2 {
-            self.v_nominal
-        } else {
-            Volts(self.v_nominal.0 * (0.6 + 2.0 * soc))
-        }
-    }
-
-    /// Terminal voltage while sourcing `load` watts (sag = `I·R_int`
-    /// with `I = P/V_oc`). Zero when empty.
-    pub fn terminal_voltage(&self, load: Watts) -> Volts {
-        if self.empty() {
-            return Volts(0.0);
-        }
-        let v_oc = self.open_circuit_voltage();
-        let i = load.0 / v_oc.0;
-        Volts((v_oc.0 - i * self.r_internal.0).max(0.0))
-    }
-
     /// Draws `load` for `dt`; returns the energy actually delivered
     /// (truncated when the cell runs out mid-interval).
     ///
@@ -113,15 +79,6 @@ impl Battery {
         self.remaining = self.remaining.max(Joules(0.0));
         granted
     }
-
-    /// Lifetime at a constant load (ignoring the knee), in seconds.
-    pub fn lifetime_at(&self, load: Watts) -> Seconds {
-        if load.0 <= 0.0 {
-            Seconds(f64::INFINITY)
-        } else {
-            self.remaining / load
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,17 +86,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coin_cell_lifetime_at_microwatts() {
-        let b = Battery::coin_cell();
-        // 2.43 kJ at 10 µW ≈ 7.7 years.
-        let life = b.lifetime_at(Watts(10e-6));
-        let years = life.0 / (365.25 * 24.0 * 3600.0);
-        assert!((7.0..8.5).contains(&years), "{years} years");
-    }
-
-    #[test]
     fn draw_depletes_and_truncates() {
-        let mut b = Battery::new(Joules(1.0), Volts(3.0), Ohms(10.0));
+        let mut b = Battery::new(Joules(1.0));
         assert_eq!(b.draw(Watts(0.4), Seconds(1.0)), Joules(0.4));
         assert!((b.state_of_charge() - 0.6).abs() < 1e-12);
         // Asking for more than remains delivers only the remainder.
@@ -150,47 +98,8 @@ mod tests {
     }
 
     #[test]
-    fn voltage_plateau_and_knee() {
-        let mut b = Battery::new(Joules(10.0), Volts(3.0), Ohms(10.0));
-        assert_eq!(b.open_circuit_voltage(), Volts(3.0));
-        // Drain to 10 % state of charge: inside the knee.
-        b.draw(Watts(9.0), Seconds(1.0));
-        assert!((b.state_of_charge() - 0.1).abs() < 1e-12);
-        let v = b.open_circuit_voltage();
-        assert!(v < Volts(3.0) && v > Volts(1.5), "knee voltage {v}");
-    }
-
-    #[test]
-    fn terminal_voltage_sags_under_load() {
-        let b = Battery::coin_cell();
-        let idle = b.terminal_voltage(Watts(0.0));
-        let loaded = b.terminal_voltage(Watts(30e-3));
-        assert_eq!(idle, Volts(3.0));
-        // 10 mA through 15 Ω = 150 mV sag.
-        assert!(
-            (idle.0 - loaded.0 - 0.15).abs() < 1e-3,
-            "sag {}",
-            idle.0 - loaded.0
-        );
-    }
-
-    #[test]
-    fn empty_cell_gives_zero_volts() {
-        let mut b = Battery::new(Joules(0.5), Volts(3.0), Ohms(1.0));
-        b.draw(Watts(1.0), Seconds(1.0));
-        assert_eq!(b.terminal_voltage(Watts(1e-3)), Volts(0.0));
-        assert_eq!(b.lifetime_at(Watts(1e-3)), Seconds(0.0));
-    }
-
-    #[test]
-    fn zero_load_lives_forever() {
-        let b = Battery::coin_cell();
-        assert!(b.lifetime_at(Watts(0.0)).0.is_infinite());
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = Battery::new(Joules(0.0), Volts(3.0), Ohms(1.0));
+        let _ = Battery::new(Joules(0.0));
     }
 }

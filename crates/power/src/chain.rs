@@ -33,7 +33,7 @@ pub struct ChainReport {
 impl ChainReport {
     /// End-to-end efficiency: delivered / harvested (zero when nothing
     /// was harvested).
-    pub fn end_to_end_efficiency(&self) -> f64 {
+    pub(crate) fn end_to_end_efficiency(&self) -> f64 {
         if self.harvested.0 <= 0.0 {
             0.0
         } else {
@@ -130,7 +130,6 @@ impl PowerChain {
         self.report.delivered += delivered;
         self.report.deficit += (demand - delivered).max(Joules(0.0));
 
-        self.storage.age(dt);
         self.now = Seconds(self.now.0 + dt.0);
         delivered
     }

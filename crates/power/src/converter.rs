@@ -59,17 +59,6 @@ impl DcDcConverter {
         self
     }
 
-    /// Overrides the quiescent draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    pub fn with_quiescent(mut self, quiescent: Watts) -> Self {
-        assert!(quiescent.0 >= 0.0, "negative quiescent power");
-        self.quiescent = quiescent;
-        self
-    }
-
     /// The regulated output voltage.
     pub fn v_out(&self) -> Volts {
         self.v_out
@@ -109,7 +98,12 @@ impl DcDcConverter {
     /// both ways at one input voltage computes `eta` once for both.
     ///
     /// Returns `None` if the converter cannot operate (η = 0).
-    pub fn input_energy_for(&self, load_energy: Joules, eta: f64, dt: Seconds) -> Option<Joules> {
+    pub(crate) fn input_energy_for(
+        &self,
+        load_energy: Joules,
+        eta: f64,
+        dt: Seconds,
+    ) -> Option<Joules> {
         if eta == 0.0 {
             return None;
         }
@@ -119,7 +113,7 @@ impl DcDcConverter {
     /// Output energy delivered when `input_energy` is withdrawn from the
     /// reservoir at efficiency `eta` (the [`DcDcConverter::efficiency`]
     /// at the input voltage) over `dt` (quiescent draw is paid first).
-    pub fn output_energy_for(&self, input_energy: Joules, eta: f64, dt: Seconds) -> Joules {
+    pub(crate) fn output_energy_for(&self, input_energy: Joules, eta: f64, dt: Seconds) -> Joules {
         let after_quiescent = (input_energy - self.quiescent * dt).max(Joules(0.0));
         Joules(after_quiescent.0 * eta)
     }

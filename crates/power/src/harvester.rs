@@ -5,7 +5,6 @@
 //! operating point, and a [`HarvestSource`] freezes one operating point
 //! into a plain `power(t)` signal for the power chain.
 
-use emc_prng::Rng;
 use emc_units::{Hertz, Seconds, Watts, Waveform};
 
 /// A resonant vibration micro-generator.
@@ -112,37 +111,6 @@ impl SolarCell {
         self
     }
 
-    /// A clear-sky day/night irradiance profile: a half-sine of the given
-    /// daylight length repeating every 24 h, zero at night. Pass it to
-    /// [`SolarCell::with_irradiance`] for deployment-scale studies.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < daylight_hours < 24`.
-    pub fn day_profile(daylight_hours: f64) -> Waveform {
-        assert!(
-            daylight_hours > 0.0 && daylight_hours < 24.0,
-            "daylight must be within a day"
-        );
-        // A sine with period 2·daylight, clamped at zero, gives the
-        // half-sine during the day; shifting the *negative* lobe past
-        // night-time needs the period to be a full day, so build one day
-        // as PWL samples and rely on the repeating harvest runs to tile
-        // it (callers simulating multiple days use modulo time).
-        let day = daylight_hours * 3600.0;
-        let night = 24.0 * 3600.0 - day;
-        let mut points = Vec::new();
-        for i in 0..=48 {
-            let f = i as f64 / 48.0;
-            points.push((
-                emc_units::Seconds(day * f),
-                (core::f64::consts::PI * f).sin().max(0.0),
-            ));
-        }
-        points.push((emc_units::Seconds(day + night), 0.0));
-        Waveform::pwl(points)
-    }
-
     /// Open-circuit voltage.
     pub fn v_oc(&self) -> f64 {
         self.v_oc
@@ -167,73 +135,6 @@ impl SolarCell {
     }
 }
 
-/// Sporadic energy bursts (RF scavenging, keystrokes, shocks): each burst
-/// delivers a fixed energy over a fixed duration, with exponentially
-/// distributed gaps. Deterministic given its seed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BurstSource {
-    /// Pre-generated burst start times (sorted).
-    starts: Vec<f64>,
-    duration: f64,
-    power: f64,
-}
-
-impl BurstSource {
-    /// Generates bursts with mean inter-arrival `mean_gap`, each lasting
-    /// `duration` at constant `power`, covering `[0, span]`, from `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any duration or the gap is not strictly positive.
-    pub fn generate<R: Rng + ?Sized>(
-        mean_gap: Seconds,
-        duration: Seconds,
-        power: Watts,
-        span: Seconds,
-        rng: &mut R,
-    ) -> Self {
-        assert!(
-            mean_gap.0 > 0.0 && duration.0 > 0.0,
-            "durations must be positive"
-        );
-        let mut starts = Vec::new();
-        let mut t = 0.0;
-        while t < span.0 {
-            let u: f64 = rng.gen::<f64>().max(1e-12);
-            t += -mean_gap.0 * u.ln();
-            if t < span.0 {
-                starts.push(t);
-                t += duration.0;
-            }
-        }
-        Self {
-            starts,
-            duration: duration.0,
-            power: power.0,
-        }
-    }
-
-    /// Number of generated bursts.
-    pub fn burst_count(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// Instantaneous power at `t`.
-    pub fn power(&self, t: Seconds) -> Watts {
-        let idx = self.starts.partition_point(|&s| s <= t.0);
-        if idx > 0 && t.0 < self.starts[idx - 1] + self.duration {
-            Watts(self.power)
-        } else {
-            Watts(0.0)
-        }
-    }
-
-    /// Freezes this source into a [`HarvestSource`].
-    pub fn into_source(self) -> HarvestSource {
-        HarvestSource::Burst(self)
-    }
-}
-
 /// A harvester with a fixed operating point: a plain `power(t)` signal
 /// feeding a [`crate::PowerChain`].
 #[derive(Debug, Clone, PartialEq)]
@@ -252,8 +153,6 @@ pub enum HarvestSource {
         /// Operating voltage chosen (by hand or by MPPT).
         operating_voltage: f64,
     },
-    /// Sporadic bursts.
-    Burst(BurstSource),
     /// An arbitrary power profile (watts as a waveform).
     Profile(Waveform),
 }
@@ -267,34 +166,14 @@ impl HarvestSource {
                 cell,
                 operating_voltage,
             } => cell.power(t, *operating_voltage),
-            HarvestSource::Burst(b) => b.power(t),
             HarvestSource::Profile(w) => Watts(w.value_at(t).max(0.0)),
         }
-    }
-
-    /// Energy harvested over `[t0, t1]` by trapezoidal integration with
-    /// `n` intervals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or the interval is inverted.
-    pub fn energy_over(&self, t0: Seconds, t1: Seconds, n: usize) -> emc_units::Joules {
-        assert!(n > 0 && t1.0 >= t0.0, "bad integration window");
-        let dt = (t1.0 - t0.0) / n as f64;
-        let mut acc = 0.0;
-        for i in 0..n {
-            let a = self.power(Seconds(t0.0 + dt * i as f64)).0;
-            let b = self.power(Seconds(t0.0 + dt * (i + 1) as f64)).0;
-            acc += 0.5 * (a + b) * dt;
-        }
-        emc_units::Joules(acc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_prng::StdRng;
 
     #[test]
     fn vibration_peaks_at_resonance() {
@@ -345,19 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn day_profile_peaks_at_noon_and_sleeps_at_night() {
-        let w = SolarCell::day_profile(12.0);
-        let noon = w.value_at(Seconds(6.0 * 3600.0));
-        assert!((noon - 1.0).abs() < 1e-3, "noon {noon}");
-        assert!(w.value_at(Seconds(1.0)) < 0.05, "dawn should be dim");
-        assert!(w.value_at(Seconds(18.0 * 3600.0)).abs() < 1e-12, "night");
-        // Mean over the day = (2/π)·(12/24).
-        let expect = 2.0 / core::f64::consts::PI * 0.5;
-        let mean = w.mean_over(Seconds(0.0), Seconds(86_400.0), 2000);
-        assert!((mean - expect).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
     fn solar_irradiance_scales_power() {
         let c = SolarCell::new(0.6, 1e-3).with_irradiance(Waveform::constant(0.5));
         let full = SolarCell::new(0.6, 1e-3);
@@ -367,46 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn bursts_are_seed_deterministic_and_sporadic() {
-        let mk = |seed| {
-            BurstSource::generate(
-                Seconds(1.0),
-                Seconds(0.05),
-                Watts(1e-3),
-                Seconds(100.0),
-                &mut StdRng::seed_from_u64(seed),
-            )
-        };
-        let a = mk(1);
-        let b = mk(1);
-        assert_eq!(a, b);
-        assert!(
-            a.burst_count() > 50 && a.burst_count() < 200,
-            "{}",
-            a.burst_count()
-        );
-        // Duty cycle ≈ duration/(gap+duration) ≈ 5 %.
-        let src = a.into_source();
-        let mut on = 0;
-        for i in 0..10_000 {
-            if src.power(Seconds(i as f64 * 0.01)).0 > 0.0 {
-                on += 1;
-            }
-        }
-        let duty = on as f64 / 10_000.0;
-        assert!(duty > 0.02 && duty < 0.10, "duty {duty}");
-    }
-
-    #[test]
     fn profile_source_clamps_negative_power() {
         let s = HarvestSource::Profile(Waveform::constant(-1.0));
         assert_eq!(s.power(Seconds(0.0)), Watts(0.0));
-    }
-
-    #[test]
-    fn energy_integration_of_constant_profile() {
-        let s = HarvestSource::Profile(Waveform::constant(2e-6));
-        let e = s.energy_over(Seconds(0.0), Seconds(3.0), 100);
-        assert!((e.0 - 6e-6).abs() < 1e-12);
     }
 }

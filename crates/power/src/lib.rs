@@ -9,10 +9,10 @@
 //! * [`harvester`] — micro-generator models: a resonant
 //!   [`VibrationHarvester`] (power falls off a Lorentzian as the tuning
 //!   drifts from resonance — the thing MPPT tracks), a [`SolarCell`] with
-//!   an I–V curve and irradiance profile, and a seeded [`BurstSource`]
-//!   for sporadic scavenging;
+//!   an I–V curve and irradiance profile, and [`HarvestSource`]'s plain
+//!   power profile;
 //! * [`storage`] — [`StorageCap`]: the super-capacitor buffer with charge
-//!   bookkeeping, voltage clamp and self-discharge;
+//!   bookkeeping and a voltage clamp;
 //! * [`converter`] — [`DcDcConverter`]: a regulated output with a
 //!   conversion-ratio-dependent efficiency curve and quiescent draw, the
 //!   "significant effort (again costing energy!)" of the paper;
@@ -54,7 +54,7 @@ pub mod storage;
 pub use battery::Battery;
 pub use chain::{ChainReport, PowerChain};
 pub use converter::DcDcConverter;
-pub use harvester::{BurstSource, HarvestSource, SolarCell, VibrationHarvester};
+pub use harvester::{HarvestSource, SolarCell, VibrationHarvester};
 pub use mppt::PerturbObserve;
 pub use power_clock::{ClockShape, PhasePos, PowerClock};
 pub use storage::StorageCap;

@@ -70,11 +70,6 @@ impl PerturbObserve {
         self.point
     }
 
-    /// Current perturbation step size.
-    pub fn step_size(&self) -> f64 {
-        self.step
-    }
-
     /// Feeds back the power measured at the current operating point and
     /// perturbs for the next measurement.
     pub fn observe(&mut self, power: Watts) {
@@ -92,21 +87,6 @@ impl PerturbObserve {
         }
         self.last_power = Some(power);
         self.point = (self.point + self.direction * self.step).clamp(self.bounds.0, self.bounds.1);
-    }
-
-    /// Resets the adaptation (e.g. after an environmental change was
-    /// detected), keeping the current operating point but restoring the
-    /// initial step size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not strictly positive.
-    pub fn reset_step(&mut self, step: f64) {
-        assert!(step > 0.0, "perturbation step must be positive");
-        self.step = step;
-        self.min_step = step / 64.0;
-        self.last_power = None;
-        self.reversals = 0;
     }
 }
 
@@ -142,7 +122,10 @@ mod tests {
             let f = Hertz(mppt.operating_point());
             mppt.observe(h.power(Seconds(0.0), f));
         }
-        assert!(mppt.step_size() < 4.0);
+        // The next perturbation moves by less than the initial step.
+        let before = mppt.operating_point();
+        mppt.observe(h.power(Seconds(0.0), Hertz(before)));
+        assert!((mppt.operating_point() - before).abs() < 4.0);
     }
 
     #[test]
@@ -153,17 +136,6 @@ mod tests {
             mppt.observe(Watts(i as f64));
         }
         assert!(mppt.operating_point() <= 1.0);
-    }
-
-    #[test]
-    fn reset_restores_step() {
-        let mut mppt = PerturbObserve::new(0.5, 0.1, (0.0, 1.0));
-        for i in 0..50 {
-            mppt.observe(Watts(((i % 2) as f64) * 1e-6));
-        }
-        assert!(mppt.step_size() < 0.1);
-        mppt.reset_step(0.1);
-        assert_eq!(mppt.step_size(), 0.1);
     }
 
     #[test]

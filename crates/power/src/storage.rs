@@ -1,9 +1,9 @@
 //! The storage reservoir between harvester and load.
 
-use emc_units::{Coulombs, Farads, Joules, Seconds, Volts};
+use emc_units::{Coulombs, Farads, Joules, Volts};
 
-/// A super-capacitor (or large on-chip MIM cap) with charge bookkeeping,
-/// an over-voltage clamp and exponential self-discharge.
+/// A super-capacitor (or large on-chip MIM cap) with charge bookkeeping
+/// and an over-voltage clamp.
 ///
 /// # Examples
 ///
@@ -21,13 +21,11 @@ pub struct StorageCap {
     capacitance: Farads,
     charge: Coulombs,
     v_max: Volts,
-    /// Self-discharge time constant; `None` disables leakage.
-    tau: Option<Seconds>,
 }
 
 impl StorageCap {
     /// A capacitor of the given size, initial voltage, and over-voltage
-    /// clamp, with self-discharge disabled.
+    /// clamp.
     ///
     /// # Panics
     ///
@@ -41,19 +39,7 @@ impl StorageCap {
             capacitance,
             charge: capacitance * v0,
             v_max,
-            tau: None,
         }
-    }
-
-    /// Enables exponential self-discharge with time constant `tau`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau` is not strictly positive.
-    pub fn with_self_discharge(mut self, tau: Seconds) -> Self {
-        assert!(tau.0 > 0.0, "self-discharge constant must be positive");
-        self.tau = Some(tau);
-        self
     }
 
     /// The capacitance.
@@ -69,11 +55,6 @@ impl StorageCap {
     /// Present stored energy `C·V²/2`.
     pub fn stored_energy(&self) -> Joules {
         self.capacitance.stored_energy(self.voltage())
-    }
-
-    /// Energy headroom before the clamp engages.
-    pub fn headroom(&self) -> Joules {
-        self.capacitance.stored_energy(self.v_max) - self.stored_energy()
     }
 
     /// Deposits up to `energy`; returns the amount actually accepted
@@ -99,7 +80,7 @@ impl StorageCap {
     /// # Panics
     ///
     /// Panics if `energy` is negative.
-    pub fn withdraw(&mut self, energy: Joules) -> Joules {
+    pub(crate) fn withdraw(&mut self, energy: Joules) -> Joules {
         assert!(energy.0 >= 0.0, "cannot withdraw negative energy");
         let stored = self.stored_energy();
         let granted = Joules(energy.0.min(stored.0));
@@ -107,14 +88,6 @@ impl StorageCap {
         let v = Volts((2.0 * new_e.0.max(0.0) / self.capacitance.0).sqrt());
         self.charge = self.capacitance * v;
         granted
-    }
-
-    /// Applies self-discharge over an elapsed interval `dt`.
-    pub fn age(&mut self, dt: Seconds) {
-        if let Some(tau) = self.tau {
-            let factor = (-dt.0 / tau.0).exp();
-            self.charge = Coulombs(self.charge.0 * factor);
-        }
     }
 }
 
@@ -163,19 +136,6 @@ mod tests {
         assert!((got.0 - 1.25e-6).abs() < 1e-12);
         assert_eq!(c.voltage(), Volts(0.0));
         assert_eq!(c.withdraw(Joules(1e-6)).0, 0.0);
-    }
-
-    #[test]
-    fn self_discharge_decays_voltage() {
-        let mut c = StorageCap::new(Farads(1e-6), Volts(1.0), Volts(1.2))
-            .with_self_discharge(Seconds(10.0));
-        c.age(Seconds(10.0));
-        assert!((c.voltage().0 - (-1.0_f64).exp()).abs() < 1e-9);
-        // Ageing with leakage disabled is a no-op.
-        let mut d = cap();
-        let v = d.voltage();
-        d.age(Seconds(1e9));
-        assert_eq!(d.voltage(), v);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::stochastic::{ConcurrencyModel, ConcurrencyPoint};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConcurrencyController {
     model: ConcurrencyModel,
-    k_max: usize,
     /// Pre-evaluated operating points for k = 1..=k_max.
     points: Vec<ConcurrencyPoint>,
 }
@@ -24,11 +23,7 @@ impl ConcurrencyController {
     pub fn new(model: ConcurrencyModel, k_max: usize) -> Self {
         assert!(k_max > 0, "need at least one concurrency level");
         let points = model.sweep(k_max);
-        Self {
-            model,
-            k_max,
-            points,
-        }
+        Self { model, points }
     }
 
     /// The evaluated operating points.
@@ -70,11 +65,6 @@ impl ConcurrencyController {
     /// The underlying model.
     pub fn model(&self) -> &ConcurrencyModel {
         &self.model
-    }
-
-    /// Upper concurrency bound considered.
-    pub fn k_max(&self) -> usize {
-        self.k_max
     }
 }
 

@@ -33,9 +33,9 @@ pub struct ScheduleReport {
     /// Total energy income over the run.
     pub harvested: Joules,
     /// Ticks until the last completion (or the tick budget).
-    pub makespan_ticks: usize,
+    pub(crate) makespan_ticks: usize,
     /// Total energy of the *completed* tasks — work actually retired.
-    pub completed_energy: Joules,
+    pub(crate) completed_energy: Joules,
 }
 
 impl ScheduleReport {

@@ -74,7 +74,7 @@ impl ConcurrencyModel {
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn steady_state(&self, k: usize) -> Vec<f64> {
+    pub(crate) fn steady_state(&self, k: usize) -> Vec<f64> {
         assert!(k > 0, "concurrency must be positive");
         let n = self.buffer;
         // Unnormalised products of birth/death ratios.

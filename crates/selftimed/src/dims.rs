@@ -66,7 +66,7 @@ pub fn dims_gate2(
 
 /// A one-bit dual-rail full adder: `(sum, carry)` from `(a, b, cin)`,
 /// built from two layers of DIMS gates.
-pub fn dims_full_adder(
+pub(crate) fn dims_full_adder(
     netlist: &mut Netlist,
     a: DualRail,
     b: DualRail,

@@ -56,6 +56,6 @@ pub mod wchb;
 
 pub use bundled::{BundledPipeline, DelayLine};
 pub use counter::{SelfTimedOscillator, ToggleRippleCounter};
-pub use dims::{dims_full_adder, dims_gate2, DualRailAdder};
+pub use dims::{dims_gate2, DualRailAdder};
 pub use micropipeline::MullerPipeline;
 pub use wchb::DualRailPipeline;

@@ -13,8 +13,6 @@
 //! handshake-pipeline datapath (including this crate's WCHB) hangs off.
 
 use emc_netlist::{GateId, GateKind, NetId, Netlist};
-use emc_sim::Simulator;
-use emc_units::Seconds;
 
 /// An N-stage Muller pipeline control chain.
 #[derive(Debug, Clone)]
@@ -88,18 +86,28 @@ impl MullerPipeline {
     pub fn depth(&self) -> usize {
         self.stages.len()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emc_device::DeviceModel;
+    use emc_prng::Rng;
+    use emc_prng::StdRng;
+    use emc_sim::{Simulator, SupplyKind};
+    use emc_units::{Seconds, Waveform};
 
     /// Number of tokens currently held (stages whose level differs from
     /// their successor's — the classic occupancy rule for a Muller
     /// chain).
-    pub fn occupancy(&self, sim: &Simulator) -> usize {
+    fn occupancy(p: &MullerPipeline, sim: &Simulator) -> usize {
         let mut count = 0;
-        for i in 0..self.stages.len() {
-            let here = sim.value(self.stages[i]);
-            let next = if i + 1 < self.stages.len() {
-                sim.value(self.stages[i + 1])
+        for i in 0..p.stages.len() {
+            let here = sim.value(p.stages[i]);
+            let next = if i + 1 < p.stages.len() {
+                sim.value(p.stages[i + 1])
             } else {
-                sim.value(self.tail_ack)
+                sim.value(p.tail_ack)
             };
             if here != next {
                 count += 1;
@@ -112,24 +120,24 @@ impl MullerPipeline {
     /// tail absorbs everything immediately (2-phase: each event is one
     /// edge). Returns the time the last stage fired its last event, or
     /// `None` on deadline.
-    pub fn stream_through(
-        &self,
+    fn stream_through(
+        p: &MullerPipeline,
         sim: &mut Simulator,
         events: usize,
         deadline: Seconds,
     ) -> Option<Seconds> {
-        let last = *self.stages.last().expect("non-empty");
+        let last = *p.stages.last().expect("non-empty");
         let mut sent = 0usize;
-        let mut req_level = sim.value(self.request);
+        let mut req_level = sim.value(p.request);
         let mut seen_at_tail = 0usize;
         let mut tail_level = sim.value(last);
         let mut last_time = sim.now();
         loop {
             // Head: issue the next edge as soon as the first stage has
             // caught up with the current level.
-            if sent < events && sim.value(self.stages[0]) == req_level {
+            if sent < events && sim.value(p.stages[0]) == req_level {
                 req_level = !req_level;
-                sim.schedule_input(self.request, sim.now(), req_level);
+                sim.schedule_input(p.request, sim.now(), req_level);
                 sent += 1;
             }
             // Tail: acknowledge instantly (maximal throughput).
@@ -137,7 +145,7 @@ impl MullerPipeline {
                 tail_level = sim.value(last);
                 seen_at_tail += 1;
                 last_time = sim.now();
-                sim.schedule_input(self.tail_ack, sim.now(), tail_level);
+                sim.schedule_input(p.tail_ack, sim.now(), tail_level);
             }
             if seen_at_tail >= events {
                 return Some(last_time);
@@ -147,7 +155,7 @@ impl MullerPipeline {
             }
             if sim.step().is_none() {
                 // Quiescent but incomplete: check the env can still act.
-                let head_can = sent < events && sim.value(self.stages[0]) == req_level;
+                let head_can = sent < events && sim.value(p.stages[0]) == req_level;
                 let tail_can = sim.value(last) != tail_level;
                 if !head_can && !tail_can {
                     return None;
@@ -155,16 +163,6 @@ impl MullerPipeline {
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use emc_device::DeviceModel;
-    use emc_prng::Rng;
-    use emc_prng::StdRng;
-    use emc_sim::SupplyKind;
-    use emc_units::Waveform;
 
     fn rig(n: usize, vdd: f64) -> (Simulator, MullerPipeline) {
         let mut nl = Netlist::new();
@@ -180,12 +178,12 @@ mod tests {
     #[test]
     fn single_event_reaches_the_tail() {
         let (mut sim, p) = rig(5, 1.0);
-        let done = p.stream_through(&mut sim, 1, Seconds(1e-6));
+        let done = stream_through(&p, &mut sim, 1, Seconds(1e-6));
         assert!(done.is_some());
         assert!(sim.hazards().is_empty());
         // Tail acked: chain returns to uniform level, zero occupancy.
         sim.run_to_quiescence(10_000);
-        assert_eq!(p.occupancy(&sim), 0);
+        assert_eq!(occupancy(&p, &sim), 0);
     }
 
     #[test]
@@ -203,7 +201,7 @@ mod tests {
                 if sim.step().is_none() {
                     break;
                 }
-                assert!(p.occupancy(&sim) <= p.depth(), "overrun!");
+                assert!(occupancy(&p, &sim) <= p.depth(), "overrun!");
             }
         }
         assert!(sim.hazards().is_empty());
@@ -214,9 +212,8 @@ mod tests {
         let time_for = |vdd: f64| {
             let (mut sim, p) = rig(6, vdd);
             let t0 = sim.now();
-            let done = p
-                .stream_through(&mut sim, 12, Seconds(t0.0 + 1.0))
-                .expect("stream completed");
+            let done =
+                stream_through(&p, &mut sim, 12, Seconds(t0.0 + 1.0)).expect("stream completed");
             done.0 - t0.0
         };
         let fast = time_for(1.0);
@@ -240,7 +237,7 @@ mod tests {
             sim.start();
             sim.run_to_quiescence(10_000);
             let deadline = Seconds(sim.now().0 + 10.0);
-            let done = p.stream_through(&mut sim, 8, deadline);
+            let done = stream_through(&p, &mut sim, 8, deadline);
             assert!(done.is_some(), "trial {trial} did not complete");
             assert!(sim.hazards().is_empty(), "trial {trial} hazards");
         }

@@ -18,7 +18,7 @@ pub struct ConversionResult {
     pub code: u64,
     /// The raw ripple-register contents at stall (may lag `code` by a
     /// partially propagated carry).
-    pub register: u64,
+    pub(crate) register: u64,
     /// Total gate transitions fired — the "amount of computation" the
     /// charge quantum bought.
     pub transitions: u64,

@@ -10,7 +10,7 @@ use emc_units::{Hertz, Seconds, Volts};
 /// Its Achilles heel — the reason the paper builds the reference-free
 /// sensor — is the **time reference**: the window is only as accurate as
 /// some independent clock, and in an energy-harvesting system no stable
-/// clock exists. [`RingOscillatorSensor::measure_with_reference_error`]
+/// clock exists. `RingOscillatorSensor::measure_with_reference_error`
 /// exposes that sensitivity.
 #[derive(Debug, Clone)]
 pub struct RingOscillatorSensor {
@@ -78,7 +78,7 @@ impl RingOscillatorSensor {
 
     /// Counts cycles over a window that is wrong by `rel_error`
     /// (e.g. `0.05` = the reference clock runs 5 % fast).
-    pub fn measure_with_reference_error(&self, vdd: Volts, rel_error: f64) -> u64 {
+    pub(crate) fn measure_with_reference_error(&self, vdd: Volts, rel_error: f64) -> u64 {
         (self.frequency(vdd).0 * self.window.0 * (1.0 + rel_error)).max(0.0) as u64
     }
 

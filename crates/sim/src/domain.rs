@@ -26,7 +26,7 @@ pub enum SupplyKind {
         resolution: Seconds,
     },
     /// A finite storage capacitor that is *not* recharged by anything but
-    /// explicit [`PowerDomain::recharge`] calls: every transition drains
+    /// explicit `PowerDomain::recharge` calls: every transition drains
     /// charge and the rail sags. This is the sampling capacitor of the
     /// charge-to-digital converter (Figs. 9–11).
     Capacitor {
@@ -205,7 +205,7 @@ impl PowerDomain {
     /// # Panics
     ///
     /// Panics if called on an ideal supply.
-    pub fn recharge(&mut self, to_voltage: Volts) {
+    pub(crate) fn recharge(&mut self, to_voltage: Volts) {
         match &self.kind {
             SupplyKind::Capacitor { capacitance, .. } => {
                 self.charge = *capacitance * to_voltage;

@@ -21,7 +21,7 @@ impl Fnv64 {
     /// The FNV-1a offset basis: the digest of no bytes.
     pub const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     /// The 64-bit FNV prime.
-    pub const PRIME: u64 = 0x0000_0100_0000_01b3;
+    pub(crate) const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// A hasher that has seen no bytes.
     pub const fn new() -> Self {

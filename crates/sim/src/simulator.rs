@@ -40,7 +40,7 @@ pub struct Hazard {
     /// When the disabling input change happened.
     pub time: Seconds,
     /// The output value the cancelled transition would have produced.
-    pub cancelled_value: bool,
+    pub(crate) cancelled_value: bool,
 }
 
 /// One row of [`Simulator::activity_report`].
@@ -144,11 +144,12 @@ struct GateState {
     /// [`Simulator::delay_at_voltage`]: the device delay law runs `exp`
     /// per evaluation, and on a constant rail every event re-asks the
     /// same question. Keyed on exact `f64` bits so the memo can never
-    /// change a result; invalidated by the per-gate knobs
-    /// ([`Simulator::set_extra_load`] / [`Simulator::set_delay_scale`]).
+    /// change a result; invalidated by the per-gate knob
+    /// [`Simulator::set_delay_scale`].
     delay_memo: Cell<(u64, f64)>,
-    /// Output load, [`Simulator::output_load`], recomputed whenever one
-    /// of its terms changes.
+    /// Output load, computed once at construction: the gate's own drain
+    /// parasitic (scaled by drive) plus the gate capacitance of its
+    /// fanout.
     load: Farads,
     /// Switching energy drawn by this gate's rising output edges.
     energy: Joules,
@@ -265,13 +266,15 @@ impl Simulator {
         let narrow = |n: usize| u32::try_from(n).expect("net and input indices fit in u32");
         let mut states = Vec::with_capacity(gates);
         let mut inputs = Vec::new();
+        let p = device.params();
         for (_, g) in netlist.iter_gates() {
             if g.kind() == GateKind::Const1 {
                 values[g.output().index()] = true;
             }
+            let fanout_units = netlist.fanout_load_units(g.output());
             states.push(GateState {
                 delay_memo: Cell::new((MEMO_INVALID, 0.0)),
-                load: Farads(0.0),
+                load: Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * fanout_units),
                 energy: Joules(0.0),
                 transitions: 0,
                 epoch: 0,
@@ -284,7 +287,7 @@ impl Simulator {
             });
             inputs.extend_from_slice(g.inputs());
         }
-        let mut sim = Self {
+        Self {
             netlist,
             device,
             domains: Vec::new(),
@@ -301,11 +304,7 @@ impl Simulator {
             trace: Trace::new(),
             leak_memo: Cell::new((MEMO_INVALID, 0.0)),
             obs: None,
-        };
-        for g in 0..gates {
-            sim.gates[g].load = sim.output_load(g, Farads(0.0));
         }
-        sim
     }
 
     /// The netlist under simulation.
@@ -355,18 +354,6 @@ impl Simulator {
         for i in 0..self.netlist.gate_count() {
             self.assign_domain(self.netlist.gate_id(i), domain);
         }
-    }
-
-    /// Extra capacitive load on a gate's output net (wire, bit line, pad).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the load is negative.
-    pub fn set_extra_load(&mut self, gate: GateId, load: Farads) {
-        assert!(load.0 >= 0.0, "negative extra load");
-        let g = gate.index();
-        self.gates[g].load = self.output_load(g, load);
-        self.gates[g].delay_memo.set((MEMO_INVALID, 0.0));
     }
 
     /// Multiplies one gate's delay by `scale` — the hook used for process
@@ -820,15 +807,6 @@ impl Simulator {
         let p = device.leakage_power(v);
         memo.set((bits, p.0));
         p
-    }
-
-    /// Output load of a gate: its own drain parasitic (scaled by drive),
-    /// the gate capacitance of its fanout, and `extra` (wire) load.
-    fn output_load(&self, gate: usize, extra: Farads) -> Farads {
-        let g = self.netlist.gate_ref(self.netlist.gate_id(gate));
-        let p = self.device.params();
-        let fanout_units = self.netlist.fanout_load_units(g.output());
-        Farads(p.drain_cap.0 * g.drive() + p.gate_cap.0 * fanout_units + extra.0)
     }
 
     /// Constant-supply delay of `gate` at rail voltage `v`, memoised on

@@ -38,26 +38,9 @@ impl Trace {
         &self.entries
     }
 
-    /// Entries for a single net, in time order.
-    pub fn for_net(&self, net: NetId) -> Vec<TraceEntry> {
-        self.entries
-            .iter()
-            .copied()
-            .filter(|e| e.net == net)
-            .collect()
-    }
-
     /// Number of transitions recorded on `net`.
     pub fn transition_count(&self, net: NetId) -> usize {
         self.entries.iter().filter(|e| e.net == net).count()
-    }
-
-    /// Number of *rising* transitions recorded on `net`.
-    pub fn rising_count(&self, net: NetId) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.net == net && e.value)
-            .count()
     }
 
     /// Reconstructs the value of `net` at time `t`, assuming it started at
@@ -156,9 +139,8 @@ mod tests {
         tr.record(Seconds(2.0), b, true);
         tr.record(Seconds(3.0), a, false);
         assert_eq!(tr.len(), 3);
-        assert_eq!(tr.for_net(a).len(), 2);
         assert_eq!(tr.transition_count(a), 2);
-        assert_eq!(tr.rising_count(a), 1);
+        assert_eq!(tr.rising_edges(a), vec![Seconds(1.0)]);
         assert_eq!(tr.rising_edges(b), vec![Seconds(2.0)]);
     }
 

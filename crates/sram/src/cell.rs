@@ -30,7 +30,7 @@ impl CellKind {
 
     /// Additional read-path threshold elevation relative to the 6T read
     /// stack (the decoupled 8T read port is one transistor deeper).
-    pub fn extra_read_vt(self) -> Volts {
+    pub(crate) fn extra_read_vt(self) -> Volts {
         match self {
             CellKind::SixT => Volts(0.0),
             CellKind::EightT => Volts(0.015),
@@ -43,13 +43,6 @@ impl CellKind {
             CellKind::SixT => 1.0,
             CellKind::EightT => 1.4,
         }
-    }
-
-    /// Whether reads disturb the storage node (6T reads are ratioed; the
-    /// 8T read port is decoupled). Drives the read-stability margin used
-    /// in failure analysis.
-    pub fn read_decoupled(self) -> bool {
-        matches!(self, CellKind::EightT)
     }
 }
 
@@ -71,12 +64,6 @@ mod tests {
         assert!(CellKind::EightT.leakage_factor() < CellKind::SixT.leakage_factor());
         assert!(CellKind::EightT.area_factor() > CellKind::SixT.area_factor());
         assert!(CellKind::EightT.extra_read_vt() > CellKind::SixT.extra_read_vt());
-    }
-
-    #[test]
-    fn decoupled_read_port() {
-        assert!(CellKind::EightT.read_decoupled());
-        assert!(!CellKind::SixT.read_decoupled());
     }
 
     #[test]

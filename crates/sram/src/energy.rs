@@ -56,10 +56,10 @@ pub struct EnergyCalibration {
 }
 
 /// The paper's nominal-voltage anchor: 5.8 pJ per 16-bit write at 1 V.
-pub const WRITE_ENERGY_1V: Joules = Joules(5.8e-12);
+pub(crate) const WRITE_ENERGY_1V: Joules = Joules(5.8e-12);
 
 /// The paper's low-voltage anchor: 1.9 pJ per 16-bit write at 0.4 V.
-pub const WRITE_ENERGY_0V4: Joules = Joules(1.9e-12);
+pub(crate) const WRITE_ENERGY_0V4: Joules = Joules(1.9e-12);
 
 impl EnergyCalibration {
     /// Solves the `(A, B)` pair against the paper's anchors for the given
@@ -99,11 +99,6 @@ impl EnergyCalibration {
             read_fraction: 0.55,
             completion_phases,
         })
-    }
-
-    /// Switched capacitance per write access.
-    pub fn cap_write(&self) -> f64 {
-        self.cap_write
     }
 
     /// Leakage width (unit gates).
@@ -222,9 +217,9 @@ mod tests {
         // Switched capacitance of a 1-kbit access: hundreds of fF to a
         // few pF is the plausible range.
         assert!(
-            c.cap_write() > 1e-13 && c.cap_write() < 2e-11,
+            c.cap_write > 1e-13 && c.cap_write < 2e-11,
             "A = {}",
-            c.cap_write()
+            c.cap_write
         );
         assert!(
             c.leak_units() > 10.0 && c.leak_units() < 1e6,

@@ -1,8 +1,7 @@
 //! Failure and corner analysis of the SRAM timing disciplines
 //! (the analysis of \[8\] in the paper).
 
-use emc_device::{DeviceModel, ProcessCorner, VariationModel};
-use emc_prng::Rng;
+use emc_device::{DeviceModel, ProcessCorner};
 use emc_units::Volts;
 
 use crate::cell::CellKind;
@@ -57,7 +56,7 @@ impl FailureAnalysis {
     /// *total column length over segments* — the exact reason §III-A
     /// proposes segmenting the completion detection to push the low-Vdd
     /// limit into sub-threshold.
-    pub fn relative_droop(&self, device: &DeviceModel, vdd: Volts) -> f64 {
+    pub(crate) fn relative_droop(&self, device: &DeviceModel, vdd: Volts) -> f64 {
         let timing = SramTiming::new(device.clone(), self.rows, self.segments, self.cell);
         let t_bl = timing.phase_latency(Phase::BitLine, vdd);
         if !t_bl.0.is_finite() {
@@ -73,7 +72,7 @@ impl FailureAnalysis {
     }
 
     /// `true` if a read senses reliably at `vdd`.
-    pub fn read_ok(&self, device: &DeviceModel, vdd: Volts) -> bool {
+    pub(crate) fn read_ok(&self, device: &DeviceModel, vdd: Volts) -> bool {
         self.relative_droop(device, vdd) < self.droop_margin
     }
 
@@ -140,41 +139,11 @@ impl FailureAnalysis {
         }
         None
     }
-
-    /// Monte-Carlo failure probability of the **replica-column** design
-    /// at `vdd`: the replica column times its siblings, so an access
-    /// fails when some data column is slower than the replica's margined
-    /// completion time under column-to-column Vt variation.
-    #[allow(clippy::too_many_arguments)] // mirrors the experiment's knobs
-    pub fn replica_failure_probability<R: Rng + ?Sized>(
-        &self,
-        device: &DeviceModel,
-        vdd: Volts,
-        sigma_vt: f64,
-        replica_margin: f64,
-        columns: usize,
-        trials: usize,
-        rng: &mut R,
-    ) -> f64 {
-        assert!(trials > 0 && columns > 0, "need trials and columns");
-        let var = VariationModel::new(sigma_vt);
-        let mut failures = 0usize;
-        for _ in 0..trials {
-            let replica = var.delay_multiplier(device, vdd, rng);
-            let budget = replica * replica_margin;
-            let any_slow = (0..columns).any(|_| var.delay_multiplier(device, vdd, rng) > budget);
-            if any_slow {
-                failures += 1;
-            }
-        }
-        failures as f64 / trials as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_prng::StdRng;
 
     fn fa() -> FailureAnalysis {
         FailureAnalysis::new(64, 1, CellKind::SixT)
@@ -259,19 +228,6 @@ mod tests {
         let m15 = fa().bundled_failure_voltage(&d, Volts(1.0), 1.5).unwrap();
         let m25 = fa().bundled_failure_voltage(&d, Volts(1.0), 2.5).unwrap();
         assert!(m15 > m25, "more margin must fail lower: {m15} vs {m25}");
-    }
-
-    #[test]
-    fn replica_failure_grows_in_subthreshold() {
-        let d = DeviceModel::umc90();
-        let mut rng = StdRng::seed_from_u64(17);
-        let f = fa();
-        let p_nom = f.replica_failure_probability(&d, Volts(1.0), 0.03, 1.3, 15, 400, &mut rng);
-        let p_sub = f.replica_failure_probability(&d, Volts(0.2), 0.03, 1.3, 15, 400, &mut rng);
-        assert!(
-            p_sub > p_nom + 0.1,
-            "sub-threshold replica failure {p_sub} vs nominal {p_nom}"
-        );
     }
 
     #[test]

@@ -174,7 +174,6 @@ pub struct Sram {
     config: SramConfig,
     timing: SramTiming,
     energy: EnergyCalibration,
-    failure: FailureAnalysis,
     storage: Vec<u64>,
     /// Completion-detected phases in the SI discipline (bit line + write
     /// equality).
@@ -207,13 +206,12 @@ impl Sram {
         let completion_phases = 2;
         let energy = EnergyCalibration::solve(&timing, completion_phases)
             .expect("paper energy anchors must be solvable");
-        let failure = FailureAnalysis::new(config.rows, config.segments, config.cell);
-        let min_operating = failure.min_operating_voltage(&config.device);
+        let min_operating = FailureAnalysis::new(config.rows, config.segments, config.cell)
+            .min_operating_voltage(&config.device);
         Self {
             storage: vec![0; config.rows],
             timing,
             energy,
-            failure,
             completion_phases,
             min_operating,
             config,
@@ -245,7 +243,7 @@ impl Sram {
     }
 
     /// `true` if sensing is reliable at `vdd` (cached failure analysis).
-    pub fn senses_reliably(&self, vdd: Volts) -> bool {
+    pub(crate) fn senses_reliably(&self, vdd: Volts) -> bool {
         match self.min_operating {
             Some(v) => vdd >= v,
             None => false,
@@ -265,11 +263,6 @@ impl Sram {
     /// The calibrated energy model.
     pub fn energy_model(&self) -> &EnergyCalibration {
         &self.energy
-    }
-
-    /// The failure analysis for this geometry.
-    pub fn failure_analysis(&self) -> &FailureAnalysis {
-        &self.failure
     }
 
     /// Direct (test-bench) view of a stored word.

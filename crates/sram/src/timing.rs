@@ -153,7 +153,7 @@ impl SramTiming {
     /// Total read latency at constant `vdd` for the given discipline
     /// overhead (`completion_phases` = number of phases that are
     /// completion-detected and add a [`Phase::Completion`] settle).
-    pub fn read_latency(&self, vdd: Volts, completion_phases: usize) -> Seconds {
+    pub(crate) fn read_latency(&self, vdd: Volts, completion_phases: usize) -> Seconds {
         let mut t = 0.0;
         for p in Phase::READ {
             t += self.phase_latency(p, vdd).0;
@@ -163,7 +163,7 @@ impl SramTiming {
     }
 
     /// Total write latency (read-before-write) at constant `vdd`.
-    pub fn write_latency(&self, vdd: Volts, completion_phases: usize) -> Seconds {
+    pub(crate) fn write_latency(&self, vdd: Volts, completion_phases: usize) -> Seconds {
         let mut t = 0.0;
         for p in Phase::WRITE {
             t += self.phase_latency(p, vdd).0;

@@ -44,9 +44,6 @@ macro_rules! quantity {
         pub struct $name(pub f64);
 
         impl $name {
-            /// The zero value of this quantity.
-            pub const ZERO: Self = Self(0.0);
-
             /// Returns the raw `f64` magnitude in base SI units.
             #[inline]
             pub fn value(self) -> f64 {
@@ -478,7 +475,7 @@ mod tests {
 
     #[test]
     fn debug_is_nonempty() {
-        assert!(!format!("{:?}", Volts::ZERO).is_empty());
+        assert!(!format!("{:?}", Volts(0.0)).is_empty());
     }
 
     mod properties {

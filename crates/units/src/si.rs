@@ -28,7 +28,7 @@ const PREFIXES: &[(f64, &str)] = &[
 ///
 /// Exact zero prints as `0 <unit>`; non-finite values fall back to plain
 /// float formatting.
-pub fn format_si(f: &mut fmt::Formatter<'_>, value: f64, unit: &str) -> fmt::Result {
+pub(crate) fn format_si(f: &mut fmt::Formatter<'_>, value: f64, unit: &str) -> fmt::Result {
     if value == 0.0 {
         return write!(f, "0 {unit}");
     }

@@ -230,39 +230,6 @@ impl Waveform {
         }
         go(&self.shape)
     }
-
-    /// Samples `n + 1` points uniformly over `[t0, t1]` (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `t1 < t0`.
-    pub fn sample_series(&self, t0: Seconds, t1: Seconds, n: usize) -> Vec<(Seconds, f64)> {
-        assert!(n > 0, "need at least one interval");
-        assert!(t1.0 >= t0.0, "sample window inverted");
-        (0..=n)
-            .map(|i| {
-                let t = Seconds(t0.0 + (t1.0 - t0.0) * i as f64 / n as f64);
-                (t, self.value_at(t))
-            })
-            .collect()
-    }
-
-    /// Mean value over `[t0, t1]`, computed by `n`-interval trapezoidal
-    /// integration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `t1 <= t0`.
-    pub fn mean_over(&self, t0: Seconds, t1: Seconds, n: usize) -> f64 {
-        assert!(t1.0 > t0.0, "mean window must have positive width");
-        let samples = self.sample_series(t0, t1, n);
-        let dt = (t1.0 - t0.0) / n as f64;
-        let mut acc = 0.0;
-        for w in samples.windows(2) {
-            acc += 0.5 * (w[0].1 + w[1].1) * dt;
-        }
-        acc / (t1.0 - t0.0)
-    }
 }
 
 impl Default for Waveform {
@@ -371,22 +338,6 @@ mod tests {
         let w = Waveform::sine(0.0, 1.0, Hertz(1.0), 0.0).clamped(0.0, f64::INFINITY);
         assert_eq!(w.value_at(T(0.75)), 0.0);
         assert!((w.value_at(T(0.25)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_of_sine_is_dc() {
-        let w = Waveform::sine(0.2, 0.1, Hertz(1e6), 0.0);
-        let mean = w.mean_over(T(0.0), T(1e-6), 1000);
-        assert!((mean - 0.2).abs() < 1e-6, "mean {mean}");
-    }
-
-    #[test]
-    fn sample_series_endpoints() {
-        let w = Waveform::ramp(0.0, 1.0, T(0.0), T(1.0));
-        let s = w.sample_series(T(0.0), T(1.0), 4);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s[0].1, 0.0);
-        assert_eq!(s[4].1, 1.0);
     }
 
     #[test]

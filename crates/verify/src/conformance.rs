@@ -31,7 +31,7 @@ use crate::explore::{Explorer, Transition};
 /// reduction `ex` carries, and stores at most the explorer's state cap
 /// of (circuit state, marking set) pairs. Returns the diagnostics and
 /// whether the walk was exhaustive within that cap.
-pub fn check_conformance(
+pub(crate) fn check_conformance(
     ex: &Explorer<'_>,
     stg: &Stg,
     map: &[(SignalId, NetId)],

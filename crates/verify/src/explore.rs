@@ -167,7 +167,7 @@ pub struct Transition {
     pub value: bool,
     /// The environment's control state after the transition (unchanged
     /// for gates).
-    pub env_next: u8,
+    pub(crate) env_next: u8,
 }
 
 /// What an [`EnvModel`] observes of an explored state.

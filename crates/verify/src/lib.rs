@@ -83,7 +83,7 @@ use emc_obs::export::json_string;
 use emc_petri::{SignalId, Stg};
 use emc_sim::{run_campaign, CampaignConfig, CampaignReport};
 
-pub use conformance::check_conformance;
+use conformance::check_conformance;
 pub use emc_analyze::{
     check_completion_coverage, check_timing_assumptions, discover_rail_pairs, RailPair,
 };

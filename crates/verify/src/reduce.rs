@@ -61,15 +61,15 @@ pub struct EnvPart {
     pub reads: Vec<NetId>,
     /// Nets this part drives (each must be an `Input` gate's output,
     /// like every [`EnvAction`](crate::EnvAction)'s).
-    pub drives: Vec<NetId>,
+    pub(crate) drives: Vec<NetId>,
     /// `true` when the part consults
     /// [`NetView::quiescent`](crate::NetView::quiescent) — it
     /// then depends on every gate's excitation and disables reduction
     /// around itself.
-    pub uses_quiescence: bool,
+    pub(crate) uses_quiescence: bool,
     /// `true` when the part reads or writes the environment control
     /// byte.
-    pub stateful: bool,
+    pub(crate) stateful: bool,
     /// Behavioural discriminator: two parts with equal `tag` and
     /// structurally corresponding nets are promised to behave
     /// identically under that renaming (used by symmetry validation).
