@@ -32,8 +32,6 @@ pub struct RazorStage {
     pub delay_gates: Vec<GateId>,
     /// Buffer gates of the shadow extension line.
     pub(crate) shadow_gates: Vec<GateId>,
-    /// Main capture flip-flops, LSB first.
-    pub latches: Vec<GateId>,
     /// The stage's error flag: OR of per-bit main/shadow disagreements.
     pub error: NetId,
 }
@@ -166,7 +164,6 @@ impl RazorPipeline {
                 &format!("{name}.s{s}.sdl"),
             );
             let mut logic_gates = Vec::new();
-            let mut latches = Vec::with_capacity(width);
             let mut latched = Vec::with_capacity(width);
             let mut disagree = Vec::with_capacity(width);
             for (b, &din) in data.iter().enumerate() {
@@ -180,7 +177,6 @@ impl RazorPipeline {
                     &[main_line.output(), d],
                     &format!("{name}.s{s}.b{b}.q"),
                 );
-                latches.push(netlist.driver_of(q).expect("dff just built"));
                 let sq = netlist.gate(
                     GateKind::Dff,
                     &[shadow_line.output(), d],
@@ -203,7 +199,6 @@ impl RazorPipeline {
                 logic_gates,
                 delay_gates: main_line.gates().to_vec(),
                 shadow_gates: shadow_line.gates().to_vec(),
-                latches,
                 error,
             });
             data = latched;
@@ -224,11 +219,6 @@ impl RazorPipeline {
         }
     }
 
-    /// Word width in bits.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Per-stage gate handles for delay injection.
     pub fn stages(&self) -> &[RazorStage] {
         &self.stages
@@ -237,11 +227,6 @@ impl RazorPipeline {
     /// The acknowledge the environment observes.
     pub fn ack(&self) -> NetId {
         self.ack
-    }
-
-    /// `true` if the data path logically inverts (odd inversion count).
-    pub fn inverting(&self) -> bool {
-        self.inverting
     }
 
     fn read_output(&self, sim: &Simulator) -> u64 {
@@ -465,11 +450,6 @@ impl RazorDvsController {
     /// The current operating voltage.
     pub fn vdd(&self) -> Volts {
         self.vdd
-    }
-
-    /// The target detected-error rate.
-    pub fn target(&self) -> f64 {
-        self.target
     }
 
     /// Feeds one measurement window (detected errors over words

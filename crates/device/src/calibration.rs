@@ -165,11 +165,6 @@ impl SramLogicCalibration {
         self.cap_scale
     }
 
-    /// The device model the calibration was solved against.
-    pub fn model(&self) -> &DeviceModel {
-        &self.model
-    }
-
     /// The effective SRAM read-path threshold (`Vt + ΔVt`).
     pub fn sram_vt(&self) -> Volts {
         Volts(self.model.params().vt.0 + self.delta_vt.0)

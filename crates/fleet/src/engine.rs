@@ -205,7 +205,7 @@ impl ClassReport {
 
 /// One epoch's arbitration decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochRow {
+pub(crate) struct EpochRow {
     /// Epoch index.
     pub epoch: u64,
     /// Measured fleet harvest power over the previous epoch, watts.

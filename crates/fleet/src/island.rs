@@ -54,7 +54,7 @@ pub struct IslandModel {
 /// the curves once per class (`IslandModel::task_cost`), not once per
 /// task attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskCost {
+pub(crate) struct TaskCost {
     /// Firing rate at the rail, ops per second; zero where the island
     /// stalls.
     pub rate: f64,

@@ -6,21 +6,22 @@
 //! scales the reproduction from "replay Fig. 7" to thousands-to-
 //! millions of communicating sensor nodes:
 //!
-//! * each [`node::NodeState`] bundles a real [`emc_power::PowerChain`]
-//!   (seed-jittered vibration or solar harvester → storage cap →
-//!   DC-DC), the calibrated charge-to-digital sensor front-end, and an
-//!   abstracted self-timed logic island whose throughput and
-//!   energy-per-op curves are **calibrated from gate-level `emc-sim`
-//!   runs** of the builtin counting rig ([`island::IslandModel`]) — so
-//!   fleets never step netlists in the hot loop;
+//! * each node's state (`node::NodeState`) bundles a real
+//!   [`emc_power::PowerChain`] (seed-jittered vibration or solar
+//!   harvester → storage cap → DC-DC), the calibrated charge-to-digital
+//!   sensor front-end, and an abstracted self-timed logic island whose
+//!   throughput and energy-per-op curves are **calibrated from
+//!   gate-level `emc-sim` runs** of the builtin counting rig
+//!   ([`island::IslandModel`]) — so fleets never step netlists in the
+//!   hot loop;
 //! * nodes exchange messages over a [`topology::Topology`] with
 //!   per-link latencies of one-to-four epochs, through shard-local
-//!   [`event::EventQueue`]s (execution yields successor events — the
-//!   `akshayknarayan/simulator` event/node/topology split). Since no
-//!   event schedules another inside its own epoch, a shard runs each
-//!   epoch as one batch, node-major: grouped by node in index order,
-//!   each node's events in `(time, seq)` order, which is exact because
-//!   nodes share nothing within an epoch;
+//!   event queues (`event::EventQueue`; execution yields successor
+//!   events — the `akshayknarayan/simulator` event/node/topology
+//!   split). Since no event schedules another inside its own epoch, a
+//!   shard runs each epoch as one batch, node-major: grouped by node in
+//!   index order, each node's events in `(time, seq)` order, which is
+//!   exact because nodes share nothing within an epoch;
 //! * tasks run under the **energy-token discipline**
 //!   ([`emc_power::PowerChain::draw_quantum`]): the whole quantum is
 //!   banked up front or the task does not start, and the
@@ -58,10 +59,7 @@ pub mod island;
 pub mod node;
 pub mod topology;
 
-pub use engine::{
-    run_fleet, shard_count, ClassReport, DroughtSpec, EpochRow, FleetConfig, FleetReport,
-};
-pub use event::{EventKind, EventQueue, FleetEvent, Message, Nanos};
-pub use island::{CalibDepth, IslandModel, IslandPoint, SensorModel, SensorPoint, TaskCost};
-pub use node::{NodeClass, NodeLedger, NodeState, NodeSummary, TaskOutcome, CLASSES};
-pub use topology::{Link, Topology, TopologyKind, CLUSTER_SIZE};
+pub use engine::{run_fleet, shard_count, ClassReport, DroughtSpec, FleetConfig, FleetReport};
+pub use island::{CalibDepth, IslandModel, IslandPoint, SensorModel, SensorPoint};
+pub use node::{NodeLedger, NodeSummary};
+pub use topology::{Topology, TopologyKind};

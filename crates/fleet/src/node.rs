@@ -148,7 +148,7 @@ impl NodeLedger {
 /// QoS class of a node — its duty period, workload and radio appetite.
 /// Nodes are assigned round-robin (`node_id % 3`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeClass {
+pub(crate) enum NodeClass {
     /// Fast shallow sampling: wake every epoch, tiny compute.
     Sentinel,
     /// Medium-rate monitoring with moderate compute per task.
@@ -158,7 +158,7 @@ pub enum NodeClass {
 }
 
 /// Number of QoS classes.
-pub const CLASSES: usize = 3;
+pub(crate) const CLASSES: usize = 3;
 
 impl NodeClass {
     /// Every class, in [`NodeClass::index`] order.
@@ -290,7 +290,7 @@ const BACKLOG_CAP: u64 = 16;
 
 /// One harvester-powered sensor node.
 #[derive(Debug)]
-pub struct NodeState {
+pub(crate) struct NodeState {
     /// Fleet-wide node id.
     pub id: u32,
     /// QoS class.
@@ -526,7 +526,7 @@ impl NodeState {
 
 /// What a task attempt produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskOutcome {
+pub(crate) enum TaskOutcome {
     /// Completed and transmitted to a neighbour.
     Sent {
         /// Destination node.

@@ -47,11 +47,11 @@ impl TopologyKind {
 }
 
 /// Nodes per cluster head in [`TopologyKind::Clustered`].
-pub const CLUSTER_SIZE: u32 = 32;
+pub(crate) const CLUSTER_SIZE: u32 = 32;
 
 /// A directed link to a neighbour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Link {
+pub(crate) struct Link {
     /// Destination node id.
     pub dst: u32,
     /// Propagation latency, a whole multiple of the epoch length in

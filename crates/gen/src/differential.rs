@@ -17,7 +17,7 @@
 //! transient, non-quiescent ones — must appear in the verifier's
 //! exhaustively explored reachable set, because applying one
 //! environment action at quiescence is a particular interleaving the
-//! explorer also covers. [`ReachableStates`] holds that set projected
+//! explorer also covers. `ReachableStates` holds that set projected
 //! to net values; `run_differential` asserts membership after every
 //! fired event when the set is available.
 
@@ -64,10 +64,8 @@ fn project(nl: &Netlist, value: impl Fn(NetId) -> bool) -> Box<[u64]> {
 /// The verifier's reachable set, projected to net values (the level
 /// gates of the generated families carry no hidden state, so the
 /// projection loses nothing the simulator can observe).
-pub struct ReachableStates {
+pub(crate) struct ReachableStates {
     projections: HashSet<Box<[u64]>>,
-    /// Distinct full states visited.
-    pub states: usize,
     /// `false` if the walk hit `cap` before exhausting the state space.
     pub exhaustive: bool,
 }
@@ -79,7 +77,7 @@ impl ReachableStates {
     pub(crate) fn compute(gc: &GeneratedCircuit, cap: usize) -> Self {
         let explorer = Explorer::new(&gc.netlist, &*gc.env, &gc.initial, cap);
         let mut projections: HashSet<Box<[u64]>> = HashSet::new();
-        let Ok((states, exhaustive)) = explorer.walk_unreduced(
+        let Ok((_, exhaustive)) = explorer.walk_unreduced(
             |s, _, _| {
                 projections.insert(project(&gc.netlist, |n| s.value(n)));
                 Ok::<_, Infallible>(())
@@ -88,7 +86,6 @@ impl ReachableStates {
         );
         ReachableStates {
             projections,
-            states,
             exhaustive,
         }
     }
@@ -103,7 +100,7 @@ impl ReachableStates {
 /// circuit and driver seed must produce identical digests under all of
 /// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
+pub(crate) enum Schedule {
     /// Nominal constant 1.0 V.
     Nominal,
     /// Sub-threshold constant 0.3 V — delays grow by orders of
@@ -143,12 +140,7 @@ impl Schedule {
 
 /// The outcome of one schedule's differential run.
 #[derive(Debug, Clone)]
-pub struct DiffReport {
-    /// The schedule simulated.
-    pub schedule: Schedule,
-    /// The environment actions applied before quiescence or the round
-    /// budget ended the run.
-    pub rounds: usize,
+pub(crate) struct DiffReport {
     /// Total simulator events fired.
     pub fired: u64,
     /// FNV-1a digest of the quiescent-state/action trace.
@@ -249,8 +241,6 @@ pub(crate) fn run_differential(
     }
 
     DiffReport {
-        schedule,
-        rounds: applied,
         fired,
         digest: digest.finish(),
         hazards: sim.hazards().len(),
@@ -328,7 +318,7 @@ impl CheckOutcome {
 ///    dual-rail protocol, completion coverage) — must be error-free;
 /// 3. reachable-set computation (when exploration stayed under the
 ///    cap);
-/// 4. seeded differential simulation under every [`Schedule`], with
+/// 4. seeded differential simulation under every `Schedule`, with
 ///    per-event reachability membership and cross-schedule digest
 ///    equality;
 /// 5. text round-trip: export → import → export must be byte-stable,
@@ -460,7 +450,10 @@ mod tests {
         assert!(reach.exhaustive);
         let nominal = run_differential(&gc, Schedule::Nominal, 11, 8, Some(&reach));
         assert!(nominal.violation.is_none(), "{:?}", nominal.violation);
-        assert_eq!(nominal.rounds, 8);
+        // The eighth action is in the digest, so the driver never ran
+        // out of enabled actions.
+        let seven = run_differential(&gc, Schedule::Nominal, 11, 7, Some(&reach));
+        assert_ne!(seven.digest, nominal.digest);
         for schedule in [Schedule::SubThreshold, Schedule::AcSine] {
             let d = run_differential(&gc, schedule, 11, 8, Some(&reach));
             assert!(d.violation.is_none(), "{:?}", d.violation);

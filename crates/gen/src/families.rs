@@ -28,7 +28,7 @@ use crate::GeneratedCircuit;
 /// failures shrinkable by plain list bisection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSpec {
-    /// Function selector, reduced modulo [`BLOCK_FUNCTIONS`]`.len()`.
+    /// Function selector, reduced modulo `BLOCK_FUNCTIONS.len()`.
     pub func: u8,
     /// Raw draw for the left operand (mod pool size at build time).
     pub lhs: u64,
@@ -43,7 +43,7 @@ pub(crate) type BlockFunction = (&'static str, fn(bool, bool) -> bool);
 /// symmetric-complete choice that keeps both DIMS output rails driven
 /// by real minterms (constant functions would tie a rail to `Const0`
 /// and never produce a codeword).
-pub const BLOCK_FUNCTIONS: [BlockFunction; 6] = [
+pub(crate) const BLOCK_FUNCTIONS: [BlockFunction; 6] = [
     ("and", |a, b| a & b),
     ("or", |a, b| a | b),
     ("xor", |a, b| a ^ b),

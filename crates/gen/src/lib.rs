@@ -42,12 +42,10 @@ use std::sync::Arc;
 use emc_netlist::{GateId, NetId, Netlist};
 use emc_verify::{Circuit, EnvModel};
 
-pub use differential::{
-    check_generated, CheckOptions, CheckOutcome, DiffReport, ReachableStates, Schedule, SimView,
-};
+pub use differential::{check_generated, CheckOptions, CheckOutcome, SimView};
 pub use families::{
     block_graph, completion_tree, dims_adder, micropipeline, pipelined_array,
-    pipelined_array_domains, wchb_datapath, BlockSpec, BLOCK_FUNCTIONS,
+    pipelined_array_domains, wchb_datapath, BlockSpec,
 };
 pub use plan::{shrink, FamilyPlan, GenBounds, Plan};
 

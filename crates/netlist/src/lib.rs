@@ -48,4 +48,4 @@ pub use export::{to_dot, to_verilog};
 pub use gate::{GateKind, ParseGateKindError};
 pub use graph::{Gate, GateId, NetId, Netlist, NetlistError};
 pub use partition::{CrossingNet, Partitioned};
-pub use textio::{from_text, to_text, TextFormatError, TEXT_HEADER};
+pub use textio::{from_text, to_text, TextFormatError};

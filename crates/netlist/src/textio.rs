@@ -52,7 +52,7 @@ use crate::gate::GateKind;
 use crate::graph::{NetId, Netlist};
 
 /// The version header beginning every `emcnet` file.
-pub const TEXT_HEADER: &str = "emcnet 1";
+pub(crate) const TEXT_HEADER: &str = "emcnet 1";
 
 /// Serialises a builder-constructed netlist to `emcnet` text.
 ///

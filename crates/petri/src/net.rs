@@ -8,13 +8,6 @@ use emc_units::Joules;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlaceId(usize);
 
-impl PlaceId {
-    /// Dense index of this place.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Identifier of a transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransitionId(usize);

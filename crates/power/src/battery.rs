@@ -49,11 +49,6 @@ impl Battery {
         self.capacity
     }
 
-    /// Remaining energy.
-    pub fn remaining(&self) -> Joules {
-        self.remaining
-    }
-
     /// Remaining fraction in `[0, 1]`.
     pub fn state_of_charge(&self) -> f64 {
         self.remaining.0 / self.capacity.0

@@ -69,11 +69,6 @@ impl PowerChain {
         }
     }
 
-    /// The harvest source.
-    pub fn source(&self) -> &HarvestSource {
-        &self.source
-    }
-
     /// The storage reservoir.
     pub fn storage(&self) -> &StorageCap {
         &self.storage

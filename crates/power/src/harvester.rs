@@ -48,11 +48,6 @@ impl VibrationHarvester {
         self
     }
 
-    /// The mechanical resonance frequency.
-    pub fn resonance(&self) -> Hertz {
-        self.resonance
-    }
-
     /// Extractable power at time `t` when the electrical side is tuned to
     /// `tuning`.
     pub fn power(&self, t: Seconds, tuning: Hertz) -> Watts {

@@ -61,11 +61,6 @@ impl ConcurrencyController {
             .map(|&b| self.best_k_under_power(b).unwrap_or(0))
             .collect()
     }
-
-    /// The underlying model.
-    pub fn model(&self) -> &ConcurrencyModel {
-        &self.model
-    }
 }
 
 #[cfg(test)]

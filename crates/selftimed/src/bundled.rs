@@ -62,10 +62,6 @@ impl DelayLine {
 pub struct BundledStage {
     /// Inverter gates of the data (logic) paths, all bits concatenated.
     pub logic_gates: Vec<GateId>,
-    /// Buffer gates of the shared matched delay line.
-    pub delay_gates: Vec<GateId>,
-    /// The capture flip-flops, LSB first.
-    pub latches: Vec<GateId>,
 }
 
 /// An N-stage, W-bit bundled-data pipeline.
@@ -147,7 +143,6 @@ impl BundledPipeline {
             let mut logic_gates = Vec::new();
             let mut latched = Vec::with_capacity(width);
             let line = DelayLine::build(netlist, line_len, req, &format!("{name}.s{s}.dl"));
-            let mut latches = Vec::with_capacity(width);
             for (b, &din) in data.iter().enumerate() {
                 let mut d = din;
                 for i in 0..logic_depth {
@@ -159,14 +154,9 @@ impl BundledPipeline {
                     &[line.output(), d],
                     &format!("{name}.s{s}.b{b}.q"),
                 );
-                latches.push(netlist.driver_of(q).expect("dff just built"));
                 latched.push(q);
             }
-            stages.push(BundledStage {
-                logic_gates,
-                delay_gates: line.gates().to_vec(),
-                latches,
-            });
+            stages.push(BundledStage { logic_gates });
             data = latched;
             req = line.output();
         }
@@ -191,11 +181,6 @@ impl BundledPipeline {
         self.inverting
     }
 
-    /// Word width in bits.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The environment-driven data inputs, LSB first.
     pub fn data_in(&self) -> &[NetId] {
         &self.data_in
@@ -212,19 +197,9 @@ impl BundledPipeline {
         self.ack
     }
 
-    /// The data outputs (last latches), LSB first.
-    pub fn data_out(&self) -> &[NetId] {
-        &self.data_out
-    }
-
     /// Per-stage gate handles for fault/variation injection.
     pub fn stages(&self) -> &[BundledStage] {
         &self.stages
-    }
-
-    /// Number of stages.
-    pub fn depth(&self) -> usize {
-        self.stages.len()
     }
 
     fn read_output(&self, sim: &Simulator) -> u64 {

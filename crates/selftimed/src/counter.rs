@@ -49,11 +49,6 @@ impl ToggleRippleCounter {
         }
     }
 
-    /// The counter width in bits.
-    pub fn width(&self) -> usize {
-        self.bits.len()
-    }
-
     /// The per-bit output nets, LSB first.
     pub fn bits(&self) -> &[NetId] {
         &self.bits

@@ -147,11 +147,6 @@ impl DualRailAdder {
         }
     }
 
-    /// Word width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The completion ("sum valid") net.
     pub fn done(&self) -> NetId {
         self.done

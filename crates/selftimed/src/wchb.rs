@@ -150,16 +150,6 @@ impl DualRailPipeline {
         }
     }
 
-    /// Number of stages.
-    pub fn depth(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Word width in bits.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The environment-driven input rails, LSB first.
     pub fn inputs(&self) -> &[DualRail] {
         &self.inputs

@@ -90,11 +90,6 @@ impl SensorLoop {
         }
     }
 
-    /// The current DC-DC output setting.
-    pub fn v_out(&self) -> Volts {
-        self.rails[self.rail_idx]
-    }
-
     /// Read access to the power chain.
     pub fn chain(&self) -> &PowerChain {
         &self.chain

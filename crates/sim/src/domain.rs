@@ -128,16 +128,6 @@ impl PowerDomain {
         }
     }
 
-    /// Work-integral resolution for gates in this domain.
-    pub fn resolution(&self) -> Seconds {
-        match &self.kind {
-            SupplyKind::Ideal { resolution, .. } => *resolution,
-            // A capacitor rail is piecewise constant between events; the
-            // solver completes in one step regardless of this value.
-            SupplyKind::Capacitor { .. } => Seconds(1e-6),
-        }
-    }
-
     /// Remaining stored charge (zero for ideal supplies).
     pub fn charge(&self) -> Coulombs {
         self.charge
@@ -160,11 +150,6 @@ impl PowerDomain {
 
     pub(crate) fn add_leak_units(&mut self, units: f64) {
         self.leak_units += units;
-    }
-
-    /// Sum of leakage-path width units assigned to this domain.
-    pub fn leak_units(&self) -> f64 {
-        self.leak_units
     }
 
     /// Draws one switching quantum `C·V²` at time `t`. For capacitor

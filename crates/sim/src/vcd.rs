@@ -69,11 +69,6 @@ impl AnalogTrack {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// The time-ordered samples.
-    pub fn samples(&self) -> &[(Seconds, f64)] {
-        &self.samples
-    }
 }
 
 /// Renders a trace as a VCD document.

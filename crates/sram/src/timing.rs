@@ -101,11 +101,6 @@ impl SramTiming {
         self.rows
     }
 
-    /// Completion-detection segments per column.
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
     /// Latency of one phase at a constant supply `vdd`, in seconds
     /// (infinite below the device floor).
     pub fn phase_latency(&self, phase: Phase, vdd: Volts) -> Seconds {

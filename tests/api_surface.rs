@@ -112,10 +112,10 @@ fn strip(src: &str) -> Vec<u8> {
         } else if s[i] == b'\'' {
             // A char literal, or the start of a lifetime or label.
             let end = if s.get(i + 1) == Some(&b'\\') {
-                s[i + 2..]
-                    .iter()
-                    .position(|&b| b == b'\'')
-                    .map(|p| i + 3 + p)
+                // The escaped character itself may be a quote: `'\''`.
+                s.get(i + 3..)
+                    .and_then(|rest| rest.iter().position(|&b| b == b'\''))
+                    .map(|p| i + 4 + p)
             } else {
                 let width = match s.get(i + 1) {
                     Some(&b) if b >= 0xf0 => 4,
