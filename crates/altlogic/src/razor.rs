@@ -21,7 +21,7 @@ use emc_netlist::{GateId, GateKind, NetId, Netlist};
 use emc_sim::Simulator;
 use emc_units::{Joules, Seconds, Volts};
 
-use emc_async::DelayLine;
+use emc_async::{launch_word, read_word, DelayLine};
 
 /// One Razor pipeline stage (handles kept for delay injection).
 #[derive(Debug, Clone)]
@@ -76,14 +76,6 @@ impl RazorOutcome {
             Joules(self.energy.0 / self.received.len() as f64)
         }
     }
-}
-
-fn total_energy(sim: &Simulator) -> Joules {
-    let mut e = Joules(0.0);
-    for i in 0..sim.domain_count() {
-        e += sim.energy_drawn(sim.domain_id(i));
-    }
-    e
 }
 
 /// A bundled-data pipeline with Razor shadow latches.
@@ -229,25 +221,6 @@ impl RazorPipeline {
         self.ack
     }
 
-    fn read_output(&self, sim: &Simulator) -> u64 {
-        let mask = if self.width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        };
-        let mut w = 0u64;
-        for (b, &q) in self.data_out.iter().enumerate() {
-            if sim.value(q) {
-                w |= 1 << b;
-            }
-        }
-        if self.inverting {
-            (!w) & mask
-        } else {
-            w
-        }
-    }
-
     fn any_error(&self, sim: &Simulator) -> bool {
         self.stages.iter().any(|s| sim.value(s.error))
     }
@@ -289,7 +262,6 @@ impl RazorPipeline {
             Launch,
             WaitAckHigh,
             WaitAckLow,
-            Done,
         }
         for &w in words {
             assert!(
@@ -300,10 +272,9 @@ impl RazorPipeline {
         }
         assert!(replay_slowdown >= 1.0, "replay must not speed timing up");
         assert!(max_replays > 0, "need at least one replay attempt");
-        let energy_before = total_energy(sim);
+        let energy_before = sim.total_energy();
         let t_begin = sim.now();
         let mut tx = Tx::Launch;
-        let mut sent = 0usize;
         let mut attempts = 0usize; // replays already spent on this word
         let mut stretched = false;
         let mut handshake_energy_mark = Joules(0.0);
@@ -312,96 +283,61 @@ impl RazorPipeline {
         let mut replays = 0usize;
         let mut unresolved = 0usize;
         let mut replay_energy = Joules(0.0);
-        loop {
-            match tx {
-                Tx::Launch if sent < words.len() => {
-                    let w = words[sent];
-                    handshake_energy_mark = total_energy(sim);
-                    for (b, &din) in self.data_in.iter().enumerate() {
-                        let want = (w >> b) & 1 == 1;
-                        if sim.value(din) != want {
-                            sim.schedule_input(din, sim.now(), want);
-                        }
-                    }
-                    sim.schedule_input(self.req_in, sim.now(), true);
-                    tx = Tx::WaitAckHigh;
-                }
-                Tx::Launch => tx = Tx::Done,
-                Tx::WaitAckHigh => {
-                    if sim.value(self.ack) {
-                        sim.schedule_input(self.req_in, sim.now(), false);
-                        tx = Tx::WaitAckLow;
-                    }
-                }
-                Tx::WaitAckLow => {
-                    if !sim.value(self.ack) {
-                        if stretched {
-                            replay_energy += total_energy(sim) - handshake_energy_mark;
-                        }
-                        if self.any_error(sim) {
-                            errors_detected += 1;
-                            if attempts < max_replays {
-                                // Replay the same word with slower timing.
-                                if !stretched {
-                                    self.scale_lines(sim, replay_slowdown);
-                                    stretched = true;
-                                }
-                                attempts += 1;
-                                replays += 1;
-                                tx = Tx::Launch;
-                                continue;
-                            }
-                            unresolved += 1;
-                        }
-                        received.push(self.read_output(sim));
-                        if stretched {
-                            self.scale_lines(sim, 1.0 / replay_slowdown);
-                            stretched = false;
-                        }
-                        attempts = 0;
-                        sent += 1;
-                        tx = Tx::Launch;
-                        continue;
-                    }
-                }
-                Tx::Done => {}
-            }
-            let done = tx == Tx::Done;
-            if done || sim.now() > deadline {
+        let completed = sim.drive_until(deadline, |sim| {
+            if tx == Tx::WaitAckLow && !sim.value(self.ack) {
                 if stretched {
-                    self.scale_lines(sim, 1.0 / replay_slowdown);
+                    replay_energy += sim.total_energy() - handshake_energy_mark;
                 }
-                return RazorOutcome {
-                    received,
-                    errors_detected,
-                    replays,
-                    unresolved,
-                    completed: done,
-                    duration: Seconds(sim.now().0 - t_begin.0),
-                    energy: total_energy(sim) - energy_before,
-                    replay_energy,
-                };
-            }
-            if sim.step().is_none() {
-                let env_can_act = matches!(tx, Tx::Launch)
-                    || (matches!(tx, Tx::WaitAckHigh) && sim.value(self.ack))
-                    || (matches!(tx, Tx::WaitAckLow) && !sim.value(self.ack));
-                if !env_can_act {
+                let error = self.any_error(sim);
+                errors_detected += usize::from(error);
+                if error && attempts < max_replays {
+                    // Replay the same word with slower timing.
+                    if !stretched {
+                        self.scale_lines(sim, replay_slowdown);
+                        stretched = true;
+                    }
+                    attempts += 1;
+                    replays += 1;
+                } else {
+                    unresolved += usize::from(error);
+                    received.push(read_word(sim, &self.data_out, self.inverting));
                     if stretched {
                         self.scale_lines(sim, 1.0 / replay_slowdown);
+                        stretched = false;
                     }
-                    return RazorOutcome {
-                        received,
-                        errors_detected,
-                        replays,
-                        unresolved,
-                        completed: false,
-                        duration: Seconds(sim.now().0 - t_begin.0),
-                        energy: total_energy(sim) - energy_before,
-                        replay_energy,
-                    };
+                    attempts = 0;
                 }
+                tx = Tx::Launch;
             }
+            match tx {
+                Tx::Launch => {
+                    let Some(&w) = words.get(received.len()) else {
+                        return true;
+                    };
+                    handshake_energy_mark = sim.total_energy();
+                    launch_word(sim, &self.data_in, self.req_in, w);
+                    tx = Tx::WaitAckHigh;
+                }
+                Tx::WaitAckHigh if sim.value(self.ack) => {
+                    sim.schedule_input(self.req_in, sim.now(), false);
+                    tx = Tx::WaitAckLow;
+                }
+                Tx::WaitAckHigh | Tx::WaitAckLow => {}
+            }
+            false
+        });
+        if stretched {
+            self.scale_lines(sim, 1.0 / replay_slowdown);
+        }
+        RazorOutcome {
+            received,
+            errors_detected,
+            replays,
+            unresolved,
+            completed,
+            duration: Seconds(sim.now().0 - t_begin.0),
+            energy: sim.total_energy() - energy_before,
+            replay_energy,
         }
     }
 }
@@ -480,6 +416,26 @@ mod tests {
 
     const DEADLINE: Seconds = Seconds(1e-3);
 
+    /// A started pipeline on a `vdd` rail, not yet settled.
+    fn rig_on(
+        stages: usize,
+        width: usize,
+        depth: usize,
+        margin: f64,
+        shadow_margin: f64,
+        vdd: Waveform,
+    ) -> (Simulator, RazorPipeline) {
+        let mut nl = Netlist::new();
+        let p =
+            RazorPipeline::build_wide(&mut nl, stages, width, depth, margin, shadow_margin, "r");
+        nl.check().expect("well-formed");
+        let mut sim = Simulator::new(nl, DeviceModel::umc90());
+        let d = sim.add_domain("vdd", SupplyKind::ideal(vdd));
+        sim.assign_all(d);
+        sim.start();
+        (sim, p)
+    }
+
     fn rig(
         stages: usize,
         width: usize,
@@ -488,14 +444,14 @@ mod tests {
         shadow_margin: f64,
         vdd: f64,
     ) -> (Simulator, RazorPipeline) {
-        let mut nl = Netlist::new();
-        let p =
-            RazorPipeline::build_wide(&mut nl, stages, width, depth, margin, shadow_margin, "r");
-        nl.check().expect("well-formed");
-        let mut sim = Simulator::new(nl, DeviceModel::umc90());
-        let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd)));
-        sim.assign_all(d);
-        sim.start();
+        let (mut sim, p) = rig_on(
+            stages,
+            width,
+            depth,
+            margin,
+            shadow_margin,
+            Waveform::constant(vdd),
+        );
         sim.run_to_quiescence(1_000_000);
         (sim, p)
     }
@@ -609,6 +565,21 @@ mod tests {
         let a = p1.transfer(&mut s1, &words, DEADLINE, 2.0, 2);
         let b = p2.transfer(&mut s2, &words, DEADLINE, 2.0, 2);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn transfer_below_the_floor_gives_up_at_the_deadline() {
+        // Where DVS walks Vdd down: a ramp that never climbs to the
+        // 0.10-V floor. No gate fires, and the transfer must stop at its
+        // deadline instead of re-integrating forever.
+        let ramp = Waveform::ramp(0.08, 0.05, Seconds(0.0), Seconds(1e-9));
+        let (mut sim, p) = rig_on(2, 2, 3, 2.0, 6.0, ramp);
+        sim.run_until(Seconds(100e-9));
+        let deadline = Seconds(sim.now().0 + 1e-3);
+        let out = p.transfer(&mut sim, &[1, 2], deadline, 2.0, 2);
+        assert!(!out.completed);
+        assert!(sim.now() <= deadline, "now {}", sim.now());
+        assert!(sim.total_energy().0.is_finite());
     }
 
     #[test]

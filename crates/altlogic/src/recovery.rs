@@ -117,27 +117,6 @@ impl ChargeRecoveryMemory {
     /// `1..=63`, `counts_per_op > 0` and `return_efficiency` is in
     /// `[0, 1]`.
     pub fn new(c_store: Farads, bits: usize, counts_per_op: u64, return_efficiency: f64) -> Self {
-        Self::with_device(
-            c_store,
-            bits,
-            counts_per_op,
-            return_efficiency,
-            DeviceModel::umc90(),
-        )
-    }
-
-    /// A memory over an explicit device model.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Self::new`].
-    pub fn with_device(
-        c_store: Farads,
-        bits: usize,
-        counts_per_op: u64,
-        return_efficiency: f64,
-        device: DeviceModel,
-    ) -> Self {
         assert!(c_store.0 > 0.0, "storage capacitance must be positive");
         assert!((1..=63).contains(&bits), "counter width must be in 1..=63");
         assert!(counts_per_op > 0, "bursts need at least one count");
@@ -150,12 +129,12 @@ impl ChargeRecoveryMemory {
             bits,
             counts_per_op,
             return_efficiency,
-            device,
+            device: DeviceModel::umc90(),
         }
     }
 
     /// Runs one count burst from a rail charged to `v_op`: a gate-level
-    /// oscillator + counter simulation stepped until the LSB registers
+    /// oscillator + counter simulation driven until the LSB registers
     /// `counts_per_op` events or the rail stalls.
     pub(crate) fn run_op(&self, v_op: Volts) -> RecoveryOp {
         assert!(v_op.0 >= 0.0, "negative operating voltage");
@@ -168,13 +147,13 @@ impl ChargeRecoveryMemory {
         osc.prime(&mut sim);
         sim.start();
         let lsb = counter.toggles()[0];
-        let mut guard = 0u64;
-        while sim.transition_count(lsb) < self.counts_per_op && guard < 50_000_000 {
-            if sim.step().is_none() {
-                break;
-            }
-            guard += 1;
-        }
+        // `env` runs once before the first event and once after each, so
+        // `calls` counts the fired events: a burst stops at 50,000,000.
+        let mut calls = 0u64;
+        sim.drive_until(Seconds(f64::INFINITY), |sim| {
+            calls += 1;
+            calls > 50_000_000 || sim.transition_count(lsb) >= self.counts_per_op
+        });
         let v_residual = sim.domain_voltage(cap);
         let e_op = self.c_store.stored_energy(v_op);
         let e_res = self.c_store.stored_energy(v_residual);

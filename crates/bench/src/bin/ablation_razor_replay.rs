@@ -12,8 +12,8 @@
 
 use emc_altlogic::RazorDvsController;
 use emc_bench::{campaign_series, outln, print_campaign_summary, CampaignArgs, Series};
-use emc_core::families::{family_words, measure_razor_outcome};
-use emc_core::qos::{measure_pipeline_qos, DesignStyle};
+use emc_core::families::measure_razor_outcome;
+use emc_core::qos::{intact_fraction, measure_pipeline_qos, DesignStyle};
 use emc_sim::campaign::{run_campaign, RunReport};
 use emc_units::Volts;
 
@@ -23,21 +23,10 @@ fn main() {
     let smoke = [0.3, 0.5, 1.0];
     let grid: &[f64] = if args.smoke { &smoke } else { &full };
     let seed = args.seed;
-    let words = family_words();
 
     let report = run_campaign(grid, &args.config(), |&v, ctx| {
         let out = measure_razor_outcome(Volts(v), seed);
-        let correct = out
-            .received
-            .iter()
-            .zip(&words)
-            .filter(|(a, b)| a == b)
-            .count();
-        let quality = if out.completed && !out.received.is_empty() {
-            correct as f64 / words.len() as f64
-        } else {
-            0.0
-        };
+        let quality = intact_fraction(&out.received, out.completed);
         let replay_fraction = if out.energy.0 > 0.0 {
             out.replay_energy.0 / out.energy.0
         } else {

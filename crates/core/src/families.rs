@@ -17,15 +17,15 @@
 //! on the campaign engine (as `fig_altlogic_energy` runs one) gives
 //! byte-identical output at any thread count.
 
-use emc_altlogic::{AdiabaticPipeline, ChargeRecoveryMemory, LogicFamily, RazorPipeline};
-use emc_device::{AdiabaticModel, DeviceModel, VariationModel};
+use emc_altlogic::{
+    AdiabaticPipeline, ChargeRecoveryMemory, LogicFamily, RazorOutcome, RazorPipeline,
+};
+use emc_device::{AdiabaticModel, DeviceModel};
 use emc_netlist::Netlist;
 use emc_power::{ClockShape, PowerClock};
-use emc_prng::StdRng;
-use emc_sim::{Simulator, SupplyKind};
-use emc_units::{Farads, Joules, Seconds, Volts, Watts, Waveform};
+use emc_units::{Farads, Joules, Seconds, Volts, Watts};
 
-use crate::qos::{measure_pipeline_qos, DesignStyle};
+use crate::qos::{intact_fraction, measure_pipeline_qos, rig_words, variation_rig, DesignStyle};
 
 /// One family measured at one operating voltage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,54 +97,27 @@ fn measure_recovery(vdd: Volts) -> FamilyPoint {
     }
 }
 
-/// The word train every gate-level family rig carries.
-pub fn family_words() -> Vec<u64> {
-    (0..12u64).map(|i| (i * 0x9E) % 256).collect()
-}
-
 /// Runs the Razor-DVS rig at `vdd` and returns the raw transfer
 /// outcome — error counts, replays and the replay energy split the
-/// ablation binary plots. Same pipeline dimensions and σ(Vt) as the
-/// bundled rig in [`measure_pipeline_qos`], so the comparison isolates
-/// the shadow latches and replay. Deterministic for a given `seed`.
-pub fn measure_razor_outcome(vdd: Volts, seed: u64) -> emc_altlogic::RazorOutcome {
-    let device = DeviceModel::umc90();
-    let words = family_words();
+/// ablation binary plots. Same pipeline dimensions, variation and words
+/// as the bundled rig in [`measure_pipeline_qos`], so the comparison
+/// isolates the shadow latches and replay. Deterministic for a given
+/// `seed`.
+pub fn measure_razor_outcome(vdd: Volts, seed: u64) -> RazorOutcome {
     let mut nl = Netlist::new();
     let p = RazorPipeline::build_wide(&mut nl, 3, 8, 4, 2.0, 6.0, "rz");
-    let variation = VariationModel::new(0.045);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sim = Simulator::new(nl, device.clone());
-    let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd.0)));
-    sim.assign_all(d);
-    for i in 0..sim.netlist().gate_count() {
-        let id = sim.netlist().gate_id(i);
-        sim.set_delay_scale(id, variation.delay_multiplier(&device, vdd, &mut rng));
-    }
-    sim.start();
-    sim.run_to_quiescence(1_000_000);
-    p.transfer(&mut sim, &words, Seconds(10.0), 2.0, 2)
+    let mut sim = variation_rig(nl, vdd, seed);
+    p.transfer(&mut sim, &rig_words(), Seconds(10.0), 2.0, 2)
 }
 
 fn measure_razor(vdd: Volts, seed: u64) -> FamilyPoint {
-    let words = family_words();
     let out = measure_razor_outcome(vdd, seed);
-    let correct = out
-        .received
-        .iter()
-        .zip(&words)
-        .filter(|(a, b)| a == b)
-        .count();
     FamilyPoint {
         family: LogicFamily::RazorDvs,
         vdd,
         energy_per_op: out.energy_per_word(),
         throughput: out.throughput(),
-        quality: if out.completed && !out.received.is_empty() {
-            correct as f64 / words.len() as f64
-        } else {
-            0.0
-        },
+        quality: intact_fraction(&out.received, out.completed),
     }
 }
 

@@ -57,6 +57,44 @@ impl QosPoint {
     }
 }
 
+/// The word train every gate-level pipeline rig carries.
+pub(crate) fn rig_words() -> Vec<u64> {
+    (0..12u64).map(|i| (i * 0x9E) % 256).collect()
+}
+
+/// Fraction of the rig's twelve-word train that arrived intact, in
+/// order; 0 unless the transfer completed.
+pub fn intact_fraction(received: &[u64], completed: bool) -> f64 {
+    let words = rig_words();
+    if completed && !received.is_empty() {
+        let correct = received.iter().zip(&words).filter(|(a, b)| a == b).count();
+        correct as f64 / words.len() as f64
+    } else {
+        0.0
+    }
+}
+
+/// Simulates `nl` on a constant `vdd` rail with every gate's delay
+/// scaled by a threshold-variation multiplier sampled at `vdd`, drawn
+/// in gate order from `seed`; returns it started and settled.
+pub(crate) fn variation_rig(nl: Netlist, vdd: Volts, seed: u64) -> Simulator {
+    let device = DeviceModel::umc90();
+    // σ(Vt) = 45 mV: representative of minimum-size devices in a 90 nm
+    // low-power process — the regime where sub-threshold bundling dies.
+    let variation = VariationModel::new(0.045);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sim = Simulator::new(nl, device.clone());
+    let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd.0)));
+    sim.assign_all(d);
+    for i in 0..sim.netlist().gate_count() {
+        let id = sim.netlist().gate_id(i);
+        sim.set_delay_scale(id, variation.delay_multiplier(&device, vdd, &mut rng));
+    }
+    sim.start();
+    sim.run_to_quiescence(100_000);
+    sim
+}
+
 /// Measures one style at one voltage by gate-level simulation: an
 /// 8-bit-wide, 3-stage pipeline carries a pseudo-random word train;
 /// every gate receives a threshold-variation delay multiplier sampled at
@@ -65,52 +103,19 @@ impl QosPoint {
 ///
 /// Deterministic for a given `seed`.
 pub fn measure_pipeline_qos(style: DesignStyle, vdd: Volts, seed: u64) -> QosPoint {
-    let device = DeviceModel::umc90();
-    let words: Vec<u64> = (0..12u64).map(|i| (i * 0x9E) % 256).collect();
+    let words = rig_words();
     let mut nl = Netlist::new();
-    // σ(Vt) = 45 mV: representative of minimum-size devices in a 90 nm
-    // low-power process — the regime where sub-threshold bundling dies.
-    let variation = VariationModel::new(0.045);
-    let mut rng = StdRng::seed_from_u64(seed);
-
     let deadline = Seconds(10.0);
     let outcome = match style {
         DesignStyle::SpeedIndependent => {
             let p = DualRailPipeline::build_wide(&mut nl, 3, 8, "d1");
-            let mut sim = Simulator::new(nl, device.clone());
-            let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd.0)));
-            sim.assign_all(d);
-            for i in 0..sim.netlist().gate_count() {
-                let id = sim.netlist().gate_id(i);
-                sim.set_delay_scale(id, variation.delay_multiplier(&device, vdd, &mut rng));
-            }
-            sim.start();
-            sim.run_to_quiescence(100_000);
-            p.transfer(&mut sim, &words, deadline)
+            p.transfer(&mut variation_rig(nl, vdd, seed), &words, deadline)
         }
         DesignStyle::BundledData => {
             let p = BundledPipeline::build_wide(&mut nl, 3, 8, 4, 2.0, "d2");
-            let mut sim = Simulator::new(nl, device.clone());
-            let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd.0)));
-            sim.assign_all(d);
-            for i in 0..sim.netlist().gate_count() {
-                let id = sim.netlist().gate_id(i);
-                sim.set_delay_scale(id, variation.delay_multiplier(&device, vdd, &mut rng));
-            }
-            sim.start();
-            sim.run_to_quiescence(100_000);
-            p.transfer(&mut sim, &words, deadline)
+            p.transfer(&mut variation_rig(nl, vdd, seed), &words, deadline)
         }
     };
-
-    let received = &outcome.received;
-    let correct = received.iter().zip(&words).filter(|(a, b)| a == b).count();
-    let correct_fraction = if outcome.completed && !received.is_empty() {
-        correct as f64 / words.len() as f64
-    } else {
-        0.0
-    };
-    let throughput = outcome.throughput();
     let power = if outcome.duration.0 > 0.0 {
         outcome.energy / outcome.duration
     } else {
@@ -118,8 +123,8 @@ pub fn measure_pipeline_qos(style: DesignStyle, vdd: Volts, seed: u64) -> QosPoi
     };
     QosPoint {
         vdd,
-        throughput,
-        correct_fraction,
+        throughput: outcome.throughput(),
+        correct_fraction: intact_fraction(&outcome.received, outcome.completed),
         power,
         energy_per_token: outcome.energy_per_token(),
     }

@@ -7,7 +7,7 @@ use emc_netlist::{GateId, GateKind, NetId, Netlist};
 use emc_sim::Simulator;
 use emc_units::Seconds;
 
-use crate::wchb::{total_energy, TransferOutcome};
+use crate::wchb::TransferOutcome;
 
 /// A chain of buffers used as a matched (bundling) delay.
 #[derive(Debug, Clone)]
@@ -202,25 +202,6 @@ impl BundledPipeline {
         &self.stages
     }
 
-    fn read_output(&self, sim: &Simulator) -> u64 {
-        let mask = if self.width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        };
-        let mut w = 0u64;
-        for (b, &q) in self.data_out.iter().enumerate() {
-            if sim.value(q) {
-                w |= 1 << b;
-            }
-        }
-        if self.inverting {
-            (!w) & mask
-        } else {
-            w
-        }
-    }
-
     /// Drives `words` through the pipeline with a reactive 4-phase
     /// environment (set data with request; wait acknowledge; return to
     /// zero; wait acknowledge low). Output words are read at each
@@ -244,7 +225,6 @@ impl BundledPipeline {
             Launch,
             WaitAckHigh,
             WaitAckLow,
-            Done,
         }
         for &w in words {
             assert!(
@@ -253,67 +233,65 @@ impl BundledPipeline {
                 self.width
             );
         }
-        let energy_before = total_energy(sim);
+        let energy_before = sim.total_energy();
         let t_begin = sim.now();
         let mut tx = Tx::Launch;
-        let mut sent = 0usize;
         let mut received = Vec::new();
-        loop {
+        let completed = sim.drive_until(deadline, |sim| {
+            if tx == Tx::WaitAckLow && !sim.value(self.ack) {
+                // Captured word is stable now: one full delay-line
+                // traversal after the capture edge.
+                received.push(read_word(sim, &self.data_out, self.inverting));
+                tx = Tx::Launch;
+            }
             match tx {
-                Tx::Launch if sent < words.len() => {
-                    let w = words[sent];
-                    for (b, &din) in self.data_in.iter().enumerate() {
-                        let want = (w >> b) & 1 == 1;
-                        if sim.value(din) != want {
-                            sim.schedule_input(din, sim.now(), want);
-                        }
-                    }
-                    sim.schedule_input(self.req_in, sim.now(), true);
+                Tx::Launch => {
+                    let Some(&w) = words.get(received.len()) else {
+                        return true;
+                    };
+                    launch_word(sim, &self.data_in, self.req_in, w);
                     tx = Tx::WaitAckHigh;
                 }
-                Tx::Launch => tx = Tx::Done,
-                Tx::WaitAckHigh => {
-                    if sim.value(self.ack) {
-                        sim.schedule_input(self.req_in, sim.now(), false);
-                        tx = Tx::WaitAckLow;
-                    }
+                Tx::WaitAckHigh if sim.value(self.ack) => {
+                    sim.schedule_input(self.req_in, sim.now(), false);
+                    tx = Tx::WaitAckLow;
                 }
-                Tx::WaitAckLow => {
-                    if !sim.value(self.ack) {
-                        // Captured word is stable now: one full delay-line
-                        // traversal after the capture edge.
-                        received.push(self.read_output(sim));
-                        sent += 1;
-                        tx = Tx::Launch;
-                        continue;
-                    }
-                }
-                Tx::Done => {}
+                Tx::WaitAckHigh | Tx::WaitAckLow => {}
             }
-            let done = tx == Tx::Done;
-            if done || sim.now() > deadline {
-                return TransferOutcome {
-                    received,
-                    completed: done,
-                    duration: Seconds(sim.now().0 - t_begin.0),
-                    energy: total_energy(sim) - energy_before,
-                };
-            }
-            if sim.step().is_none() {
-                let env_can_act = matches!(tx, Tx::Launch)
-                    || (matches!(tx, Tx::WaitAckHigh) && sim.value(self.ack))
-                    || (matches!(tx, Tx::WaitAckLow) && !sim.value(self.ack));
-                if !env_can_act {
-                    return TransferOutcome {
-                        received,
-                        completed: false,
-                        duration: Seconds(sim.now().0 - t_begin.0),
-                        energy: total_energy(sim) - energy_before,
-                    };
-                }
-            }
+            false
+        });
+        TransferOutcome {
+            received,
+            completed,
+            duration: Seconds(sim.now().0 - t_begin.0),
+            energy: sim.total_energy() - energy_before,
         }
     }
+}
+
+/// Sets the single-rail data inputs to `word` (LSB first; only the bits
+/// that change are scheduled) and raises the request, all at the
+/// current time.
+pub fn launch_word(sim: &mut Simulator, data_in: &[NetId], req_in: NetId, word: u64) {
+    for (b, &din) in data_in.iter().enumerate() {
+        let want = (word >> b) & 1 == 1;
+        if sim.value(din) != want {
+            sim.schedule_input(din, sim.now(), want);
+        }
+    }
+    sim.schedule_input(req_in, sim.now(), true);
+}
+
+/// Reads the single-rail word on `nets` (LSB first), undoing the data
+/// path's logical inversion when `inverting` is set.
+pub fn read_word(sim: &Simulator, nets: &[NetId], inverting: bool) -> u64 {
+    let mut w = 0u64;
+    for (b, &q) in nets.iter().enumerate() {
+        if sim.value(q) != inverting {
+            w |= 1 << b;
+        }
+    }
+    w
 }
 
 #[cfg(test)]
@@ -323,6 +301,24 @@ mod tests {
     use emc_sim::SupplyKind;
     use emc_units::Waveform;
 
+    /// A started pipeline on a `vdd` rail, not yet settled.
+    fn rig_on(
+        stages: usize,
+        width: usize,
+        depth: usize,
+        margin: f64,
+        vdd: Waveform,
+    ) -> (Simulator, BundledPipeline) {
+        let mut nl = Netlist::new();
+        let p = BundledPipeline::build_wide(&mut nl, stages, width, depth, margin, "b");
+        nl.check().expect("well-formed");
+        let mut sim = Simulator::new(nl, DeviceModel::umc90());
+        let d = sim.add_domain("vdd", SupplyKind::ideal(vdd));
+        sim.assign_all(d);
+        sim.start();
+        (sim, p)
+    }
+
     fn rig(
         stages: usize,
         width: usize,
@@ -330,13 +326,7 @@ mod tests {
         margin: f64,
         vdd: f64,
     ) -> (Simulator, BundledPipeline) {
-        let mut nl = Netlist::new();
-        let p = BundledPipeline::build_wide(&mut nl, stages, width, depth, margin, "b");
-        nl.check().expect("well-formed");
-        let mut sim = Simulator::new(nl, DeviceModel::umc90());
-        let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd)));
-        sim.assign_all(d);
-        sim.start();
+        let (mut sim, p) = rig_on(stages, width, depth, margin, Waveform::constant(vdd));
         sim.run_to_quiescence(100_000);
         (sim, p)
     }
@@ -445,6 +435,21 @@ mod tests {
         let out = p.transfer(&mut sim, &words, Seconds(1e-3));
         assert!(out.completed);
         assert_eq!(out.received, words.to_vec());
+    }
+
+    #[test]
+    fn transfer_below_the_floor_gives_up_at_the_deadline() {
+        // The ramp never climbs to the 0.10-V floor, so no gate fires and
+        // every integration window comes up short: the transfer must
+        // stop at its deadline instead of re-integrating forever.
+        let ramp = Waveform::ramp(0.08, 0.05, Seconds(0.0), Seconds(1e-9));
+        let (mut sim, p) = rig_on(2, 2, 3, 2.0, ramp);
+        sim.run_until(Seconds(100e-9));
+        let deadline = Seconds(sim.now().0 + 1e-3);
+        let out = p.transfer(&mut sim, &[1, 2], deadline);
+        assert!(!out.completed);
+        assert!(sim.now() <= deadline, "now {}", sim.now());
+        assert!(sim.total_energy().0.is_finite());
     }
 
     #[test]

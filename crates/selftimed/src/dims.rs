@@ -172,57 +172,54 @@ impl DualRailAdder {
             (1u64 << self.width) - 1
         };
         assert!(x <= max && y <= max, "operand exceeds adder width");
-        // Drive codewords.
-        for (i, rails) in self.a.iter().enumerate() {
-            let net = if (x >> i) & 1 == 1 { rails.t } else { rails.f };
-            sim.schedule_input(net, sim.now(), true);
-        }
-        for (i, rails) in self.b.iter().enumerate() {
-            let net = if (y >> i) & 1 == 1 { rails.t } else { rails.f };
-            sim.schedule_input(net, sim.now(), true);
-        }
-        // Wait for completion.
-        loop {
-            if sim.value(self.done) {
-                break;
+        self.set_operands(sim, x, y, true);
+        let mut sum = None;
+        let done = sim.drive_until(deadline, |sim| match sum {
+            None => {
+                if sim.value(self.done) {
+                    sum = Some(self.read_sum(sim));
+                    self.set_operands(sim, x, y, false);
+                }
+                false
             }
-            if sim.step().is_none() || sim.now() > deadline {
-                return None;
+            Some(_) => !sim.value(self.done),
+        });
+        if !done {
+            return None;
+        }
+        // Let the spacer drain fully so back-to-back adds are clean.
+        sim.run_to_quiescence(1_000_000);
+        sum
+    }
+
+    /// Schedules, at the current time, the rail that encodes each operand
+    /// bit (`x`'s, then `y`'s) to `level`.
+    fn set_operands(&self, sim: &mut Simulator, x: u64, y: u64, level: bool) {
+        for (rails, v) in [(&self.a, x), (&self.b, y)] {
+            for (i, r) in rails.iter().enumerate() {
+                let net = if (v >> i) & 1 == 1 { r.t } else { r.f };
+                sim.schedule_input(net, sim.now(), level);
             }
         }
+    }
+
+    /// The completed sum, carry-out as the top bit.
+    fn read_sum(&self, sim: &Simulator) -> u64 {
         let mut out = 0u64;
         for (i, s) in self.sum.iter().enumerate() {
             let t = sim.value(s.t);
-            let f = sim.value(s.f);
-            debug_assert!(t ^ f, "sum bit {i} not a codeword at completion");
+            debug_assert!(
+                t ^ sim.value(s.f),
+                "sum bit {i} not a codeword at completion"
+            );
             if t {
                 out |= 1 << i;
             }
         }
-        let carry = sim.value(self.carry_out.t);
-        if carry {
+        if sim.value(self.carry_out.t) {
             out |= 1 << self.width;
         }
-        // Return to spacer.
-        for (i, rails) in self.a.iter().enumerate() {
-            let net = if (x >> i) & 1 == 1 { rails.t } else { rails.f };
-            sim.schedule_input(net, sim.now(), false);
-        }
-        for (i, rails) in self.b.iter().enumerate() {
-            let net = if (y >> i) & 1 == 1 { rails.t } else { rails.f };
-            sim.schedule_input(net, sim.now(), false);
-        }
-        loop {
-            if !sim.value(self.done) {
-                break;
-            }
-            if sim.step().is_none() || sim.now() > deadline {
-                return None;
-            }
-        }
-        // Let the spacer drain fully so back-to-back adds are clean.
-        sim.run_to_quiescence(1_000_000);
-        Some(out)
+        out
     }
 }
 
@@ -241,14 +238,20 @@ mod tests {
     use emc_sim::SupplyKind;
     use emc_units::Waveform;
 
-    fn adder_rig(width: usize, vdd: f64) -> (Simulator, DualRailAdder) {
+    /// A started adder on a `vdd` rail, not yet settled.
+    fn adder_on(width: usize, vdd: Waveform) -> (Simulator, DualRailAdder) {
         let mut nl = Netlist::new();
         let adder = DualRailAdder::build(&mut nl, width, "add");
         nl.check().expect("adder netlist well-formed");
         let mut sim = Simulator::new(nl, DeviceModel::umc90());
-        let d = sim.add_domain("vdd", SupplyKind::ideal(Waveform::constant(vdd)));
+        let d = sim.add_domain("vdd", SupplyKind::ideal(vdd));
         sim.assign_all(d);
         sim.start();
+        (sim, adder)
+    }
+
+    fn adder_rig(width: usize, vdd: f64) -> (Simulator, DualRailAdder) {
+        let (mut sim, adder) = adder_on(width, Waveform::constant(vdd));
         sim.run_to_quiescence(100_000);
         (sim, adder)
     }
@@ -394,6 +397,17 @@ mod tests {
         sim.run_to_quiescence(10);
         assert!(sim.now() <= deadline, "now {}", sim.now());
         let d = sim.domain_id(0);
+        assert!(sim.energy_drawn(d).0.is_finite());
+
+        // A ramp that never climbs to the floor: each integration window
+        // comes up short, and `add` must stop at its deadline instead of
+        // re-integrating forever.
+        let ramp = Waveform::ramp(0.08, 0.05, Seconds(0.0), Seconds(1e-9));
+        let (mut sim, adder) = adder_on(2, ramp);
+        sim.run_until(Seconds(100e-9));
+        let deadline = Seconds(sim.now().0 + 1e-3);
+        assert_eq!(adder.add(&mut sim, 1, 2, deadline), None);
+        assert!(sim.now() <= deadline, "now {}", sim.now());
         assert!(sim.energy_drawn(d).0.is_finite());
     }
 

@@ -54,7 +54,7 @@ pub mod dims;
 pub mod micropipeline;
 pub mod wchb;
 
-pub use bundled::{BundledPipeline, DelayLine};
+pub use bundled::{launch_word, read_word, BundledPipeline, DelayLine};
 pub use counter::{SelfTimedOscillator, ToggleRippleCounter};
 pub use dims::{dims_gate2, DualRailAdder};
 pub use micropipeline::MullerPipeline;

@@ -119,7 +119,7 @@ mod tests {
     /// Pushes `events` request transitions through the head while the
     /// tail absorbs everything immediately (2-phase: each event is one
     /// edge). Returns the time the last stage fired its last event, or
-    /// `None` on deadline.
+    /// `None` if the deadline passes or the chain stops first.
     fn stream_through(
         p: &MullerPipeline,
         sim: &mut Simulator,
@@ -132,7 +132,7 @@ mod tests {
         let mut seen_at_tail = 0usize;
         let mut tail_level = sim.value(last);
         let mut last_time = sim.now();
-        loop {
+        let done = sim.drive_until(deadline, |sim| {
             // Head: issue the next edge as soon as the first stage has
             // caught up with the current level.
             if sent < events && sim.value(p.stages[0]) == req_level {
@@ -147,21 +147,9 @@ mod tests {
                 last_time = sim.now();
                 sim.schedule_input(p.tail_ack, sim.now(), tail_level);
             }
-            if seen_at_tail >= events {
-                return Some(last_time);
-            }
-            if sim.now() > deadline {
-                return None;
-            }
-            if sim.step().is_none() {
-                // Quiescent but incomplete: check the env can still act.
-                let head_can = sent < events && sim.value(p.stages[0]) == req_level;
-                let tail_can = sim.value(last) != tail_level;
-                if !head_can && !tail_can {
-                    return None;
-                }
-            }
-        }
+            seen_at_tail >= events
+        });
+        done.then_some(last_time)
     }
 
     fn rig(n: usize, vdd: f64) -> (Simulator, MullerPipeline) {

@@ -14,7 +14,8 @@ pub struct TransferOutcome {
     /// `true` if every sent token arrived (and the protocol returned to
     /// its rest state) before the deadline.
     pub completed: bool,
-    /// Time from first input action to protocol completion (or deadline).
+    /// Time from first input action to protocol completion, or to the
+    /// last event that fired by the deadline.
     pub duration: Seconds,
     /// Energy drawn from the simulator's domains during the transfer.
     pub energy: Joules,
@@ -38,12 +39,6 @@ impl TransferOutcome {
             Joules(self.energy.0 / self.received.len() as f64)
         }
     }
-}
-
-pub(crate) fn total_energy(sim: &Simulator) -> Joules {
-    (0..sim.domain_count())
-        .map(|i| sim.energy_drawn(sim.domain_id(i)))
-        .sum()
 }
 
 /// An N-stage, W-bit dual-rail WCHB pipeline.
@@ -194,7 +189,7 @@ impl DualRailPipeline {
     }
 
     /// Drives `words` through the pipeline with a fully reactive 4-phase
-    /// environment, stepping the simulator until done or `deadline`.
+    /// environment until done or `deadline`; no event past it fires.
     ///
     /// The sender raises one rail per bit, waits for the stage-0
     /// acknowledge, returns all rails to spacer and waits for the
@@ -217,7 +212,6 @@ impl DualRailPipeline {
             RaiseRails,
             WaitAckHigh,
             WaitAckLow,
-            Done,
         }
         for &w in words {
             assert!(
@@ -226,45 +220,28 @@ impl DualRailPipeline {
                 self.width
             );
         }
-        let energy_before = total_energy(sim);
+        let energy_before = sim.total_energy();
         let t_begin = sim.now();
         let mut tx = Tx::RaiseRails;
         let mut sent = 0usize;
         let mut received = Vec::new();
         let mut sink_high = false;
         let mut out_was_valid = false;
-
-        loop {
+        let completed = sim.drive_until(deadline, |sim| {
+            if tx == Tx::WaitAckLow && !sim.value(self.sender_ack()) {
+                sent += 1;
+                tx = Tx::RaiseRails;
+            }
             match tx {
                 Tx::RaiseRails if sent < words.len() => {
-                    let w = words[sent];
-                    for (b, rail) in self.inputs.iter().enumerate() {
-                        let net = if (w >> b) & 1 == 1 { rail.t } else { rail.f };
-                        if !sim.value(net) {
-                            sim.schedule_input(net, sim.now(), true);
-                        }
-                    }
+                    self.set_rails(sim, words[sent], true);
                     tx = Tx::WaitAckHigh;
                 }
-                Tx::RaiseRails => tx = Tx::Done,
-                Tx::WaitAckHigh => {
-                    if sim.value(self.sender_ack()) {
-                        let w = words[sent];
-                        for (b, rail) in self.inputs.iter().enumerate() {
-                            let net = if (w >> b) & 1 == 1 { rail.t } else { rail.f };
-                            sim.schedule_input(net, sim.now(), false);
-                        }
-                        tx = Tx::WaitAckLow;
-                    }
+                Tx::WaitAckHigh if sim.value(self.sender_ack()) => {
+                    self.set_rails(sim, words[sent], false);
+                    tx = Tx::WaitAckLow;
                 }
-                Tx::WaitAckLow => {
-                    if !sim.value(self.sender_ack()) {
-                        sent += 1;
-                        tx = Tx::RaiseRails;
-                        continue;
-                    }
-                }
-                Tx::Done => {}
+                _ => {}
             }
 
             let (valid, spacer, word) = self.output_state(sim);
@@ -283,30 +260,24 @@ impl DualRailPipeline {
                     sink_high = false;
                 }
             }
+            sent == words.len() && received.len() >= words.len() && spacer && !sink_high
+        });
+        TransferOutcome {
+            received,
+            completed,
+            duration: Seconds(sim.now().0 - t_begin.0),
+            energy: sim.total_energy() - energy_before,
+        }
+    }
 
-            let done = tx == Tx::Done && received.len() >= words.len() && spacer && !sink_high;
-            if done || sim.now() > deadline {
-                return TransferOutcome {
-                    received,
-                    completed: done,
-                    duration: Seconds(sim.now().0 - t_begin.0),
-                    energy: total_energy(sim) - energy_before,
-                };
-            }
-            if sim.step().is_none() {
-                let env_can_act = matches!(tx, Tx::RaiseRails)
-                    || (matches!(tx, Tx::WaitAckHigh) && sim.value(self.sender_ack()))
-                    || (matches!(tx, Tx::WaitAckLow) && !sim.value(self.sender_ack()))
-                    || (valid && !sink_high)
-                    || (spacer && sink_high);
-                if !env_can_act {
-                    return TransferOutcome {
-                        received,
-                        completed: false,
-                        duration: Seconds(sim.now().0 - t_begin.0),
-                        energy: total_energy(sim) - energy_before,
-                    };
-                }
+    /// Schedules, at the current time, one rail per bit of `word` (the
+    /// t-rail of a 1, the f-rail of a 0) to `level`. Raising an already
+    /// high rail is skipped.
+    fn set_rails(&self, sim: &mut Simulator, word: u64, level: bool) {
+        for (b, rail) in self.inputs.iter().enumerate() {
+            let net = if (word >> b) & 1 == 1 { rail.t } else { rail.f };
+            if !level || !sim.value(net) {
+                sim.schedule_input(net, sim.now(), level);
             }
         }
     }
@@ -321,7 +292,8 @@ mod tests {
     use emc_sim::SupplyKind;
     use emc_units::{Hertz, Waveform};
 
-    fn rig(stages: usize, width: usize, vdd: Waveform) -> (Simulator, DualRailPipeline) {
+    /// A started pipeline on a `vdd` rail, not yet settled.
+    fn rig_on(stages: usize, width: usize, vdd: Waveform) -> (Simulator, DualRailPipeline) {
         let mut nl = Netlist::new();
         let p = DualRailPipeline::build_wide(&mut nl, stages, width, "p");
         nl.check().expect("pipeline netlist is well-formed");
@@ -329,6 +301,11 @@ mod tests {
         let d = sim.add_domain("vdd", SupplyKind::ideal(vdd));
         sim.assign_all(d);
         sim.start();
+        (sim, p)
+    }
+
+    fn rig(stages: usize, width: usize, vdd: Waveform) -> (Simulator, DualRailPipeline) {
+        let (mut sim, p) = rig_on(stages, width, vdd);
         sim.run_to_quiescence(10_000); // settle the ¬ack inverters
         (sim, p)
     }
@@ -442,6 +419,21 @@ mod tests {
         // Far too tight a deadline for sub-threshold operation.
         let out = p.transfer(&mut sim, &[1], Seconds(1e-9));
         assert!(!out.completed);
+    }
+
+    #[test]
+    fn transfer_below_the_floor_gives_up_at_the_deadline() {
+        // The ramp never climbs to the 0.10-V floor: no gate fires, and
+        // the transfer must stop at its deadline instead of
+        // re-integrating forever.
+        let ramp = Waveform::ramp(0.08, 0.05, Seconds(0.0), Seconds(1e-9));
+        let (mut sim, p) = rig_on(2, 2, ramp);
+        sim.run_until(Seconds(100e-9));
+        let deadline = Seconds(sim.now().0 + 1e-3);
+        let out = p.transfer(&mut sim, &[1, 2], deadline);
+        assert!(!out.completed);
+        assert!(sim.now() <= deadline, "now {}", sim.now());
+        assert!(sim.total_energy().0.is_finite());
     }
 
     #[test]

@@ -57,21 +57,12 @@ impl ChargeToDigitalConverter {
     /// Panics if the capacitance is not strictly positive or
     /// `bits` is not in `1..=63`.
     pub fn new(c_sample: Farads, bits: usize) -> Self {
-        Self::with_device(c_sample, bits, DeviceModel::umc90())
-    }
-
-    /// A converter over an explicit device model.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Self::new`].
-    pub fn with_device(c_sample: Farads, bits: usize, device: DeviceModel) -> Self {
         assert!(c_sample.0 > 0.0, "sampling capacitance must be positive");
         assert!((1..=63).contains(&bits), "counter width must be in 1..=63");
         Self {
             c_sample,
             bits,
-            device,
+            device: DeviceModel::umc90(),
         }
     }
 

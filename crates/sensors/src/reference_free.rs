@@ -43,17 +43,8 @@ impl ReferenceFreeSensor {
     ///
     /// Panics if `gain == 0`.
     pub fn new(gain: u32) -> Self {
-        Self::with_device(gain, DeviceModel::umc90())
-    }
-
-    /// A sensor over an explicit device model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gain == 0`.
-    pub fn with_device(gain: u32, device: DeviceModel) -> Self {
         assert!(gain > 0, "gain must be positive");
-        let cal = SramLogicCalibration::solve(device);
+        let cal = SramLogicCalibration::solve(DeviceModel::umc90());
         let mut table = Vec::new();
         let mut v = RANGE.0 .0;
         while v <= RANGE.1 .0 + 1e-9 {

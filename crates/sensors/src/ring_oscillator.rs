@@ -29,22 +29,13 @@ impl RingOscillatorSensor {
     /// Panics if `stages` is even or `< 3`, or the window is not
     /// strictly positive.
     pub fn new(stages: usize, window: Seconds) -> Self {
-        Self::with_device(stages, window, DeviceModel::umc90())
-    }
-
-    /// As [`Self::new`] over an explicit device model.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Self::new`].
-    pub fn with_device(stages: usize, window: Seconds, device: DeviceModel) -> Self {
         assert!(
             stages >= 3 && stages % 2 == 1,
             "ring needs an odd stage count >= 3"
         );
         assert!(window.0 > 0.0, "window must be positive");
         let mut s = Self {
-            device,
+            device: DeviceModel::umc90(),
             stages,
             window,
             table: Vec::new(),

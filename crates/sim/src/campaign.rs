@@ -164,14 +164,11 @@ impl RunReport {
     /// observability is enabled ([`Simulator::enable_obs`]), its
     /// telemetry snapshot rides along on the report.
     pub fn from_sim(sim: &Simulator, ctx: &RunContext, stats: RunStats, values: Vec<f64>) -> Self {
-        let energy = (0..sim.domain_count())
-            .map(|i| sim.energy_drawn(sim.domain_id(i)).0)
-            .sum();
         Self {
             index: ctx.index,
             seed: ctx.seed,
             stats,
-            energy: Joules(energy),
+            energy: sim.total_energy(),
             hazards: sim.hazards().len() as u64,
             trace_digest: sim.trace().digest(),
             values,

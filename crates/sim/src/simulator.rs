@@ -494,6 +494,12 @@ impl Simulator {
         self.domains[domain.0].total_energy()
     }
 
+    /// Total energy drawn from every domain so far, summed in domain
+    /// order.
+    pub fn total_energy(&self) -> Joules {
+        self.domains.iter().map(PowerDomain::total_energy).sum()
+    }
+
     /// Transition count of one gate.
     pub fn transition_count(&self, gate: GateId) -> u64 {
         self.gates[gate.index()].transitions
@@ -671,19 +677,20 @@ impl Simulator {
             let Some(Reverse(head)) = self.queue.peek() else {
                 return StepOutcome::Exhausted;
             };
-            if bound.is_some_and(|b| head.time > b) {
+            // A stale head past the bound is dropped below like any
+            // other, so a bounded caller stops only at a live event.
+            if bound.is_some_and(|b| head.time > b) && !self.is_stale(head) {
                 return StepOutcome::Exhausted;
             }
             let Reverse(ev) = self.queue.pop().expect("peeked entry vanished");
-            let g = &mut self.gates[ev.gate];
-            let kind = g.kind;
-            // Stale (cancelled or superseded) entries are dropped.
-            if kind != GateKind::Input && ev.epoch != g.epoch {
+            if self.is_stale(&ev) {
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.telemetry.metrics.inc(obs.stale_drops, 1);
                 }
                 continue;
             }
+            let g = &mut self.gates[ev.gate];
+            let kind = g.kind;
             self.now = Seconds(self.now.0.max(ev.time));
             if !ev.complete {
                 // Integration-window boundary: resume the work integral.
@@ -722,13 +729,49 @@ impl Simulator {
     /// floor stalls without a queue entry, so it cannot hold this up.
     /// Only a varying ideal rail that never recovers above the floor can
     /// make this spin through integration windows without ever firing;
-    /// use [`Simulator::run_until`] for a time-bounded run.
+    /// use [`Simulator::run_until`] for a time-bounded run, and
+    /// [`Simulator::drive_until`] for a handshake with a deadline.
     pub fn step(&mut self) -> Option<FiredEvent> {
         loop {
             match self.step_outcome(None) {
                 StepOutcome::Fired(e) => return Some(e),
                 StepOutcome::Progressed => continue,
                 StepOutcome::Exhausted => return None,
+            }
+        }
+    }
+
+    /// Runs a handshake whose environment is `env`, until `env` returns
+    /// `true` (its protocol is done) or the run cannot go on.
+    ///
+    /// `env` runs before the first step, after every fired event, and
+    /// once more when the queue runs dry; it may schedule inputs. This
+    /// returns `false` when the next live event lies past `deadline`, or
+    /// when the queue is empty and `env` scheduled nothing. No event
+    /// past `deadline` fires, and integration-window progress is not an
+    /// event, so a varying rail that never recovers above the floor ends
+    /// the run at the deadline. Unlike [`Simulator::run_until`], time
+    /// stays at the last fired event.
+    pub fn drive_until(
+        &mut self,
+        deadline: Seconds,
+        mut env: impl FnMut(&mut Self) -> bool,
+    ) -> bool {
+        if env(self) {
+            return true;
+        }
+        loop {
+            let dry = match self.step_outcome(Some(deadline.0)) {
+                StepOutcome::Fired(_) => false,
+                StepOutcome::Progressed => continue,
+                StepOutcome::Exhausted if self.queue.is_empty() => true,
+                StepOutcome::Exhausted => return false,
+            };
+            if env(self) {
+                return true;
+            }
+            if dry && self.queue.is_empty() {
+                return false;
             }
         }
     }
@@ -778,6 +821,12 @@ impl Simulator {
     }
 
     // ----- internals ------------------------------------------------
+
+    /// `true` if `ev` was cancelled or superseded after it was queued.
+    fn is_stale(&self, ev: &QueuedEvent) -> bool {
+        let g = &self.gates[ev.gate];
+        g.kind != GateKind::Input && ev.epoch != g.epoch
+    }
 
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;

@@ -328,6 +328,25 @@ fn run_until_respects_bound() {
 }
 
 #[test]
+fn drive_until_drops_a_stale_head_past_the_deadline() {
+    // A same-instant pulse cancels the inverter's pending fall (a
+    // hazard), and the cancelled entry lies past the deadline. The drive
+    // must drop it and give `env` its dry-queue call, not stop there as
+    // if a live event lay past the deadline.
+    let (nl, input, _) = inverter_chain(1);
+    let mut sim = sim_with_constant_vdd(nl, 1.0);
+    sim.start();
+    sim.run_to_quiescence(10);
+    let t0 = sim.now();
+    sim.schedule_input(input, t0, true);
+    sim.schedule_input(input, t0, false);
+    let done = sim.drive_until(t0, |sim| sim.next_event_time().is_none());
+    assert!(done, "the drive stopped at the cancelled entry");
+    assert_eq!(sim.hazards().len(), 1);
+    assert_eq!(sim.now(), t0);
+}
+
+#[test]
 fn activity_report_attributes_energy_where_it_is_spent() {
     let (nl, input, outs) = inverter_chain(6);
     let mut sim = sim_with_constant_vdd(nl, 1.0);
